@@ -46,7 +46,7 @@
 //! hosts, the ratios should not.
 
 use predsim_core::{
-    record_program, simulate_program, simulate_program_with, SimOptions, StepSimulator,
+    record_program, simulate_program, simulate_program_with, SimHooks, SimOptions, StepSimulator,
 };
 use predsim_engine::JobSource;
 use predsim_lint::json::{self, Value};
@@ -109,21 +109,40 @@ fn wall_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration,
 struct ReferenceStepSimulator;
 
 impl StepSimulator for ReferenceStepSimulator {
-    fn simulate_comm(
+    fn simulate_step(
         &mut self,
+        _step_idx: usize,
         comm: &commsim::CommPattern,
         opts: &SimOptions,
+        _hooks: &SimHooks<'_>,
         ready: &[loggp::Time],
-    ) -> commsim::SimResult {
-        match opts.algo {
+        out: &mut commsim::StepEnds,
+    ) {
+        let result = match opts.algo {
             predsim_core::CommAlgo::Standard => {
                 commsim::reference::standard_simulate_from(comm, &opts.cfg, ready)
             }
             predsim_core::CommAlgo::WorstCase => {
                 commsim::reference::worstcase_simulate_from(comm, &opts.cfg, ready)
             }
-        }
+        };
+        out.reset(ready);
+        out.absorb(&result);
     }
+}
+
+/// `prog` under `opts` through the reference backend.
+fn simulate_reference(
+    program: &predsim_core::Program,
+    opts: &SimOptions,
+) -> predsim_core::Prediction {
+    simulate_program_with(
+        program,
+        opts,
+        &mut ReferenceStepSimulator,
+        SimHooks::default(),
+    )
+    .prediction
 }
 
 fn build(spec: &str) -> std::sync::Arc<predsim_core::Program> {
@@ -167,7 +186,7 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
     // prediction, bit for bit.
     for o in [&std_opts, &wc_opts] {
         let new = simulate_program(&program, o);
-        let old = simulate_program_with(&program, o, &mut ReferenceStepSimulator);
+        let old = simulate_reference(&program, o);
         assert_eq!(new, old, "{source}: optimized loop diverged from reference");
     }
 
@@ -178,16 +197,8 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
             std::hint::black_box(simulate_program(&program, &wc_opts));
         },
         || {
-            std::hint::black_box(simulate_program_with(
-                &program,
-                &std_opts,
-                &mut ReferenceStepSimulator,
-            ));
-            std::hint::black_box(simulate_program_with(
-                &program,
-                &wc_opts,
-                &mut ReferenceStepSimulator,
-            ));
+            std::hint::black_box(simulate_reference(&program, &std_opts));
+            std::hint::black_box(simulate_reference(&program, &wc_opts));
         },
     );
     Row {

@@ -1,9 +1,9 @@
 //! Trace emission for the step simulators.
 //!
 //! A [`StepTracer`] couples a [`TraceSink`] with the index of the program
-//! step being simulated; the traced entry points
-//! ([`crate::standard::simulate_traced`],
-//! [`crate::worstcase::simulate_traced`]) call back into it at every
+//! step being simulated; the hooked entry points
+//! ([`crate::standard::simulate_with`],
+//! [`crate::worstcase::simulate_with`]) call back into it at every
 //! committed operation. Tracing is strictly observational: the simulators
 //! compute identical timelines with and without a tracer attached.
 

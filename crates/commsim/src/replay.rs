@@ -64,7 +64,7 @@ use std::cmp::Reverse;
 /// everything the whole-program fold consumes, without materializing a
 /// [`Timeline`]. Produced by [`Recording::retime`]; reusable across steps
 /// (the buffers are cleared, not reallocated).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepEnds {
     /// Per processor: end of its last committed operation, at least the
     /// step-entry ready time (the fold's next-computation start under

@@ -56,89 +56,37 @@ pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
 /// phase ends).
 pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
     let params = cfg.params;
-    simulate_hooked(pattern, cfg, ready, &mut |m, start| {
-        params.arrival_time(start, m.bytes)
-    })
-}
-
-/// [`simulate_from`] reusing the caller's [`SimScratch`] buffers (the
-/// whole-program simulator holds one across steps so repeated steps
-/// allocate nothing in the steady state).
-pub fn simulate_from_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    scratch: &mut SimScratch,
-) -> SimResult {
-    let params = cfg.params;
-    simulate_faulted_scratch(
+    simulate_with(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
         None,
         None,
-        scratch,
+        &mut SimScratch::new(),
     )
 }
 
-/// [`simulate_from`] with a custom *arrival model*: `arrival(msg,
-/// send_start)` returns when the message becomes available at its
-/// destination. The default is the pure LogGP arrival
-/// `send_start + o + (k−1)·G + L`; the machine emulator plugs in jitter
-/// and link contention here. The hook's contract is
-/// `arrival ≥ send_start + o` (a message cannot arrive before its send
-/// overhead completes); a hook that returns an earlier time is **clamped**
-/// to `send_start + o`, in release builds too, so a misbehaving arrival
-/// model can delay messages but never yields an unsound timeline.
-pub fn simulate_hooked(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-) -> SimResult {
-    simulate_traced(pattern, cfg, ready, arrival_of, None)
-}
-
-/// [`simulate_hooked`] with an optional [`StepTracer`] observing every
-/// committed operation. Tracing never changes the computed timeline.
-pub fn simulate_traced(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-) -> SimResult {
-    simulate_faulted(pattern, cfg, ready, arrival_of, tracer, None)
-}
-
-/// [`simulate_traced`] under an optional fault model: each message may be
-/// dropped and retransmitted per [`StepFaults::attempts`], with every
-/// attempt charged at the sender (see [`crate::faults`]) and only the final
-/// attempt feeding the arrival model. `faults: None` is exactly
-/// [`simulate_traced`].
-pub fn simulate_faulted(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-) -> SimResult {
-    let mut scratch = SimScratch::new();
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        arrival_of,
-        tracer,
-        faults,
-        &mut scratch,
-    )
-}
-
-/// [`simulate_faulted`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_faulted_scratch(
+/// [`simulate_from`] with every hook exposed:
+///
+/// * `arrival_of(msg, send_start)` is the *arrival model*: when the
+///   message becomes available at its destination. Pure LogGP is
+///   `send_start + o + (k−1)·G + L`; the machine emulator plugs in jitter
+///   and link contention here. The contract is `arrival ≥ send_start + o`
+///   (a message cannot arrive before its send overhead completes); an
+///   earlier answer is **clamped** to `send_start + o`, in release builds
+///   too, so a misbehaving model can delay messages but never yields an
+///   unsound timeline.
+/// * `tracer` observes every committed operation; tracing never changes
+///   the computed timeline.
+/// * `faults` may drop and retransmit each message per
+///   [`StepFaults::attempts`], with every attempt charged at the sender
+///   (see [`crate::faults`]) and only the final attempt feeding the
+///   arrival model.
+/// * `scratch` holds the per-step buffers; the whole-program simulator
+///   keeps one across steps, so repeated steps allocate nothing in the
+///   steady state.
+pub fn simulate_with(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
@@ -550,7 +498,15 @@ mod tests {
         // Interleave differently-shaped simulations through one scratch and
         // compare each against a fresh run.
         for pattern in [&big, &small, &big] {
-            let reused = simulate_from_scratch(pattern, &cfg, &[Time::ZERO; 10], &mut scratch);
+            let reused = simulate_with(
+                pattern,
+                &cfg,
+                &[Time::ZERO; 10],
+                &mut |m, start| cfg.params.arrival_time(start, m.bytes),
+                None,
+                None,
+                &mut scratch,
+            );
             let fresh = simulate(pattern, &cfg);
             assert_eq!(reused.timeline.events(), fresh.timeline.events());
             assert_eq!(reused.finish, fresh.finish);
@@ -576,9 +532,15 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_hooked(&pattern, &cfg, &[Time::ZERO; 2], &mut |_m, _start| {
-            Time::ZERO
-        });
+        let r = simulate_with(
+            &pattern,
+            &cfg,
+            &[Time::ZERO; 2],
+            &mut |_m, _start| Time::ZERO,
+            None,
+            None,
+            &mut SimScratch::new(),
+        );
         let send = r.timeline.events_for(0)[0];
         let recv = r.timeline.events_for(1)[0];
         assert_eq!(recv.start, send.start + cfg.params.overhead);

@@ -49,81 +49,24 @@ pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
 /// enter the step when their computation phase ends).
 pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
     let params = cfg.params;
-    simulate_hooked(pattern, cfg, ready, &mut |m, start| {
-        params.arrival_time(start, m.bytes)
-    })
-}
-
-/// [`simulate_from`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_from_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    scratch: &mut SimScratch,
-) -> SimResult {
-    let params = cfg.params;
-    simulate_faulted_scratch(
+    simulate_with(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
         None,
         None,
-        scratch,
+        &mut SimScratch::new(),
     )
 }
 
-/// [`simulate_from`] with a custom arrival model (see
-/// [`crate::standard::simulate_hooked`] for the contract; arrivals earlier
-/// than `send_start + o` are clamped here too).
-pub fn simulate_hooked(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-) -> SimResult {
-    simulate_traced(pattern, cfg, ready, arrival_of, None)
-}
-
-/// [`simulate_hooked`] with an optional [`StepTracer`] observing every
-/// committed operation; forced (deadlock-breaking) transmissions are
-/// flagged on their send events. Tracing never changes the timeline.
-pub fn simulate_traced(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-) -> SimResult {
-    simulate_faulted(pattern, cfg, ready, arrival_of, tracer, None)
-}
-
-/// [`simulate_traced`] under an optional fault model (the same contract as
-/// [`crate::standard::simulate_faulted`]): message drops and charged
-/// retransmissions per [`StepFaults`], decided identically to the standard
-/// algorithm so the overestimation bound holds under injection.
-pub fn simulate_faulted(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-) -> SimResult {
-    let mut scratch = SimScratch::new();
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        arrival_of,
-        tracer,
-        faults,
-        &mut scratch,
-    )
-}
-
-/// [`simulate_faulted`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_faulted_scratch(
+/// [`simulate_from`] with every hook exposed, under the same contract as
+/// [`crate::standard::simulate_with`]: a custom arrival model (clamped to
+/// `send_start + o`), a tracer (forced, deadlock-breaking transmissions
+/// are flagged on their send events), message drops and charged
+/// retransmissions decided exactly as for the standard algorithm (so the
+/// overestimation bound holds under injection), and a reusable scratch.
+pub fn simulate_with(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
@@ -163,7 +106,7 @@ fn wc_send(
         tracer,
         timeline,
     );
-    // Documented clamp (see `standard::simulate_hooked`): an arrival model
+    // Documented clamp (see `standard::simulate_with`): an arrival model
     // returning < send_start + o is lifted to the earliest sound arrival,
     // in release builds too.
     let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
@@ -471,7 +414,15 @@ mod tests {
             patterns::all_to_all(8, 64),
             patterns::ring(8, 1024),
         ] {
-            let reused = simulate_from_scratch(&pattern, &cfg, &[Time::ZERO; 8], &mut scratch);
+            let reused = simulate_with(
+                &pattern,
+                &cfg,
+                &[Time::ZERO; 8],
+                &mut |m, start| cfg.params.arrival_time(start, m.bytes),
+                None,
+                None,
+                &mut scratch,
+            );
             let fresh = simulate(&pattern, &cfg);
             assert_eq!(reused.timeline.events(), fresh.timeline.events());
             assert_eq!(reused.forced_sends, fresh.forced_sends);
@@ -483,9 +434,15 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_hooked(&pattern, &cfg, &[Time::ZERO; 2], &mut |_m, _start| {
-            Time::ZERO
-        });
+        let r = simulate_with(
+            &pattern,
+            &cfg,
+            &[Time::ZERO; 2],
+            &mut |_m, _start| Time::ZERO,
+            None,
+            None,
+            &mut SimScratch::new(),
+        );
         let send = r.timeline.events_for(0)[0];
         let recv = r.timeline.events_for(1)[0];
         assert_eq!(recv.start, send.start + cfg.params.overhead);

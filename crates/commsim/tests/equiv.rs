@@ -159,16 +159,16 @@ proptest! {
         };
 
         let mut h1 = hook;
-        let new_std = standard::simulate_faulted(
-            &pattern, &cfg, ready, &mut h1, None, Some(&faults));
+        let new_std = standard::simulate_with(
+            &pattern, &cfg, ready, &mut h1, None, Some(&faults), &mut SimScratch::new());
         let mut h2 = hook;
         let old_std = reference::standard_simulate_faulted(
             &pattern, &cfg, ready, &mut h2, None, Some(&faults));
         assert_same("standard+faults+hook", &new_std, &old_std);
 
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_faulted(
-            &pattern, &cfg, ready, &mut h3, None, Some(&faults));
+        let new_wc = worstcase::simulate_with(
+            &pattern, &cfg, ready, &mut h3, None, Some(&faults), &mut SimScratch::new());
         let mut h4 = hook;
         let old_wc = reference::worstcase_simulate_faulted(
             &pattern, &cfg, ready, &mut h4, None, Some(&faults));
@@ -197,12 +197,14 @@ proptest! {
             Time::from_ps(params.arrival_time(start, m.bytes).as_ps() / shrink_den)
         };
         let mut h1 = hook;
-        let new = standard::simulate_hooked(&pattern, &cfg, ready, &mut h1);
+        let new = standard::simulate_with(
+            &pattern, &cfg, ready, &mut h1, None, None, &mut SimScratch::new());
         let mut h2 = hook;
         let old = reference::standard_simulate_faulted(&pattern, &cfg, ready, &mut h2, None, None);
         assert_same("standard+clamped-hook", &new, &old);
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_hooked(&pattern, &cfg, ready, &mut h3);
+        let new_wc = worstcase::simulate_with(
+            &pattern, &cfg, ready, &mut h3, None, None, &mut SimScratch::new());
         let mut h4 = hook;
         let old_wc = reference::worstcase_simulate_faulted(&pattern, &cfg, ready, &mut h4, None, None);
         assert_same("worstcase+clamped-hook", &new_wc, &old_wc);
@@ -226,10 +228,13 @@ proptest! {
             let procs = pattern.procs();
             let cfg = make_cfg(params, procs, random_ties, classic, seed);
             let ready = &ready[..procs];
-            let reused = standard::simulate_from_scratch(pattern, &cfg, ready, &mut scratch);
+            let mut arrival = |m: &Message, start: Time| cfg.params.arrival_time(start, m.bytes);
+            let reused = standard::simulate_with(
+                pattern, &cfg, ready, &mut arrival, None, None, &mut scratch);
             let fresh = standard::simulate_from(pattern, &cfg, ready);
             assert_same("std scratch reuse", &reused, &fresh);
-            let reused = worstcase::simulate_from_scratch(pattern, &cfg, ready, &mut scratch);
+            let reused = worstcase::simulate_with(
+                pattern, &cfg, ready, &mut arrival, None, None, &mut scratch);
             let fresh = worstcase::simulate_from(pattern, &cfg, ready);
             assert_same("wc scratch reuse", &reused, &fresh);
         }

@@ -4,7 +4,7 @@
 //! figures the `stats`/`gantt` render paths report.
 
 use commsim::observe::StepTracer;
-use commsim::{patterns, standard, stats, worstcase, CommPattern, SimConfig};
+use commsim::{patterns, standard, stats, worstcase, CommPattern, SimConfig, SimScratch};
 use loggp::{presets, Time};
 use predsim_obs::{HorizonProfile, MemorySink, Registry, TraceEvent};
 
@@ -24,12 +24,14 @@ fn tracing_does_not_change_the_standard_timeline() {
     let plain = standard::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let traced = standard::simulate_traced(
+    let traced = standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
         Some(&tracer),
+        None,
+        &mut SimScratch::new(),
     );
     assert_eq!(plain.timeline.events(), traced.timeline.events());
     assert_eq!(plain.finish, traced.finish);
@@ -44,12 +46,14 @@ fn tracing_does_not_change_the_worstcase_timeline() {
     let plain = worstcase::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 3);
-    let traced = worstcase::simulate_traced(
+    let traced = worstcase::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
         Some(&tracer),
+        None,
+        &mut SimScratch::new(),
     );
     assert_eq!(plain.timeline.events(), traced.timeline.events());
     assert_eq!(plain.forced_sends, traced.forced_sends);
@@ -69,12 +73,14 @@ fn trace_covers_every_network_message() {
     let ready = vec![Time::ZERO; pattern.procs()];
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_traced(
+    let r = standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
         Some(&tracer),
+        None,
+        &mut SimScratch::new(),
     );
     let events = sink.events();
     let sends = events
@@ -114,12 +120,14 @@ fn gap_stalls_match_stats_queueing() {
     let ready = vec![Time::ZERO; 6];
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_traced(
+    let r = standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
         Some(&tracer),
+        None,
+        &mut SimScratch::new(),
     );
     let st = stats::analyze(&pattern, &cfg, &r.timeline);
     let stalled_total: u64 = sink

@@ -58,11 +58,10 @@ pub mod simulate;
 pub mod textfmt;
 
 pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
-pub use program::{Program, ProgramError, Step, StepLoad};
+pub use program::{Program, ProgramError, Step, StepLoad, MAX_PROCS};
 pub use replay::{record_program, ProgramRecording, ReplayStats};
 pub use simulate::{
-    simulate_program, simulate_program_driven, simulate_program_observed, simulate_program_traced,
-    simulate_program_with, CommAlgo, CompShaper, DirectStepSimulator, FrontEmitter, IdentityShaper,
-    NullObserver, Overlap, Prediction, ProgramObserver, SimBudget, SimHalt, SimOptions, SimRun,
-    StepRecord, StepSimulator, Synchronization, TracedStepSimulator,
+    fault_charge, simulate_program, simulate_program_with, CommAlgo, DirectStepSimulator, Overlap,
+    Prediction, SimBudget, SimHalt, SimHooks, SimOptions, SimRun, StepFaultView, StepRecord,
+    StepSimulator, Synchronization,
 };

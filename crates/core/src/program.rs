@@ -146,6 +146,12 @@ impl StepLoad {
     }
 }
 
+/// The most processors a program may run on: 4× the largest machine any
+/// shipped workload, test or document uses (`allreduce:1024`). Spec
+/// validation and the trace parser reject larger counts before anything
+/// sized by the processor count is allocated.
+pub const MAX_PROCS: usize = 4096;
+
 /// An oblivious parallel program: a processor count and a step sequence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Program {

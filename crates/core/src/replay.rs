@@ -22,11 +22,11 @@
 
 use crate::program::Program;
 use crate::simulate::{
-    simulate_program_driven, CommAlgo, IdentityShaper, NullObserver, Overlap, Prediction,
-    SimBudget, SimOptions, StepRecord, StepSimulator, Synchronization,
+    simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimHooks, SimOptions,
+    StepSimulator,
 };
 use commsim::replay::{record_standard, record_worstcase};
-use commsim::{standard, worstcase, Recording, SimResult, SimScratch, StepEnds};
+use commsim::{Recording, SimScratch, StepEnds};
 use loggp::Time;
 
 /// The commit orders of every communication step of one recorded program
@@ -56,115 +56,59 @@ impl ProgramRecording {
     /// where provably valid and re-simulating the rest. The prediction is
     /// bit-identical to `simulate_program(prog, opts)`.
     ///
-    /// This is a lean clone of the whole-program fold: replayed steps go
-    /// through [`Recording::retime`], which computes the per-processor
-    /// completion maxima the fold consumes without building a timeline or
-    /// any per-event state, so an all-fast-path re-prediction does no
-    /// per-message allocation at all. Refused steps transparently fall
-    /// back to the full hot loop. `fold_identity_across_options` and the
-    /// sweep tests below pin the fold against
-    /// [`simulate_program`](crate::simulate_program) across
-    /// synchronization, overlap and algorithm options.
+    /// This is the whole-program fold with a replaying backend: replayed
+    /// steps go through [`Recording::retime`], which computes the
+    /// per-processor completion maxima the fold consumes without building
+    /// a timeline or any per-event state, so an all-fast-path
+    /// re-prediction does no per-message allocation at all. Refused steps
+    /// transparently fall back to the full hot loop.
     pub fn predict(&self, prog: &Program, opts: &SimOptions) -> (Prediction, ReplayStats) {
-        let recordings: &[Recording] = if opts.algo == self.algo {
-            &self.steps
-        } else {
-            &[]
-        };
-        let mut stats = ReplayStats::default();
-        let mut scratch = SimScratch::new();
-        let mut ends = StepEnds::default();
-        let mut next_rec = 0usize;
-
-        let procs = prog.procs();
-        let mut ready = vec![Time::ZERO; procs];
-        let mut per_proc_comp = vec![Time::ZERO; procs];
-        let mut per_proc_comm = vec![Time::ZERO; procs];
-        let mut comp_end = vec![Time::ZERO; procs];
-        let mut steps = Vec::with_capacity(prog.len());
-        let mut forced_sends = 0usize;
-
-        for step in prog.steps() {
-            let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
-
-            for p in 0..procs {
-                let charge = if step.comp.is_empty() {
-                    Time::ZERO
-                } else {
-                    step.comp[p]
-                };
-                comp_end[p] = ready[p] + charge;
-                per_proc_comp[p] += charge;
-            }
-            let comp_end_max = comp_end.iter().copied().max().unwrap_or(Time::ZERO);
-
-            let comm_end_max = if step.comm.is_empty() {
-                ready.copy_from_slice(&comp_end);
-                comp_end_max
+        let mut backend = Replaying {
+            recordings: if opts.algo == self.algo {
+                &self.steps
             } else {
-                let rec = recordings.get(next_rec);
-                next_rec += 1;
-                let replayed = rec.is_some_and(|rec| {
-                    rec.retime(&step.comm, &opts.cfg, &comp_end, &mut scratch, &mut ends)
-                });
-                if replayed {
-                    stats.replayed += 1;
-                } else {
-                    stats.resimulated += 1;
-                    let result = match opts.algo {
-                        CommAlgo::Standard => standard::simulate_from_scratch(
-                            &step.comm,
-                            &opts.cfg,
-                            &comp_end,
-                            &mut scratch,
-                        ),
-                        CommAlgo::WorstCase => worstcase::simulate_from_scratch(
-                            &step.comm,
-                            &opts.cfg,
-                            &comp_end,
-                            &mut scratch,
-                        ),
-                    };
-                    ends.reset(&comp_end);
-                    ends.absorb(&result);
-                }
-                forced_sends += ends.forced_sends;
-                for p in 0..procs {
-                    per_proc_comm[p] += ends.comm_done[p] - comp_end[p];
-                }
-                ready.copy_from_slice(match opts.overlap {
-                    Overlap::None => &ends.comm_done,
-                    Overlap::RecvOnly => &ends.last_recv_done,
-                });
-                ends.comm_done.iter().copied().max().unwrap_or(comp_end_max)
-            };
-
-            if opts.sync == Synchronization::Barrier {
-                let max = ready.iter().copied().max().unwrap_or(Time::ZERO);
-                ready.fill(max);
-            }
-
-            steps.push(StepRecord {
-                label: step.label.clone(),
-                start,
-                comp_end: comp_end_max,
-                comm_end: comm_end_max,
-                forced_sends,
-            });
-        }
-
-        let total = ready.iter().copied().max().unwrap_or(Time::ZERO);
-        let prediction = Prediction {
-            total,
-            comp_time: per_proc_comp.iter().copied().max().unwrap_or(Time::ZERO),
-            comm_time: per_proc_comm.iter().copied().max().unwrap_or(Time::ZERO),
-            per_proc_comp,
-            per_proc_comm,
-            per_proc_finish: ready,
-            steps,
-            forced_sends,
+                &[]
+            },
+            next: 0,
+            direct: DirectStepSimulator::new(),
+            stats: ReplayStats::default(),
         };
-        (prediction, stats)
+        let run = simulate_program_with(prog, opts, &mut backend, SimHooks::default());
+        (run.prediction, backend.stats)
+    }
+}
+
+/// Backend of [`ProgramRecording::predict`], which runs it without hooks:
+/// re-time each communication step from its recording, else simulate it
+/// in full.
+struct Replaying<'a> {
+    /// One recording per communication step, consumed in encounter order.
+    recordings: &'a [Recording],
+    next: usize,
+    direct: DirectStepSimulator,
+    stats: ReplayStats,
+}
+
+impl StepSimulator for Replaying<'_> {
+    fn simulate_step(
+        &mut self,
+        step_idx: usize,
+        comm: &commsim::CommPattern,
+        opts: &SimOptions,
+        hooks: &SimHooks<'_>,
+        ready: &[Time],
+        out: &mut StepEnds,
+    ) {
+        let rec = self.recordings.get(self.next);
+        self.next += 1;
+        let scratch = &mut self.direct.scratch;
+        if rec.is_some_and(|rec| rec.retime(comm, &opts.cfg, ready, scratch, out)) {
+            self.stats.replayed += 1;
+        } else {
+            self.stats.resimulated += 1;
+            self.direct
+                .simulate_step(step_idx, comm, opts, hooks, ready, out);
+        }
     }
 }
 
@@ -205,14 +149,7 @@ pub fn record_program(prog: &Program, opts: &SimOptions) -> (Prediction, Program
         scratch: SimScratch::new(),
         steps: Vec::new(),
     };
-    let run = simulate_program_driven(
-        prog,
-        opts,
-        &mut backend,
-        &mut NullObserver,
-        &mut IdentityShaper,
-        SimBudget::unlimited(),
-    );
+    let run = simulate_program_with(prog, opts, &mut backend, SimHooks::default());
     (
         run.prediction,
         ProgramRecording {
@@ -231,18 +168,22 @@ struct RecordingBackend {
 }
 
 impl StepSimulator for RecordingBackend {
-    fn simulate_comm(
+    fn simulate_step(
         &mut self,
+        _step_idx: usize,
         comm: &commsim::CommPattern,
         opts: &SimOptions,
+        _hooks: &SimHooks<'_>,
         ready: &[Time],
-    ) -> SimResult {
+        out: &mut StepEnds,
+    ) {
         let (result, rec) = match opts.algo {
             CommAlgo::Standard => record_standard(comm, &opts.cfg, ready, &mut self.scratch),
             CommAlgo::WorstCase => record_worstcase(comm, &opts.cfg, ready, &mut self.scratch),
         };
         self.steps.push(rec);
-        result
+        out.reset(ready);
+        out.absorb(&result);
     }
 }
 
@@ -384,7 +325,7 @@ mod tests {
 
     #[test]
     fn fold_identity_across_options() {
-        // predict's lean fold must reproduce simulate_program bit-for-bit
+        // predict must reproduce simulate_program bit-for-bit
         // under every synchronization / overlap / algorithm combination,
         // at recorded params and across a sweep (mixing fast-path and
         // fallback steps).

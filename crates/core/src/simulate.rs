@@ -2,8 +2,12 @@
 //! LogGP-simulated communication steps.
 
 use crate::program::Program;
-use commsim::{standard, worstcase, SimConfig, SimResult};
+use commsim::{
+    standard, worstcase, CommPattern, Message, SimConfig, StepEnds, StepFaults, StepTracer,
+};
 use loggp::Time;
+use predsim_faults::FaultPlan;
+use predsim_obs::{TraceEvent, TraceSink};
 
 /// Which communication-step algorithm to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,35 +201,24 @@ impl Prediction {
 ///
 /// The whole-program simulator is a fold over steps; everything expensive
 /// happens inside the per-step LogGP simulation. Abstracting that one call
-/// lets alternative backends — most notably `predsim-engine`'s
-/// fingerprint-memoizing cache — slot under the unchanged program loop
-/// while guaranteeing identical results.
+/// lets alternative backends — `predsim-engine`'s fingerprint-memoizing
+/// cache, the replay of a [`crate::ProgramRecording`] — slot under the
+/// unchanged program loop while guaranteeing identical results.
 pub trait StepSimulator {
-    /// Simulate the communication pattern of one step, with processor `p`
-    /// unable to start communicating before `ready[p]`. Must return exactly
-    /// what the direct algorithms in [`commsim`] would.
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult;
-
-    /// [`StepSimulator::simulate_comm`] with the program step index
-    /// attached. The whole-program fold calls this variant; the default
-    /// implementation ignores the index and delegates, so existing
-    /// backends keep working unchanged. Backends that emit step-stamped
-    /// trace events override it.
-    fn simulate_comm_step(
+    /// Simulate the communication of program step `step_idx`, with
+    /// processor `p` unable to start communicating before `ready[p]`, and
+    /// write each processor's completion into `out`. Must write exactly
+    /// what the direct algorithms in [`commsim`] would with `hooks`'
+    /// tracer and faults attached, and emit exactly their events.
+    fn simulate_step(
         &mut self,
         step_idx: usize,
-        comm: &commsim::CommPattern,
+        comm: &CommPattern,
         opts: &SimOptions,
+        hooks: &SimHooks<'_>,
         ready: &[Time],
-    ) -> SimResult {
-        let _ = step_idx;
-        self.simulate_comm(comm, opts, ready)
-    }
+        out: &mut StepEnds,
+    );
 }
 
 /// The pass-through backend: call the [`commsim`] algorithms directly.
@@ -236,7 +229,7 @@ pub trait StepSimulator {
 /// Results are bit-identical to fresh per-step simulations.
 #[derive(Debug, Default)]
 pub struct DirectStepSimulator {
-    scratch: commsim::SimScratch,
+    pub(crate) scratch: commsim::SimScratch,
 }
 
 impl DirectStepSimulator {
@@ -247,128 +240,110 @@ impl DirectStepSimulator {
 }
 
 impl StepSimulator for DirectStepSimulator {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        match opts.algo {
-            CommAlgo::Standard => {
-                standard::simulate_from_scratch(comm, &opts.cfg, ready, &mut self.scratch)
-            }
-            CommAlgo::WorstCase => {
-                worstcase::simulate_from_scratch(comm, &opts.cfg, ready, &mut self.scratch)
-            }
-        }
-    }
-}
-
-/// A tracing backend: the direct [`commsim`] algorithms with a
-/// [`predsim_obs::TraceSink`] attached, so every committed send/receive
-/// (plus gap stalls and drain markers) is emitted, stamped with the
-/// program step index. Produces exactly [`DirectStepSimulator`]'s results.
-pub struct TracedStepSimulator<'a> {
-    sink: &'a dyn predsim_obs::TraceSink,
-}
-
-impl<'a> TracedStepSimulator<'a> {
-    /// A backend emitting into `sink`.
-    pub fn new(sink: &'a dyn predsim_obs::TraceSink) -> Self {
-        TracedStepSimulator { sink }
-    }
-}
-
-impl StepSimulator for TracedStepSimulator<'_> {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        self.simulate_comm_step(0, comm, opts, ready)
-    }
-
-    fn simulate_comm_step(
+    fn simulate_step(
         &mut self,
         step_idx: usize,
-        comm: &commsim::CommPattern,
+        comm: &CommPattern,
         opts: &SimOptions,
+        hooks: &SimHooks<'_>,
         ready: &[Time],
-    ) -> SimResult {
-        let tracer = commsim::StepTracer::new(self.sink, step_idx as u64);
+        out: &mut StepEnds,
+    ) {
+        let step = step_idx as u64;
+        let tracer = hooks.trace.map(|sink| StepTracer::new(sink, step));
+        let view = hooks.faults.map(|plan| StepFaultView::new(plan, step));
+        let faults = view.as_ref().map(|v| v as &dyn StepFaults);
         let params = opts.cfg.params;
-        let mut arrival = |m: &commsim::Message, start: Time| params.arrival_time(start, m.bytes);
-        match opts.algo {
-            CommAlgo::Standard => {
-                standard::simulate_traced(comm, &opts.cfg, ready, &mut arrival, Some(&tracer))
-            }
-            CommAlgo::WorstCase => {
-                worstcase::simulate_traced(comm, &opts.cfg, ready, &mut arrival, Some(&tracer))
+        let mut arrival = |m: &Message, start: Time| params.arrival_time(start, m.bytes);
+        let simulate = match opts.algo {
+            CommAlgo::Standard => standard::simulate_with,
+            CommAlgo::WorstCase => worstcase::simulate_with,
+        };
+        let result = simulate(
+            comm,
+            &opts.cfg,
+            ready,
+            &mut arrival,
+            tracer.as_ref(),
+            faults,
+            &mut self.scratch,
+        );
+        out.reset(ready);
+        out.absorb(&result);
+    }
+}
+
+/// A [`FaultPlan`] narrowed to one program step: what the communication
+/// algorithms consult for per-message drop decisions.
+#[derive(Clone, Copy, Debug)]
+pub struct StepFaultView<'a> {
+    plan: &'a FaultPlan,
+    step: u64,
+}
+
+impl<'a> StepFaultView<'a> {
+    /// The view of `plan` at program step `step`.
+    pub fn new(plan: &'a FaultPlan, step: u64) -> Self {
+        StepFaultView { plan, step }
+    }
+}
+
+impl StepFaults for StepFaultView<'_> {
+    fn attempts(&self, msg: &Message) -> u32 {
+        self.plan.attempts(self.step, msg.id as u64)
+    }
+
+    fn rto(&self, attempt: u32) -> Time {
+        self.plan.rto(attempt)
+    }
+}
+
+/// The computation charge of processor `proc` in step `step_idx` under
+/// `plan`: `base` stretched by a transient slowdown, plus a fail-stop
+/// outage. Each applied fault is emitted into `trace` (`slowdown`, then
+/// `fail` and `restart`).
+pub fn fault_charge(
+    plan: &FaultPlan,
+    step_idx: usize,
+    proc: usize,
+    base: Time,
+    trace: Option<&dyn TraceSink>,
+) -> Time {
+    let step = step_idx as u64;
+    let mut charge = base;
+    if let Some(pct) = plan.slow_factor(step, proc) {
+        // Integer slowdown: extra = base · (pct − 100) / 100, widened so
+        // factor × picoseconds cannot overflow.
+        let extra_wide = (u128::from(base.as_ps()) * u128::from(pct - 100)) / 100;
+        let extra = Time::from_ps(extra_wide.min(u128::from(u64::MAX)) as u64);
+        if extra > Time::ZERO {
+            charge = charge.saturating_add(extra);
+            if let Some(s) = trace {
+                s.emit(&TraceEvent::Slowdown {
+                    step,
+                    proc,
+                    factor_pct: u64::from(pct),
+                    base_ps: base.as_ps(),
+                    extra_ps: extra.as_ps(),
+                });
             }
         }
     }
-}
-
-/// Observer of the whole-program fold: called after every step with the
-/// per-processor virtual-time front (each processor's readiness for the
-/// next step). This is the hook the horizon profile is computed from.
-pub trait ProgramObserver {
-    /// `front[p]` is processor `p`'s virtual time after step `step_idx`.
-    fn step_done(&mut self, step_idx: usize, front: &[Time]);
-}
-
-/// A [`ProgramObserver`] emitting one [`predsim_obs::TraceEvent::Front`]
-/// per processor per step into a [`predsim_obs::TraceSink`].
-pub struct FrontEmitter<'a> {
-    sink: &'a dyn predsim_obs::TraceSink,
-}
-
-impl<'a> FrontEmitter<'a> {
-    /// An emitter writing to `sink`.
-    pub fn new(sink: &'a dyn predsim_obs::TraceSink) -> Self {
-        FrontEmitter { sink }
-    }
-}
-
-impl ProgramObserver for FrontEmitter<'_> {
-    fn step_done(&mut self, step_idx: usize, front: &[Time]) {
-        for (proc, t) in front.iter().enumerate() {
-            self.sink.emit(&predsim_obs::TraceEvent::Front {
-                step: step_idx as u64,
+    if let Some(outage) = plan.outage(step, proc) {
+        // The processor is silent for the outage, then rejoins and works
+        // through everything it owes — the same schedule as serving its
+        // queued receives after a restart.
+        charge = charge.saturating_add(outage);
+        if let Some(s) = trace {
+            s.emit(&TraceEvent::Fail {
+                step,
                 proc,
-                ps: t.as_ps(),
+                outage_ps: outage.as_ps(),
             });
+            s.emit(&TraceEvent::Restart { step, proc });
         }
     }
-}
-
-/// The do-nothing [`ProgramObserver`].
-pub struct NullObserver;
-
-impl ProgramObserver for NullObserver {
-    fn step_done(&mut self, _step_idx: usize, _front: &[Time]) {}
-}
-
-/// Reshapes per-step, per-processor computation charges before they are
-/// applied — the hook fault injection uses for transient slowdowns and
-/// fail-stop outages. `base` is the program's own charge for the step
-/// ([`Time::ZERO`] on computation-free steps); the returned value replaces
-/// it in the fold and in the computation ledger.
-pub trait CompShaper {
-    /// The effective computation charge of processor `proc` in step
-    /// `step_idx`.
-    fn comp_charge(&mut self, step_idx: usize, proc: usize, base: Time) -> Time;
-}
-
-/// The identity [`CompShaper`]: charges exactly the program's own costs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityShaper;
-
-impl CompShaper for IdentityShaper {
-    fn comp_charge(&mut self, _step_idx: usize, _proc: usize, base: Time) -> Time {
-        base
-    }
+    charge
 }
 
 /// Per-run simulation budgets; the default is unlimited.
@@ -443,68 +418,46 @@ pub struct SimRun {
     pub halt: SimHalt,
 }
 
+/// Everything a whole-program simulation does besides predicting: where
+/// its events go, which faults it injects and where it stops. The default
+/// traces nothing, injects nothing and runs to completion.
+#[derive(Clone, Copy, Default)]
+pub struct SimHooks<'a> {
+    /// Receives every committed operation (`send`, `recv`, `gap_stall`,
+    /// and under faults `drop` and `retransmit`), every fault charge
+    /// (`slowdown`, `fail`, `restart`) and, after each step, one `front`
+    /// per processor: its virtual time, from which the horizon profile is
+    /// computed. Tracing never changes the prediction.
+    pub trace: Option<&'a dyn TraceSink>,
+    /// Faults to inject: message drops with charged retransmissions in
+    /// the communication steps, transient slowdowns and fail-stop
+    /// outages in the computation charges (see [`fault_charge`]). A
+    /// zero-rate plan reproduces the fault-free prediction exactly.
+    pub faults: Option<&'a FaultPlan>,
+    /// Step and virtual-time limits.
+    pub budget: SimBudget,
+}
+
 /// Simulate a whole program; see [`Prediction`] for what comes back.
 pub fn simulate_program(prog: &Program, opts: &SimOptions) -> Prediction {
-    simulate_program_with(prog, opts, &mut DirectStepSimulator::new())
-}
-
-/// [`simulate_program`] with a caller-supplied communication backend.
-pub fn simulate_program_with(
-    prog: &Program,
-    opts: &SimOptions,
-    step_sim: &mut dyn StepSimulator,
-) -> Prediction {
-    simulate_program_observed(prog, opts, step_sim, &mut NullObserver)
-}
-
-/// [`simulate_program`] with full tracing: per-operation events from the
-/// communication algorithms and per-step [`predsim_obs::TraceEvent::Front`]
-/// markers, all emitted into `sink`. The prediction is bit-identical to the
-/// untraced one.
-pub fn simulate_program_traced(
-    prog: &Program,
-    opts: &SimOptions,
-    sink: &dyn predsim_obs::TraceSink,
-) -> Prediction {
-    simulate_program_observed(
+    simulate_program_with(
         prog,
         opts,
-        &mut TracedStepSimulator::new(sink),
-        &mut FrontEmitter::new(sink),
-    )
-}
-
-/// [`simulate_program_with`] plus a [`ProgramObserver`] notified after
-/// every step with the per-processor virtual-time front.
-pub fn simulate_program_observed(
-    prog: &Program,
-    opts: &SimOptions,
-    step_sim: &mut dyn StepSimulator,
-    observer: &mut dyn ProgramObserver,
-) -> Prediction {
-    simulate_program_driven(
-        prog,
-        opts,
-        step_sim,
-        observer,
-        &mut IdentityShaper,
-        SimBudget::unlimited(),
+        &mut DirectStepSimulator::new(),
+        SimHooks::default(),
     )
     .prediction
 }
 
-/// The master entry point under all the others: the whole-program fold with
-/// every hook exposed — a pluggable communication backend, a per-step
-/// observer, a computation-charge shaper (fault injection) and simulation
-/// budgets (engine job limits). With [`IdentityShaper`] and an unlimited
-/// budget this computes exactly what [`simulate_program`] does.
-pub fn simulate_program_driven(
+/// The whole-program fold: charge each step's computation, then hand its
+/// communication to `step_sim`, chaining each processor's readiness from
+/// step to step. With [`DirectStepSimulator`] and default hooks this is
+/// exactly [`simulate_program`].
+pub fn simulate_program_with(
     prog: &Program,
     opts: &SimOptions,
     step_sim: &mut dyn StepSimulator,
-    observer: &mut dyn ProgramObserver,
-    shaper: &mut dyn CompShaper,
-    budget: SimBudget,
+    hooks: SimHooks<'_>,
 ) -> SimRun {
     let procs = prog.procs();
     let mut ready = vec![Time::ZERO; procs];
@@ -519,11 +472,10 @@ pub fn simulate_program_driven(
     // traffic is acceptable, and the scratch-carrying backends remove most
     // of it there too).
     let mut comp_end = vec![Time::ZERO; procs];
-    let mut comm_done = vec![Time::ZERO; procs];
-    let mut last_recv_done = vec![Time::ZERO; procs];
+    let mut ends = StepEnds::default();
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
-        if let Some(max) = budget.max_steps {
+        if let Some(max) = hooks.budget.max_steps {
             if step_idx >= max {
                 halt = SimHalt::StepBudget { at_step: step_idx };
                 break;
@@ -532,7 +484,7 @@ pub fn simulate_program_driven(
         let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
 
         // Computation phase. A step without computation charges has base
-        // cost zero on every processor; the shaper may still inflate it
+        // cost zero on every processor; faults may still inflate it
         // (fail-stop outages apply to communication-only steps too).
         for p in 0..procs {
             let base = if step.comp.is_empty() {
@@ -540,7 +492,10 @@ pub fn simulate_program_driven(
             } else {
                 step.comp[p]
             };
-            let charge = shaper.comp_charge(step_idx, p, base);
+            let charge = match hooks.faults {
+                Some(plan) => fault_charge(plan, step_idx, p, base, hooks.trace),
+                None => base,
+            };
             comp_end[p] = ready[p] + charge;
             per_proc_comp[p] += charge;
         }
@@ -551,27 +506,16 @@ pub fn simulate_program_driven(
             ready.copy_from_slice(&comp_end);
             comp_end_max
         } else {
-            let result = step_sim.simulate_comm_step(step_idx, &step.comm, opts, &comp_end);
-            forced_sends += result.forced_sends;
-
-            // Per-processor end of the communication section.
-            comm_done.copy_from_slice(&comp_end);
-            last_recv_done.copy_from_slice(&comp_end);
-            for ev in result.timeline.events() {
-                comm_done[ev.proc] = comm_done[ev.proc].max(ev.end);
-                if ev.kind == loggp::OpKind::Recv {
-                    last_recv_done[ev.proc] = last_recv_done[ev.proc].max(ev.end);
-                }
-            }
+            step_sim.simulate_step(step_idx, &step.comm, opts, &hooks, &comp_end, &mut ends);
+            forced_sends += ends.forced_sends;
             for p in 0..procs {
-                per_proc_comm[p] += comm_done[p] - comp_end[p];
+                per_proc_comm[p] += ends.comm_done[p] - comp_end[p];
             }
-
             ready.copy_from_slice(match opts.overlap {
-                Overlap::None => &comm_done,
-                Overlap::RecvOnly => &last_recv_done,
+                Overlap::None => &ends.comm_done,
+                Overlap::RecvOnly => &ends.last_recv_done,
             });
-            comm_done.iter().copied().max().unwrap_or(comp_end_max)
+            ends.comm_done.iter().copied().max().unwrap_or(comp_end_max)
         };
 
         if opts.sync == Synchronization::Barrier {
@@ -586,9 +530,17 @@ pub fn simulate_program_driven(
             comm_end: comm_end_max,
             forced_sends,
         });
-        observer.step_done(step_idx, &ready);
+        if let Some(sink) = hooks.trace {
+            for (proc, t) in ready.iter().enumerate() {
+                sink.emit(&TraceEvent::Front {
+                    step: step_idx as u64,
+                    proc,
+                    ps: t.as_ps(),
+                });
+            }
+        }
 
-        if let Some(max) = budget.max_virtual {
+        if let Some(max) = hooks.budget.max_virtual {
             let front = ready.iter().copied().max().unwrap_or(Time::ZERO);
             if front > max {
                 halt = SimHalt::VirtualBudget { at_step: step_idx };
@@ -626,6 +578,36 @@ mod tests {
         let mut c = CommPattern::new(procs);
         c.add(src, dst, bytes);
         c
+    }
+
+    fn run(prog: &Program, opts: &SimOptions, hooks: SimHooks<'_>) -> SimRun {
+        simulate_program_with(prog, opts, &mut DirectStepSimulator::new(), hooks)
+    }
+
+    fn traced(prog: &Program, opts: &SimOptions, sink: &dyn TraceSink) -> Prediction {
+        let hooks = SimHooks {
+            trace: Some(sink),
+            ..SimHooks::default()
+        };
+        run(prog, opts, hooks).prediction
+    }
+
+    fn plan(text: &str, seed: u64) -> FaultPlan {
+        FaultPlan::new(predsim_faults::FaultSpec::parse(text).unwrap(), seed)
+    }
+
+    fn faulted(
+        prog: &Program,
+        opts: &SimOptions,
+        plan: &FaultPlan,
+        sink: Option<&dyn TraceSink>,
+    ) -> Prediction {
+        let hooks = SimHooks {
+            trace: sink,
+            faults: Some(plan),
+            ..SimHooks::default()
+        };
+        run(prog, opts, hooks).prediction
     }
 
     #[test]
@@ -763,7 +745,7 @@ mod tests {
         for opts in [opts(3), opts(3).worst_case(), opts(3).with_barrier()] {
             let plain = simulate_program(&prog, &opts);
             let sink = MemorySink::new();
-            let traced = simulate_program_traced(&prog, &opts, &sink);
+            let traced = traced(&prog, &opts, &sink);
             assert_eq!(plain.total, traced.total);
             assert_eq!(plain.per_proc_finish, traced.per_proc_finish);
             assert_eq!(plain.per_proc_comm, traced.per_proc_comm);
@@ -795,7 +777,7 @@ mod tests {
         let mut prog = Program::new(2);
         prog.push(Step::new("skew").with_comp(vec![Time::from_us(100.0), Time::from_us(1.0)]));
         let sink = MemorySink::new();
-        let _ = simulate_program_traced(&prog, &opts(2), &sink);
+        let _ = traced(&prog, &opts(2), &sink);
         let fronts: Vec<u64> = sink
             .events()
             .iter()
@@ -811,29 +793,32 @@ mod tests {
     }
 
     #[test]
-    fn default_step_method_delegates() {
-        // A backend only implementing simulate_comm still works through
-        // the step-indexed entry point.
-        struct Only;
-        impl StepSimulator for Only {
-            fn simulate_comm(
+    fn custom_backend_plugs_into_the_fold() {
+        // A backend delegating each step to a fresh direct simulator gets
+        // the step through the fold unchanged.
+        struct Fresh;
+        impl StepSimulator for Fresh {
+            fn simulate_step(
                 &mut self,
-                comm: &commsim::CommPattern,
+                step_idx: usize,
+                comm: &CommPattern,
                 opts: &SimOptions,
+                hooks: &SimHooks<'_>,
                 ready: &[Time],
-            ) -> SimResult {
-                DirectStepSimulator::new().simulate_comm(comm, opts, ready)
+                out: &mut StepEnds,
+            ) {
+                DirectStepSimulator::new().simulate_step(step_idx, comm, opts, hooks, ready, out)
             }
         }
         let mut prog = Program::new(2);
         prog.push(Step::new("s").with_comm(one_msg(2, 0, 1, 100)));
         let a = simulate_program(&prog, &opts(2));
-        let b = simulate_program_with(&prog, &opts(2), &mut Only);
-        assert_eq!(a.total, b.total);
+        let b = simulate_program_with(&prog, &opts(2), &mut Fresh, SimHooks::default());
+        assert_eq!(a.total, b.prediction.total);
     }
 
     #[test]
-    fn driven_with_identity_and_unlimited_budget_matches_simulate() {
+    fn default_hooks_and_unlimited_budget_match_simulate() {
         let mut prog = Program::new(3);
         prog.push(Step::new("warm").with_comp(vec![Time::from_us(7.0); 3]));
         let mut c = CommPattern::new(3);
@@ -842,14 +827,7 @@ mod tests {
         prog.push(Step::new("chain").with_comm(c));
         for o in [opts(3), opts(3).worst_case()] {
             let plain = simulate_program(&prog, &o);
-            let run = simulate_program_driven(
-                &prog,
-                &o,
-                &mut DirectStepSimulator::new(),
-                &mut NullObserver,
-                &mut IdentityShaper,
-                SimBudget::unlimited(),
-            );
+            let run = run(&prog, &o, SimHooks::default());
             assert!(run.halt.is_complete());
             assert_eq!(run.prediction.total, plain.total);
             assert_eq!(run.prediction.per_proc_finish, plain.per_proc_finish);
@@ -864,14 +842,11 @@ mod tests {
         for i in 0..5 {
             prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
         }
-        let run = simulate_program_driven(
-            &prog,
-            &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut IdentityShaper,
-            SimBudget::steps(2),
-        );
+        let hooks = SimHooks {
+            budget: SimBudget::steps(2),
+            ..SimHooks::default()
+        };
+        let run = run(&prog, &opts(2), hooks);
         assert_eq!(run.halt, SimHalt::StepBudget { at_step: 2 });
         assert_eq!(run.prediction.steps.len(), 2);
         assert_eq!(run.prediction.total, Time::from_us(20.0));
@@ -883,14 +858,11 @@ mod tests {
         for i in 0..5 {
             prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
         }
-        let run = simulate_program_driven(
-            &prog,
-            &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut IdentityShaper,
-            SimBudget::virtual_time(Time::from_us(25.0)),
-        );
+        let hooks = SimHooks {
+            budget: SimBudget::virtual_time(Time::from_us(25.0)),
+            ..SimHooks::default()
+        };
+        let run = run(&prog, &opts(2), hooks);
         // Step 2 pushes the front to 30us > 25us; steps 3 and 4 never run.
         assert_eq!(run.halt, SimHalt::VirtualBudget { at_step: 2 });
         assert_eq!(run.prediction.steps.len(), 3);
@@ -898,63 +870,138 @@ mod tests {
     }
 
     #[test]
-    fn comp_shaper_inflates_charges_and_the_ledger() {
-        struct DoubleP1;
-        impl CompShaper for DoubleP1 {
-            fn comp_charge(&mut self, _step: usize, proc: usize, base: Time) -> Time {
-                if proc == 1 {
-                    base + base
-                } else {
-                    base
-                }
-            }
-        }
+    fn faults_inflate_charges_and_the_ledger() {
         let mut prog = Program::new(2);
         prog.push(Step::new("c").with_comp(vec![Time::from_us(10.0); 2]));
-        let run = simulate_program_driven(
-            &prog,
-            &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut DoubleP1,
-            SimBudget::unlimited(),
-        );
-        assert_eq!(run.prediction.per_proc_comp[0], Time::from_us(10.0));
-        assert_eq!(run.prediction.per_proc_comp[1], Time::from_us(20.0));
-        assert_eq!(run.prediction.total, Time::from_us(20.0));
+        let pred = faulted(&prog, &opts(2), &plan("fail:1@0+10", 0), None);
+        assert_eq!(pred.per_proc_comp[0], Time::from_us(10.0));
+        assert_eq!(pred.per_proc_comp[1], Time::from_us(20.0));
+        assert_eq!(pred.total, Time::from_us(20.0));
     }
 
     #[test]
-    fn shaper_applies_to_communication_only_steps() {
-        // Fail-stop semantics: an outage charged by the shaper on a step
-        // with no computation still delays the processor's participation.
-        struct Outage;
-        impl CompShaper for Outage {
-            fn comp_charge(&mut self, step: usize, proc: usize, base: Time) -> Time {
-                if step == 0 && proc == 0 {
-                    base + Time::from_us(100.0)
-                } else {
-                    base
-                }
-            }
-        }
+    fn faults_apply_to_communication_only_steps() {
+        // Fail-stop semantics: an outage on a step with no computation
+        // still delays the processor's participation.
         let mut prog = Program::new(2);
         prog.push(Step::new("send").with_comm(one_msg(2, 0, 1, 1)));
         let cfg = SimConfig::new(presets::meiko_cs2(2));
-        let run = simulate_program_driven(
-            &prog,
-            &SimOptions::new(cfg),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut Outage,
-            SimBudget::unlimited(),
-        );
+        let pred = faulted(&prog, &SimOptions::new(cfg), &plan("fail:0@0+100", 0), None);
         // P0's send starts only after the outage; the message is received
         // after it, i.e. queued receives drain once the sender restarts.
         assert_eq!(
-            run.prediction.total,
+            pred.total,
             Time::from_us(100.0) + cfg.params.message_cost(1)
         );
+    }
+
+    fn ring_program(procs: usize, steps: usize) -> Program {
+        let mut prog = Program::new(procs);
+        for s in 0..steps {
+            let mut c = CommPattern::new(procs);
+            for p in 0..procs {
+                c.add(p, (p + 1) % procs, 256);
+            }
+            prog.push(
+                Step::new(format!("ring-{s}"))
+                    .with_comp(vec![Time::from_us(10.0); procs])
+                    .with_comm(c),
+            );
+        }
+        prog
+    }
+
+    fn algo_opts(procs: usize, algo: CommAlgo) -> SimOptions {
+        let mut o = opts(procs);
+        o.algo = algo;
+        o
+    }
+
+    #[test]
+    fn zero_plan_reproduces_the_faultless_prediction_exactly() {
+        let prog = ring_program(4, 3);
+        for algo in [CommAlgo::Standard, CommAlgo::WorstCase] {
+            let o = algo_opts(4, algo);
+            let clean = simulate_program(&prog, &o);
+            let faulted = faulted(&prog, &o, &plan("none", 123), None);
+            assert_eq!(faulted, clean);
+        }
+    }
+
+    #[test]
+    fn drops_cost_time_and_are_traced() {
+        use predsim_obs::MemorySink;
+        let prog = ring_program(4, 3);
+        let o = algo_opts(4, CommAlgo::Standard);
+        let clean = simulate_program(&prog, &o);
+        let sink = MemorySink::new();
+        let faulted = faulted(&prog, &o, &plan("drop:0.9:50:6", 3), Some(&sink));
+        assert!(faulted.total > clean.total);
+        let kinds: Vec<&str> = sink.events().iter().map(|e| e.kind()).collect();
+        assert!(kinds.contains(&"drop"), "{kinds:?}");
+        assert!(kinds.contains(&"retransmit"), "{kinds:?}");
+        assert!(kinds.contains(&"front"), "fronts still emitted: {kinds:?}");
+    }
+
+    #[test]
+    fn slowdown_multiplies_the_compute_charge() {
+        use predsim_obs::MemorySink;
+        let mut prog = Program::new(2);
+        prog.push(Step::new("work").with_comp(vec![Time::from_us(100.0); 2]));
+        let o = algo_opts(2, CommAlgo::Standard);
+        let sink = MemorySink::new();
+        let faulted = faulted(&prog, &o, &plan("slow:1:2.5", 0), Some(&sink));
+        assert_eq!(faulted.total, Time::from_us(250.0));
+        assert_eq!(faulted.comp_time, Time::from_us(250.0));
+        let slows = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind() == "slowdown")
+            .count();
+        assert_eq!(slows, 2, "one slowdown event per processor");
+    }
+
+    #[test]
+    fn fail_stop_charges_the_outage_and_emits_fail_restart() {
+        use predsim_obs::MemorySink;
+        let mut prog = Program::new(2);
+        prog.push(Step::new("work").with_comp(vec![Time::from_us(10.0); 2]));
+        let o = algo_opts(2, CommAlgo::Standard);
+        let sink = MemorySink::new();
+        let faulted = faulted(&prog, &o, &plan("fail:1@0+500", 0), Some(&sink));
+        assert_eq!(faulted.total, Time::from_us(510.0));
+        let kinds: Vec<&str> = sink.events().iter().map(|e| e.kind()).collect();
+        assert!(kinds.contains(&"fail"), "{kinds:?}");
+        assert!(kinds.contains(&"restart"), "{kinds:?}");
+    }
+
+    #[test]
+    fn worst_case_stays_above_standard_under_faults() {
+        let prog = ring_program(4, 4);
+        let p = plan("drop:0.5:100:6,slow:0.3:2,fail:2@1+200", 11);
+        let std_pred = faulted(&prog, &algo_opts(4, CommAlgo::Standard), &p, None);
+        let wc_pred = faulted(&prog, &algo_opts(4, CommAlgo::WorstCase), &p, None);
+        assert!(
+            wc_pred.total >= std_pred.total,
+            "wc {} < std {}",
+            wc_pred.total,
+            std_pred.total
+        );
+    }
+
+    #[test]
+    fn budgets_cut_faulted_runs_short() {
+        let prog = ring_program(4, 5);
+        let o = algo_opts(4, CommAlgo::Standard);
+        let drops = plan("drop:0.5", 1);
+        let hooks = SimHooks {
+            faults: Some(&drops),
+            budget: SimBudget::steps(2),
+            ..SimHooks::default()
+        };
+        let run = run(&prog, &o, hooks);
+        assert_eq!(run.halt, SimHalt::StepBudget { at_step: 2 });
+        assert_eq!(run.prediction.steps.len(), 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! message. Self-messages are legal (the predictor ignores them; the
 //! emulator charges them).
 
-use crate::program::{Program, Step};
+use crate::program::{Program, Step, MAX_PROCS};
 use commsim::CommPattern;
 use loggp::Time;
 use std::fmt::Write as _;
@@ -120,6 +120,12 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
                     .map_err(|e| err(lineno, format!("bad processor count: {e}")))?;
                 if procs == 0 {
                     return Err(err(lineno, "need at least one processor".into()));
+                }
+                if procs > MAX_PROCS {
+                    return Err(err(
+                        lineno,
+                        format!("{procs} processors exceed the supported maximum of {MAX_PROCS}"),
+                    ));
                 }
                 prog = Some(Program::new(procs));
             }

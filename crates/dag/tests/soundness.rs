@@ -11,7 +11,9 @@
 //!   before `v`'s computation can begin.
 
 use loggp::{presets, LinkOverride, MachineSpec};
-use predsim_core::{simulate_program, simulate_program_traced, SimOptions};
+use predsim_core::{
+    simulate_program, simulate_program_with, DirectStepSimulator, SimHooks, SimOptions,
+};
 use predsim_dag::{generate, lower, SchedulerKind};
 use predsim_lint::{check_program, LintOptions, Severity};
 use predsim_obs::{MemorySink, TraceEvent};
@@ -83,7 +85,13 @@ proptest! {
         // processor's virtual-time front before its task's step.
         let opts = SimOptions::new(commsim::SimConfig::new(machine.base));
         let sink = MemorySink::new();
-        let traced = simulate_program_traced(&lowered.program, &opts, &sink);
+        let hooks = SimHooks {
+            trace: Some(&sink),
+            ..SimHooks::default()
+        };
+        let traced =
+            simulate_program_with(&lowered.program, &opts, &mut DirectStepSimulator::new(), hooks)
+                .prediction;
         let untraced = simulate_program(&lowered.program, &opts);
         prop_assert_eq!(traced.total, untraced.total, "tracing is bit-identical");
 

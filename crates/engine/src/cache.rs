@@ -1,60 +1,35 @@
 //! The sharded step-pattern memo cache.
 //!
 //! Keys are [`StepKey`]s (canonical fingerprint of pattern × config ×
-//! relative readiness); values are *normalized* simulation results —
-//! schedules computed as if the earliest-ready processor entered the step
-//! at time zero. Because the LogGP simulators are translation-invariant
-//! (see [`crate::fingerprint`]), a cached normalized schedule shifted by
-//! the step's base time is bit-identical to simulating the step directly.
+//! relative readiness); values are *normalized* step completions — the
+//! per-processor ends of a step simulated as if the earliest-ready
+//! processor entered it at time zero. Because the LogGP simulators are
+//! translation-invariant (see [`crate::fingerprint`]), a cached normalized
+//! completion shifted by the step's base time is bit-identical to
+//! simulating the step directly.
 //!
 //! Shards are independent `parking_lot`-style `RwLock` maps selected by
 //! the key's digest, so concurrent workers rarely contend; hit/miss/
 //! insert/eviction counters are lock-free atomics.
 
 use crate::fingerprint::StepKey;
-use commsim::{CommPattern, SimResult, Timeline};
+use commsim::{CommPattern, StepEnds};
 use loggp::Time;
 use parking_lot::RwLock;
-use predsim_core::{DirectStepSimulator, SimOptions, StepSimulator};
+use predsim_core::{DirectStepSimulator, SimHooks, SimOptions, StepSimulator};
 use predsim_obs::{TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// A normalized (base-time-zero) step schedule.
-#[derive(Clone, Debug)]
-struct CachedStep {
-    procs: usize,
-    events: Arc<[commsim::CommEvent]>,
-    finish: Time,
-    forced_sends: usize,
-}
-
-impl CachedStep {
-    fn from_result(r: &SimResult) -> Self {
-        CachedStep {
-            procs: r.timeline.procs(),
-            events: r.timeline.events().into(),
-            finish: r.finish,
-            forced_sends: r.forced_sends,
-        }
-    }
-
-    /// Rebuild the concrete result with every event shifted by `base`.
-    fn materialize(&self, base: Time) -> SimResult {
-        let mut timeline = Timeline::new(self.procs);
-        for ev in self.events.iter() {
-            let mut ev = *ev;
-            ev.start += base;
-            ev.end += base;
-            timeline.push(ev);
-        }
-        SimResult {
-            timeline,
-            finish: self.finish + base,
-            forced_sends: self.forced_sends,
-        }
-    }
+/// `out = normalized` with every processor's end shifted by `base`.
+fn shifted(normalized: &StepEnds, base: Time, out: &mut StepEnds) {
+    out.comm_done.clear();
+    out.comm_done
+        .extend(normalized.comm_done.iter().map(|&t| t + base));
+    out.last_recv_done.clear();
+    out.last_recv_done
+        .extend(normalized.last_recv_done.iter().map(|&t| t + base));
+    out.forced_sends = normalized.forced_sends;
 }
 
 /// Monotonic cache counters (snapshot via [`MemoCache::stats`]).
@@ -90,9 +65,9 @@ struct Counters {
     evictions: AtomicU64,
 }
 
-/// Sharded fingerprint → normalized-schedule map.
+/// Sharded fingerprint → normalized-completion map.
 pub struct MemoCache {
-    shards: Vec<RwLock<HashMap<StepKey, CachedStep>>>,
+    shards: Vec<RwLock<HashMap<StepKey, StepEnds>>>,
     shard_capacity: usize,
     counters: Counters,
 }
@@ -116,31 +91,32 @@ impl MemoCache {
         }
     }
 
-    fn shard(&self, key: &StepKey) -> &RwLock<HashMap<StepKey, CachedStep>> {
+    fn shard(&self, key: &StepKey) -> &RwLock<HashMap<StepKey, StepEnds>> {
         // The digest already mixes every word; fold high bits in so shard
         // choice is not just the digest's low bits.
         let d = key.digest();
         &self.shards[((d ^ (d >> 32)) % self.shards.len() as u64) as usize]
     }
 
-    /// Look up a normalized schedule and materialize it at `base`.
-    pub fn get(&self, key: &StepKey, base: Time) -> Option<SimResult> {
-        let found = self.shard(key).read().get(key).cloned();
-        match found {
-            Some(step) => {
+    /// Look up a normalized completion and write it into `out` shifted to
+    /// `base`; false (and `out` untouched) on a miss.
+    pub fn get(&self, key: &StepKey, base: Time, out: &mut StepEnds) -> bool {
+        match self.shard(key).read().get(key) {
+            Some(normalized) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(step.materialize(base))
+                shifted(normalized, base, out);
+                true
             }
             None => {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                false
             }
         }
     }
 
-    /// Store the *normalized* result of simulating `key` (the schedule as
-    /// computed with base time zero).
-    pub fn insert(&self, key: StepKey, normalized: &SimResult) {
+    /// Store the *normalized* completion of simulating `key` (computed
+    /// with base time zero).
+    pub fn insert(&self, key: StepKey, normalized: &StepEnds) {
         let mut shard = self.shard(&key).write();
         if shard.len() >= self.shard_capacity && !shard.contains_key(&key) {
             // Epoch eviction: drop the whole shard. Deterministic, O(1)
@@ -151,10 +127,7 @@ impl MemoCache {
                 .fetch_add(shard.len() as u64, Ordering::Relaxed);
             shard.clear();
         }
-        if shard
-            .insert(key, CachedStep::from_result(normalized))
-            .is_none()
-        {
+        if shard.insert(key, normalized.clone()).is_none() {
             self.counters.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -184,88 +157,90 @@ impl MemoCache {
 ///
 /// Each step's readiness vector is normalized by its minimum; the key is
 /// built over the relative offsets; on a miss the step is simulated *at
-/// the relative offsets* (so the stored schedule is base-free) and shifted
-/// back. Translation invariance of the LogGP algorithms makes the shifted
-/// schedule bit-identical to simulating at the absolute times directly.
+/// the relative offsets* (so the stored completion is base-free) and
+/// shifted back. Translation invariance of the LogGP algorithms makes the
+/// shifted completion bit-identical to simulating at the absolute times
+/// directly.
 ///
-/// Constructed with [`MemoStepSimulator::traced`], every lookup also emits
-/// a [`TraceEvent::MemoHit`]/[`TraceEvent::MemoMiss`] event — purely
-/// observational, the returned schedules are unaffected.
+/// Steps run with a tracer or a fault plan bypass the cache: their events
+/// and fault decisions are tied to the absolute step index, which the
+/// relative fingerprints cannot represent. So does every step when there
+/// is no cache.
+///
+/// With a sink attached ([`MemoStepSimulator::traced`]), every lookup
+/// also emits a [`TraceEvent::MemoHit`]/[`TraceEvent::MemoMiss`] event —
+/// purely observational, the returned completions are unaffected.
 pub struct MemoStepSimulator<'a> {
-    cache: &'a MemoCache,
+    cache: Option<&'a MemoCache>,
     trace: Option<(&'a dyn TraceSink, u64)>,
     /// Miss-path backend; owning it (rather than constructing one per
     /// miss) keeps one `SimScratch` alive across the whole job, so cache
     /// misses reuse the same arenas the direct simulator would.
     direct: DirectStepSimulator,
+    /// Per-step buffers: the readiness relative to its minimum, and the
+    /// normalized completion of a miss.
+    rel: Vec<Time>,
+    normalized: StepEnds,
 }
 
 impl<'a> MemoStepSimulator<'a> {
-    /// A simulator backed by `cache`.
-    pub fn new(cache: &'a MemoCache) -> Self {
+    /// A simulator backed by `cache`; `None` simulates every step directly.
+    pub fn new(cache: Option<&'a MemoCache>) -> Self {
         MemoStepSimulator {
             cache,
             trace: None,
             direct: DirectStepSimulator::new(),
+            rel: Vec::new(),
+            normalized: StepEnds::default(),
         }
     }
 
-    /// A simulator backed by `cache` that reports every hit and miss to
-    /// `sink`, stamped with the engine job index `job` (`u64::MAX` when
-    /// the lookup is not tied to a batch job).
-    pub fn traced(cache: &'a MemoCache, sink: &'a dyn TraceSink, job: u64) -> Self {
-        MemoStepSimulator {
-            cache,
-            trace: Some((sink, job)),
-            direct: DirectStepSimulator::new(),
-        }
-    }
-
-    fn lookup(
-        &mut self,
-        step: u64,
-        comm: &CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let base = ready.iter().copied().min().unwrap_or(Time::ZERO);
-        let rel: Vec<Time> = ready.iter().map(|&t| t - base).collect();
-        let key = StepKey::new(comm, opts, &rel);
-        if let Some(hit) = self.cache.get(&key, base) {
-            if let Some((sink, job)) = self.trace {
-                sink.emit(&TraceEvent::MemoHit { job, step });
-            }
-            return hit;
-        }
-        if let Some((sink, job)) = self.trace {
-            sink.emit(&TraceEvent::MemoMiss { job, step });
-        }
-        let normalized = self.direct.simulate_comm(comm, opts, &rel);
-        let shifted = CachedStep::from_result(&normalized).materialize(base);
-        self.cache.insert(key, &normalized);
-        shifted
+    /// Report every hit and miss to `sink` when given, stamped with the
+    /// engine job index `job`.
+    pub fn traced(mut self, sink: Option<&'a dyn TraceSink>, job: u64) -> Self {
+        self.trace = sink.map(|s| (s, job));
+        self
     }
 }
 
 impl StepSimulator for MemoStepSimulator<'_> {
-    fn simulate_comm(
-        &mut self,
-        comm: &CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        // No step index available on this entry point.
-        self.lookup(u64::MAX, comm, opts, ready)
-    }
-
-    fn simulate_comm_step(
+    fn simulate_step(
         &mut self,
         step_idx: usize,
         comm: &CommPattern,
         opts: &SimOptions,
+        hooks: &SimHooks<'_>,
         ready: &[Time],
-    ) -> SimResult {
-        self.lookup(step_idx as u64, comm, opts, ready)
+        out: &mut StepEnds,
+    ) {
+        let cache = match self.cache {
+            Some(cache) if hooks.trace.is_none() && hooks.faults.is_none() => cache,
+            _ => {
+                return self
+                    .direct
+                    .simulate_step(step_idx, comm, opts, hooks, ready, out)
+            }
+        };
+        let base = ready.iter().copied().min().unwrap_or(Time::ZERO);
+        self.rel.clear();
+        self.rel.extend(ready.iter().map(|&t| t - base));
+        let key = StepKey::new(comm, opts, &self.rel);
+        let hit = cache.get(&key, base, out);
+        if let Some((sink, job)) = self.trace {
+            let step = step_idx as u64;
+            sink.emit(&if hit {
+                TraceEvent::MemoHit { job, step }
+            } else {
+                TraceEvent::MemoMiss { job, step }
+            });
+        }
+        if !hit {
+            let normalized = &mut self.normalized;
+            self.direct
+                .simulate_step(step_idx, comm, opts, hooks, &self.rel, normalized);
+            shifted(normalized, base, out);
+            cache.insert(key, normalized);
+        }
     }
 }
 
@@ -282,31 +257,38 @@ mod tests {
         c
     }
 
+    /// The completion of simulating `p` from `ready` directly.
+    fn direct(p: &CommPattern, opts: &SimOptions, ready: &[Time]) -> StepEnds {
+        let mut out = StepEnds::default();
+        DirectStepSimulator::new().simulate_step(0, p, opts, &SimHooks::default(), ready, &mut out);
+        out
+    }
+
     #[test]
-    fn hit_materializes_shifted_schedule() {
+    fn hit_returns_the_shifted_completion() {
         let cache = MemoCache::new(4, 16);
         let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
         let p = pattern();
         let rel = vec![Time::ZERO, Time::from_us(2.0)];
         let key = StepKey::new(&p, &opts, &rel);
 
-        assert!(cache.get(&key, Time::ZERO).is_none());
-        let normalized = standard::simulate_from(&p, &opts.cfg, &rel);
+        let mut got = StepEnds::default();
+        assert!(!cache.get(&key, Time::ZERO, &mut got));
+        let mut normalized = StepEnds::default();
+        normalized.reset(&rel);
+        normalized.absorb(&standard::simulate_from(&p, &opts.cfg, &rel));
         cache.insert(key.clone(), &normalized);
 
         let base = Time::from_us(100.0);
-        let hit = cache.get(&key, base).expect("cached");
-        assert_eq!(hit.finish, normalized.finish + base);
-        for (a, b) in hit
-            .timeline
-            .events()
-            .iter()
-            .zip(normalized.timeline.events())
-        {
-            assert_eq!(a.start, b.start + base);
-            assert_eq!(a.end, b.end + base);
-            assert_eq!((a.proc, a.kind, a.msg_id), (b.proc, b.kind, b.msg_id));
+        assert!(cache.get(&key, base, &mut got));
+        for (p, (a, b)) in got.comm_done.iter().zip(&normalized.comm_done).enumerate() {
+            assert_eq!(*a, *b + base, "P{p} comm_done");
         }
+        for (a, b) in got.last_recv_done.iter().zip(&normalized.last_recv_done) {
+            assert_eq!(*a, *b + base);
+        }
+        let abs: Vec<Time> = rel.iter().map(|&t| t + base).collect();
+        assert_eq!(got, direct(&p, &opts, &abs));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
@@ -316,7 +298,7 @@ mod tests {
     fn capacity_triggers_epoch_eviction() {
         let cache = MemoCache::new(1, 2);
         let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
-        let normalized = standard::simulate(&pattern(), &opts.cfg);
+        let normalized = direct(&pattern(), &opts, &[Time::ZERO; 2]);
         for bytes in 1..=5usize {
             let mut c = CommPattern::new(2);
             c.add(0, 1, bytes);
@@ -332,8 +314,7 @@ mod tests {
     #[test]
     fn memo_simulator_matches_direct_on_hit_and_miss() {
         let cache = MemoCache::new(2, 64);
-        let mut memo = MemoStepSimulator::new(&cache);
-        let mut direct = DirectStepSimulator::new();
+        let mut memo = MemoStepSimulator::new(Some(&cache));
         let p = pattern();
         for opts in [
             SimOptions::new(SimConfig::new(presets::meiko_cs2(2))),
@@ -343,11 +324,10 @@ mod tests {
             // first call misses, the rest hit — all must equal direct.
             for base_us in [0.0, 55.0, 1234.5] {
                 let ready = vec![Time::from_us(base_us), Time::from_us(base_us + 7.0)];
-                let want = direct.simulate_comm(&p, &opts, &ready);
-                let got = memo.simulate_comm(&p, &opts, &ready);
-                assert_eq!(got.finish, want.finish);
-                assert_eq!(got.forced_sends, want.forced_sends);
-                assert_eq!(got.timeline.events(), want.timeline.events());
+                let want = direct(&p, &opts, &ready);
+                let mut got = StepEnds::default();
+                memo.simulate_step(0, &p, &opts, &SimHooks::default(), &ready, &mut got);
+                assert_eq!(got, want);
             }
         }
         let stats = cache.stats();
@@ -362,13 +342,15 @@ mod tests {
         let p = pattern();
         let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
         let ready = vec![Time::ZERO, Time::from_us(1.0)];
-        let want = DirectStepSimulator::new().simulate_comm(&p, &opts, &ready);
+        let want = direct(&p, &opts, &ready);
 
-        let mut memo = MemoStepSimulator::traced(&cache, &sink, 9);
-        let miss = memo.simulate_comm_step(4, &p, &opts, &ready);
-        let hit = memo.simulate_comm_step(4, &p, &opts, &ready);
-        assert_eq!(miss.timeline.events(), want.timeline.events());
-        assert_eq!(hit.timeline.events(), want.timeline.events());
+        let mut memo = MemoStepSimulator::new(Some(&cache)).traced(Some(&sink), 9);
+        let hooks = SimHooks::default();
+        let (mut miss, mut hit) = (StepEnds::default(), StepEnds::default());
+        memo.simulate_step(4, &p, &opts, &hooks, &ready, &mut miss);
+        memo.simulate_step(4, &p, &opts, &hooks, &ready, &mut hit);
+        assert_eq!(miss, want);
+        assert_eq!(hit, want);
         assert_eq!(
             sink.events(),
             vec![
@@ -376,12 +358,32 @@ mod tests {
                 TraceEvent::MemoHit { job: 9, step: 4 },
             ]
         );
+    }
 
-        // The index-less entry point stamps the unknown-step sentinel.
-        memo.simulate_comm(&p, &opts, &ready);
-        assert!(matches!(
-            sink.events().last(),
-            Some(TraceEvent::MemoHit { step: u64::MAX, .. })
-        ));
+    #[test]
+    fn traced_and_faulted_steps_bypass_the_cache() {
+        let cache = MemoCache::new(2, 64);
+        let sink = predsim_obs::MemorySink::new();
+        let p = pattern();
+        let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
+        let ready = vec![Time::ZERO; 2];
+        let plan = predsim_faults::FaultPlan::new(predsim_faults::FaultSpec::default(), 1);
+        let mut memo = MemoStepSimulator::new(Some(&cache));
+        for hooks in [
+            SimHooks {
+                trace: Some(&sink),
+                ..SimHooks::default()
+            },
+            SimHooks {
+                faults: Some(&plan),
+                ..SimHooks::default()
+            },
+        ] {
+            let mut got = StepEnds::default();
+            memo.simulate_step(0, &p, &opts, &hooks, &ready, &mut got);
+            assert_eq!(got, direct(&p, &opts, &ready));
+        }
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert!(sink.events().iter().all(|e| e.kind() != "memo_miss"));
     }
 }

@@ -10,7 +10,7 @@
 //! [`StepKey`] encodes that determining tuple as a canonical word sequence
 //! and hashes it with FNV-1a. Lookups compare the **full word sequence**,
 //! not just the 64-bit hash, so a hash collision can never substitute a
-//! wrong cached schedule — bit-identical results are a correctness
+//! wrong cached completion — bit-identical results are a correctness
 //! guarantee of the engine, not a probabilistic one.
 
 use commsim::CommPattern;

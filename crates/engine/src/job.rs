@@ -9,7 +9,7 @@
 use blockops::AnalyticCost;
 use loggp::{LogGpParams, MachineSpec, Time};
 use predsim_core::layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
-use predsim_core::{collectives, Prediction, Program, SimOptions};
+use predsim_core::{collectives, Prediction, Program, SimOptions, MAX_PROCS};
 use predsim_dag::{SchedulerKind, TaskDag};
 use predsim_faults::FaultPlan;
 use std::sync::Arc;
@@ -450,11 +450,41 @@ impl JobSource {
         }
     }
 
+    /// [`JobSource::procs`], or `None` where the count overflows.
+    fn checked_procs(&self) -> Option<usize> {
+        match self {
+            JobSource::Cannon { q, .. } => q.checked_mul(*q),
+            JobSource::Gauss {
+                layout: LayoutSpec::Grid2D(pr, pc),
+                ..
+            }
+            | JobSource::Apsp {
+                layout: LayoutSpec::Grid2D(pr, pc),
+                ..
+            } => pr.checked_mul(*pc),
+            _ => Some(self.procs()),
+        }
+    }
+
     /// Check the spec's preconditions — everything the generator behind
-    /// [`JobSource::build`] would otherwise `assert!` about — and describe
-    /// the first violation. `Ok(())` guarantees that `build()` cannot
-    /// panic on its inputs.
+    /// [`JobSource::build`] would otherwise `assert!` about, and a
+    /// processor count of at most [`MAX_PROCS`] — and describe the first
+    /// violation. `Ok(())` guarantees that `build()` cannot panic on its
+    /// inputs.
     pub fn validate(&self) -> Result<(), String> {
+        match self.checked_procs() {
+            Some(procs) if procs <= MAX_PROCS => {}
+            Some(procs) => {
+                return Err(format!(
+                    "{procs} processors exceed the supported maximum of {MAX_PROCS}"
+                ))
+            }
+            None => {
+                return Err(format!(
+                    "the processor count overflows (the supported maximum is {MAX_PROCS})"
+                ))
+            }
+        }
         match self {
             JobSource::Program(_) => Ok(()), // Program construction already validated it
             JobSource::Gauss { n, block, layout } | JobSource::Apsp { n, block, layout } => {

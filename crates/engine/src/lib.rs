@@ -15,9 +15,10 @@
 //!   running the jobs sequentially, whatever the worker count;
 //! * **a step-pattern memo cache** ([`MemoCache`]) fingerprints each
 //!   communication step (pattern × machine × algorithm × relative
-//!   readiness, see [`fingerprint::StepKey`]) and replays the cached
-//!   schedule, shifted to the step's base time, on a hit. Keys compare
-//!   their full canonical encoding, so collisions cannot corrupt results.
+//!   readiness, see [`fingerprint::StepKey`]) and answers a hit with the
+//!   cached per-processor completions, shifted to the step's base time.
+//!   Keys compare their full canonical encoding, so collisions cannot
+//!   corrupt results.
 //!
 //! Both are observable: attach an [`EngineObs`] (trace sink + metrics
 //! registry from `predsim-obs`) via [`Engine::with_obs`] and every job
@@ -72,10 +73,7 @@ pub use job::{Grid, JobOutcome, JobResult, JobSource, JobSpec, LayoutSpec};
 pub use journal::{Journal, JournalEntry};
 
 use crossbeam::channel;
-use predsim_core::{
-    simulate_program_driven, CommAlgo, DirectStepSimulator, IdentityShaper, NullObserver,
-    Prediction, SimBudget, SimRun,
-};
+use predsim_core::{simulate_program_with, CommAlgo, Prediction, SimBudget, SimHooks, SimRun};
 use predsim_lint::{check_program, Code, Diagnostic, LintOptions, Report, Severity, Span};
 use predsim_obs::{
     default_ns_buckets, Counter, Histogram, MetricsSnapshot, Registry, ScopedTimer, TraceEvent,
@@ -496,45 +494,27 @@ impl Engine {
     }
 
     /// The one true per-job simulation path, stamped with a batch job
-    /// index for the trace. Faulted jobs bypass the memo cache — fault
-    /// decisions are keyed by absolute step index, which the cache's
-    /// relative fingerprints cannot represent.
+    /// index for the trace. A faulted job traces its operations, fault
+    /// charges and fronts; a fault-free one only its memo hits and misses.
+    /// Faulted jobs bypass the memo cache — fault decisions are keyed by
+    /// absolute step index, which the cache's relative fingerprints cannot
+    /// represent.
     fn run_one_bounded(&self, job: u64, spec: &JobSpec) -> SimRun {
         let program = {
             let _t = ScopedTimer::counter(&self.obs.metrics.phase_build_ns);
             spec.source.build()
         };
         let _t = ScopedTimer::counter(&self.obs.metrics.phase_simulate_ns);
-        let budget = self.config.budget;
-        if let Some(plan) = &spec.faults {
-            let sink = self.obs.sink.as_deref();
-            return predsim_faults::simulate_faulted_bounded(
-                &program, &spec.opts, plan, sink, budget,
-            );
-        }
-        if self.config.memo {
-            let mut memo = match &self.obs.sink {
-                Some(sink) => MemoStepSimulator::traced(&self.cache, sink.as_ref(), job),
-                None => MemoStepSimulator::new(&self.cache),
-            };
-            simulate_program_driven(
-                &program,
-                &spec.opts,
-                &mut memo,
-                &mut NullObserver,
-                &mut IdentityShaper,
-                budget,
-            )
-        } else {
-            simulate_program_driven(
-                &program,
-                &spec.opts,
-                &mut DirectStepSimulator::new(),
-                &mut NullObserver,
-                &mut IdentityShaper,
-                budget,
-            )
-        }
+        let sink = self.obs.sink.as_deref();
+        let faults = spec.faults.as_ref();
+        let hooks = SimHooks {
+            trace: faults.and(sink),
+            faults,
+            budget: self.config.budget,
+        };
+        let cache = self.config.memo.then_some(self.cache.as_ref());
+        let mut backend = MemoStepSimulator::new(cache).traced(sink, job);
+        simulate_program_with(&program, &spec.opts, &mut backend, hooks)
     }
 
     /// Execute a batch; results come back in submission order and are
@@ -1261,9 +1241,82 @@ mod tests {
             "faulted jobs must not touch the memo cache"
         );
         // And the engine path agrees with the library entry point.
-        let direct =
-            predsim_faults::simulate_faulted(&jobs[0].source.build(), &jobs[0].opts, &plan, None);
-        assert_eq!(*a[0].prediction(), direct);
+        let hooks = SimHooks {
+            faults: Some(&plan),
+            ..SimHooks::default()
+        };
+        let direct = simulate_program_with(
+            &jobs[0].source.build(),
+            &jobs[0].opts,
+            &mut predsim_core::DirectStepSimulator::new(),
+            hooks,
+        );
+        assert_eq!(*a[0].prediction(), direct.prediction);
+    }
+
+    #[test]
+    fn trace_events_per_job_kind_are_pinned() {
+        // What an attached sink sees for each kind of job: a faulted job
+        // traces its fault story (operations, fault charges and fronts), a
+        // memoized one only its memo hits and misses, an unmemoized
+        // fault-free one nothing between its start and finish. The digest
+        // pins order and content; only the host wall time is masked.
+        let plan = predsim_faults::FaultPlan::new(
+            predsim_faults::FaultSpec::parse("drop:0.3,slow:0.3:2,fail:1@1+50").unwrap(),
+            7,
+        );
+        let grid = || {
+            Grid::new()
+                .source(
+                    "st",
+                    JobSource::Stencil {
+                        n: 32,
+                        procs: 4,
+                        iters: 4,
+                        ps_per_flop: 500,
+                    },
+                )
+                .machine("meiko", presets::meiko_cs2(4))
+        };
+        let cases = [
+            (
+                "faulted",
+                grid().faults(plan).build(),
+                true,
+                0x34fd_9a32_1b64_67cf,
+            ),
+            ("memo", grid().build(), true, 0x4b5a_5500_b168_52d1),
+            ("direct", grid().build(), false, 0x17b9_4ebf_ca4e_59ed),
+        ];
+        for (name, jobs, memo, want) in cases {
+            let sink = Arc::new(predsim_obs::MemorySink::new());
+            let obs = EngineObs::new().with_sink(sink.clone());
+            let config = EngineConfig::default().with_jobs(1).with_memo(memo);
+            Engine::with_obs(config, obs).run(&jobs);
+            let mut jsonl = String::new();
+            for mut ev in sink.events() {
+                if let TraceEvent::JobFinish { wall_ns, .. } = &mut ev {
+                    *wall_ns = 0;
+                }
+                jsonl.push_str(&ev.to_json_line());
+            }
+            let mut kinds: Vec<&str> = sink.events().iter().map(|e| e.kind()).collect();
+            kinds.sort_unstable();
+            kinds.dedup();
+            let fault_free = !kinds
+                .iter()
+                .any(|k| ["send", "front", "slowdown"].contains(k));
+            assert_eq!(fault_free, name != "faulted", "{name}: {kinds:?}");
+            assert_eq!(
+                kinds.contains(&"memo_miss"),
+                name == "memo",
+                "{name}: {kinds:?}"
+            );
+            let digest = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(digest, want, "{name}: digest {digest:#018x}\n{jsonl}");
+        }
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Whatever the worker count and whether the memo cache is on, a batch's
 //! results must be bit-identical — same predicted times, same per-step
-//! records, same simulated event counts — to evaluating the same specs
+//! records, same per-step completions — to evaluating the same specs
 //! sequentially with the direct simulator (which is what
 //! `predsim_core::search::sweep` does).
 
+use commsim::StepEnds;
 use loggp::{presets, LogGpParams, Time};
 use predsim_core::{
-    search, simulate_program_with, DirectStepSimulator, Prediction, SimOptions, StepSimulator,
+    search, simulate_program_with, DirectStepSimulator, Prediction, SimHooks, SimOptions,
+    StepSimulator,
 };
 use predsim_engine::{
     best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec, MemoCache,
@@ -98,35 +100,36 @@ fn assert_predictions_identical(a: &Prediction, b: &Prediction, label: &str) {
     }
 }
 
-/// A [`StepSimulator`] wrapper that also counts committed events — the
-/// "event counts" half of the bit-identical claim.
-struct Counting<S> {
+/// A [`StepSimulator`] wrapper that also records every step's
+/// per-processor completion — the "per-step" half of the bit-identical
+/// claim.
+struct Logging<S> {
     inner: S,
-    events: usize,
-    finishes: Vec<Time>,
+    steps: Vec<StepEnds>,
 }
 
-impl<S> Counting<S> {
+impl<S> Logging<S> {
     fn new(inner: S) -> Self {
-        Counting {
+        Logging {
             inner,
-            events: 0,
-            finishes: Vec::new(),
+            steps: Vec::new(),
         }
     }
 }
 
-impl<S: StepSimulator> StepSimulator for Counting<S> {
-    fn simulate_comm(
+impl<S: StepSimulator> StepSimulator for Logging<S> {
+    fn simulate_step(
         &mut self,
+        step_idx: usize,
         comm: &commsim::CommPattern,
         opts: &SimOptions,
+        hooks: &SimHooks<'_>,
         ready: &[Time],
-    ) -> commsim::SimResult {
-        let r = self.inner.simulate_comm(comm, opts, ready);
-        self.events += r.timeline.len();
-        self.finishes.push(r.finish);
-        r
+        out: &mut StepEnds,
+    ) {
+        self.inner
+            .simulate_step(step_idx, comm, opts, hooks, ready, out);
+        self.steps.push(out.clone());
     }
 }
 
@@ -174,11 +177,11 @@ proptest! {
         prop_assert_eq!(sweep.best_time, baseline[engine_best].prediction().total);
     }
 
-    /// The memoizing step simulator commits the same events (same count,
-    /// same per-step finish times) as the direct one, even when many
-    /// lookups hit the cache.
+    /// The memoizing step simulator writes the same per-step completions
+    /// (every processor's end, forced sends) as the direct one, even when
+    /// many lookups hit the cache.
     #[test]
-    fn memo_preserves_event_counts(
+    fn memo_preserves_step_ends(
         (kind, param, mach, worst) in (0usize..3, 0usize..64, 0usize..5, proptest::bool::ANY)
     ) {
         let source = source_for(kind, param);
@@ -187,24 +190,26 @@ proptest! {
             opts = opts.worst_case();
         }
         let program = source.build();
+        let run = |backend: &mut dyn StepSimulator| {
+            simulate_program_with(&program, &opts, backend, SimHooks::default()).prediction
+        };
 
-        let mut direct = Counting::new(DirectStepSimulator::new());
-        let direct_pred = simulate_program_with(&program, &opts, &mut direct);
+        let mut direct = Logging::new(DirectStepSimulator::new());
+        let direct_pred = run(&mut direct);
 
         let cache = MemoCache::new(4, 1024);
-        let mut memo = Counting::new(MemoStepSimulator::new(&cache));
-        let memo_pred = simulate_program_with(&program, &opts, &mut memo);
+        let mut memo = Logging::new(MemoStepSimulator::new(Some(&cache)));
+        let memo_pred = run(&mut memo);
 
         assert_predictions_identical(&direct_pred, &memo_pred, "memo vs direct");
-        prop_assert_eq!(direct.events, memo.events, "committed event counts differ");
-        prop_assert_eq!(direct.finishes, memo.finishes, "per-step finish times differ");
+        prop_assert_eq!(&direct.steps, &memo.steps, "per-step completions differ");
 
         // Re-running the same program is answered largely from the cache
         // and still identical.
-        let mut warm = Counting::new(MemoStepSimulator::new(&cache));
-        let warm_pred = simulate_program_with(&program, &opts, &mut warm);
+        let mut warm = Logging::new(MemoStepSimulator::new(Some(&cache)));
+        let warm_pred = run(&mut warm);
         assert_predictions_identical(&direct_pred, &warm_pred, "warm memo vs direct");
-        prop_assert_eq!(direct.events, warm.events);
+        prop_assert_eq!(&direct.steps, &warm.steps);
         let stats = cache.stats();
         prop_assert!(stats.hits >= stats.misses, "second run must hit: {:?}", stats);
     }

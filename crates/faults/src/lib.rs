@@ -21,24 +21,22 @@
 //! hash — **never** of virtual time. Both the standard and the worst-case
 //! algorithm therefore see identical fault decisions, which is what keeps
 //! the paper's overestimation bound (`worst-case ≥ standard`) intact under
-//! fault injection; `tests/props.rs` enforces it by proptest.
+//! fault injection; `predsim-core`'s `tests/faults.rs` enforces it by
+//! proptest.
+//!
+//! The plan only *decides*; `predsim-core` applies it, in the same fold
+//! as the fault-free prediction (`SimHooks::faults`), and the machine
+//! emulator applies it to its emulated hardware.
 //!
 //! ```
-//! use predsim_faults::{FaultPlan, FaultSpec, simulate_faulted};
-//! use predsim_core::{Program, Step, SimOptions};
-//! use commsim::{CommPattern, SimConfig};
-//! use loggp::{presets, Time};
+//! use predsim_faults::{FaultPlan, FaultSpec};
 //!
-//! let mut prog = Program::new(2);
-//! let mut c = CommPattern::new(2);
-//! c.add(0, 1, 1024);
-//! prog.push(Step::new("ship").with_comm(c));
-//! let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
-//!
-//! let clean = predsim_core::simulate_program(&prog, &opts);
-//! let spec = FaultSpec::parse("drop:0.5").unwrap();
-//! let faulty = simulate_faulted(&prog, &opts, &FaultPlan::new(spec, 7), None);
-//! assert!(faulty.total >= clean.total);
+//! let spec = FaultSpec::parse("drop:0.5,fail:1@2+500").unwrap();
+//! let plan = FaultPlan::new(spec, 7);
+//! // Decisions are pure functions of the seed and the fault site.
+//! assert_eq!(plan.attempts(0, 3), FaultPlan::new(plan.spec().clone(), 7).attempts(0, 3));
+//! assert!(plan.outage(2, 1).is_some());
+//! assert!(plan.outage(2, 0).is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,12 +44,8 @@
 
 mod chaos;
 mod plan;
-mod sim;
 mod spec;
 
 pub use chaos::{ChaosPlan, ChaosSpec};
 pub use plan::FaultPlan;
-pub use sim::{
-    simulate_faulted, simulate_faulted_bounded, FaultShaper, FaultedStepSimulator, StepFaultView,
-};
 pub use spec::{FailEvent, FaultSpec};

@@ -6,10 +6,10 @@
 //! (see the crate docs). Everything is deterministic for a fixed seed.
 
 use crate::cache::{Cache, Hierarchy};
-use commsim::{standard, CommPattern, SimConfig, StepFaults};
+use commsim::{standard, CommPattern, SimConfig, SimScratch, StepFaults};
 use loggp::Time;
-use predsim_core::{CompShaper, Prediction, Program, StepLoad, StepRecord};
-use predsim_faults::{FaultPlan, FaultShaper, StepFaultView};
+use predsim_core::{fault_charge, Prediction, Program, StepFaultView, StepLoad, StepRecord};
+use predsim_faults::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -181,7 +181,6 @@ pub fn emulate_faulted(
     let mut cache_penalty_time = Time::ZERO;
     let mut self_copy_time = Time::ZERO;
     let mut iter_overhead_time = Time::ZERO;
-    let mut shaper = faults.map(|plan| FaultShaper::new(plan, None));
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
         let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
@@ -217,11 +216,11 @@ pub fn emulate_faulted(
                     charge += penalty;
                 }
             }
-            if let Some(sh) = shaper.as_mut() {
+            if let Some(plan) = faults {
                 // Slowdowns stretch everything the CPU does this phase
                 // (base work, loop overhead and cache stalls alike);
                 // outages add their fixed silence on top.
-                charge = sh.comp_charge(step_idx, p, charge);
+                charge = fault_charge(plan, step_idx, p, charge, None);
             }
             comp_end[p] = ready[p] + charge;
             per_proc_comp[p] += charge;
@@ -343,13 +342,14 @@ fn simulate_comm(
         }
         arrival
     };
-    standard::simulate_faulted(
+    standard::simulate_with(
         pattern,
         &ecfg.cfg,
         ready,
         &mut arrival,
         None,
         view.as_ref().map(|v| v as &dyn StepFaults),
+        &mut SimScratch::new(),
     )
 }
 

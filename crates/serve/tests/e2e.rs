@@ -4,7 +4,7 @@
 use predsim_engine::{Engine, EngineConfig};
 use predsim_lint::json::{self, Value};
 use predsim_lint::Report;
-use predsim_serve::{api, ServeConfig, Server, ServerHandle};
+use predsim_serve::{api, ChaosPlan, ChaosSpec, ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -171,22 +171,40 @@ fn concurrent_predictions_are_byte_identical_to_the_engine() {
 
 #[test]
 fn queue_overflow_sheds_with_429_without_dropping_admitted_work() {
-    let handle = start(1, 1);
+    // The single worker stalls for two seconds on every job it picks up
+    // (the chaos harness's `stall` at rate 1), so R1 deterministically
+    // holds the worker while R2 and R3 arrive; both have near-instant
+    // lint gates. The stall detector is parked out of reach so no
+    // backfilled worker drains the queue early.
+    let handle = Server::start(ServeConfig {
+        workers: 1,
+        queue_cap: 1,
+        request_timeout: Duration::from_secs(60),
+        replay_at: Some(usize::MAX),
+        static_at: Some(usize::MAX),
+        stall_timeout: Duration::from_secs(60),
+        chaos: Some(ChaosPlan::new(ChaosSpec::parse("stall:1:2000").unwrap(), 1)),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
     let addr = handle.addr();
+    let bodies = [
+        r#"{"source":"ge:240,24,diagonal,8"}"#,
+        r#"{"source":"cannon:96,4","machine":"paragon"}"#,
+    ];
 
     // R1 occupies the single worker...
-    let r1 = std::thread::spawn(move || predict(addr, HEAVY));
+    let r1 = std::thread::spawn(move || predict(addr, bodies[0]));
     wait_until(8000, || health(addr).1 >= 1);
     // ...R2 occupies the single queue slot...
-    let r2 = std::thread::spawn(move || predict(addr, HEAVY));
+    let r2 = std::thread::spawn(move || predict(addr, bodies[1]));
     wait_until(8000, || {
         let (depth, executing) = health(addr);
         depth >= 1 && executing >= 1
     });
     // ...so R3 must be shed, immediately. R3 is a *faulted* job — the
     // static analyzer cannot bracket it, so no degraded tier can answer
-    // and the only honest response is a 429. Its lint gate is instant,
-    // so the admission decision happens while R1 is still executing.
+    // and the only honest response is a 429.
     let (status, headers, body) = request(
         addr,
         "POST",
@@ -201,11 +219,20 @@ fn queue_overflow_sheds_with_429_without_dropping_admitted_work() {
     assert!(retry >= 1, "computed Retry-After has a floor of 1s");
     assert!(json::parse(&body).unwrap().get("error").is_some());
 
-    // The admitted requests complete normally: shedding R3 lost nothing.
-    let (s1, b1) = r1.join().unwrap();
-    let (s2, b2) = r2.join().unwrap();
-    assert_eq!((s1, s2), (200, 200));
-    assert_eq!(b1, b2, "identical jobs, identical predictions");
+    // The admitted requests complete normally: shedding R3 lost nothing,
+    // and each answer is the engine's own.
+    let engine = Engine::new(EngineConfig::default().with_jobs(1));
+    for (client, body) in [r1, r2].into_iter().zip(bodies) {
+        let (status, got) = client.join().unwrap();
+        assert_eq!(status, 200, "{got}");
+        let spec = api::parse_predict(body).expect("body parses").spec;
+        let want = api::render_predict(
+            &engine.run(std::slice::from_ref(&spec))[0],
+            predsim_engine::static_bounds(&spec).as_ref(),
+            api::Tier::Full,
+        );
+        assert_eq!(got, want, "served bytes differ from Engine::run for {body}");
+    }
 
     let report = handle.drain();
     assert_eq!(
@@ -281,6 +308,26 @@ fn analyzer_rejections_are_422_with_the_check_document() {
             .map(<[Value]>::len),
         Some(1)
     );
+    handle.drain();
+}
+
+#[test]
+fn oversized_processor_counts_are_rejected_without_killing_the_server() {
+    // Programs are sized by their processor count; the admission gate
+    // must refuse these before building anything.
+    let handle = start(1, 4);
+    let addr = handle.addr();
+    let (status, body) = predict(addr, r#"{"source":"bcast:4000000000:8"}"#);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("PS0501"), "{body}");
+    let (status, body) = predict(
+        addr,
+        r#"{"trace":"program procs=4000000000\nstep label=a\n"}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("supported maximum of 4096"), "{body}");
+    let (status, _, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the server survives both requests");
     handle.drain();
 }
 

@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --example observe_ge`
 
-use predsim::predsim_core::simulate_program_traced;
 use predsim::predsim_engine::JobOutcome;
 use predsim::prelude::*;
 
@@ -25,7 +24,17 @@ fn main() {
     let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(procs)));
 
     let sink = MemorySink::new();
-    let pred = simulate_program_traced(&trace.program, &opts, &sink);
+    let traced = SimHooks {
+        trace: Some(&sink),
+        ..SimHooks::default()
+    };
+    let pred = simulate_program_with(
+        &trace.program,
+        &opts,
+        &mut DirectStepSimulator::new(),
+        traced,
+    )
+    .prediction;
     let events = sink.events();
 
     println!("blocked GE, n={n}, B={block}, diagonal layout, P={procs}, Meiko CS-2");
@@ -57,7 +66,18 @@ fn main() {
     let spec = FaultSpec::parse("drop:0.1").expect("valid fault spec");
     let plan = FaultPlan::new(spec, 42);
     let fault_sink = MemorySink::new();
-    let faulted = simulate_faulted(&trace.program, &opts, &plan, Some(&fault_sink));
+    let hooks = SimHooks {
+        trace: Some(&fault_sink),
+        faults: Some(&plan),
+        ..SimHooks::default()
+    };
+    let faulted = simulate_program_with(
+        &trace.program,
+        &opts,
+        &mut DirectStepSimulator::new(),
+        hooks,
+    )
+    .prediction;
     let fault_events = fault_sink.events();
     let fcount = |k: &str| fault_events.iter().filter(|e| e.kind() == k).count();
     println!("\nunder {} (seed 42):", plan.spec());

@@ -527,10 +527,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let plan = fault_plan(args)?;
 
     let sink = MemorySink::new();
-    let pred = match &plan {
-        Some(plan) => simulate_faulted(&program, &opts, plan, Some(&sink)),
-        None => predsim::predsim_core::simulate_program_traced(&program, &opts, &sink),
+    let hooks = SimHooks {
+        trace: Some(&sink),
+        faults: plan.as_ref(),
+        ..SimHooks::default()
     };
+    let pred =
+        simulate_program_with(&program, &opts, &mut DirectStepSimulator::new(), hooks).prediction;
     let events = sink.events();
 
     if let Some(file) = args.value("trace-out") {

@@ -75,14 +75,14 @@ pub mod prelude {
     pub use machine::{emulate, EmulatorConfig};
     pub use predsim_calib::{calibrate, measure, FitConfig, FitReport, MeasureConfig, MeasuredSet};
     pub use predsim_core::{
-        simulate_program, BlockCyclic2D, ColCyclic, Diagonal, Layout, Prediction, Program,
-        RowCyclic, SimOptions, Step,
+        simulate_program, simulate_program_with, BlockCyclic2D, ColCyclic, Diagonal,
+        DirectStepSimulator, Layout, Prediction, Program, RowCyclic, SimHooks, SimOptions, Step,
     };
     pub use predsim_dag::{SchedulerKind, TaskDag};
     pub use predsim_engine::{
         Engine, EngineConfig, EngineObs, Grid, JobSource, JobSpec, LayoutSpec,
     };
-    pub use predsim_faults::{simulate_faulted, FaultPlan, FaultSpec};
+    pub use predsim_faults::{FaultPlan, FaultSpec};
     pub use predsim_lint::{check_program, LintOptions, Report};
     pub use predsim_obs::{HorizonProfile, JsonlSink, MemorySink, Registry, TraceEvent, TraceSink};
     pub use predsim_serve::{ServeConfig, Server, ServerHandle};

@@ -306,6 +306,43 @@ fn check_rejects_infeasible_specs() {
 }
 
 #[test]
+fn check_rejects_processor_counts_beyond_the_limit() {
+    // Programs are sized by their processor count: each of these specs
+    // would allocate gigabytes. Under a 4 GB address-space limit, `check`
+    // must answer with an error, not abort.
+    let limited = |args: &[&str]| {
+        Command::new("sh")
+            .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_predsim"))
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    for spec in [
+        "bcast:4000000000:8",
+        "dag:forkjoin:4,1,1000,8:4000000000",
+        "stencil:8000000000,4000000000,1",
+        "cannon:4000000,2000000",
+        "cannon:4294967296,4294967296",
+        "ge:960,32,diagonal,4000000000",
+    ] {
+        let out = limited(&["check", spec]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {text}");
+        assert!(text.contains("error[PS0501]"), "{spec}: {text}");
+        assert!(text.contains("maximum"), "{spec}: {text}");
+    }
+    let trace = tmp_file("huge.trace", "program procs=4000000000\nstep label=a\n");
+    let out = limited(&["check", trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("exceed the supported maximum of 4096"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn batch_rejects_invalid_trace_jobs_with_diagnostics() {
     // A trace that parses but trips the analyzer is impossible to build
     // via the text format (arities are validated at parse time), so batch
@@ -389,6 +426,74 @@ fn trace_writes_strict_jsonl_and_metrics() {
     );
     assert!(prom.contains("predsim_predicted_total_ps"), "{prom}");
     assert!(prom.contains("predsim_horizon_max_spread_ps"), "{prom}");
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn trace_stream_is_pinned_by_digest() {
+    // The order and content of every event, not just the kinds: a change
+    // to any simulator hook that reorders, adds or drops one event, or
+    // moves one timestamp, changes the digest.
+    let cases: [(&str, &[&str], u64); 3] = [
+        ("plain", &[], 0xfb80_dcb0_a20a_ab40),
+        ("worst-case", &["--worst-case"], 0xaaaa_77d4_068e_6dda),
+        (
+            "faulted",
+            &[
+                "--faults",
+                "drop:0.2,slow:0.3:2,fail:1@2+500",
+                "--seed",
+                "7",
+            ],
+            0xb278_7d13_dc5c_981b,
+        ),
+    ];
+    for (name, extra, want) in cases {
+        let path = tmp_file(&format!("pinned-{name}.jsonl"), "");
+        let out = bin()
+            .args(["trace", "ge:240,24,diagonal,8", "--trace-out"])
+            .arg(&path)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let jsonl = std::fs::read(&path).unwrap();
+        if name == "faulted" {
+            let text = String::from_utf8_lossy(&jsonl);
+            for kind in [
+                "send",
+                "recv",
+                "gap_stall",
+                "front",
+                "drop",
+                "retransmit",
+                "slowdown",
+                "fail",
+                "restart",
+            ] {
+                assert!(
+                    text.contains(&format!("\"ev\":\"{kind}\"")),
+                    "no {kind} event in the faulted trace"
+                );
+            }
+        }
+        assert_eq!(
+            fnv1a(&jsonl),
+            want,
+            "{name}: trace stream digest is {:#018x}",
+            fnv1a(&jsonl)
+        );
+    }
 }
 
 #[test]
