@@ -12,7 +12,10 @@
 //! * **a worker pool** ([`Engine::run`]) deals [`JobSpec`]s to
 //!   `--jobs` threads over crossbeam channels and reassembles the
 //!   [`JobResult`]s in submission order — results are bit-identical to
-//!   running the jobs sequentially, whatever the worker count;
+//!   running the jobs sequentially, whatever the worker count. A batch
+//!   crosses the pool twice: a prepare pass builds each job's program
+//!   once ([`Engine::prepare`]) and lints and ranks it, then the simulate
+//!   pass runs the prepared jobs;
 //! * **a step-pattern memo cache** ([`MemoCache`]) fingerprints each
 //!   communication step (pattern × machine × algorithm × relative
 //!   readiness, see [`fingerprint::StepKey`]) and answers a hit with the
@@ -85,7 +88,9 @@ use std::time::{Duration, Instant};
 
 /// Lint one job without running it: first the spec itself (would the
 /// generator behind it even accept these inputs?), then — when the spec is
-/// feasible — the built program, under the spec's machine parameters.
+/// feasible — the built program, under the spec's machine parameters. On
+/// a spec from [`Engine::prepare`] this lints the prepared program and
+/// builds nothing.
 ///
 /// Infeasible specs yield a single `PS0501` error. Program-level deadlock
 /// findings are always reported at warning severity here (the worst-case
@@ -132,7 +137,8 @@ pub fn lint_job(spec: &JobSpec) -> Report {
 /// Returns `None` when the interval is not defined for the job: infeasible
 /// specs (the generator would reject the inputs) and fault-injected jobs
 /// (a fail-stop outage voids both the floor and the ceiling — the analysis
-/// models the fault-free machine only).
+/// models the fault-free machine only). A prepared spec
+/// ([`Engine::prepare`]) is analyzed without being rebuilt.
 pub fn static_bounds(spec: &JobSpec) -> Option<predsim_lint::ProgramBounds> {
     if spec.faults.is_some() || spec.source.validate().is_err() {
         return None;
@@ -152,7 +158,8 @@ pub fn static_bounds(spec: &JobSpec) -> Option<predsim_lint::ProgramBounds> {
 /// resimulates on any mismatch), so the caller may cache it keyed by the
 /// program alone and serve later requests with different machines or
 /// algorithms from it. Returns `None` for the same jobs
-/// [`static_bounds`] declines: fault-injected or infeasible specs.
+/// [`static_bounds`] declines: fault-injected or infeasible specs. The
+/// returned program is the prepared one when the spec was prepared.
 pub fn record_job(
     spec: &JobSpec,
 ) -> Option<(
@@ -168,15 +175,15 @@ pub fn record_job(
     Some((prediction, recording, program))
 }
 
-/// Ranking key for batch dispatch: static ceiling (descending — the job
-/// that can run longest starts first, so it cannot become the lone
-/// straggler at the end of the batch), then a memo-affinity hash grouping
-/// specs with the same machine and algorithm (their step fingerprints can
-/// hit each other's cache entries), then the submission index. Jobs with
-/// no static interval (faulted, infeasible) rank as longest.
-fn rank_key(index: usize, spec: &JobSpec) -> (std::cmp::Reverse<u64>, u64, usize) {
+/// Ranking key for batch dispatch: static ceiling `hi` in picoseconds
+/// (descending — the job that can run longest starts first, so it cannot
+/// become the lone straggler at the end of the batch), then a
+/// memo-affinity hash grouping specs with the same machine and algorithm
+/// (their step fingerprints can hit each other's cache entries), then the
+/// submission index. Jobs with no static interval (faulted, infeasible)
+/// come with `hi = u64::MAX` and rank as longest.
+fn rank_key(index: usize, spec: &JobSpec, hi: u64) -> (std::cmp::Reverse<u64>, u64, usize) {
     use std::hash::{Hash, Hasher};
-    let hi = static_bounds(spec).map_or(u64::MAX, |b| b.hi.as_ps());
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     let p = spec.opts.cfg.params;
     (
@@ -327,6 +334,7 @@ struct EngineMetrics {
     job_wall_ns: Arc<Histogram>,
     phase_build_ns: Arc<Counter>,
     phase_simulate_ns: Arc<Counter>,
+    programs_built_total: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -359,6 +367,10 @@ impl EngineMetrics {
             phase_simulate_ns: registry.counter(
                 "engine_phase_simulate_ns",
                 "wall-clock simulating programs, ns",
+            ),
+            programs_built_total: registry.counter(
+                "engine_programs_built_total",
+                "programs built from generator specs",
             ),
         }
     }
@@ -493,6 +505,39 @@ impl Engine {
         self.run_one_bounded(u64::MAX, spec).prediction
     }
 
+    /// Prepare one job for execution: validate its spec and, when it is
+    /// feasible, build its program once and return the spec with its
+    /// source replaced by that [`JobSource::Program`]. Every later step —
+    /// [`lint_job`], [`static_bounds`], [`record_job`], [`Engine::run`] —
+    /// then shares the program instead of building it again.
+    ///
+    /// Infeasible specs come back unbuilt, so the lint gate still reports
+    /// them as `PS0501` and an unchecked run still ends them `crashed`;
+    /// so does a spec whose generator panics despite validating.
+    pub fn prepare(&self, mut spec: JobSpec) -> JobSpec {
+        if spec.source.validate().is_ok() {
+            if let Ok(program) = catch_unwind(AssertUnwindSafe(|| self.build(&spec.source))) {
+                spec.source = JobSource::Program(program);
+            }
+        }
+        spec
+    }
+
+    /// Build a job's program. A generator build is timed under
+    /// `engine_phase_build_ns` and counted in
+    /// `engine_programs_built_total`; a [`JobSource::Program`] is shared.
+    fn build(&self, source: &JobSource) -> Arc<predsim_core::Program> {
+        if let JobSource::Program(program) = source {
+            return Arc::clone(program);
+        }
+        let program = {
+            let _t = ScopedTimer::counter(&self.obs.metrics.phase_build_ns);
+            source.build()
+        };
+        self.obs.metrics.programs_built_total.inc();
+        program
+    }
+
     /// The one true per-job simulation path, stamped with a batch job
     /// index for the trace. A faulted job traces its operations, fault
     /// charges and fronts; a fault-free one only its memo hits and misses.
@@ -500,10 +545,7 @@ impl Engine {
     /// absolute step index, which the cache's relative fingerprints cannot
     /// represent.
     fn run_one_bounded(&self, job: u64, spec: &JobSpec) -> SimRun {
-        let program = {
-            let _t = ScopedTimer::counter(&self.obs.metrics.phase_build_ns);
-            spec.source.build()
-        };
+        let program = self.build(&spec.source);
         let _t = ScopedTimer::counter(&self.obs.metrics.phase_simulate_ns);
         let sink = self.obs.sink.as_deref();
         let faults = spec.faults.as_ref();
@@ -536,8 +578,48 @@ impl Engine {
         journal: Option<&Journal>,
         restored: &[JournalEntry],
     ) -> Vec<JobResult> {
+        self.run_batch(specs, journal, restored, false)
+            .expect("an unchecked batch rejects nothing")
+    }
+
+    /// Like [`Engine::run`], but pre-validate every spec with [`lint_job`]
+    /// first. If any job's report contains errors, the whole batch is
+    /// refused (nothing runs) and the offending reports come back as a
+    /// [`BatchRejection`] — diagnostics instead of a mid-batch panic
+    /// inside a worker thread.
+    pub fn run_checked(&self, specs: &[JobSpec]) -> Result<Vec<JobResult>, BatchRejection> {
+        self.run_checked_resumable(specs, None, &[])
+    }
+
+    /// [`Engine::run_checked`] with checkpointing: pre-validate, then run
+    /// as [`Engine::run_resumable`] does with the given journal and
+    /// restored entries. Validation happens before anything executes,
+    /// including restored jobs — a spec that no longer lints clean refuses
+    /// the batch even if its previous run was journalled.
+    pub fn run_checked_resumable(
+        &self,
+        specs: &[JobSpec],
+        journal: Option<&Journal>,
+        restored: &[JournalEntry],
+    ) -> Result<Vec<JobResult>, BatchRejection> {
+        self.run_batch(specs, journal, restored, true)
+    }
+
+    /// The batch path behind every `run*` method. Two passes over the
+    /// worker pool: the prepare pass builds each job's program once
+    /// ([`Engine::prepare`]), lints it when `checked`, and takes its static
+    /// ceiling when the batch is ranked; the simulate pass then runs the
+    /// prepared jobs in ranked order. Each prepared program is held until
+    /// its job has been simulated.
+    fn run_batch(
+        &self,
+        specs: &[JobSpec],
+        journal: Option<&Journal>,
+        restored: &[JournalEntry],
+        checked: bool,
+    ) -> Result<Vec<JobResult>, BatchRejection> {
         if specs.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut slots: Vec<Option<JobResult>> = (0..specs.len()).map(|_| None).collect();
         for entry in restored {
@@ -546,7 +628,6 @@ impl Engine {
                 && specs[entry.job].label == entry.label
                 && slots[entry.job].is_none()
             {
-                self.obs.metrics.jobs_restored_total.inc();
                 slots[entry.job] = Some(JobResult {
                     index: entry.job,
                     label: entry.label.clone(),
@@ -565,66 +646,87 @@ impl Engine {
             .filter_map(|(i, slot)| slot.is_none().then_some(i))
             .collect();
         let workers = self.config.effective_jobs().min(pending.len());
-        if workers > 1 {
+        let ranked = workers > 1;
+
+        // The prepare pass. A checked batch lints restored jobs too; only
+        // pending ones keep their program and get a ceiling.
+        let pass: Vec<usize> = if checked {
+            (0..specs.len()).collect()
+        } else {
+            pending.clone()
+        };
+        let mut prepared: Vec<Option<JobSpec>> = vec![None; specs.len()];
+        let mut ceilings = vec![u64::MAX; specs.len()];
+        let mut rejected = Vec::new();
+        on_pool(
+            self.config.effective_jobs().min(pass.len()),
+            pass,
+            |_, i| {
+                let spec = self.prepare(specs[i].clone());
+                let report = checked.then(|| lint_job(&spec)).filter(Report::has_errors);
+                let ceiling = (ranked && report.is_none() && slots[i].is_none())
+                    .then(|| static_bounds(&spec))
+                    .flatten()
+                    .map_or(u64::MAX, |b| b.hi.as_ps());
+                (i, spec, report, ceiling)
+            },
+            |(i, spec, report, ceiling)| match report {
+                Some(report) => rejected.push(RejectedJob {
+                    index: i,
+                    label: spec.label,
+                    report,
+                }),
+                None if slots[i].is_none() => {
+                    ceilings[i] = ceiling;
+                    prepared[i] = Some(spec);
+                }
+                None => {}
+            },
+        );
+        if !rejected.is_empty() {
+            rejected.sort_by_key(|job| job.index);
+            return Err(BatchRejection { rejected });
+        }
+        self.obs
+            .metrics
+            .jobs_restored_total
+            .add((specs.len() - pending.len()) as u64);
+        if ranked {
             // Dispatch order only — results still land in their
             // submission-order slots, so the batch output is bit-identical
             // to the unranked (and the sequential) order.
-            pending.sort_by_cached_key(|&i| rank_key(i, &specs[i]));
+            pending.sort_by_cached_key(|&i| rank_key(i, &specs[i], ceilings[i]));
         }
         self.obs
             .registry
             .gauge("engine_workers", "worker threads of the last batch")
             .set(workers as u64);
 
-        if workers <= 1 {
-            for &i in &pending {
-                self.assign(i, 0);
-                let result = self.execute(i, &specs[i]);
+        // The simulate pass. Results are journalled as they arrive, so a
+        // batch killed mid-run has already checkpointed everything that
+        // finished.
+        let jobs: Vec<(usize, JobSpec)> = pending
+            .iter()
+            .map(|&i| (i, prepared[i].take().expect("pending jobs are prepared")))
+            .collect();
+        on_pool(
+            workers,
+            jobs,
+            |worker, (i, spec)| {
+                self.assign(i, worker);
+                self.execute(i, &spec)
+            },
+            |result| {
                 if let Some(journal) = journal {
                     journal.record(&result);
                 }
+                let i = result.index;
+                debug_assert!(slots[i].is_none(), "job {i} executed twice");
                 slots[i] = Some(result);
-            }
-        } else {
-            let (work_tx, work_rx) = channel::unbounded::<usize>();
-            let (done_tx, done_rx) = channel::unbounded::<JobResult>();
-            for &i in &pending {
-                work_tx.send(i).expect("work queue open");
-            }
-            drop(work_tx);
+            },
+        );
 
-            // Results are collected and journalled *inside* the scope, as
-            // they arrive — a batch killed mid-run has already checkpointed
-            // everything that finished. The drain terminates when the last
-            // worker exits and drops its `done_tx` clone.
-            let joined = crossbeam::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let work_rx = work_rx.clone();
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move |_| {
-                        while let Ok(i) = work_rx.recv() {
-                            self.assign(i, worker as u64);
-                            let _ = done_tx.send(self.execute(i, &specs[i]));
-                        }
-                    });
-                }
-                drop(done_tx);
-                while let Ok(result) = done_rx.recv() {
-                    if let Some(journal) = journal {
-                        journal.record(&result);
-                    }
-                    let i = result.index;
-                    debug_assert!(slots[i].is_none(), "job {i} executed twice");
-                    slots[i] = Some(result);
-                }
-            });
-            // A worker dying outside the per-job isolation (it should not:
-            // `execute` catches panics) is reported per-job below, not
-            // propagated as a batch-killing panic.
-            drop(joined);
-        }
-
-        slots
+        Ok(slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -644,46 +746,7 @@ impl Engine {
                     result
                 })
             })
-            .collect()
-    }
-
-    /// Like [`Engine::run`], but pre-validate every spec with [`lint_job`]
-    /// first. If any job's report contains errors, the whole batch is
-    /// refused (nothing runs) and the offending reports come back as a
-    /// [`BatchRejection`] — diagnostics instead of a mid-batch panic
-    /// inside a worker thread.
-    pub fn run_checked(&self, specs: &[JobSpec]) -> Result<Vec<JobResult>, BatchRejection> {
-        self.run_checked_resumable(specs, None, &[])
-    }
-
-    /// [`Engine::run_checked`] with checkpointing: pre-validate, then run
-    /// via [`Engine::run_resumable`] with the given journal and restored
-    /// entries. Validation happens before anything executes, including
-    /// restored jobs — a spec that no longer lints clean refuses the batch
-    /// even if its previous run was journalled.
-    pub fn run_checked_resumable(
-        &self,
-        specs: &[JobSpec],
-        journal: Option<&Journal>,
-        restored: &[JournalEntry],
-    ) -> Result<Vec<JobResult>, BatchRejection> {
-        let rejected: Vec<RejectedJob> = specs
-            .iter()
-            .enumerate()
-            .filter_map(|(index, spec)| {
-                let report = lint_job(spec);
-                report.has_errors().then(|| RejectedJob {
-                    index,
-                    label: spec.label.clone(),
-                    report,
-                })
-            })
-            .collect();
-        if rejected.is_empty() {
-            Ok(self.run_resumable(specs, journal, restored))
-        } else {
-            Err(BatchRejection { rejected })
-        }
+            .collect())
     }
 
     /// Like [`Engine::run`], but also snapshot the metrics registry and
@@ -833,6 +896,51 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Deal `items` to `workers` threads (run inline when `workers <= 1`),
+/// apply `work(worker, item)` to each, and hand every result to `done` on
+/// the calling thread as it arrives. Both passes of a batch run on it.
+fn on_pool<T: Send, R: Send>(
+    workers: usize,
+    items: Vec<T>,
+    work: impl Fn(u64, T) -> R + Sync,
+    mut done: impl FnMut(R),
+) {
+    if workers <= 1 {
+        for item in items {
+            done(work(0, item));
+        }
+        return;
+    }
+    let (work_tx, work_rx) = channel::unbounded::<T>();
+    let (done_tx, done_rx) = channel::unbounded::<R>();
+    for item in items {
+        work_tx.send(item).expect("work queue open");
+    }
+    drop(work_tx);
+    let work = &work;
+    // The drain terminates when the last worker exits and drops its
+    // `done_tx` clone. A worker dying outside the per-job isolation (it
+    // should not: `prepare` and `execute` catch job panics) is reported
+    // per job by the simulate pass, not propagated as a batch-killing
+    // panic.
+    let joined = crossbeam::thread::scope(|scope| {
+        for worker in 0..workers {
+            let work_rx = work_rx.clone();
+            let done_tx = done_tx.clone();
+            scope.spawn(move |_| {
+                while let Ok(item) = work_rx.recv() {
+                    let _ = done_tx.send(work(worker as u64, item));
+                }
+            });
+        }
+        drop(done_tx);
+        while let Ok(result) = done_rx.recv() {
+            done(result);
+        }
+    });
+    drop(joined);
 }
 
 /// Index of the best (smallest-total) result among those with trustworthy
@@ -1127,6 +1235,10 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().with_jobs(3));
         let results = engine.run(&jobs);
         assert_eq!(results.len(), jobs.len());
+        // The prepare pass leaves the infeasible spec unbuilt, so the
+        // simulate pass meets the generator's own panic, message and all.
+        let direct = catch_unwind(|| crashing_spec("boom").source.build())
+            .expect_err("the generator rejects the spec");
         match &results[1].outcome {
             JobOutcome::Crashed { message, attempts } => {
                 assert_eq!(*attempts, 1);
@@ -1134,6 +1246,7 @@ mod tests {
                     message.contains("block") || message.contains("divide"),
                     "unexpected panic message: {message}"
                 );
+                assert_eq!(*message, panic_message(direct));
             }
             other => panic!("expected Crashed, got {}", other.kind()),
         }
@@ -1147,12 +1260,75 @@ mod tests {
             let j = if i < 1 { i } else { i - 1 };
             assert_eq!(r.prediction().total, clean[j].prediction().total);
         }
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.scalar("engine_jobs_crashed_total", &[]), Some(1));
         assert_eq!(
-            engine
-                .metrics_snapshot()
-                .scalar("engine_jobs_crashed_total", &[]),
-            Some(1)
+            snap.scalar("engine_programs_built_total", &[]),
+            Some(jobs.len() as u64 - 1),
+            "one build per feasible job"
         );
+    }
+
+    /// Three block sizes of one GE sweep.
+    fn ge_batch() -> Vec<JobSpec> {
+        let mut grid = Grid::new();
+        for block in [8, 16, 32] {
+            grid = grid.source(
+                format!("ge B={block}"),
+                JobSource::Gauss {
+                    n: 96,
+                    block,
+                    layout: LayoutSpec::Diagonal(4),
+                },
+            );
+        }
+        grid.machine("meiko", presets::meiko_cs2(4)).build()
+    }
+
+    fn builds(engine: &Engine) -> Option<u64> {
+        engine
+            .metrics_snapshot()
+            .scalar("engine_programs_built_total", &[])
+    }
+
+    #[test]
+    fn every_batch_path_builds_each_program_once() {
+        let jobs = ge_batch();
+        let checked_par = Engine::new(EngineConfig::default().with_jobs(2));
+        let a = checked_par.run_checked(&jobs).unwrap();
+        assert_eq!(builds(&checked_par), Some(3), "run_checked, 2 workers");
+        let checked_seq = Engine::new(EngineConfig::default().with_jobs(1));
+        let b = checked_seq.run_checked(&jobs).unwrap();
+        assert_eq!(builds(&checked_seq), Some(3), "run_checked, 1 worker");
+        let plain_par = Engine::new(EngineConfig::default().with_jobs(2));
+        let c = plain_par.run(&jobs);
+        assert_eq!(builds(&plain_par), Some(3), "run, 2 workers");
+        assert_identical(&a, &b);
+        assert_identical(&a, &c);
+    }
+
+    #[test]
+    fn prepared_specs_are_never_rebuilt() {
+        let engine = Engine::new(EngineConfig::default().with_jobs(2));
+        let prepared: Vec<JobSpec> = ge_batch()
+            .into_iter()
+            .map(|spec| engine.prepare(spec))
+            .collect();
+        assert_eq!(builds(&engine), Some(3));
+        for spec in &prepared {
+            assert!(matches!(spec.source, JobSource::Program(_)));
+            assert!(static_bounds(spec).is_some());
+            assert!(!lint_job(spec).has_errors());
+        }
+        let results = engine.run_checked(&prepared).unwrap();
+        assert_eq!(builds(&engine), Some(3), "the batch reused every program");
+        assert_identical(&results, &Engine::sequential().run(&ge_batch()));
+
+        // An infeasible spec passes through unbuilt and keeps its PS0501.
+        let bad = engine.prepare(crashing_spec("boom"));
+        assert!(matches!(bad.source, JobSource::Gauss { .. }));
+        assert_eq!(lint_job(&bad).diagnostics()[0].code, Code::BadJobSpec);
+        assert_eq!(builds(&engine), Some(3));
     }
 
     #[test]

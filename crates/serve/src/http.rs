@@ -177,12 +177,7 @@ impl<R: Read> HttpReader<R> {
             };
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
-        let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-            None => 0,
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| RequestError::Malformed(format!("bad content-length '{v}'")))?,
-        };
+        let content_length = content_length(&headers)?;
         if content_length > max_body {
             return Err(RequestError::TooLarge);
         }
@@ -203,6 +198,28 @@ impl<R: Read> HttpReader<R> {
             body,
         })
     }
+}
+
+/// The body length a request head declares: 0 without `Content-Length`.
+/// Every `Content-Length` value must be all ASCII digits and all of them
+/// must agree (RFC 9112 §6.3); anything else leaves the body's end
+/// ambiguous — the opening a smuggled second request needs — so it is
+/// malformed, and the server answers 400 and closes the connection.
+fn content_length(headers: &[(String, String)]) -> Result<usize, RequestError> {
+    let mut length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(RequestError::Malformed(format!("bad content-length '{v}'"))),
+        };
+        if length.is_some_and(|m| m != n) {
+            return Err(RequestError::Malformed(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        length = Some(n);
+    }
+    Ok(length.unwrap_or(0))
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -371,6 +388,30 @@ mod tests {
             read_one(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(RequestError::Malformed(_))
         ));
+        // Conflicting lengths: reading either one would leave the rest of
+        // the bytes to run as a second, smuggled request.
+        let body = r#"{"source":"cannon:96,4"}GET /healthz HTTP/1.1\r\n\r\n"#;
+        let smuggle = format!(
+            "POST /v1/predict HTTP/1.1\r\nContent-Length: 24\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        assert!(matches!(
+            read_one(smuggle.as_bytes()),
+            Err(RequestError::Malformed(_))
+        ));
+        // Lengths that are not all digits.
+        for bad in ["+24", "-1", "2 4", "24,24", "0x18", ""] {
+            let req = format!("POST / HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n{:24}", "");
+            assert!(
+                matches!(read_one(req.as_bytes()), Err(RequestError::Malformed(_))),
+                "Content-Length: {bad:?} must be refused"
+            );
+        }
+        // Repeating the same length is harmless.
+        let req =
+            read_one(b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap();
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ handler (one per connection, keep-alive loop)
-//!                         │ parse + lint, then the tier ladder:
+//!                         │ parse + build + lint, then the tier ladder:
 //!                         │   full  ──▶ queue.try_push ──▶ 429 when full
 //!                         │   replay ─▶ cached recording, no queue
 //!                         │   static ─▶ interval only, no simulation
@@ -19,7 +19,9 @@
 //!
 //! Every full prediction goes through the one shared [`Engine`], so the
 //! memo cache, journal, and metrics registry see the server's whole
-//! lifetime.
+//! lifetime. The handler builds each job's program once
+//! ([`Engine::prepare`]) before the lint gate; every later step — tiers,
+//! admission, the worker's run, the reported bounds — reuses it.
 //!
 //! **Overload behaviour** is tiered rather than binary. Above a
 //! high-watermark queue depth `/v1/predict` stops queueing and degrades:
@@ -116,8 +118,8 @@ impl Default for ServeConfig {
 /// worker can park an orphan copy for the supervisor before running.
 #[derive(Clone)]
 enum Work {
-    /// Run one prediction job through the engine. Boxed so the enum
-    /// stays pointer-sized regardless of how `JobSpec` grows.
+    /// Run one prepared prediction job through the engine. Boxed so the
+    /// enum stays pointer-sized regardless of how `JobSpec` grows.
     Predict(Box<JobSpec>),
     /// Measure a source on the emulator and fit a LogGP preset to it
     /// (`POST /v1/calibrate`). Boxed: a calibration carries its whole
@@ -1112,11 +1114,13 @@ fn predict(request: &Request, shared: &Shared) -> Response {
         Ok(req) => req,
         Err(e) => return Response::json(e.status, e.body),
     };
-    let gate = (req.name.clone(), req.spec.clone());
+    // The program is built once, here: the lint gate, the degraded tiers,
+    // deadline admission, the worker and the post-run bounds all share it.
+    let gate = (req.name, shared.engine.prepare(req.spec));
     if let Err(e) = api::check_jobs(std::slice::from_ref(&gate)) {
         return Response::json(e.status, e.body);
     }
-    let spec = req.spec;
+    let (name, spec) = gate;
     // Jobs the static analyzer can bracket are the ones the degraded
     // tiers can serve; faulted or infeasible jobs only have the full
     // path.
@@ -1131,8 +1135,8 @@ fn predict(request: &Request, shared: &Shared) -> Response {
                 return Response::json(200, api::render_predict_static(&spec.label, &b));
             }
         }
-    } else if depth >= shared.replay_at && degradable && req.name != "trace" {
-        if let Some(resp) = try_replay(shared, &req.name, &spec) {
+    } else if depth >= shared.replay_at && degradable && name != "trace" {
+        if let Some(resp) = try_replay(shared, &name, &spec) {
             return resp;
         }
     }
@@ -1353,10 +1357,18 @@ fn batch(request: &Request, shared: &Shared) -> Response {
         Ok(b) => b,
         Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
     };
-    let jobs = match api::parse_batch(body).and_then(|jobs| api::check_jobs(&jobs).map(|()| jobs)) {
+    let jobs = match api::parse_batch(body) {
         Ok(jobs) => jobs,
         Err(e) => return Response::json(e.status, e.body),
     };
+    // As for /v1/predict: one build per job, shared by gate and worker.
+    let jobs: Vec<(String, JobSpec)> = jobs
+        .into_iter()
+        .map(|(name, spec)| (name, shared.engine.prepare(spec)))
+        .collect();
+    if let Err(e) = api::check_jobs(&jobs) {
+        return Response::json(e.status, e.body);
+    }
     let est = shared.cost.est_job_ns(0);
     let work = jobs
         .into_iter()

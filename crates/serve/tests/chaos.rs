@@ -8,9 +8,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A prediction heavy enough (~2 s debug) to hold a worker while the
-/// test lines up more requests behind it. Distinct sizes per index so
-/// the engine's memo cache cannot short-circuit repeated submissions.
+/// A prediction whose simulation takes tens of milliseconds even in
+/// release builds: enough to teach the cost model a job cost far above
+/// a 1 ms deadline. Distinct sizes per index so the engine's memo cache
+/// cannot short-circuit repeated submissions.
 fn heavy(i: usize) -> String {
     let n = 3840 - 120 * i;
     format!(r#"{{"source":"ge:{n},24,diagonal,8"}}"#)
@@ -19,15 +20,10 @@ fn heavy(i: usize) -> String {
 /// A cheap, clean job every tier can serve.
 const CHEAP: &str = r#"{"source":"cannon:96,4"}"#;
 
-/// A heavy job no degraded tier can serve (fault injection voids the
+/// A cheap job no degraded tier can serve (fault injection voids the
 /// static analysis, and the fault rate is too small to ever fire): it
-/// must take the full path, so it reliably occupies the queue. Sizes
-/// grow with the index so later submissions outlive earlier ones and
-/// the queue actually builds depth.
-fn heavy_opaque(i: usize) -> String {
-    let n = 3840 + 480 * i;
-    format!(r#"{{"source":"ge:{n},24,diagonal,8","faults":"drop:0.000001","seed":1}}"#)
-}
+/// must take the full path, so it reliably occupies the queue.
+const OPAQUE: &str = r#"{"source":"stencil:96,8,3","faults":"drop:0.000001","seed":1}"#;
 
 fn config(workers: usize, queue_cap: usize) -> ServeConfig {
     ServeConfig {
@@ -37,6 +33,19 @@ fn config(workers: usize, queue_cap: usize) -> ServeConfig {
         replay_at: Some(usize::MAX),
         static_at: Some(usize::MAX),
         ..ServeConfig::default()
+    }
+}
+
+/// [`config`] with one worker that stalls two seconds on every job it
+/// picks up (the chaos harness's `stall` at rate 1), so whatever job it
+/// holds occupies it for a fixed time however fast the host builds and
+/// simulates. The stall detector is parked out of reach so no backfilled
+/// worker drains the queue early.
+fn pinned(queue_cap: usize) -> ServeConfig {
+    ServeConfig {
+        stall_timeout: Duration::from_secs(60),
+        chaos: Some(ChaosPlan::new(ChaosSpec::parse("stall:1:2000").unwrap(), 1)),
+        ..config(1, queue_cap)
     }
 }
 
@@ -245,7 +254,7 @@ fn the_same_chaos_seed_replays_the_same_failure_sequence() {
 fn overload_degrades_through_replay_to_static_and_brackets_the_truth() {
     let handle = Server::start(ServeConfig {
         replay_at: Some(1),
-        ..config(1, 8)
+        ..pinned(8)
     })
     .expect("server starts");
     let addr = handle.addr();
@@ -261,7 +270,7 @@ fn overload_degrades_through_replay_to_static_and_brackets_the_truth() {
     // watermark. The held jobs are fault-injected so no degraded tier
     // can absorb them — they must queue.
     let hold: Vec<_> = (0..2)
-        .map(|i| std::thread::spawn(move || predict(addr, &heavy_opaque(i))))
+        .map(|_| std::thread::spawn(move || predict(addr, OPAQUE)))
         .collect();
     wait_until(30000, || {
         let (depth, executing) = health(addr);
@@ -303,12 +312,12 @@ fn overload_degrades_through_replay_to_static_and_brackets_the_truth() {
     let handle = Server::start(ServeConfig {
         replay_at: Some(1),
         static_at: Some(1),
-        ..config(1, 8)
+        ..pinned(8)
     })
     .expect("server starts");
     let addr = handle.addr();
     let hold: Vec<_> = (0..2)
-        .map(|i| std::thread::spawn(move || predict(addr, &heavy_opaque(i))))
+        .map(|_| std::thread::spawn(move || predict(addr, OPAQUE)))
         .collect();
     wait_until(30000, || {
         let (depth, executing) = health(addr);
@@ -353,12 +362,13 @@ fn overload_degrades_through_replay_to_static_and_brackets_the_truth() {
 
 #[test]
 fn a_hopeless_deadline_gets_an_instant_static_answer_and_sheds_a_victim() {
-    let handle = Server::start(config(1, 8)).expect("server starts");
+    let handle = Server::start(pinned(8)).expect("server starts");
     let addr = handle.addr();
 
     // Seed the cost model: two completed predicts teach it the
-    // wall-per-virtual-ps ratio and the mean job cost (~2 s per heavy
-    // job). Distinct jobs, so neither is a memo-cache hit.
+    // wall-per-virtual-ps ratio and the mean job cost (the worker's
+    // simulation time, the stall excluded). Distinct jobs, so neither is
+    // a memo-cache hit.
     for i in 0..2 {
         let (status, _) = predict(addr, &heavy(i));
         assert_eq!(status, 200);
@@ -366,18 +376,19 @@ fn a_hopeless_deadline_gets_an_instant_static_answer_and_sheds_a_victim() {
 
     // Pin the worker and park a deadline-less (sheddable) job behind it.
     // Both are submitted concurrently — whichever loses the race for the
-    // single worker is the queued victim — so a slow test host can never
-    // leave a gap where the first job finishes before the second arrives.
-    let first = std::thread::spawn(move || predict(addr, &heavy(2)));
-    let second = std::thread::spawn(move || predict(addr, &heavy(3)));
+    // single worker is the queued victim — and the stall holds the
+    // winner for two seconds, far longer than the loser takes to arrive.
+    let first = std::thread::spawn(move || predict(addr, r#"{"source":"ge:240,24,diagonal,8"}"#));
+    let second = std::thread::spawn(move || predict(addr, r#"{"source":"stencil:96,8,3"}"#));
     wait_until(30000, || {
         let (depth, in_flight) = health(addr);
         in_flight >= 1 && depth >= 1
     });
 
-    // A 1 ms deadline cannot be met behind ~2 s of queue: admission must
-    // shed the newest queued job (which still gets a static-tier answer)
-    // and, still late, answer this request statically too — instantly.
+    // A 1 ms deadline cannot be met behind a queue the cost model prices
+    // at heavy simulations: admission must shed the newest queued job
+    // (which still gets a static-tier answer) and, still late, answer
+    // this request statically too — instantly.
     let started = std::time::Instant::now();
     let (status, body) = predict(addr, r#"{"source":"cannon:96,4","deadline_ms":1}"#);
     assert_eq!(status, 200, "{body}");

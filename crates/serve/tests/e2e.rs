@@ -9,10 +9,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A prediction heavy enough (~2 s debug) to still be running while the
-/// test lines up more requests behind it.
-const HEAVY: &str = r#"{"source":"ge:3840,24,diagonal,8"}"#;
-
 fn start(workers: usize, queue_cap: usize) -> ServerHandle {
     Server::start(ServeConfig {
         workers,
@@ -389,6 +385,74 @@ fn metrics_are_exposed_in_prometheus_text_and_strict_json() {
 }
 
 #[test]
+fn each_served_job_builds_its_program_once() {
+    let handle = start(1, 4);
+    let addr = handle.addr();
+    let built = || {
+        let (status, _, text) = request(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        text.lines()
+            .find_map(|l| l.strip_prefix("engine_programs_built_total "))
+            .map(|v| v.parse::<u64>().expect("counter value"))
+    };
+
+    // A full-tier predict: the lint gate, the worker's run and the
+    // reported bounds all share the handler's one build.
+    let (status, body) = predict(addr, r#"{"source":"ge:240,24,diagonal,8"}"#);
+    assert_eq!(status, 200);
+    assert!(body.contains(r#""tier":"full""#), "{body}");
+    assert!(body.contains("static_hi_ps"), "{body}");
+    assert_eq!(built(), Some(1));
+
+    // Deadline admission analyzes that same program.
+    let (status, body) = predict(addr, r#"{"source":"stencil:96,8,3","deadline_ms":60000}"#);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(built(), Some(2));
+
+    // A batch builds each of its jobs once.
+    let batch = r#"{"jobs":[{"source":"cannon:96,4"},{"source":"apsp:120,24,row,6"},
+                            {"source":"ge:240,24,row,8","worst_case":true}]}"#;
+    let (status, _, body) = request(addr, "POST", "/v1/batch", batch);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(built(), Some(5));
+    handle.drain();
+}
+
+#[test]
+fn conflicting_content_lengths_are_refused_not_smuggled() {
+    let handle = start(1, 4);
+    let addr = handle.addr();
+    // 24 bytes of predict body, then a whole second request riding in
+    // the bytes only the larger length covers. One write, so the server
+    // reads it all before it answers and closes.
+    let body = concat!(
+        r#"{"source":"cannon:96,4"}"#,
+        "GET /healthz HTTP/1.1\r\n\r\n"
+    );
+    let wire = format!(
+        "POST /v1/predict HTTP/1.1\r\nContent-Length: 24\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(wire.as_bytes()).unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "one response: {raw}");
+    let (status, headers, _) = parse_response(&raw);
+    assert_eq!(status, 400);
+    assert_eq!(header(&headers, "connection"), Some("close"));
+
+    let report = handle.drain();
+    let served = |endpoint| {
+        report
+            .metrics
+            .scalar("serve_endpoint_requests_total", &[("endpoint", endpoint)])
+    };
+    assert_eq!(served("/healthz"), None, "the smuggled request never ran");
+    assert_eq!(served("/v1/predict"), None, "nor did the predict");
+}
+
+#[test]
 fn routing_rejects_what_the_api_does_not_serve() {
     let handle = start(1, 4);
     let addr = handle.addr();
@@ -566,11 +630,26 @@ fn calibrate_endpoint_fits_registers_and_serves_the_preset() {
 
 #[test]
 fn drain_finishes_in_flight_work_and_counts_every_request() {
-    let handle = start(1, 4);
+    // The single worker stalls two seconds on every job it picks up (the
+    // chaos harness's `stall` at rate 1), so the request is still
+    // executing when the drain arrives however fast the host simulates.
+    // The stall detector is parked out of reach.
+    let handle = Server::start(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        request_timeout: Duration::from_secs(10),
+        replay_at: Some(usize::MAX),
+        static_at: Some(usize::MAX),
+        stall_timeout: Duration::from_secs(60),
+        chaos: Some(ChaosPlan::new(ChaosSpec::parse("stall:1:2000").unwrap(), 1)),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
     let addr = handle.addr();
 
     // A request is mid-execution when the drain arrives.
-    let in_flight = std::thread::spawn(move || predict(addr, HEAVY));
+    let in_flight =
+        std::thread::spawn(move || predict(addr, r#"{"source":"ge:240,24,diagonal,8"}"#));
     wait_until(8000, || health(addr).1 >= 1);
 
     let (status, _, body) = request(addr, "POST", "/admin/drain", "");

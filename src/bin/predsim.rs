@@ -709,7 +709,7 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
             layout.name(),
             params
         );
-        return ge_sweep_prefiltered(args, &engine, &specs, &blocks);
+        return ge_sweep_prefiltered(args, &engine, specs, &blocks);
     }
 
     let (journal, restored) = open_journal(args)?;
@@ -737,13 +737,15 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
 /// every candidate whose static floor already exceeds the best observed
 /// total — its simulation cannot win. Sequential on purpose: each result
 /// tightens the pruning threshold for the next candidate, and the memo
-/// cache still carries over between runs (one engine).
+/// cache still carries over between runs (one engine). Each program is
+/// built once and shared by its bounds and its run.
 fn ge_sweep_prefiltered(
     args: &Args,
     engine: &Engine,
-    specs: &[JobSpec],
+    specs: Vec<JobSpec>,
     blocks: &[usize],
 ) -> Result<(), String> {
+    let specs: Vec<JobSpec> = specs.into_iter().map(|s| engine.prepare(s)).collect();
     let bounds: Vec<ProgramBounds> = specs
         .iter()
         .map(|s| {
