@@ -10,12 +10,12 @@
 //! criterion — the standard algorithm should under-approximate and the
 //! worst-case algorithm over-approximate what the machine measures.
 //!
-//! * [`measure`] — collecting runs from the emulator and the strict
+//! * [`measure`](mod@measure) — collecting runs from the emulator and the strict
 //!   JSONL measured-file format;
 //! * [`fit`] — the objective (asymmetric least squares against the
 //!   per-step measured floor) and the coordinate-descent /
 //!   golden-section search, memoized through the engine;
-//! * [`bracket`] — the `standard ≤ measured ≤ worst-case` hit rate on
+//! * [`bracket`](mod@bracket) — the `standard ≤ measured ≤ worst-case` hit rate on
 //!   held-out runs;
 //! * [`export_metrics`] — publishing a fit into a
 //!   [`predsim_obs::Registry`] (`calib_*` series, visible at the serve

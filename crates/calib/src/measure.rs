@@ -15,7 +15,7 @@
 //! {"seed":1,"total_ps":2411125577000,"steps_ps":[40000000,...]}
 //! ```
 
-use loggp::Time;
+use loggp::{LogGpParams, Time};
 use machine::{emulate_faulted, EmulatorConfig};
 use predsim_core::{Prediction, Program, StepLoad};
 use predsim_faults::FaultPlan;
@@ -69,6 +69,25 @@ pub struct MeasureConfig {
     /// Faults injected into the emulated hardware, if any (the same plan
     /// for every run — the per-run variation comes from the jitter seed).
     pub faults: Option<FaultPlan>,
+}
+
+impl MeasureConfig {
+    /// `runs` runs from `base_seed` on the full-effect emulator
+    /// ([`EmulatorConfig::meiko_like`]: cache, jitter, contention and local
+    /// copies layered on `params`), with `faults` injected into every run.
+    pub fn emulated(
+        params: LogGpParams,
+        runs: usize,
+        base_seed: u64,
+        faults: Option<FaultPlan>,
+    ) -> MeasureConfig {
+        MeasureConfig {
+            ecfg: EmulatorConfig::meiko_like(commsim::SimConfig::new(params)),
+            base_seed,
+            runs,
+            faults,
+        }
+    }
 }
 
 /// Emulate `prog` `cfg.runs` times under consecutive seeds and collect

@@ -23,7 +23,7 @@
 //! This is the optimized hot loop: per-processor state lives in flat
 //! parallel arrays inside a reusable [`SimScratch`] (send queues are cursor
 //! ranges into one message arena), and the "minimum ctime among pending
-//! senders" selection uses the lazy-deletion [`crate::scratch`] frontier
+//! senders" selection uses the lazy-deletion `scratch` frontier
 //! heap instead of an O(P) rescan per committed operation. The produced
 //! timelines are **bit-identical** to the straightforward encoding kept in
 //! [`crate::reference`]; `tests/equiv.rs` pins the equivalence across

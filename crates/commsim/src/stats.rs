@@ -97,10 +97,10 @@ impl TimelineStats {
     }
 }
 
-/// Record a step's [`TimelineStats`] into a metrics [`Registry`]
-/// (`predsim_obs`): per-processor busy/idle picoseconds and operation
-/// counts as labelled counters, plus step-level completion and queueing
-/// figures. Counters accumulate across steps, so calling this once per
+/// Record a step's [`TimelineStats`] into a metrics
+/// [`Registry`](predsim_obs::Registry): per-processor busy/idle
+/// picoseconds and operation counts as labelled counters, plus step-level
+/// completion and queueing figures. Counters accumulate across steps, so calling this once per
 /// step yields whole-program per-processor totals.
 pub fn record_metrics(stats: &TimelineStats, registry: &predsim_obs::Registry) {
     for ps in &stats.procs {

@@ -87,6 +87,31 @@ impl SimOptions {
         self.overlap = Overlap::RecvOnly;
         self
     }
+
+    /// The options the four switches every front end exposes select over
+    /// `cfg`: `worst_case` (the §4.2 algorithm), `barrier`, `overlap` and
+    /// `classic_gap` (the same-kind-only gap rule). `on` reads each switch
+    /// by that name (the CLI spells them `--worst-case` and so on); a
+    /// switch that is off keeps the paper default.
+    pub fn from_switches<E>(
+        cfg: SimConfig,
+        mut on: impl FnMut(&str) -> Result<bool, E>,
+    ) -> Result<Self, E> {
+        let mut opts = SimOptions::new(cfg);
+        if on("worst_case")? {
+            opts = opts.worst_case();
+        }
+        if on("barrier")? {
+            opts = opts.with_barrier();
+        }
+        if on("overlap")? {
+            opts = opts.with_overlap();
+        }
+        if on("classic_gap")? {
+            opts.cfg = opts.cfg.with_classic_gap_rule();
+        }
+        Ok(opts)
+    }
 }
 
 /// Timing record of one program step.

@@ -9,7 +9,7 @@
 //! All generators charge [`PS_PER_FLOP`] picoseconds per flop — a 2
 //! GFLOP/s base processor, in the range of the paper's Meiko CS-2 nodes.
 
-use crate::model::TaskDag;
+use crate::model::{TaskDag, MAX_TASKS};
 
 /// Picoseconds per flop used by every shipped generator (2 GFLOP/s).
 pub const PS_PER_FLOP: u64 = 500;
@@ -125,6 +125,9 @@ pub fn random_layered(
 /// * `forkjoin:WIDTH,STAGES,FLOPS,BYTES`
 /// * `mapreduce:MAPS,REDUCERS,MAP_FLOPS,REDUCE_FLOPS,BYTES`
 /// * `layered:SEED,LAYERS,WIDTH,MAX_FLOPS,MAX_BYTES`
+///
+/// A spec whose DAG would have more than [`MAX_TASKS`] tasks is refused
+/// before anything is allocated.
 pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
     let (kind, body) = spec
         .split_once(':')
@@ -143,9 +146,19 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
             Err(format!("dag spec '{spec}': expected {shape}"))
         }
     };
+    let cap = |tasks: Option<u64>| match tasks {
+        Some(n) if n <= MAX_TASKS as u64 => Ok(()),
+        _ => Err(format!(
+            "dag spec '{spec}': more tasks than the supported maximum of {MAX_TASKS}"
+        )),
+    };
     let dag = match kind {
         "forkjoin" => {
             arity(4, "forkjoin:WIDTH,STAGES,FLOPS,BYTES")?;
+            cap(nums[0]
+                .checked_add(1)
+                .and_then(|w| w.checked_mul(nums[1]))
+                .and_then(|n| n.checked_add(1)))?;
             fork_join(
                 nums[0] as usize,
                 nums[1] as usize,
@@ -155,6 +168,7 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
         }
         "mapreduce" => {
             arity(5, "mapreduce:MAPS,REDUCERS,MAP_FLOPS,REDUCE_FLOPS,BYTES")?;
+            cap(nums[0].checked_add(nums[1]).and_then(|n| n.checked_add(2)))?;
             map_reduce(
                 nums[0] as usize,
                 nums[1] as usize,
@@ -165,6 +179,7 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
         }
         "layered" => {
             arity(5, "layered:SEED,LAYERS,WIDTH,MAX_FLOPS,MAX_BYTES")?;
+            cap(nums[1].max(1).checked_mul(nums[2].max(1)))?;
             random_layered(
                 nums[0],
                 nums[1] as usize,
@@ -237,5 +252,21 @@ mod tests {
         assert!(from_spec("ring:4").is_err(), "unknown kind");
         assert!(from_spec("forkjoin:a,b,c,d").is_err(), "bad int");
         assert!(from_spec("noargs").is_err(), "no colon");
+        // Task counts are capped before anything is allocated.
+        assert_eq!(
+            from_spec("forkjoin:4094,1,1,1").unwrap().tasks().len(),
+            4096
+        );
+        for big in [
+            "forkjoin:4095,1,1,1",
+            "forkjoin:4000000000,1,1000,8",
+            "forkjoin:18446744073709551615,2,1,1",
+            "mapreduce:4095,0,1,1,1",
+            "layered:1,4097,1,1,1",
+            "layered:1,4294967296,4294967296,1,1",
+        ] {
+            let err = from_spec(big).unwrap_err();
+            assert!(err.contains("maximum of 4096"), "{big}: {err}");
+        }
     }
 }

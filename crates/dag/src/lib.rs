@@ -15,16 +15,16 @@
 //!
 //! * [`model`] — [`TaskDag`]: tasks, edges, topological order,
 //!   validation;
-//! * [`format`] — a strict line-oriented file format
+//! * [`format`](mod@format) — a strict line-oriented file format
 //!   (`dag`/`task`/`edge` lines) that round-trips bit-exactly;
 //! * [`generate`] — deterministic generators: fork-join, map-reduce,
 //!   and a seeded random layered DAG;
 //! * [`sched`] — the [`Scheduler`] trait and the shipped policies:
 //!   round-robin, min-ready (earliest-finish-time greedy), and a
 //!   HEFT-style rank-based scheduler;
-//! * [`lower`] — placement → [`predsim_core::Program`], one step per
+//! * [`lower`](mod@lower) — placement → [`predsim_core::Program`], one step per
 //!   DAG level, computation scaled by per-processor speed factors;
-//! * [`sweep`] — speedup estimation: simulate a DAG over a range of
+//! * [`sweep`](mod@sweep) — speedup estimation: simulate a DAG over a range of
 //!   processor counts and report the speedup curve, parallel
 //!   efficiency, and the knee (near-optimal processor count).
 
@@ -40,6 +40,6 @@ pub mod sweep;
 
 pub use format::ParseError;
 pub use lower::{lower, Lowered};
-pub use model::{Edge, Task, TaskDag};
+pub use model::{Edge, Task, TaskDag, MAX_TASKS};
 pub use sched::{Placement, Scheduler, SchedulerKind};
-pub use sweep::{parse_procs, sweep, SweepPoint, SweepReport};
+pub use sweep::{parse_procs, sweep, SweepPoint, SweepReport, MAX_SWEEP_PROCS};

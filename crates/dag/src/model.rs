@@ -8,6 +8,12 @@
 
 use loggp::Time;
 
+/// The most tasks a DAG may have when its size comes from outside the
+/// program: a generator spec ([`crate::generate::from_spec`]) or a speedup
+/// request. Every DAG the repository's tests and benchmarks use has at
+/// most 1024.
+pub const MAX_TASKS: usize = 4096;
+
 /// One unit of work: a name (unique within the DAG) and a flop cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {

@@ -157,13 +157,14 @@ impl Scheduler for Heft {
 }
 
 /// The shipped scheduling policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Topological round-robin (baseline).
     RoundRobin,
     /// Earliest-finish-time greedy over topological order.
     MinReady,
-    /// HEFT-style upward-rank list scheduling.
+    /// HEFT-style upward-rank list scheduling (the default).
+    #[default]
     Heft,
 }
 

@@ -56,9 +56,14 @@ pub struct SweepReport {
     pub points: Vec<SweepPoint>,
 }
 
+/// Largest processor count a speedup sweep simulates, from `predsim
+/// dag-sweep` and `POST /v1/speedup` alike: every swept point schedules,
+/// lowers and simulates the whole DAG.
+pub const MAX_SWEEP_PROCS: usize = 64;
+
 /// Parse a `--procs` range: `N` (just that count) or `A..B` (inclusive).
-/// Counts are capped at `max`.
-pub fn parse_procs(s: &str, max: usize) -> Result<Vec<usize>, String> {
+/// Counts are capped at [`MAX_SWEEP_PROCS`].
+pub fn parse_procs(s: &str) -> Result<Vec<usize>, String> {
     let parse_one = |t: &str| -> Result<usize, String> {
         t.parse::<usize>()
             .map_err(|_| format!("'{t}' is not a processor count"))
@@ -76,8 +81,10 @@ pub fn parse_procs(s: &str, max: usize) -> Result<Vec<usize>, String> {
     if hi < lo {
         return Err(format!("empty processor range {lo}..{hi}"));
     }
-    if hi > max {
-        return Err(format!("processor count {hi} exceeds the limit of {max}"));
+    if hi > MAX_SWEEP_PROCS {
+        return Err(format!(
+            "processor count {hi} exceeds the limit of {MAX_SWEEP_PROCS}"
+        ));
     }
     Ok((lo..=hi).collect())
 }
@@ -198,13 +205,13 @@ mod tests {
 
     #[test]
     fn parse_procs_handles_ranges_and_rejects_nonsense() {
-        assert_eq!(parse_procs("4", 64).unwrap(), vec![4]);
-        assert_eq!(parse_procs("1..4", 64).unwrap(), vec![1, 2, 3, 4]);
-        assert!(parse_procs("0..4", 64).is_err());
-        assert!(parse_procs("4..2", 64).is_err());
-        assert!(parse_procs("1..65", 64).is_err());
-        assert!(parse_procs("x", 64).is_err());
-        assert!(parse_procs("1..y", 64).is_err());
+        assert_eq!(parse_procs("4").unwrap(), vec![4]);
+        assert_eq!(parse_procs("1..4").unwrap(), vec![1, 2, 3, 4]);
+        assert!(parse_procs("0..4").is_err());
+        assert!(parse_procs("4..2").is_err());
+        assert!(parse_procs("1..65").is_err());
+        assert!(parse_procs("x").is_err());
+        assert!(parse_procs("1..y").is_err());
     }
 
     #[test]

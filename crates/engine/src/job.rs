@@ -29,6 +29,17 @@ pub enum LayoutSpec {
 }
 
 impl LayoutSpec {
+    /// The layout a name selects over `procs` processors: `diagonal`,
+    /// `row` (row-cyclic) or `col` (column-cyclic).
+    pub fn parse(name: &str, procs: usize) -> Result<LayoutSpec, String> {
+        match name {
+            "diagonal" => Ok(LayoutSpec::Diagonal(procs)),
+            "row" => Ok(LayoutSpec::RowCyclic(procs)),
+            "col" => Ok(LayoutSpec::ColCyclic(procs)),
+            other => Err(format!("unknown layout '{other}'")),
+        }
+    }
+
     /// Instantiate the layout.
     pub fn build(&self) -> Box<dyn Layout> {
         match *self {
@@ -39,11 +50,12 @@ impl LayoutSpec {
         }
     }
 
-    /// Number of processors the layout maps onto.
+    /// Number of processors the layout maps onto (`usize::MAX` where the
+    /// count overflows).
     pub fn procs(&self) -> usize {
         match *self {
             LayoutSpec::RowCyclic(p) | LayoutSpec::ColCyclic(p) | LayoutSpec::Diagonal(p) => p,
-            LayoutSpec::Grid2D(pr, pc) => pr * pc,
+            LayoutSpec::Grid2D(pr, pc) => pr.saturating_mul(pc),
         }
     }
 }
@@ -127,7 +139,7 @@ pub enum JobSource {
         hypercube: bool,
     },
     /// A task DAG scheduled onto a machine and lowered to a step
-    /// program ([`predsim_dag::lower`]). The machine spec is carried in
+    /// program ([`predsim_dag::lower()`]). The machine spec is carried in
     /// the variant because scheduling and computation scaling need it
     /// at build time, independent of the simulation options.
     Dag {
@@ -165,12 +177,8 @@ fn parse_blocked_spec(
     if block == 0 || !n.is_multiple_of(block) {
         return Err(format!("{kind} spec '{raw}': BLOCK must divide N"));
     }
-    let layout = match *layout {
-        "diagonal" => LayoutSpec::Diagonal(procs),
-        "row" => LayoutSpec::RowCyclic(procs),
-        "col" => LayoutSpec::ColCyclic(procs),
-        other => return Err(format!("{kind} spec '{raw}': unknown layout '{other}'")),
-    };
+    let layout =
+        LayoutSpec::parse(layout, procs).map_err(|e| format!("{kind} spec '{raw}': {e}"))?;
     Ok((n, block, layout))
 }
 
@@ -344,7 +352,15 @@ impl JobSource {
     }
 
     /// Build (or borrow) the program trace.
+    ///
+    /// # Panics
+    /// On inputs [`JobSource::validate`] rejects: a processor count over
+    /// [`MAX_PROCS`] before anything sized by it is allocated, any other
+    /// violation in the generator's own precondition checks.
     pub fn build(&self) -> Arc<Program> {
+        if let Err(why) = self.check_procs() {
+            panic!("{why}");
+        }
         match self {
             JobSource::Program(p) => Arc::clone(p),
             JobSource::Gauss { n, block, layout } => {
@@ -436,12 +452,13 @@ impl JobSource {
         }
     }
 
-    /// Number of processors the program runs on.
+    /// Number of processors the program runs on (`usize::MAX` where the
+    /// count overflows).
     pub fn procs(&self) -> usize {
         match self {
             JobSource::Program(p) => p.procs(),
             JobSource::Gauss { layout, .. } | JobSource::Apsp { layout, .. } => layout.procs(),
-            JobSource::Cannon { q, .. } => q * q,
+            JobSource::Cannon { q, .. } => q.saturating_mul(*q),
             JobSource::Stencil { procs, .. } => *procs,
             JobSource::Bcast { procs, .. }
             | JobSource::Reduce { procs, .. }
@@ -466,25 +483,26 @@ impl JobSource {
         }
     }
 
+    /// A processor count of at most [`MAX_PROCS`], or why not.
+    fn check_procs(&self) -> Result<(), String> {
+        match self.checked_procs() {
+            Some(procs) if procs <= MAX_PROCS => Ok(()),
+            Some(procs) => Err(format!(
+                "{procs} processors exceed the supported maximum of {MAX_PROCS}"
+            )),
+            None => Err(format!(
+                "the processor count overflows (the supported maximum is {MAX_PROCS})"
+            )),
+        }
+    }
+
     /// Check the spec's preconditions — everything the generator behind
     /// [`JobSource::build`] would otherwise `assert!` about, and a
     /// processor count of at most [`MAX_PROCS`] — and describe the first
     /// violation. `Ok(())` guarantees that `build()` cannot panic on its
     /// inputs.
     pub fn validate(&self) -> Result<(), String> {
-        match self.checked_procs() {
-            Some(procs) if procs <= MAX_PROCS => {}
-            Some(procs) => {
-                return Err(format!(
-                    "{procs} processors exceed the supported maximum of {MAX_PROCS}"
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "the processor count overflows (the supported maximum is {MAX_PROCS})"
-                ))
-            }
-        }
+        self.check_procs()?;
         match self {
             JobSource::Program(_) => Ok(()), // Program construction already validated it
             JobSource::Gauss { n, block, layout } | JobSource::Apsp { n, block, layout } => {

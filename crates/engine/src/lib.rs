@@ -86,19 +86,26 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// [`lint_job_as`] under the standard algorithm, not strict: the pre-run
+/// gate of [`Engine::run_checked`] and of the server. Deadlock cycles are
+/// warnings here (the worst-case simulator forces transmissions on them —
+/// its defined behaviour), so the gate rejects exactly the jobs that could
+/// not execute: bad specs and structurally broken programs.
+pub fn lint_job(spec: &JobSpec) -> Report {
+    lint_job_as(spec, CommAlgo::Standard, false)
+}
+
 /// Lint one job without running it: first the spec itself (would the
 /// generator behind it even accept these inputs?), then — when the spec is
-/// feasible — the built program, under the spec's machine parameters. On
-/// a spec from [`Engine::prepare`] this lints the prepared program and
-/// builds nothing.
+/// feasible — the built program, under the spec's machine parameters and
+/// the fail-stop windows of its fault plan. On a spec from
+/// [`Engine::prepare`] this lints the prepared program and builds nothing.
 ///
-/// Infeasible specs yield a single `PS0501` error. Program-level deadlock
-/// findings are always reported at warning severity here (the worst-case
-/// simulator handles cycles by forcing transmissions — that is its defined
-/// behaviour, not a batch-stopping defect), so [`Engine::run_checked`]
-/// rejects exactly the jobs that could not execute: bad specs and
-/// structurally broken programs.
-pub fn lint_job(spec: &JobSpec) -> Report {
+/// Infeasible specs yield a single `PS0501` error. `algo` decides whether
+/// a deadlock cycle is an error (worst-case, as `predsim check
+/// --worst-case` lints) or a warning; `strict` makes a receive starved by a
+/// fault window an error (`check --strict`).
+pub fn lint_job_as(spec: &JobSpec, algo: CommAlgo, strict: bool) -> Report {
     if let Err(why) = spec.source.validate() {
         let mut report = Report::new();
         report.push(
@@ -113,7 +120,7 @@ pub fn lint_job(spec: &JobSpec) -> Report {
         return report;
     }
     let mut opts = LintOptions::default()
-        .with_algo(CommAlgo::Standard)
+        .with_algo(algo)
         .with_params(spec.opts.cfg.params);
     if let Some(plan) = &spec.faults {
         opts = opts.with_fault_windows(
@@ -126,34 +133,49 @@ pub fn lint_job(spec: &JobSpec) -> Report {
                 })
                 .collect(),
         );
+        if strict {
+            opts = opts.with_strict_faults();
+        }
     }
     check_program(&spec.source.build(), &opts)
 }
 
 /// Static `[lo, hi]` cost interval for one job, without simulating it:
-/// the `predsim-lint` interval interpreter run under the spec's machine,
-/// synchronization and overlap settings.
-///
-/// Returns `None` when the interval is not defined for the job: infeasible
-/// specs (the generator would reject the inputs) and fault-injected jobs
-/// (a fail-stop outage voids both the floor and the ceiling — the analysis
-/// models the fault-free machine only). A prepared spec
-/// ([`Engine::prepare`]) is analyzed without being rebuilt.
+/// [`static_bounds_or_reason`] without the reason.
 pub fn static_bounds(spec: &JobSpec) -> Option<predsim_lint::ProgramBounds> {
-    if spec.faults.is_some() || spec.source.validate().is_err() {
-        return None;
+    static_bounds_or_reason(spec).ok()
+}
+
+/// Static `[lo, hi]` cost interval for one job, without simulating it —
+/// the `predsim-lint` interval interpreter run under the spec's machine,
+/// synchronization and overlap settings — or the reason every front end
+/// reports when the interval is not defined: `"fault injection voids the
+/// static bounds"` (a fail-stop outage voids both the floor and the
+/// ceiling; the analysis models the fault-free machine only), `"infeasible
+/// spec"` (the generator would reject the inputs) or `"program is
+/// malformed"`. A prepared spec ([`Engine::prepare`]) is analyzed without
+/// being rebuilt.
+pub fn static_bounds_or_reason(
+    spec: &JobSpec,
+) -> Result<predsim_lint::ProgramBounds, &'static str> {
+    if spec.faults.is_some() {
+        return Err("fault injection voids the static bounds");
+    }
+    if spec.source.validate().is_err() {
+        return Err("infeasible spec");
     }
     let program = spec.source.build();
     let cfg = predsim_lint::BoundsConfig::new(spec.opts.cfg.params)
         .with_sync(spec.opts.sync)
         .with_overlap(spec.opts.overlap);
     predsim_lint::analyze(&predsim_lint::ProgramView::of(&program), &cfg)
+        .ok_or("program is malformed")
 }
 
 /// Simulate one job once while recording every step, returning the
 /// prediction, the recording, and the built program.
 ///
-/// The recording replays bit-identically under *any* [`SimOptions`]
+/// The recording replays bit-identically under *any* `SimOptions`
 /// (`ProgramRecording::predict` verifies each step and transparently
 /// resimulates on any mismatch), so the caller may cache it keyed by the
 /// program alone and serve later requests with different machines or
@@ -512,8 +534,10 @@ impl Engine {
     /// then shares the program instead of building it again.
     ///
     /// Infeasible specs come back unbuilt, so the lint gate still reports
-    /// them as `PS0501` and an unchecked run still ends them `crashed`;
-    /// so does a spec whose generator panics despite validating.
+    /// them as `PS0501` and an unchecked run still ends them `crashed`
+    /// ([`JobSource::build`] panics on what validation refuses, on an
+    /// over-cap processor count before allocating); so does a spec whose
+    /// generator panics despite validating.
     pub fn prepare(&self, mut spec: JobSpec) -> JobSpec {
         if spec.source.validate().is_ok() {
             if let Ok(program) = catch_unwind(AssertUnwindSafe(|| self.build(&spec.source))) {
@@ -1267,6 +1291,29 @@ mod tests {
             Some(jobs.len() as u64 - 1),
             "one build per feasible job"
         );
+    }
+
+    #[test]
+    fn over_cap_processor_counts_crash_before_building() {
+        let opts = predsim_core::SimOptions::new(commsim::SimConfig::new(presets::meiko_cs2(5000)));
+        let huge = JobSpec::new(
+            "huge",
+            JobSource::Stencil {
+                n: 10_000,
+                procs: 5000,
+                iters: 1,
+                ps_per_flop: 500,
+            },
+            opts,
+        );
+        let engine = Engine::sequential();
+        match &engine.run(&[huge])[0].outcome {
+            JobOutcome::Crashed { message, .. } => {
+                assert!(message.contains("supported maximum of 4096"), "{message}")
+            }
+            other => panic!("expected Crashed, got {}", other.kind()),
+        }
+        assert_eq!(builds(&engine), Some(0), "nothing was built");
     }
 
     /// Three block sizes of one GE sweep.

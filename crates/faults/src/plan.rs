@@ -35,6 +35,20 @@ impl FaultPlan {
         FaultPlan { spec, seed }
     }
 
+    /// The plan a front end's fault spec and seed select: `None` without a
+    /// spec, seed 0 when none is given. A seed without a spec is an error
+    /// rather than a silent fault-free run.
+    pub fn parse(spec: Option<&str>, seed: Option<u64>) -> Result<Option<FaultPlan>, String> {
+        match (spec, seed) {
+            (None, None) => Ok(None),
+            (None, Some(_)) => Err("a seed only makes sense together with a fault spec".into()),
+            (Some(text), seed) => Ok(Some(FaultPlan::new(
+                FaultSpec::parse(text)?,
+                seed.unwrap_or(0),
+            ))),
+        }
+    }
+
     /// The underlying spec.
     pub fn spec(&self) -> &FaultSpec {
         &self.spec

@@ -54,6 +54,9 @@ pub fn ideal(procs: usize) -> LogGpParams {
 /// agree on these).
 pub const SHORT_NAMES: [&str; 5] = ["meiko", "paragon", "myrinet", "ethernet", "ideal"];
 
+/// The machine every front end predicts on when a request names none.
+pub const DEFAULT: &str = "meiko";
+
 /// Look a preset up by its short name (`meiko`, `paragon`, `myrinet`,
 /// `ethernet`, `ideal`) at a given processor count. Every front end that
 /// accepts a machine name — the CLI flags and the serve API's `machine`

@@ -24,17 +24,24 @@
 //!
 //! `POST /v1/predict` takes one job object; `POST /v1/batch` takes
 //! `{"jobs": [job, ...]}`. Before anything is enqueued the job is
-//! pre-validated with the engine's pre-run gate (see [`lint_spec`]) —
-//! error-severity diagnostics turn into a `422` whose body is the same
-//! `{"version":1,"sources":[...]}` document `predsim check --json`
-//! prints.
+//! pre-validated with the engine's pre-run gate
+//! ([`predsim_engine::lint_job`]) — error-severity diagnostics turn into a
+//! `422` whose body is the check document ([`check_document`]) `predsim
+//! check --json` prints.
+//!
+//! This module extracts JSON fields; what a switch or a seed means is
+//! decided where the CLI's flags are decided too
+//! ([`SimOptions::from_switches`], [`FaultPlan::parse`]).
 
-use loggp::presets;
-use predsim_core::{textfmt, SimOptions};
+use crate::http::Response;
+use commsim::SimConfig;
+use loggp::{presets, LogGpParams};
+use predsim_core::{textfmt, Program, SimOptions};
+use predsim_dag::{SchedulerKind, MAX_TASKS};
 use predsim_engine::{JobResult, JobSource, JobSpec};
-use predsim_faults::{FaultPlan, FaultSpec};
+use predsim_faults::FaultPlan;
 use predsim_lint::json::{self, Value};
-use predsim_lint::Report;
+use predsim_lint::{ProgramBounds, Report};
 use std::sync::Arc;
 
 /// An API failure: the status code to send and the JSON body to send it
@@ -64,6 +71,12 @@ impl ApiError {
             status: 422,
             body: doc.to_compact(),
         }
+    }
+}
+
+impl From<ApiError> for Response {
+    fn from(e: ApiError) -> Response {
+        Response::json(e.status, e.body)
     }
 }
 
@@ -102,6 +115,19 @@ fn field_str<'a>(v: &'a Value, name: &str) -> Result<Option<&'a str>, String> {
             .as_str()
             .map(Some)
             .ok_or_else(|| format!("field '{name}' must be a string")),
+    }
+}
+
+fn field_uint<T: TryFrom<i64>>(v: &Value, name: &str) -> Result<Option<T>, String> {
+    match v.get(name) {
+        None => Ok(None),
+        Some(s) => {
+            let n = s
+                .as_int()
+                .ok_or_else(|| format!("field '{name}' must be an integer"))?;
+            T::try_from(n).map_err(|_| format!("field '{name}' must be non-negative"))
+        }
+        .map(Some),
     }
 }
 
@@ -150,48 +176,15 @@ fn job_from_value(v: &Value) -> Result<(String, JobSpec), String> {
         (None, None) => return Err("job needs a 'source' spec or an inline 'trace'".into()),
     };
 
-    let machine = field_str(v, "machine")?.unwrap_or("meiko");
+    let machine = field_str(v, "machine")?.unwrap_or(presets::DEFAULT);
     let params = presets::by_name(machine, source.procs())
         .ok_or_else(|| format!("unknown machine '{machine}'"))?;
-    let mut opts = SimOptions::new(commsim::SimConfig::new(params));
-    if field_bool(v, "worst_case")? {
-        opts = opts.worst_case();
-    }
-    if field_bool(v, "barrier")? {
-        opts = opts.with_barrier();
-    }
-    if field_bool(v, "overlap")? {
-        opts = opts.with_overlap();
-    }
-    if field_bool(v, "classic_gap")? {
-        opts.cfg = opts.cfg.with_classic_gap_rule();
-    }
-
-    let faults = match field_str(v, "faults")? {
-        Some(text) => {
-            let spec = FaultSpec::parse(text)?;
-            let seed = match v.get("seed") {
-                None => 0,
-                Some(s) => u64::try_from(s.as_int().ok_or("field 'seed' must be an integer")?)
-                    .map_err(|_| "field 'seed' must be non-negative".to_string())?,
-            };
-            Some(FaultPlan::new(spec, seed))
-        }
-        None => {
-            if v.get("seed").is_some() {
-                return Err("'seed' only makes sense together with 'faults'".into());
-            }
-            None
-        }
-    };
-
+    let opts = SimOptions::from_switches(SimConfig::new(params), |name| field_bool(v, name))?;
     let label = field_str(v, "label")?
         .map(str::to_string)
         .unwrap_or_else(|| format!("{machine}: {name}"));
     let mut spec = JobSpec::new(label, source, opts);
-    if let Some(plan) = faults {
-        spec = spec.with_faults(plan);
-    }
+    spec.faults = FaultPlan::parse(field_str(v, "faults")?, field_uint(v, "seed")?)?;
     Ok((name, spec))
 }
 
@@ -293,19 +286,6 @@ pub struct CalibrateRequest {
     pub register: Option<String>,
 }
 
-fn field_usize(v: &Value, name: &str) -> Result<Option<usize>, String> {
-    match v.get(name) {
-        None => Ok(None),
-        Some(s) => {
-            let n = s
-                .as_int()
-                .ok_or_else(|| format!("field '{name}' must be an integer"))?;
-            usize::try_from(n).map_err(|_| format!("field '{name}' must be non-negative"))
-        }
-        .map(Some),
-    }
-}
-
 /// Parse a `POST /v1/calibrate` body.
 pub fn parse_calibrate(body: &str) -> Result<CalibrateRequest, ApiError> {
     calibrate_from_value(&json::parse(body).map_err(|e| ApiError::bad(format!("body: {e}")))?)
@@ -327,40 +307,25 @@ fn calibrate_from_value(v: &Value) -> Result<CalibrateRequest, String> {
     source.validate().map_err(|why| format!("source: {why}"))?;
     let (program, loads) = source.build_loaded();
 
-    let machine = field_str(v, "machine")?.unwrap_or("meiko").to_string();
+    let machine = field_str(v, "machine")?
+        .unwrap_or(presets::DEFAULT)
+        .to_string();
     let params = presets::by_name(&machine, program.procs())
         .ok_or_else(|| format!("unknown machine '{machine}'"))?;
 
-    let runs = field_usize(v, "runs")?.unwrap_or(6);
+    let runs = field_uint(v, "runs")?.unwrap_or(6);
     if !(1..=MAX_CALIBRATE_RUNS).contains(&runs) {
         return Err(format!("'runs' must be within 1..={MAX_CALIBRATE_RUNS}"));
     }
-    let holdout = field_usize(v, "holdout")?.unwrap_or(0);
+    let holdout = field_uint(v, "holdout")?.unwrap_or(0);
     if holdout >= runs {
         return Err(format!("'holdout' {holdout} would leave no training runs"));
     }
-
-    let faults = match field_str(v, "faults")? {
-        Some(text) => {
-            let spec = FaultSpec::parse(text)?;
-            let seed = match v.get("seed") {
-                None => 0,
-                Some(s) => u64::try_from(s.as_int().ok_or("field 'seed' must be an integer")?)
-                    .map_err(|_| "field 'seed' must be non-negative".to_string())?,
-            };
-            Some(FaultPlan::new(spec, seed))
-        }
-        None => {
-            if v.get("seed").is_some() {
-                return Err("'seed' only makes sense together with 'faults'".into());
-            }
-            None
-        }
-    };
+    let faults = FaultPlan::parse(field_str(v, "faults")?, field_uint(v, "seed")?)?;
 
     let mut fit = predsim_calib::FitConfig::new(params);
     fit.holdout = holdout;
-    if let Some(rounds) = field_usize(v, "max_rounds")? {
+    if let Some(rounds) = field_uint(v, "max_rounds")? {
         if rounds > MAX_CALIBRATE_ROUNDS {
             return Err(format!(
                 "'max_rounds' must be at most {MAX_CALIBRATE_ROUNDS}"
@@ -382,12 +347,7 @@ fn calibrate_from_value(v: &Value) -> Result<CalibrateRequest, String> {
         program,
         loads,
         machine,
-        measure: predsim_calib::MeasureConfig {
-            ecfg: machine::EmulatorConfig::meiko_like(commsim::SimConfig::new(params)),
-            base_seed: 0,
-            runs,
-            faults,
-        },
+        measure: predsim_calib::MeasureConfig::emulated(params, runs, 0, faults),
         fit,
         register,
     })
@@ -443,13 +403,6 @@ pub fn render_calibrate(
 
 const SPEEDUP_FIELDS: [&str; 4] = ["dag", "scheduler", "machine", "procs"];
 
-/// Largest processor count one speedup sweep may simulate (the same
-/// ceiling `predsim dag-sweep` enforces).
-pub const MAX_SWEEP_PROCS: usize = 64;
-/// Largest task count one speedup request may carry — every swept point
-/// schedules, lowers, and simulates the whole DAG.
-pub const MAX_SWEEP_TASKS: usize = 4096;
-
 /// One parsed `POST /v1/speedup` request: a task DAG plus the scheduler,
 /// machine, and processor range to sweep. `Clone` so the supervisor can
 /// re-enqueue a copy if the worker holding it dies.
@@ -458,7 +411,7 @@ pub struct SpeedupRequest {
     /// The DAG to sweep (sent inline; the server reads no files).
     pub dag: Arc<predsim_dag::TaskDag>,
     /// Scheduling policy applied at every point.
-    pub scheduler: predsim_dag::SchedulerKind,
+    pub scheduler: SchedulerKind,
     /// Machine name, echoed in the report.
     pub machine: String,
     /// The resolved (possibly heterogeneous) machine at the largest
@@ -496,24 +449,26 @@ fn speedup_from_value(v: &Value) -> Result<SpeedupRequest, String> {
         .ok_or("speedup needs an inline 'dag' in the line format (the server reads no files)")?;
     let dag = predsim_dag::format::parse(text).map_err(|e| format!("dag: {e}"))?;
     dag.validate().map_err(|e| format!("dag: {e}"))?;
-    if dag.tasks().len() > MAX_SWEEP_TASKS {
+    if dag.tasks().len() > MAX_TASKS {
         return Err(format!(
-            "dag has {} tasks; the limit is {MAX_SWEEP_TASKS}",
+            "dag has {} tasks; the limit is {MAX_TASKS}",
             dag.tasks().len()
         ));
     }
     let scheduler =
-        predsim_dag::SchedulerKind::parse(field_str(v, "scheduler")?.unwrap_or("heft"))?;
-    let machine = field_str(v, "machine")?.unwrap_or("meiko").to_string();
+        field_str(v, "scheduler")?.map_or(Ok(SchedulerKind::default()), SchedulerKind::parse)?;
+    let machine = field_str(v, "machine")?
+        .unwrap_or(presets::DEFAULT)
+        .to_string();
     let procs = match v.get("procs") {
         None => return Err("speedup needs a 'procs' count or \"A..B\" range".into()),
-        Some(Value::Str(s)) => predsim_dag::parse_procs(s, MAX_SWEEP_PROCS)?,
+        Some(Value::Str(s)) => predsim_dag::parse_procs(s)?,
         Some(n) => {
             let n = n
                 .as_int()
                 .ok_or("field 'procs' must be an integer or an \"A..B\" string")?;
             let n = usize::try_from(n).map_err(|_| "field 'procs' must be positive".to_string())?;
-            predsim_dag::parse_procs(&n.to_string(), MAX_SWEEP_PROCS)?
+            predsim_dag::parse_procs(&n.to_string())?
         }
     };
     let max = *procs
@@ -535,45 +490,76 @@ pub fn render_speedup(report: &predsim_dag::SweepReport) -> String {
     report.to_value().to_compact()
 }
 
-/// Lint one parsed job with the engine's own pre-run gate
-/// ([`predsim_engine::lint_job`]): the spec's preconditions first (an
-/// infeasible spec is a single `PS0501` error), then the built program
-/// under the job's machine parameters and fault windows.
-///
-/// This is deliberately [`Engine::run_checked`]'s notion of validity,
-/// not `predsim check --worst-case`'s: deadlock cycles stay warnings,
-/// because the worst-case simulator executes cyclic steps by forcing
-/// transmissions — that is its defined behaviour, and the server must
-/// admit every job the engine can run.
-///
-/// [`Engine::run_checked`]: predsim_engine::Engine::run_checked
-pub fn lint_spec(spec: &JobSpec) -> Report {
-    predsim_engine::lint_job(spec)
+/// The `bounds` field of a check-document entry or an estimate, or the
+/// `bounds_unavailable` reason in its place.
+fn bounds_field(bounds: Result<&ProgramBounds, &str>) -> (String, Value) {
+    match bounds {
+        Ok(b) => ("bounds".into(), b.to_value()),
+        Err(why) => ("bounds_unavailable".into(), Value::Str(why.into())),
+    }
 }
 
-/// Pre-validate a batch of parsed jobs. `Ok(())` means no job has
-/// error-severity diagnostics; otherwise the `422` document — the same
-/// `{"version":1,"sources":[...]}` shape `predsim check --json` prints,
-/// with one entry per rejected job.
+/// One source of the check document: its name, its lint report and, when
+/// asked for, its static bounds or why they are unavailable
+/// ([`predsim_engine::static_bounds_or_reason`]).
+pub fn check_source(
+    name: &str,
+    report: &Report,
+    bounds: Option<Result<&ProgramBounds, &str>>,
+) -> Value {
+    let mut fields = vec![
+        ("name".into(), Value::Str(name.into())),
+        ("report".into(), report.to_value()),
+    ];
+    fields.extend(bounds.map(bounds_field));
+    Value::Object(fields)
+}
+
+/// The check document around its sources: `{"version":1,"sources":[...]}`,
+/// what `predsim check --json` prints and a `422` carries.
+pub fn check_document(sources: Vec<Value>) -> Value {
+    Value::Object(vec![
+        ("version".into(), Value::Int(1)),
+        ("sources".into(), Value::Array(sources)),
+    ])
+}
+
+/// Pre-validate a batch of parsed jobs with the engine's pre-run gate
+/// ([`predsim_engine::lint_job`]: the server admits every job the engine
+/// can run, so deadlock cycles stay warnings). `Ok(())` means no job has
+/// error-severity diagnostics; otherwise the `422` check document, with
+/// one source per rejected job.
 pub fn check_jobs(jobs: &[(String, JobSpec)]) -> Result<(), ApiError> {
-    let mut rejected = Vec::new();
-    for (name, spec) in jobs {
-        let report = lint_spec(spec);
-        if report.has_errors() {
-            rejected.push(Value::Object(vec![
-                ("name".into(), Value::Str(name.clone())),
-                ("report".into(), report.to_value()),
-            ]));
-        }
-    }
+    let rejected: Vec<Value> = jobs
+        .iter()
+        .filter_map(|(name, spec)| {
+            let report = predsim_engine::lint_job(spec);
+            report
+                .has_errors()
+                .then(|| check_source(name, &report, None))
+        })
+        .collect();
     if rejected.is_empty() {
         Ok(())
     } else {
-        Err(ApiError::invalid(Value::Object(vec![
-            ("version".into(), Value::Int(1)),
-            ("sources".into(), Value::Array(rejected)),
-        ])))
+        Err(ApiError::invalid(check_document(rejected)))
     }
+}
+
+/// [`check_jobs`] for one built program under `params`: the gate of the
+/// requests that run a program of their own (`/v1/calibrate` and
+/// `/v1/speedup`).
+pub fn check_program(
+    name: &str,
+    program: Arc<Program>,
+    params: LogGpParams,
+) -> Result<(), ApiError> {
+    let spec = JobSpec::new(
+        name,
+        JobSource::Program(program),
+        SimOptions::new(SimConfig::new(params)),
+    );
+    check_jobs(&[(name.to_string(), spec)])
 }
 
 /// Render one engine result as a JSON object.
@@ -675,21 +661,15 @@ pub fn render_predict_static(label: &str, bounds: &predsim_lint::ProgramBounds) 
 }
 
 /// Render a `POST /v1/estimate` body: the static interval alone, no
-/// simulation. The `bounds` object is rendered by the exact same
-/// [`predsim_lint::ProgramBounds::to_value`] the CLI's
-/// `check --bounds --json` uses, so the two agree byte for byte; when
-/// no bounds exist the body carries the same `bounds_unavailable`
-/// reason strings the CLI prints.
-pub fn render_estimate(name: &str, bounds: Result<&predsim_lint::ProgramBounds, &str>) -> String {
-    let mut fields = vec![
+/// simulation, or the reason there is none — the same field the sources of
+/// `check --bounds --json`'s document carry ([`check_source`]).
+pub fn render_estimate(name: &str, bounds: Result<&ProgramBounds, &str>) -> String {
+    Value::Object(vec![
         ("version".into(), Value::Int(1)),
         ("name".into(), Value::Str(name.into())),
-    ];
-    match bounds {
-        Ok(b) => fields.push(("bounds".into(), b.to_value())),
-        Err(why) => fields.push(("bounds_unavailable".into(), Value::Str(why.into()))),
-    }
-    Value::Object(fields).to_compact()
+        bounds_field(bounds),
+    ])
+    .to_compact()
 }
 
 /// Render a `POST /v1/batch` success body (results in submission order).

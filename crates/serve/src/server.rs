@@ -387,6 +387,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// True once a drain has been requested.
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
     fn sync_gauges(&self) {
         self.metrics.queue_depth.set(self.queue.depth() as u64);
         self.metrics
@@ -454,7 +459,7 @@ impl ServerHandle {
     /// True once a drain has been requested — by [`ServerHandle::drain`]
     /// or by a client's `POST /admin/drain`.
     pub fn drain_requested(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.draining()
     }
 
     /// Block until a drain is requested (the CLI parks here).
@@ -809,7 +814,7 @@ fn run_speedup(request: &api::SpeedupRequest) -> Result<predsim_dag::SweepReport
 
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.draining.load(Ordering::SeqCst) {
+    while !shared.draining() {
         match listener.accept() {
             Ok((stream, _)) => {
                 if let Some(plan) = &shared.chaos {
@@ -898,7 +903,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             }
         }
         let started = Instant::now();
-        let keep_alive = request.wants_keep_alive() && !shared.draining.load(Ordering::SeqCst);
+        let keep_alive = request.wants_keep_alive() && !shared.draining();
         let (endpoint, response) = route(&request, shared);
         let status = response.status;
         if response.write_to(&mut writer, keep_alive).is_err() {
@@ -918,23 +923,24 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 }
 
 /// Dispatch one request. Returns the endpoint label used in metrics and
-/// the response to send.
+/// the response to send. Handlers answer `Err` with a failure status so
+/// that `?` can end them early; both sides are sent alike.
 fn route(request: &Request, shared: &Shared) -> (&'static str, Response) {
-    match (request.method.as_str(), request.path.as_str()) {
+    let (endpoint, answer) = match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/predict") => ("/v1/predict", predict(request, shared)),
         ("POST", "/v1/estimate") => ("/v1/estimate", estimate(request)),
         ("POST", "/v1/batch") => ("/v1/batch", batch(request, shared)),
         ("POST", "/v1/calibrate") => ("/v1/calibrate", calibrate(request, shared)),
         ("POST", "/v1/speedup") => ("/v1/speedup", speedup(request, shared)),
-        ("POST", "/admin/drain") => ("/admin/drain", drain_request(shared)),
-        ("GET", "/healthz") => ("/healthz", healthz(shared)),
+        ("POST", "/admin/drain") => ("/admin/drain", Ok(drain_request(shared))),
+        ("GET", "/healthz") => ("/healthz", Ok(healthz(shared))),
         ("GET", "/metrics") => (
             "/metrics",
-            Response::text(200, snapshot(shared).to_prometheus()),
+            Ok(Response::text(200, snapshot(shared).to_prometheus())),
         ),
         ("GET", "/metrics.json") => (
             "/metrics.json",
-            Response::json(200, snapshot(shared).to_json()),
+            Ok(Response::json(200, snapshot(shared).to_json())),
         ),
         (
             _,
@@ -942,10 +948,37 @@ fn route(request: &Request, shared: &Shared) -> (&'static str, Response) {
             | "/admin/drain" | "/healthz" | "/metrics" | "/metrics.json",
         ) => (
             "other",
-            Response::json(405, api::error_body("method not allowed")),
+            Err(Response::json(405, api::error_body("method not allowed"))),
         ),
-        _ => ("other", Response::json(404, api::error_body("not found"))),
+        _ => (
+            "other",
+            Err(Response::json(404, api::error_body("not found"))),
+        ),
+    };
+    (endpoint, answer.unwrap_or_else(|refusal| refusal))
+}
+
+/// The opening every POST handler shares: `503` while `draining` (callers
+/// that queue pass the server's flag; `/v1/estimate` never queues, so it
+/// passes `false` and answers throughout a drain), `400` for a body that
+/// is not UTF-8, then `parse`'s verdict on the body.
+fn parse_body<T>(
+    request: &Request,
+    draining: bool,
+    parse: impl FnOnce(&str) -> Result<T, api::ApiError>,
+) -> Result<T, Response> {
+    if draining {
+        return Err(Response::json(503, api::error_body("server is draining")));
     }
+    let body = request
+        .body_str()
+        .map_err(|_| Response::json(400, api::error_body("body is not valid UTF-8")))?;
+    Ok(parse(body)?)
+}
+
+/// The `500` for a worker reply of the wrong kind (a bug, never expected).
+fn wrong_reply() -> Response {
+    Response::json(500, api::error_body("worker returned the wrong reply kind"))
 }
 
 /// A metrics snapshot with the serve gauges freshly synced. Goes through
@@ -958,7 +991,7 @@ fn snapshot(shared: &Shared) -> MetricsSnapshot {
 
 fn healthz(shared: &Shared) -> Response {
     use predsim_lint::json::Value;
-    let draining = shared.draining.load(Ordering::SeqCst);
+    let draining = shared.draining();
     let body = Value::Object(vec![
         (
             "status".into(),
@@ -1102,24 +1135,12 @@ fn try_replay(shared: &Shared, name: &str, spec: &JobSpec) -> Option<Response> {
     ))
 }
 
-fn predict(request: &Request, shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::json(503, api::error_body("server is draining"));
-    }
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
-    };
-    let req = match api::parse_predict(body) {
-        Ok(req) => req,
-        Err(e) => return Response::json(e.status, e.body),
-    };
+fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    let req = parse_body(request, shared.draining(), api::parse_predict)?;
     // The program is built once, here: the lint gate, the degraded tiers,
     // deadline admission, the worker and the post-run bounds all share it.
     let gate = (req.name, shared.engine.prepare(req.spec));
-    if let Err(e) = api::check_jobs(std::slice::from_ref(&gate)) {
-        return Response::json(e.status, e.body);
-    }
+    api::check_jobs(std::slice::from_ref(&gate))?;
     let (name, spec) = gate;
     // Jobs the static analyzer can bracket are the ones the degraded
     // tiers can serve; faulted or infeasible jobs only have the full
@@ -1132,12 +1153,15 @@ fn predict(request: &Request, shared: &Shared) -> Response {
         if degradable {
             if let Some(b) = predsim_engine::static_bounds(&spec) {
                 shared.metrics.tier(api::Tier::Static);
-                return Response::json(200, api::render_predict_static(&spec.label, &b));
+                return Ok(Response::json(
+                    200,
+                    api::render_predict_static(&spec.label, &b),
+                ));
             }
         }
     } else if depth >= shared.replay_at && degradable && name != "trace" {
         if let Some(resp) = try_replay(shared, &name, &spec) {
-            return resp;
+            return Ok(resp);
         }
     }
 
@@ -1181,10 +1205,13 @@ fn predict(request: &Request, shared: &Shared) -> Response {
             // answer is instant) or refuse with the computed horizon.
             if let Some(b) = &bounds {
                 shared.metrics.tier(api::Tier::Static);
-                return Response::json(200, api::render_predict_static(&spec.label, b));
+                return Ok(Response::json(
+                    200,
+                    api::render_predict_static(&spec.label, b),
+                ));
             }
             shared.metrics.shed("deadline-reject");
-            return shared.too_busy("deadline cannot be met; retry later");
+            return Err(shared.too_busy("deadline cannot be met; retry later"));
         }
         deadline = Some(Instant::now() + Duration::from_millis(ms));
     }
@@ -1197,204 +1224,127 @@ fn predict(request: &Request, shared: &Shared) -> Response {
         deadline,
         sheddable: deadline.is_none(),
     };
-    match admit_and_run(shared, vec![admit]) {
-        Ok(mut replies) => match replies.pop() {
-            Some(Reply::Predict(result, exec_ns)) => {
-                // The static interval is computed on the request thread
-                // after the simulation returns (unless the deadline path
-                // already needed it): it never delays the enqueue, and
-                // shed requests never pay for it.
-                let bounds = bounds.or_else(|| predsim_engine::static_bounds(&for_bounds));
-                if exec_ns > 0 {
-                    shared
-                        .cost
-                        .observe(exec_ns, bounds.as_ref().map_or(0, |b| b.hi.as_ps()));
-                }
-                shared.metrics.tier(api::Tier::Full);
-                Response::json(
-                    200,
-                    api::render_predict(&result, bounds.as_ref(), api::Tier::Full),
-                )
+    match admit_and_run(shared, vec![admit])?.pop() {
+        Some(Reply::Predict(result, exec_ns)) => {
+            // The static interval is computed on the request thread after
+            // the simulation returns (unless the deadline path already
+            // needed it): it never delays the enqueue, and shed requests
+            // never pay for it.
+            let bounds = bounds.or_else(|| predsim_engine::static_bounds(&for_bounds));
+            if exec_ns > 0 {
+                shared
+                    .cost
+                    .observe(exec_ns, bounds.as_ref().map_or(0, |b| b.hi.as_ps()));
             }
-            Some(Reply::Shed) => {
-                // Admitted, then evicted by a deadline admission or
-                // expired in the queue: still answered, at the static
-                // tier when the analyzer can bracket the job.
-                let bounds = bounds.or_else(|| predsim_engine::static_bounds(&for_bounds));
-                match bounds {
-                    Some(b) => {
-                        shared.metrics.tier(api::Tier::Static);
-                        Response::json(200, api::render_predict_static(&for_bounds.label, &b))
-                    }
-                    None => shared.too_busy("shed under overload; retry later"),
+            shared.metrics.tier(api::Tier::Full);
+            Ok(Response::json(
+                200,
+                api::render_predict(&result, bounds.as_ref(), api::Tier::Full),
+            ))
+        }
+        Some(Reply::Shed) => {
+            // Admitted, then evicted by a deadline admission or expired in
+            // the queue: still answered, at the static tier when the
+            // analyzer can bracket the job.
+            match bounds.or_else(|| predsim_engine::static_bounds(&for_bounds)) {
+                Some(b) => {
+                    shared.metrics.tier(api::Tier::Static);
+                    Ok(Response::json(
+                        200,
+                        api::render_predict_static(&for_bounds.label, &b),
+                    ))
                 }
+                None => Err(shared.too_busy("shed under overload; retry later")),
             }
-            _ => Response::json(500, api::error_body("worker returned the wrong reply kind")),
-        },
-        Err(resp) => resp,
+        }
+        _ => Err(wrong_reply()),
     }
 }
 
 /// `POST /v1/estimate`: the static cost interval for a job, no
 /// simulation and no queueing — the analyzer runs right here on the
 /// request thread in time proportional to the program text, so the
-/// endpoint answers even while the workers are saturated. The
-/// `bounds` object is byte-identical to what `predsim check --bounds
-/// --json` emits for the same job, and the unavailability reasons
-/// ("infeasible spec", "fault injection voids the static bounds",
-/// "program is malformed") match the CLI's too.
-fn estimate(request: &Request) -> Response {
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
-    };
-    let req = match api::parse_predict(body) {
-        Ok(req) => req,
-        Err(e) => return Response::json(e.status, e.body),
-    };
-    let (name, spec) = (req.name, req.spec);
-    let rendered = if spec.faults.is_some() {
-        api::render_estimate(&name, Err("fault injection voids the static bounds"))
-    } else if spec.source.validate().is_err() {
-        api::render_estimate(&name, Err("infeasible spec"))
-    } else {
-        match predsim_engine::static_bounds(&spec) {
-            Some(b) => api::render_estimate(&name, Ok(&b)),
-            None => api::render_estimate(&name, Err("program is malformed")),
-        }
-    };
-    Response::json(200, rendered)
+/// endpoint answers even while the workers are saturated or draining. The
+/// body is rendered from the same [`predsim_engine::static_bounds_or_reason`]
+/// and bounds field as `predsim check --bounds --json`'s sources.
+fn estimate(request: &Request) -> Result<Response, Response> {
+    let req = parse_body(request, false, api::parse_predict)?;
+    let bounds = predsim_engine::static_bounds_or_reason(&req.spec);
+    Ok(Response::json(
+        200,
+        api::render_estimate(&req.name, bounds.as_ref().map_err(|why| *why)),
+    ))
 }
 
-fn calibrate(request: &Request, shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::json(503, api::error_body("server is draining"));
-    }
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
-    };
-    let parsed = match api::parse_calibrate(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::json(e.status, e.body),
-    };
+fn calibrate(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    let parsed = parse_body(request, shared.draining(), api::parse_calibrate)?;
     // The same pre-run gate as /v1/predict: a source the engine would
     // refuse to run is refused here, with the same 422 document.
-    let gate = JobSpec::new(
-        parsed.source.clone(),
-        predsim_engine::JobSource::Program(Arc::clone(&parsed.program)),
-        predsim_core::SimOptions::new(commsim::SimConfig::new(parsed.fit.initial)),
-    );
-    if let Err(e) = api::check_jobs(std::slice::from_ref(&(parsed.source.clone(), gate))) {
-        return Response::json(e.status, e.body);
-    }
+    api::check_program(
+        &parsed.source,
+        Arc::clone(&parsed.program),
+        parsed.fit.initial,
+    )?;
     let est = shared.cost.est_job_ns(0);
-    match admit_and_run(
-        shared,
-        vec![Admit::plain(Work::Calibrate(Box::new(parsed)), est)],
-    ) {
-        Ok(mut replies) => match replies.pop() {
-            Some(Reply::Calibrate(outcome)) => match *outcome {
-                Ok((report, registered)) => {
-                    Response::json(200, api::render_calibrate(&report, registered.as_ref()))
-                }
-                Err(why) => Response::json(422, api::error_body(&why)),
-            },
-            _ => Response::json(500, api::error_body("worker returned the wrong reply kind")),
+    let work = Admit::plain(Work::Calibrate(Box::new(parsed)), est);
+    match admit_and_run(shared, vec![work])?.pop() {
+        Some(Reply::Calibrate(outcome)) => match *outcome {
+            Ok((report, registered)) => Ok(Response::json(
+                200,
+                api::render_calibrate(&report, registered.as_ref()),
+            )),
+            Err(why) => Err(Response::json(422, api::error_body(&why))),
         },
-        Err(resp) => resp,
+        _ => Err(wrong_reply()),
     }
 }
 
-fn speedup(request: &Request, shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::json(503, api::error_body("server is draining"));
-    }
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
-    };
-    let parsed = match api::parse_speedup(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::json(e.status, e.body),
-    };
+fn speedup(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    let parsed = parse_body(request, shared.draining(), api::parse_speedup)?;
     // The same pre-run gate as /v1/predict, applied to the schedule the
     // sweep will simulate at its largest processor count: a lowered
     // program the engine would refuse to run is refused here, with the
     // same 422 document.
     let placement = parsed.scheduler.place(&parsed.dag, &parsed.spec);
     let lowered = predsim_dag::lower(&parsed.dag, &placement, &parsed.spec);
-    let label = format!("dag:{}", parsed.dag.name());
-    let gate = JobSpec::new(
-        label.clone(),
-        predsim_engine::JobSource::Program(Arc::new(lowered.program)),
-        predsim_core::SimOptions::new(commsim::SimConfig::new(parsed.spec.base)),
-    );
-    if let Err(e) = api::check_jobs(std::slice::from_ref(&(label, gate))) {
-        return Response::json(e.status, e.body);
-    }
+    api::check_program(
+        &format!("dag:{}", parsed.dag.name()),
+        Arc::new(lowered.program),
+        parsed.spec.base,
+    )?;
     let est = shared.cost.est_job_ns(0);
-    match admit_and_run(
-        shared,
-        vec![Admit::plain(Work::Speedup(Box::new(parsed)), est)],
-    ) {
-        Ok(mut replies) => match replies.pop() {
-            Some(Reply::Speedup(outcome)) => match *outcome {
-                Ok(report) => Response::json(200, api::render_speedup(&report)),
-                Err(why) => Response::json(422, api::error_body(&why)),
-            },
-            _ => Response::json(500, api::error_body("worker returned the wrong reply kind")),
+    let work = Admit::plain(Work::Speedup(Box::new(parsed)), est);
+    match admit_and_run(shared, vec![work])?.pop() {
+        Some(Reply::Speedup(outcome)) => match *outcome {
+            Ok(report) => Ok(Response::json(200, api::render_speedup(&report))),
+            Err(why) => Err(Response::json(422, api::error_body(&why))),
         },
-        Err(resp) => resp,
+        _ => Err(wrong_reply()),
     }
 }
 
-fn batch(request: &Request, shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::json(503, api::error_body("server is draining"));
-    }
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(_) => return Response::json(400, api::error_body("body is not valid UTF-8")),
-    };
-    let jobs = match api::parse_batch(body) {
-        Ok(jobs) => jobs,
-        Err(e) => return Response::json(e.status, e.body),
-    };
+fn batch(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    let jobs = parse_body(request, shared.draining(), api::parse_batch)?;
     // As for /v1/predict: one build per job, shared by gate and worker.
     let jobs: Vec<(String, JobSpec)> = jobs
         .into_iter()
         .map(|(name, spec)| (name, shared.engine.prepare(spec)))
         .collect();
-    if let Err(e) = api::check_jobs(&jobs) {
-        return Response::json(e.status, e.body);
-    }
+    api::check_jobs(&jobs)?;
     let est = shared.cost.est_job_ns(0);
     let work = jobs
         .into_iter()
         .map(|(_, spec)| Admit::plain(Work::Predict(Box::new(spec)), est))
         .collect();
-    match admit_and_run(shared, work) {
-        Ok(replies) => {
-            let mut results = Vec::with_capacity(replies.len());
-            for reply in replies {
-                match reply {
-                    Reply::Predict(result, exec_ns) => {
-                        if exec_ns > 0 {
-                            shared.cost.observe(exec_ns, 0);
-                        }
-                        results.push(result);
-                    }
-                    _ => {
-                        return Response::json(
-                            500,
-                            api::error_body("worker returned the wrong reply kind"),
-                        )
-                    }
-                }
-            }
-            Response::json(200, api::render_batch(&results))
+    let mut results = Vec::new();
+    for reply in admit_and_run(shared, work)? {
+        let Reply::Predict(result, exec_ns) = reply else {
+            return Err(wrong_reply());
+        };
+        if exec_ns > 0 {
+            shared.cost.observe(exec_ns, 0);
         }
-        Err(resp) => resp,
+        results.push(result);
     }
+    Ok(Response::json(200, api::render_batch(&results)))
 }

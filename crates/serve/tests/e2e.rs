@@ -322,8 +322,12 @@ fn oversized_processor_counts_are_rejected_without_killing_the_server() {
     );
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("supported maximum of 4096"), "{body}");
+    // A DAG is sized by its task count, refused while the spec is parsed.
+    let (status, body) = predict(addr, r#"{"source":"dag:forkjoin:4000000000,1,1000,8:4"}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("supported maximum of 4096"), "{body}");
     let (status, _, _) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200, "the server survives both requests");
+    assert_eq!(status, 200, "the server survives every request");
     handle.drain();
 }
 

@@ -23,17 +23,14 @@
 
 use predsim::cli::{machine, machine_spec, switch, valued, Args, FlagSpec};
 use predsim::predsim_core::report::{secs, Table};
-use predsim::predsim_core::{record_program, textfmt, CommAlgo};
+use predsim::predsim_core::{record_program, textfmt, CommAlgo, MAX_PROCS};
 use predsim::predsim_dag::{self, SchedulerKind};
 use predsim::predsim_engine::{
-    best_by_total, Engine, EngineConfig, JobResult, JobSource, JobSpec, Journal, JournalEntry,
-    LayoutSpec,
+    best_by_total, lint_job_as, static_bounds_or_reason, Engine, EngineConfig, JobResult,
+    JobSource, JobSpec, Journal, JournalEntry, LayoutSpec,
 };
-use predsim::predsim_lint::{
-    analyze, check_program, json, BoundsConfig, Code, Diagnostic, FaultWindow, LintOptions,
-    ProgramBounds, ProgramView, Report, Severity, Span,
-};
-use predsim::predsim_serve::{ChaosPlan, ChaosSpec, ServeConfig, Server};
+use predsim::predsim_lint::{Code, ProgramBounds, Severity};
+use predsim::predsim_serve::{api, ChaosPlan, ChaosSpec, ServeConfig, Server};
 use predsim::prelude::*;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -316,39 +313,35 @@ fn load_trace(path: &str) -> Result<predsim::predsim_core::Program, String> {
     textfmt::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn sim_options(args: &Args, procs: usize) -> Result<SimOptions, String> {
-    let params = machine(args.value("machine").unwrap_or("meiko"), procs)?;
-    let mut opts = SimOptions::new(SimConfig::new(params));
-    if args.flag("worst-case") {
-        opts = opts.worst_case();
-    }
-    if args.flag("barrier") {
-        opts = opts.with_barrier();
-    }
-    if args.flag("overlap") {
-        opts = opts.with_overlap();
-    }
-    if args.flag("classic-gap") {
-        opts.cfg = opts.cfg.with_classic_gap_rule();
-    }
-    Ok(opts)
+/// The options `--worst-case`, `--barrier`, `--overlap` and
+/// `--classic-gap` select on machine `name` sized to `procs` processors.
+fn sim_options(args: &Args, name: &str, procs: usize) -> Result<SimOptions, String> {
+    SimOptions::from_switches(SimConfig::new(machine(name, procs)?), |switch| {
+        Ok(args.flag(&switch.replace('_', "-")))
+    })
 }
 
-/// The seeded fault plan from `--faults SPEC [--seed N]`, `None` when the
-/// command runs fault-free.
-fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
-    let Some(text) = args.value("faults") else {
-        if args.value("seed").is_some() {
-            return Err("--seed only makes sense together with --faults".into());
-        }
+/// The seeded fault plan `spec` and `--seed N` select (`spec` is the
+/// `--faults` value, or the SPEC operand of `faults explain`).
+fn fault_plan(args: &Args, spec: Option<&str>) -> Result<Option<FaultPlan>, String> {
+    let seed = match args.value("seed") {
+        None => None,
+        Some(v) => Some(v.parse().map_err(|e| format!("bad --seed: {e}"))?),
+    };
+    FaultPlan::parse(spec, seed)
+}
+
+/// A count flag's value, within `1..=MAX_PROCS`: a processor count, or a
+/// dimension of a grid drawn per processor.
+fn count(args: &Args, name: &str) -> Result<Option<usize>, String> {
+    let Some(v) = args.value(name) else {
         return Ok(None);
     };
-    let spec = FaultSpec::parse(text)?;
-    let seed = match args.value("seed") {
-        None => 0,
-        Some(v) => v.parse::<u64>().map_err(|e| format!("bad --seed: {e}"))?,
-    };
-    Ok(Some(FaultPlan::new(spec, seed)))
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_PROCS).contains(&n) => Ok(Some(n)),
+        Ok(_) => Err(format!("--{name} must be within 1..={MAX_PROCS}")),
+        Err(e) => Err(format!("bad --{name}: {e}")),
+    }
 }
 
 /// Build the engine configuration from the shared batch flags
@@ -453,7 +446,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         .first()
         .ok_or("simulate: missing TRACE file")?;
     let prog = load_trace(path)?;
-    let opts = sim_options(args, prog.procs())?;
+    let opts = sim_options(args, args.machine_name(), prog.procs())?;
     let pred = simulate_program(&prog, &opts);
     println!("machine: {}", opts.cfg.params);
     println!("{}", pred.summary());
@@ -486,7 +479,7 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
             step.label
         ));
     }
-    let opts = sim_options(args, prog.procs())?;
+    let opts = sim_options(args, args.machine_name(), prog.procs())?;
     let result = if args.flag("worst-case") {
         worstcase::simulate(&step.comm, &opts.cfg)
     } else {
@@ -518,13 +511,9 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("trace: missing SOURCE (a trace file or a ge:/cannon:/stencil:/apsp: spec)")?;
-    let (name, source) = parse_source(raw)?;
-    source
-        .validate()
-        .map_err(|why| format!("source '{name}': {why}"))?;
-    let program = source.build();
-    let opts = sim_options(args, program.procs())?;
-    let plan = fault_plan(args)?;
+    let program = valid_source(raw)?.build();
+    let opts = sim_options(args, args.machine_name(), program.procs())?;
+    let plan = fault_plan(args, args.value("faults"))?;
 
     let sink = MemorySink::new();
     let hooks = SimHooks {
@@ -631,12 +620,7 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
         .unwrap_or("8")
         .parse()
         .map_err(|e| format!("bad --procs: {e}"))?;
-    let layout: Box<dyn Layout> = match args.value("layout").unwrap_or("diagonal") {
-        "diagonal" => Box::new(Diagonal::new(procs)),
-        "row" => Box::new(RowCyclic::new(procs)),
-        "col" => Box::new(ColCyclic::new(procs)),
-        other => return Err(format!("unknown layout '{other}'")),
-    };
+    let layout = LayoutSpec::parse(args.value("layout").unwrap_or("diagonal"), procs)?;
     let blocks: Vec<usize> = match args.value("blocks") {
         Some(s) => s
             .split(',')
@@ -660,35 +644,23 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
             return Err(format!("block {b} does not divide n={n}"));
         }
     }
-    let layout_spec = match args.value("layout").unwrap_or("diagonal") {
-        "diagonal" => LayoutSpec::Diagonal(procs),
-        "row" => LayoutSpec::RowCyclic(procs),
-        "col" => LayoutSpec::ColCyclic(procs),
-        other => return Err(format!("unknown layout '{other}'")),
-    };
-    let params = machine(args.value("machine").unwrap_or("meiko"), procs)?;
-    let cfg = SimConfig::new(params);
-    let plan = fault_plan(args)?;
+    let params = machine(args.machine_name(), procs)?;
+    let opts = SimOptions::new(SimConfig::new(params));
+    let plan = fault_plan(args, args.value("faults"))?;
 
     let engine = Engine::new(engine_config(args)?);
-    let specs: Vec<JobSpec> = blocks
-        .iter()
-        .map(|&b| {
-            let mut spec = JobSpec::new(
-                format!("B={b}"),
-                JobSource::Gauss {
-                    n,
-                    block: b,
-                    layout: layout_spec,
-                },
-                SimOptions::new(cfg),
-            );
-            if let Some(plan) = &plan {
-                spec = spec.with_faults(plan.clone());
-            }
-            spec
-        })
-        .collect();
+    let mut specs = Vec::with_capacity(blocks.len());
+    for &block in &blocks {
+        let source = JobSource::Gauss { n, block, layout };
+        // Refused as `batch` refuses it (PS0501), without the lint gate.
+        source
+            .validate()
+            .map_err(|why| format!("B={block}: {why}"))?;
+        let mut spec = JobSpec::new(format!("B={block}"), source, opts);
+        spec.faults = plan.clone();
+        specs.push(spec);
+    }
+    let layout = layout.build().name();
     if args.flag("prefilter") {
         if plan.is_some() {
             return Err(
@@ -704,22 +676,14 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
                     .into(),
             );
         }
-        println!(
-            "blocked GE, n={n}, {} layout, P={procs}, {} (static prefilter)",
-            layout.name(),
-            params
-        );
+        println!("blocked GE, n={n}, {layout} layout, P={procs}, {params} (static prefilter)");
         return ge_sweep_prefiltered(args, &engine, specs, &blocks);
     }
 
     let (journal, restored) = open_journal(args)?;
     let results = engine.run_resumable(&specs, journal.as_ref(), &restored);
 
-    println!(
-        "blocked GE, n={n}, {} layout, P={procs}, {}",
-        layout.name(),
-        params
-    );
+    println!("blocked GE, n={n}, {layout} layout, P={procs}, {params}");
     if let Some(best) = best_by_total(&results) {
         println!(
             "predicted optimum: B={} at {} s",
@@ -808,11 +772,7 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
     let raw = args.positional.first().ok_or(
         "machine-sweep: missing SOURCE (a trace file or a ge:/cannon:/stencil:/apsp: spec)",
     )?;
-    let (name, source) = parse_source(raw)?;
-    source
-        .validate()
-        .map_err(|why| format!("source '{name}': {why}"))?;
-    let program = source.build();
+    let program = valid_source(raw)?.build();
     let procs = program.procs();
     let machines: Vec<&str> = args
         .value("machines")
@@ -823,29 +783,12 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
     if machines.is_empty() {
         return Err("machine-sweep: --machines lists no machines".into());
     }
-    let opts_for = |params| {
-        let mut opts = SimOptions::new(SimConfig::new(params));
-        if args.flag("worst-case") {
-            opts = opts.worst_case();
-        }
-        if args.flag("barrier") {
-            opts = opts.with_barrier();
-        }
-        if args.flag("overlap") {
-            opts = opts.with_overlap();
-        }
-        if args.flag("classic-gap") {
-            opts.cfg = opts.cfg.with_classic_gap_rule();
-        }
-        opts
-    };
-
-    let base_opts = opts_for(machine(machines[0], procs)?);
+    let base_opts = sim_options(args, machines[0], procs)?;
     let rec_start = std::time::Instant::now();
     let (base_pred, recording) = record_program(&program, &base_opts);
     let rec_elapsed = rec_start.elapsed();
     println!(
-        "{name}: P={procs}, {} step(s), {} with communication; recorded on '{}' in {:.1} ms",
+        "{raw}: P={procs}, {} step(s), {} with communication; recorded on '{}' in {:.1} ms",
         program.len(),
         recording.len(),
         machines[0],
@@ -856,7 +799,7 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
     let mut replayed_total = 0usize;
     let mut resim_total = 0usize;
     for (idx, mname) in machines.iter().enumerate() {
-        let opts = opts_for(machine(mname, procs)?);
+        let opts = sim_options(args, mname, procs)?;
         let (pred, stats) = if idx == 0 {
             // Already simulated while recording; replaying here would just
             // re-derive the identical prediction.
@@ -973,16 +916,11 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
                 .ok_or("dag run: missing DAG (a file or a gen SPEC)")?;
             let dag = load_dag(raw)?;
             dag.validate()?;
-            let procs: usize = args
-                .value("procs")
-                .ok_or("dag run: missing --procs P")?
-                .parse()
-                .map_err(|e| format!("bad --procs: {e}"))?;
-            if procs == 0 {
-                return Err("--procs must be at least 1".into());
-            }
-            let kind = SchedulerKind::parse(args.value("scheduler").unwrap_or("heft"))?;
-            let spec = machine_spec(args.value("machine").unwrap_or("meiko"), procs)?;
+            let procs = count(args, "procs")?.ok_or("dag run: missing --procs P")?;
+            let kind = args
+                .value("scheduler")
+                .map_or(Ok(SchedulerKind::default()), SchedulerKind::parse)?;
+            let spec = machine_spec(args.machine_name(), procs)?;
             let placement = kind.place(&dag, &spec);
             let lowered = predsim_dag::lower(&dag, &placement, &spec);
             let pred = simulate_program(
@@ -1030,9 +968,6 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Largest processor count `dag-sweep` (and `/v1/speedup`) will simulate.
-const MAX_SWEEP_PROCS: usize = 64;
-
 fn cmd_dag_sweep(args: &Args) -> Result<(), String> {
     let raw = args
         .positional
@@ -1042,10 +977,11 @@ fn cmd_dag_sweep(args: &Args) -> Result<(), String> {
     let procs = predsim_dag::parse_procs(
         args.value("procs")
             .ok_or("dag-sweep: missing --procs N or A..B")?,
-        MAX_SWEEP_PROCS,
     )?;
-    let kind = SchedulerKind::parse(args.value("scheduler").unwrap_or("heft"))?;
-    let mname = args.value("machine").unwrap_or("meiko");
+    let kind = args
+        .value("scheduler")
+        .map_or(Ok(SchedulerKind::default()), SchedulerKind::parse)?;
+    let mname = args.machine_name();
     let max = *procs
         .last()
         .expect("parse_procs never returns an empty range");
@@ -1080,14 +1016,20 @@ fn cmd_dag_sweep(args: &Args) -> Result<(), String> {
 /// Parse a batch SOURCE argument: a generator spec (`ge:`, `cannon:`,
 /// `stencil:`, `apsp:` — the shared grammar of [`JobSource::parse_spec`])
 /// or a trace file path.
-fn parse_source(raw: &str) -> Result<(String, JobSource), String> {
+fn parse_source(raw: &str) -> Result<JobSource, String> {
     match JobSource::parse_spec(raw)? {
-        Some(source) => Ok((raw.to_string(), source)),
-        None => {
-            let program = load_trace(raw)?;
-            Ok((raw.to_string(), JobSource::Program(Arc::new(program))))
-        }
+        Some(source) => Ok(source),
+        None => Ok(JobSource::Program(Arc::new(load_trace(raw)?))),
     }
+}
+
+/// A SOURCE argument (as for `batch`) the generator behind it accepts.
+fn valid_source(raw: &str) -> Result<JobSource, String> {
+    let source = parse_source(raw)?;
+    source
+        .validate()
+        .map_err(|why| format!("source '{raw}': {why}"))?;
+    Ok(source)
 }
 
 /// `check --explain CODE`: print the one-paragraph rationale for one
@@ -1118,113 +1060,61 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
         );
     }
     let as_json = args.flag("json");
-    let with_bounds = args.flag("bounds");
     let algo = if args.flag("worst-case") {
         CommAlgo::WorstCase
     } else {
         CommAlgo::Standard
     };
-    let plan = fault_plan(args)?;
+    let plan = fault_plan(args, args.value("faults"))?;
 
     let mut any_error = false;
     let mut any_warning = false;
     let mut sources = Vec::new();
     for raw in &args.positional {
-        let (name, source) = parse_source(raw)?;
-        let mut bounds = None;
-        let mut bounds_unavailable = "";
-        // An infeasible spec is itself a diagnostic (the same PS0501 the
-        // engine's pre-run gate and the serve API report), not a CLI
-        // error: `check --json` always yields a parseable document.
-        let report = match source.validate() {
-            Err(why) => {
-                let mut report = Report::new();
-                report.push(
-                    Diagnostic::new(
-                        Code::BadJobSpec,
-                        Severity::Error,
-                        Span::program(),
-                        format!("job spec cannot produce a program: {why}"),
-                    )
-                    .with_note("the generator would panic on these inputs; fix the spec"),
-                );
-                bounds_unavailable = "infeasible spec";
-                report
-            }
+        let source = parse_source(raw)?;
+        let params = machine(args.machine_name(), source.procs())?;
+        // An infeasible spec stays unbuilt: its report is then the PS0501
+        // the engine's gate and the server report, not a CLI error, so
+        // `check --json` always yields a parseable document.
+        let source = match source.validate() {
             Ok(()) => {
                 let program = source.build();
                 if !as_json {
                     println!(
-                        "checking {name} (P={}, {} step(s))",
+                        "checking {raw} (P={}, {} step(s))",
                         program.procs(),
                         program.len()
                     );
                 }
-                let params = machine(args.value("machine").unwrap_or("meiko"), program.procs())?;
-                let mut opts = LintOptions::default().with_params(params).with_algo(algo);
-                if let Some(plan) = &plan {
-                    opts = opts.with_fault_windows(
-                        plan.spec()
-                            .fails
-                            .iter()
-                            .map(|f| FaultWindow {
-                                proc: f.proc,
-                                step: f.step,
-                            })
-                            .collect(),
-                    );
-                    if args.flag("strict") {
-                        opts = opts.with_strict_faults();
-                    }
-                }
-                if with_bounds {
-                    if plan.is_some() {
-                        bounds_unavailable = "fault injection voids the static bounds";
-                    } else {
-                        let bcfg = BoundsConfig::new(params);
-                        bounds = analyze(&ProgramView::of(&program), &bcfg);
-                        if bounds.is_none() {
-                            bounds_unavailable = "program is malformed";
-                        }
-                    }
-                }
-                check_program(&program, &opts)
+                JobSource::Program(program)
             }
+            Err(_) => source,
         };
+        let mut spec = JobSpec::new(
+            raw.as_str(),
+            source,
+            SimOptions::new(SimConfig::new(params)),
+        );
+        spec.faults = plan.clone();
+        let report = lint_job_as(&spec, algo, args.flag("strict"));
+        let bounds = args.flag("bounds").then(|| static_bounds_or_reason(&spec));
+        let bounds = bounds.as_ref().map(|b| b.as_ref().map_err(|why| *why));
         any_error |= report.has_errors();
         any_warning |= report.count(Severity::Warning) > 0;
         if as_json {
-            let mut obj = vec![
-                ("name".into(), json::Value::Str(name)),
-                ("report".into(), report.to_value()),
-            ];
-            if with_bounds {
-                match &bounds {
-                    Some(b) => obj.push(("bounds".into(), b.to_value())),
-                    None => obj.push((
-                        "bounds_unavailable".into(),
-                        json::Value::Str(bounds_unavailable.into()),
-                    )),
-                }
-            }
-            sources.push(json::Value::Object(obj));
+            sources.push(api::check_source(raw, &report, bounds));
         } else {
             print!("{}", report.render());
-            if with_bounds {
-                match &bounds {
-                    Some(b) => println!("{}", b.render()),
-                    None => println!("static bounds unavailable: {bounds_unavailable}"),
-                }
+            match bounds {
+                Some(Ok(b)) => println!("{}", b.render()),
+                Some(Err(why)) => println!("static bounds unavailable: {why}"),
+                None => {}
             }
             println!();
         }
     }
     if as_json {
-        let doc = json::Value::Object(vec![
-            ("version".into(), json::Value::Int(1)),
-            ("sources".into(), json::Value::Array(sources)),
-        ]);
-        println!("{}", doc.to_pretty());
+        println!("{}", api::check_document(sources).to_pretty());
     }
     if any_error || (args.flag("strict") && any_warning) {
         Ok(ExitCode::FAILURE)
@@ -1239,41 +1129,22 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
             "batch: no sources given (trace files or ge:/cannon:/stencil:/apsp: specs)".into(),
         );
     }
-    let sources: Vec<(String, JobSource)> = args
+    let sources: Vec<JobSource> = args
         .positional
         .iter()
         .map(|s| parse_source(s))
         .collect::<Result<_, _>>()?;
-    let machines: Vec<&str> = args
-        .value("machine")
-        .unwrap_or("meiko")
-        .split(',')
-        .collect();
-    let plan = fault_plan(args)?;
+    let machines: Vec<&str> = args.machine_name().split(',').collect();
+    let plan = fault_plan(args, args.value("faults"))?;
 
     // Machine params depend on each source's processor count, so the grid
     // is expanded here rather than via `predsim_engine::Grid`.
     let mut specs = Vec::with_capacity(sources.len() * machines.len());
     for mname in &machines {
-        for (label, source) in &sources {
-            let params = machine(mname, source.procs())?;
-            let mut opts = SimOptions::new(SimConfig::new(params));
-            if args.flag("worst-case") {
-                opts = opts.worst_case();
-            }
-            if args.flag("barrier") {
-                opts = opts.with_barrier();
-            }
-            if args.flag("overlap") {
-                opts = opts.with_overlap();
-            }
-            if args.flag("classic-gap") {
-                opts.cfg = opts.cfg.with_classic_gap_rule();
-            }
-            let mut spec = JobSpec::new(format!("{label} @ {mname}"), source.clone(), opts);
-            if let Some(plan) = &plan {
-                spec = spec.with_faults(plan.clone());
-            }
+        for (raw, source) in args.positional.iter().zip(&sources) {
+            let opts = sim_options(args, mname, source.procs())?;
+            let mut spec = JobSpec::new(format!("{raw} @ {mname}"), source.clone(), opts);
+            spec.faults = plan.clone();
             specs.push(spec);
         }
     }
@@ -1404,24 +1275,11 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or("faults explain: missing SPEC (e.g. 'drop:0.1,fail:3@12+5000')")?;
-    let spec = FaultSpec::parse(text)?;
-    let seed = match args.value("seed") {
-        None => 0,
-        Some(v) => v.parse::<u64>().map_err(|e| format!("bad --seed: {e}"))?,
-    };
-    let dim = |name: &str, default: usize| -> Result<usize, String> {
-        match args.value(name) {
-            None => Ok(default),
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                Ok(_) => Err(format!("--{name} must be at least 1")),
-                Err(e) => Err(format!("bad --{name}: {e}")),
-            },
-        }
-    };
-    let steps = dim("steps", 16)?;
-    let procs = dim("procs", 8)?;
-    print!("{}", FaultPlan::new(spec, seed).explain(steps, procs));
+    let plan = fault_plan(args, Some(text))?.expect("a fault spec always selects a plan");
+    // The sample grid is steps × procs characters.
+    let steps = count(args, "steps")?.unwrap_or(16);
+    let procs = count(args, "procs")?.unwrap_or(8);
+    print!("{}", plan.explain(steps, procs));
     Ok(())
 }
 
@@ -1464,17 +1322,12 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The emulated-testbed configuration for `emulate`/`calibrate`: the
-/// full effect stack (cache, jitter, contention, local copies) layered
-/// on the chosen LogGP preset.
-fn emulator_config(args: &Args, procs: usize) -> Result<machine::EmulatorConfig, String> {
-    let params = machine(args.value("machine").unwrap_or("meiko"), procs)?;
-    Ok(machine::EmulatorConfig::meiko_like(SimConfig::new(params)))
-}
-
-fn measure_config(args: &Args, procs: usize) -> Result<predsim_calib::MeasureConfig, String> {
+/// How `emulate` and `calibrate` measure a live source: `--runs` runs
+/// (`default_runs` without the flag) from `--base-seed` on the emulated
+/// testbed of `--machine`, with `--faults` injected.
+fn measure_config(args: &Args, procs: usize, default_runs: usize) -> Result<MeasureConfig, String> {
     let runs: usize = match args.value("runs") {
-        None => 1,
+        None => default_runs,
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
             Ok(_) => return Err("--runs must be at least 1".into()),
@@ -1485,12 +1338,12 @@ fn measure_config(args: &Args, procs: usize) -> Result<predsim_calib::MeasureCon
         None => 0,
         Some(v) => v.parse().map_err(|e| format!("bad --base-seed: {e}"))?,
     };
-    Ok(predsim_calib::MeasureConfig {
-        ecfg: emulator_config(args, procs)?,
-        base_seed,
+    Ok(MeasureConfig::emulated(
+        machine(args.machine_name(), procs)?,
         runs,
-        faults: fault_plan(args)?,
-    })
+        base_seed,
+        fault_plan(args, args.value("faults"))?,
+    ))
 }
 
 fn cmd_emulate(args: &Args) -> Result<(), String> {
@@ -1498,18 +1351,14 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("emulate: missing SOURCE (a trace file or a ge:/cannon:/stencil:/apsp: spec)")?;
-    let (name, source) = parse_source(raw)?;
-    source
-        .validate()
-        .map_err(|why| format!("source '{name}': {why}"))?;
-    let (program, loads) = source.build_loaded();
-    let cfg = measure_config(args, program.procs())?;
-    let machine_label = args.value("machine").unwrap_or("meiko");
+    let (program, loads) = valid_source(raw)?.build_loaded();
+    let cfg = measure_config(args, program.procs(), 1)?;
+    let machine_label = args.machine_name();
 
-    let set = predsim_calib::measure(&program, &loads, &name, machine_label, &cfg);
+    let set = predsim_calib::measure(&program, &loads, raw, machine_label, &cfg);
     println!(
         "emulated {} on {} ({} run(s), base seed {})",
-        name, machine_label, cfg.runs, cfg.base_seed
+        raw, machine_label, cfg.runs, cfg.base_seed
     );
     if let Some(plan) = &cfg.faults {
         println!("fault plan: {} (seed {})", plan.spec(), plan.seed());
@@ -1548,11 +1397,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             }
             let set = predsim_calib::MeasuredSet::parse_jsonl(&text)
                 .map_err(|e| format!("{raw}: {e}"))?;
-            let (name, source) = parse_source(&set.source)?;
-            source
-                .validate()
-                .map_err(|why| format!("recorded source '{name}': {why}"))?;
-            let (program, _) = source.build_loaded();
+            let program = valid_source(&set.source)?.build();
             println!(
                 "calibrating against {} ({} recorded run(s) of '{}' on '{}')",
                 raw,
@@ -1563,29 +1408,22 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             (set, program)
         }
         _ => {
-            let (name, source) = parse_source(raw)?;
-            source
-                .validate()
-                .map_err(|why| format!("source '{name}': {why}"))?;
-            let (program, loads) = source.build_loaded();
-            let mut margs = measure_config(args, program.procs())?;
-            if args.value("runs").is_none() {
-                margs.runs = 8;
-            }
-            let machine_label = args.value("machine").unwrap_or("meiko");
+            let (program, loads) = valid_source(raw)?.build_loaded();
+            let margs = measure_config(args, program.procs(), 8)?;
+            let machine_label = args.machine_name();
             println!(
                 "emulating {} on {} ({} run(s), base seed {})",
-                name, machine_label, margs.runs, margs.base_seed
+                raw, machine_label, margs.runs, margs.base_seed
             );
             if let Some(plan) = &margs.faults {
                 println!("fault plan: {} (seed {})", plan.spec(), plan.seed());
             }
-            let set = predsim_calib::measure(&program, &loads, &name, machine_label, &margs);
+            let set = predsim_calib::measure(&program, &loads, raw, machine_label, &margs);
             (set, program)
         }
     };
 
-    let initial = machine(args.value("machine").unwrap_or("meiko"), set.procs)?;
+    let initial = machine(args.machine_name(), set.procs)?;
     let mut fit_cfg = predsim_calib::FitConfig::new(initial);
     if let Some(v) = args.value("holdout") {
         fit_cfg.holdout = v.parse().map_err(|e| format!("bad --holdout: {e}"))?;

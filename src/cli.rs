@@ -114,6 +114,11 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// The `--machine` name, or the machine every front end defaults to.
+    pub fn machine_name(&self) -> &str {
+        self.value("machine").unwrap_or(presets::DEFAULT)
+    }
+
     /// The `--jobs` worker count: defaults to one per CPU, must be ≥ 1.
     pub fn jobs(&self) -> Result<usize, String> {
         match self.value("jobs") {
@@ -163,7 +168,7 @@ fn unknown_machine(name: &str) -> String {
 /// Resolve a machine name to a possibly heterogeneous [`MachineSpec`]
 /// describing `procs` processors.
 ///
-/// Accepts everything [`machine`] does — built-in presets and registered
+/// Accepts everything [`machine`](fn@machine) does — built-in presets and registered
 /// names become uniform specs — but `@FILE:NAME` additionally preserves
 /// the file's per-processor speed factors and per-link overrides when
 /// the preset file describes a heterogeneous machine. A heterogeneous

@@ -340,6 +340,26 @@ fn check_rejects_processor_counts_beyond_the_limit() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // Every other command that sizes something by a count from its
+    // arguments refuses the count with an error too.
+    for argv in [
+        &["ge-sweep", "--procs", "0"][..],
+        &[
+            "ge-sweep", "--n", "960", "--procs", "5000", "--blocks", "480",
+        ],
+        &["ge-sweep", "--procs", "4000000000", "--blocks", "480"],
+        &["dag", "run", "forkjoin:4,1,1000,8", "--procs", "4000000000"],
+        &["faults", "explain", "drop:0.1", "--procs", "4000000000"],
+        &["faults", "explain", "drop:0.1", "--steps", "4000000000"],
+        &["dag", "gen", "forkjoin:4000000000,1,1000,8"],
+        &["check", "dag:forkjoin:4000000000,1,1000,8:4"],
+    ] {
+        let out = limited(argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
+        assert!(err.starts_with("error: "), "{argv:?}: {err}");
+        assert!(!err.contains("panicked"), "{argv:?}: {err}");
+    }
 }
 
 #[test]
@@ -909,9 +929,19 @@ fn serve_round_trips_over_a_real_socket_and_drains_on_request() {
         .output()
         .unwrap();
     assert!(!check.status.success());
-    assert!(
-        String::from_utf8_lossy(&check.stdout).contains("PS0501"),
-        "check --json should report the same code"
+    let first_source = |doc: &str| {
+        predsim::predsim_lint::json::parse(doc)
+            .unwrap()
+            .get("sources")
+            .unwrap()
+            .as_array()
+            .unwrap()[0]
+            .to_compact()
+    };
+    assert_eq!(
+        first_source(&body),
+        first_source(&String::from_utf8_lossy(&check.stdout)),
+        "the 422 entry is check --json's entry"
     );
 
     let (status, body) = http_request(&addr, "GET", "/metrics", "");
@@ -1265,6 +1295,32 @@ fn serve_estimate_matches_check_bounds_json_byte_for_byte() {
         checked_bounds.to_compact(),
         "serve and CLI must emit the identical interval"
     );
+
+    // Where there are no bounds, both name the same reason.
+    for (body, argv) in [
+        (
+            r#"{"source":"ge:240,24,row,8","faults":"drop:0.1"}"#,
+            &["--faults", "drop:0.1", "ge:240,24,row,8"][..],
+        ),
+        (r#"{"source":"ge:64,16,row,0"}"#, &["ge:64,16,row,0"]),
+    ] {
+        let (status, served) = http_request(&addr, "POST", "/v1/estimate", body);
+        assert_eq!(status, 200, "{served}");
+        let served = predsim::predsim_lint::json::parse(&served).unwrap();
+        let out = bin()
+            .args(["check", "--bounds", "--json"])
+            .args(argv)
+            .output()
+            .unwrap();
+        let checked =
+            predsim::predsim_lint::json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        let checked = &checked.get("sources").and_then(|s| s.as_array()).unwrap()[0];
+        let reason = |doc: &predsim::predsim_lint::json::Value| {
+            doc.get("bounds_unavailable").map(|r| r.to_compact())
+        };
+        assert!(reason(&served).is_some(), "{body}");
+        assert_eq!(reason(&served), reason(checked), "{body}");
+    }
 
     let (status, _) = http_request(&addr, "POST", "/admin/drain", "");
     assert_eq!(status, 200);
