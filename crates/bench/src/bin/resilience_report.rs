@@ -180,7 +180,10 @@ fn run_value(report: &LoadReport, extra: Vec<(String, Value)>) -> Value {
 
 fn main() {
     let mut out = "BENCH_RESILIENCE.json".to_string();
-    let mut requests = 120usize;
+    // Long enough that each run lasts seconds and the chaos run meets
+    // about twenty injected stalls: a baseline shorter than one 150 ms
+    // stall would make the goodput ratio measure that stall, not recovery.
+    let mut requests = 3000usize;
     let mut chaos_seed = 42u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();

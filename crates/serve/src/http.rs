@@ -123,11 +123,16 @@ impl<R: Read> HttpReader<R> {
     /// Read one request, waiting for bytes as needed. `max_body` caps the
     /// `Content-Length` the reader is willing to buffer.
     pub fn read_request(&mut self, max_body: usize) -> Result<Request, RequestError> {
-        // Accumulate until the blank line that ends the head.
+        // Accumulate until the blank line that ends the head. Each scan
+        // resumes where the last one stopped (less the 3 bytes a split
+        // `\r\n\r\n` can leave behind), so a head that arrives a byte
+        // at a time costs linear, not quadratic, time.
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(pos) = find_head_end(&self.buf) {
+            if let Some(pos) = find_head_end(&self.buf, scanned) {
                 break pos;
             }
+            scanned = self.buf.len().saturating_sub(3);
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(RequestError::TooLarge);
             }
@@ -222,8 +227,12 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, RequestError> {
     Ok(length.unwrap_or(0))
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Where the head's closing `\r\n\r\n` starts, searching from `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    buf[from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|pos| from + pos)
 }
 
 /// One HTTP response, written with an explicit `Content-Length`.
@@ -290,7 +299,9 @@ impl Response {
     }
 
     /// Serialize onto `w`: status line, `Content-Length`, `Connection`
-    /// (`keep-alive` or `close`), the extra headers, then the body.
+    /// (`keep-alive` or `close`), the extra headers, then the body — in
+    /// one `write_all`. A head sent apart from its body would leave the
+    /// body behind Nagle's algorithm until the client's delayed ACK.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -306,8 +317,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -430,5 +442,81 @@ mod tests {
         // A response must itself be parseable as far as the head grammar
         // goes (cheap sanity: one blank line, then the body).
         assert_eq!(text.matches("\r\n\r\n").count(), 1);
+    }
+
+    /// A `Write` that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct WriteCalls(Vec<Vec<u8>>);
+
+    impl Write for WriteCalls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        let mut calls = WriteCalls::default();
+        Response::json(429, "{}")
+            .with_header("Retry-After", "1")
+            .write_to(&mut calls, false)
+            .unwrap();
+        assert_eq!(calls.0.len(), 1, "head and body must leave together");
+        assert_eq!(
+            String::from_utf8(calls.0.remove(0)).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\nConnection: close\r\n\
+             Content-Type: application/json\r\nRetry-After: 1\r\n\r\n{}"
+        );
+    }
+
+    /// A `Read` that yields one byte per call, so every boundary —
+    /// `\r\n\r\n` included — is split across reads.
+    struct Drip<'a>(&'a [u8]);
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.split_first() {
+                Some((&byte, rest)) if !out.is_empty() => {
+                    out[0] = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn parses_requests_that_arrive_a_byte_at_a_time() {
+        let req = HttpReader::new(Drip(
+            b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
+        ))
+        .read_request(1 << 20)
+        .unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/predict");
+        assert!(req.http11);
+        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.body, b"abcd");
+        assert!(req.wants_keep_alive());
+
+        let mut reader = HttpReader::new(Drip(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ));
+        let a = reader.read_request(1024).unwrap();
+        assert_eq!(a.path, "/healthz");
+        assert!(a.body.is_empty());
+        let b = reader.read_request(1024).unwrap();
+        assert_eq!(b.path, "/metrics");
+        assert!(!b.wants_keep_alive());
+        assert!(matches!(
+            reader.read_request(1024),
+            Err(RequestError::Closed)
+        ));
     }
 }

@@ -44,12 +44,17 @@
 //! hashes of (seed, site) — deterministic, like every fault in this
 //! workspace.
 //!
-//! Drain is cooperative and loses nothing that was admitted: the
-//! acceptor stops accepting, the read half of every open connection is
-//! shut down (a handler blocked in a read sees EOF and exits; a handler
-//! waiting for a worker reply still owns a working write half), handlers
-//! are joined, then the queue is closed and workers finish whatever was
-//! queued before the supervisor stands down.
+//! Drain is cooperative and loses nothing that was admitted: the read
+//! half of every open connection is shut down (a handler blocked in a
+//! read sees EOF and exits; a handler waiting for a worker reply still
+//! owns a working write half), and one connect to the bound port
+//! (loopback when it is `0.0.0.0` or `[::]`) wakes the acceptor from its
+//! blocking `accept`. The acceptor drops that connection, and anything
+//! else it accepts once draining, unserved, and joins the handlers; then
+//! the queue is closed and workers finish whatever was queued before the
+//! supervisor stands down. A drain request and a worker's exit each
+//! signal one condvar, which wakes the CLI parked in
+//! [`ServerHandle::wait_for_drain_request`] and the supervisor at once.
 
 use crate::admission::CostModel;
 use crate::api;
@@ -59,9 +64,9 @@ use predsim_engine::{Engine, EngineConfig, EngineObs, JobOutcome, JobResult, Job
 use predsim_faults::ChaosPlan;
 use predsim_obs::{default_ns_buckets, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -328,6 +333,8 @@ struct WorkerState {
     superseded: AtomicBool,
     /// Copy of the job being run, for requeue if this thread dies.
     orphan: Mutex<Option<Job>>,
+    /// The worker loop has ended, by return or by a panic's unwind.
+    exited: AtomicBool,
 }
 
 impl WorkerState {
@@ -337,6 +344,7 @@ impl WorkerState {
             busy: AtomicBool::new(false),
             superseded: AtomicBool::new(false),
             orphan: Mutex::new(None),
+            exited: AtomicBool::new(false),
         })
     }
 
@@ -366,6 +374,13 @@ struct Shared {
     journal: Option<Journal>,
     draining: AtomicBool,
     supervisor_stop: AtomicBool,
+    /// Every lifecycle wait (for a drain request, a worker's exit or the
+    /// supervisor's stop) parks on `woken`. The awaited state lives in
+    /// atomics and `wake` guards no data: a signaller changes the state,
+    /// then takes `wake` before notifying, so a waiter that checks the
+    /// state under `wake` cannot miss the wake-up.
+    wake: Mutex<()>,
+    woken: Condvar,
     executing: AtomicUsize,
     /// Read halves of open connections, for shutdown on drain.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -392,6 +407,27 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
+    /// Flag a drain and wake whoever waits for one.
+    fn request_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.signal();
+    }
+
+    /// Wake every lifecycle waiter, after changing the state it awaits.
+    fn signal(&self) {
+        drop(self.wake.lock().unwrap_or_else(PoisonError::into_inner));
+        self.woken.notify_all();
+    }
+
+    /// Park until `ready` holds, or `limit` (if any) has passed.
+    fn wait_until(&self, limit: Option<Duration>, ready: impl Fn() -> bool) {
+        let wake = self.wake.lock().unwrap_or_else(PoisonError::into_inner);
+        match limit {
+            Some(limit) => drop(self.woken.wait_timeout_while(wake, limit, |_| !ready())),
+            None => drop(self.woken.wait_while(wake, |_| !ready())),
+        }
+    }
+
     fn sync_gauges(&self) {
         self.metrics.queue_depth.set(self.queue.depth() as u64);
         self.metrics
@@ -407,6 +443,17 @@ impl Shared {
             .cost
             .retry_after_secs(self.executing.load(Ordering::SeqCst), self.workers);
         Response::json(429, api::error_body(message)).with_header("Retry-After", &retry.to_string())
+    }
+}
+
+/// Mark a worker exited and wake the supervisor when `worker_loop` ends,
+/// whether it returns or a panic unwinds it.
+struct ExitSignal<'a>(&'a Shared, &'a WorkerState);
+
+impl Drop for ExitSignal<'_> {
+    fn drop(&mut self) {
+        self.1.exited.store(true, Ordering::SeqCst);
+        self.0.signal();
     }
 }
 
@@ -464,30 +511,32 @@ impl ServerHandle {
 
     /// Block until a drain is requested (the CLI parks here).
     pub fn wait_for_drain_request(&self) {
-        while !self.drain_requested() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        self.shared.wait_until(None, || self.drain_requested());
     }
 
     /// Stop gracefully: refuse new connections, let in-flight requests
     /// (including everything already admitted to the queue) finish, stop
     /// the workers and their supervisor, and return the final metrics.
     pub fn drain(self) -> DrainReport {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.request_drain();
         // Wake handlers blocked reading an idle keep-alive connection:
         // closing the read half turns their pending read into EOF while
         // leaving the write half alive for in-flight responses.
         for (_, stream) in self.shared.conns.lock().expect("conns poisoned").iter() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-        // The acceptor notices the flag, stops accepting, and joins every
+        // Wake the acceptor from its blocking accept with a connection of
+        // our own: it drops it unserved, stops accepting, and joins every
         // handler thread (each finishes its current request first).
+        let wake = TcpStream::connect(loopback(self.addr));
         self.acceptor.join().expect("acceptor panicked");
+        drop(wake);
         // No handler is left to enqueue; close the queue so workers run
         // whatever was admitted. The supervisor keeps respawning dead
         // workers until the queue is truly drained, then stands down.
         self.shared.queue.close();
         self.shared.supervisor_stop.store(true, Ordering::SeqCst);
+        self.shared.signal();
         self.supervisor.join().expect("supervisor panicked");
         self.shared.sync_gauges();
         DrainReport {
@@ -495,6 +544,16 @@ impl ServerHandle {
             // gauges and flushes any trace sink.
             metrics: self.shared.engine.metrics_snapshot(),
         }
+    }
+}
+
+/// Where a connect reaches a listener bound to `addr`: `addr` itself, or
+/// loopback on its port when it is unspecified (`0.0.0.0`, `[::]`).
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    match addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+        other => other,
     }
 }
 
@@ -515,7 +574,6 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let journal = match &config.journal {
             Some(path) => Some(Journal::create(path)?),
@@ -540,6 +598,8 @@ impl Server {
             journal,
             draining: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
+            wake: Mutex::new(()),
+            woken: Condvar::new(),
             executing: AtomicUsize::new(0),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -600,6 +660,7 @@ fn spawn_worker(
 }
 
 fn worker_loop(shared: &Shared, state: &WorkerState) {
+    let _exit = ExitSignal(shared, state);
     loop {
         if state.superseded.load(Ordering::SeqCst) {
             return;
@@ -675,7 +736,8 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
 
 /// The supervisor: respawn dead workers (re-enqueueing the orphaned job
 /// once), backfill stalled ones, and during drain keep the pool alive
-/// until the queue is truly empty.
+/// until the queue is truly empty. Between passes it parks until a
+/// worker exits, a stop arrives, or the stall-detection tick is due.
 fn supervisor_loop(
     shared: &Arc<Shared>,
     mut pool: Vec<(std::thread::JoinHandle<()>, Arc<WorkerState>)>,
@@ -685,8 +747,10 @@ fn supervisor_loop(
         let stopping = shared.supervisor_stop.load(Ordering::SeqCst);
         let mut i = 0;
         while i < pool.len() {
-            if pool[i].0.is_finished() {
+            if pool[i].1.exited.load(Ordering::SeqCst) {
                 let (handle, state) = pool.remove(i);
+                // The flag is raised on the thread's way out; the join
+                // waits out the rest of it.
                 let panicked = handle.join().is_err();
                 if panicked {
                     shared.metrics.restarts.inc();
@@ -734,7 +798,11 @@ fn supervisor_loop(
         if stopping && pool.is_empty() {
             return;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // Bounded: the timeout is the stall-detection tick.
+        shared.wait_until(Some(Duration::from_millis(10)), || {
+            shared.supervisor_stop.load(Ordering::SeqCst) != stopping
+                || pool.iter().any(|(_, s)| s.exited.load(Ordering::SeqCst))
+        });
     }
 }
 
@@ -814,8 +882,14 @@ fn run_speedup(request: &api::SpeedupRequest) -> Result<predsim_dag::SweepReport
 
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.draining() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once draining, whatever arrives (the drain's own wake-up
+        // connect, or a late client) is dropped unserved.
+        if shared.draining() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if let Some(plan) = &shared.chaos {
                     let site = shared.chaos_accept_site.fetch_add(1, Ordering::SeqCst);
@@ -824,7 +898,10 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
                         std::thread::sleep(Duration::from_millis(ms));
                     }
                 }
-                if stream.set_nonblocking(false).is_err()
+                // Nagle off: a response longer than one segment would
+                // otherwise hold its partial last segment for the peer's
+                // delayed ACK.
+                if stream.set_nodelay(true).is_err()
                     || stream
                         .set_read_timeout(Some(shared.request_timeout))
                         .is_err()
@@ -845,9 +922,7 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 // accumulate join handles.
                 handlers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (EMFILE, ...): back off, don't spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -1015,7 +1090,7 @@ fn healthz(shared: &Shared) -> Response {
 }
 
 fn drain_request(shared: &Shared) -> Response {
-    shared.draining.store(true, Ordering::SeqCst);
+    shared.request_drain();
     Response::json(200, "{\"draining\":true}")
 }
 

@@ -7,7 +7,7 @@ use predsim_lint::Report;
 use predsim_serve::{api, ChaosPlan, ChaosSpec, ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(workers: usize, queue_cap: usize) -> ServerHandle {
     Server::start(ServeConfig {
@@ -507,6 +507,67 @@ fn keep_alive_serves_back_to_back_requests_on_one_connection() {
     assert_eq!(status, 200);
     assert!(body.contains("\"outcome\":\"done\""));
     handle.drain();
+}
+
+#[test]
+fn back_to_back_requests_on_one_connection_do_not_wait_for_a_delayed_ack() {
+    let handle = start(1, 4);
+    let conn = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let mut reader = BufReader::new(conn);
+
+    // Each request leaves in one write, so the client's own Nagle never
+    // holds part of it back; the predict hits the memo after the first.
+    let body = r#"{"source":"cannon:96,4"}"#;
+    let predict = format!(
+        "POST /v1/predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|i| {
+            let request = if i % 2 == 0 {
+                "GET /healthz HTTP/1.1\r\n\r\n"
+            } else {
+                predict.as_str()
+            };
+            let sent = Instant::now();
+            writer.write_all(request.as_bytes()).unwrap();
+            let (status, _, _) = read_one_response(&mut reader);
+            assert_eq!(status, 200);
+            sent.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    // A response whose body waits for the client's delayed ACK takes
+    // about 40 ms.
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?}; slowest {:?}",
+        round_trips.last()
+    );
+    handle.drain();
+}
+
+#[test]
+fn an_idle_server_on_the_unspecified_address_drains_promptly() {
+    let handle = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    // No client ever connects, so only the drain's own wake-up reaches
+    // the blocked acceptor. A missed wake fails here instead of hanging.
+    let (drained, done) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        handle.drain();
+        let _ = drained.send(());
+    });
+    assert!(
+        done.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "an idle server did not drain within 5 s"
+    );
+    drainer.join().expect("drain thread");
 }
 
 /// Read one `Content-Length`-framed response off a keep-alive stream.
