@@ -16,13 +16,14 @@
 //!   proptest suite in `commsim/tests/equiv.rs` pins it exhaustively).
 //! * **incremental sweep** — one recorded simulation of the GE program
 //!   on the base preset, then further sweep points re-timed from the
-//!   recorded commit orders (`predsim_core::replay`). Two populations,
-//!   both asserted bit-identical to full simulation:
+//!   recorded commit orders (`predsim_core::replay`, the path `predsim
+//!   machine-sweep` runs). Two populations, both asserted bit-identical
+//!   to full simulation:
 //!
 //!   - *parameter-family points* (uniform L/o/g/G scalings of the base
-//!     machine — the calibration/sensitivity-sweep shape): nearly every
-//!     comm step re-times (non-integer scalings floor-round, so a few
-//!     steps may reorder and fall back), making the point near-free.
+//!     machine): nearly every comm step re-times (non-integer scalings
+//!     floor-round, so a few steps may reorder and fall back), making
+//!     the point near-free.
 //!     This is the asserted `< 25%` metric, measured against what a
 //!     standalone sweep point costs (program build + full simulation —
 //!     the per-job cost of the batch path that a sweep otherwise pays).

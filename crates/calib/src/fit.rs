@@ -367,7 +367,8 @@ fn newton_move(obj: &mut Objective<'_>, current: LogGpParams) -> Option<(LogGpPa
 ///
 /// The last `cfg.holdout` runs are excluded from the fit and scored by
 /// the bracketing report; the rest are the training runs. Errors on
-/// shape mismatches (program vs. measured steps/procs) and empty sets.
+/// shape mismatches (program vs. measured steps/procs), empty sets, and
+/// an engine whose step budget would cut the program's predictions short.
 pub fn calibrate(
     program: &Arc<Program>,
     set: &MeasuredSet,
@@ -390,6 +391,14 @@ pub fn calibrate(
     }
     if steps == 0 {
         return Err("cannot calibrate against an empty program".into());
+    }
+    if let Some(max) = engine.config().budget.max_steps {
+        if max < steps {
+            return Err(format!(
+                "the engine's step budget ({max}) is below the program's {steps} steps; \
+                 calibration fits whole-program predictions"
+            ));
+        }
     }
     if cfg.holdout >= set.runs.len() {
         return Err(format!(

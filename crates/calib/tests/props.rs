@@ -182,3 +182,19 @@ fn faulted_calibration_converges_with_degraded_rmse() {
         clean_fit.rmse
     );
 }
+
+/// An engine whose step budget would cut the program short cannot fit it:
+/// every objective evaluation would see a truncated prediction. The fit
+/// is refused up front with an error naming the budget; a budget that
+/// covers the program fits as usual.
+#[test]
+fn a_step_budget_below_the_program_is_refused_before_fitting() {
+    let prog = Arc::new(probe_program(4));
+    let set = synthetic_set(&prog, presets::meiko_cs2(4), 3);
+    let cfg = FitConfig::new(presets::meiko_cs2(4));
+    let short = Engine::new(EngineConfig::default().with_jobs(1).with_step_budget(3));
+    let err = calibrate(&prog, &set, &short, &cfg).unwrap_err();
+    assert!(err.contains("step budget (3)"), "{err}");
+    let whole = Engine::new(EngineConfig::default().with_jobs(1).with_step_budget(4));
+    assert!(calibrate(&prog, &set, &whole, &cfg).is_ok());
+}

@@ -62,7 +62,7 @@ pub mod worstcase;
 pub use faults::StepFaults;
 pub use observe::StepTracer;
 pub use pattern::{CommPattern, Message, MsgId, PatternError};
-pub use replay::{Recording, ReplayAlgo, StepEnds};
+pub use replay::{Recording, StepEnds};
 pub use scratch::SimScratch;
 pub use timeline::{CommEvent, SimResult, Timeline};
 

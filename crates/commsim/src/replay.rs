@@ -2,68 +2,60 @@
 //! re-time it under different LogGP parameters without re-running event
 //! selection.
 //!
-//! Parameter sweeps (`ge-sweep`, calibration search) simulate the same
-//! communication patterns over and over with only L/o/g/G changing. The
-//! *times* change, but the *decisions* — which processor acts next, send
-//! vs. receive, where a deadlock is broken — usually do not. A
-//! [`Recording`] captures those decisions from one full simulation;
-//! [`Recording::replay`] replays them under new parameters in one linear
-//! pass over the ops, recomputing every timestamp from the recorded order.
+//! Its one consumer is `predsim machine-sweep` (through
+//! `predsim_core::ProgramRecording`), which predicts one program on several
+//! machines: the first is simulated in full while recording, and each
+//! further one re-times the recorded orders. The *times* change between
+//! machines, but the *decisions* — which processor acts next, send vs.
+//! receive, where a deadlock is broken — often do not. A [`Recording`]
+//! captures those decisions from one full simulation; [`Recording::retime`]
+//! replays them under new parameters in one linear pass over the ops,
+//! computing only the per-processor completion maxima the whole-program
+//! fold consumes ([`StepEnds`]) — no timeline, no receive heaps.
 //!
-//! Replay is exact or it is refused — there is no approximation path:
+//! Re-timing is exact or it is refused — there is no approximation path:
 //!
 //! - **Worst-case algorithm**: the round structure (who sends in which
 //!   round, the blocked sets, the RNG draws that break deadlocks) depends
 //!   only on the pattern, never on the parameters, because part 2 of every
-//!   round fully drains the inboxes. Replaying the recorded sends and
+//!   round fully drains the inboxes. Re-timing the recorded sends and
 //!   round boundaries under any parameters reproduces the full simulation
 //!   bit-for-bit, as long as the seed matches the recording.
 //! - **Standard algorithm**: the commit order *can* shift with parameters
-//!   (a receive can overtake a send). Replay is therefore **verified**: at
-//!   every recorded op it re-checks, under the new parameters, that the
+//!   (a receive can overtake a send). Re-timing is therefore **verified**:
+//!   at every recorded op it re-checks, under the new parameters, that the
 //!   selection the recording dictates is the one the full algorithm would
 //!   make — the acting processor's send-ready time is globally minimal
 //!   (enforced via monotonicity of the selection key and of processor ids
 //!   within equal keys) and the send/receive choice matches the
-//!   `start_send < start_recv` rule. Any violation aborts the replay
-//!   (`None`) and the caller falls back to a full simulation. Random
-//!   tie-breaking is never replayed (tie-set sizes, and hence RNG
-//!   consumption, are parameter-dependent).
+//!   `start_send < start_recv` rule. The recording carries a snapshot of
+//!   the message arena and the *identities* of the main-loop receives, so
+//!   instead of extracting minima retime verifies them: each pop's
+//!   `(arrival, id)` key must be non-decreasing per processor, every
+//!   drain-bound key must be at least the destination's last main-loop pop
+//!   key, and the choice rule is checked against the exact pending minimum
+//!   (the next recorded pop if its message is in flight — a not-yet-sent
+//!   one arrives strictly after the current selection key — or the
+//!   smallest in-flight drain-bound arrival). Any violation refuses the
+//!   step (`false`) and the caller falls back to a full simulation; so
+//!   does a parameter change that reorders which in-flight message a
+//!   receive takes. Random tie-breaking is never re-timed (tie-set sizes,
+//!   and hence RNG consumption, are parameter-dependent).
 //!
-//! `tests/equiv.rs` proptests pin `replay ≡ full re-simulation` whenever
-//! replay succeeds. Recordings assume the default LogGP arrival model and
-//! no fault injection (the sweep/calibration configuration).
-//!
-//! [`Recording::retime`] is the same verified re-timing with the output
-//! stripped to what parameter sweeps actually consume: the per-processor
-//! completion maxima ([`StepEnds`]) instead of a full [`Timeline`]. It goes
-//! two steps further than [`Recording::replay`]: the recording carries a
-//! snapshot of the message arena (no per-call counting sort) and the
-//! *identities* of the main-loop receives, so retime needs no receive
-//! heaps at all. Instead of extracting minima it verifies them: each pop's
-//! `(arrival, id)` key must be non-decreasing per processor, every
-//! drain-bound key must be at least the destination's last main-loop pop
-//! key, and the send/receive choice rule is checked against the exact
-//! pending minimum (the next recorded pop if its message is in flight —
-//! a not-yet-sent one arrives strictly after the current selection key —
-//! or the smallest in-flight drain-bound arrival). A recording accepted
-//! by retime yields bit-identical maxima to the full simulation; retime
-//! refuses whenever replay would, plus in the rare case where new
-//! parameters reorder which message a pop takes (replay can re-time that
-//! by re-extracting minima; retime falls back to a full simulation).
+//! `tests/equiv.rs` proptests pin `retime ≡ full re-simulation` whenever
+//! retime accepts. Recordings assume the default LogGP arrival model and
+//! no fault injection.
 
-use crate::faults::transmit;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
-use crate::timeline::{CommEvent, SimResult, Timeline};
+use crate::timeline::SimResult;
 use crate::{standard, worstcase, SimConfig, TieBreak};
 use loggp::{OpKind, Time};
-use std::cmp::Reverse;
 
 /// Per-processor completion data of one re-timed communication step —
 /// everything the whole-program fold consumes, without materializing a
-/// [`Timeline`]. Produced by [`Recording::retime`]; reusable across steps
-/// (the buffers are cleared, not reallocated).
+/// [`Timeline`](crate::Timeline). Produced by [`Recording::retime`];
+/// reusable across steps (the buffers are cleared, not reallocated).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepEnds {
     /// Per processor: end of its last committed operation, at least the
@@ -107,10 +99,10 @@ impl StepEnds {
 
 /// Which algorithm produced a [`Recording`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplayAlgo {
-    /// The standard (Figure 2) algorithm; replay is verified per op.
+enum ReplayAlgo {
+    /// The standard (Figure 2) algorithm; re-timing is verified per op.
     Standard,
-    /// The worst-case (§4.2) algorithm; replay is unconditionally exact.
+    /// The worst-case (§4.2) algorithm; re-timing is unconditionally exact.
     WorstCase,
 }
 
@@ -156,221 +148,15 @@ pub(crate) struct RecBufs {
 }
 
 impl Recording {
-    /// Which algorithm this recording replays.
-    pub fn algo(&self) -> ReplayAlgo {
-        self.algo
-    }
-
-    /// False iff replay will always refuse (standard algorithm under
-    /// [`TieBreak::Random`]).
-    pub fn is_replayable(&self) -> bool {
-        self.replayable
-    }
-
-    /// Number of recorded ops (diagnostics).
-    pub fn ops_len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Re-time this recording under `cfg` (same pattern and ready times it
-    /// was recorded from, typically different `cfg.params`). Returns the
-    /// bit-exact equivalent of the corresponding full simulation, or
-    /// `None` if the recorded order is not provably valid under the new
-    /// parameters — fall back to a full simulation then.
-    pub fn replay(
-        &self,
-        pattern: &CommPattern,
-        cfg: &SimConfig,
-        ready: &[Time],
-        scratch: &mut SimScratch,
-    ) -> Option<SimResult> {
-        match self.algo {
-            ReplayAlgo::Standard => self.replay_standard(pattern, cfg, ready, scratch),
-            ReplayAlgo::WorstCase => self.replay_worstcase(pattern, cfg, ready, scratch),
-        }
-    }
-
-    fn replay_standard(
-        &self,
-        pattern: &CommPattern,
-        cfg: &SimConfig,
-        ready: &[Time],
-        scratch: &mut SimScratch,
-    ) -> Option<SimResult> {
-        if !self.replayable || cfg.tie_break != TieBreak::LowestId || self.procs != pattern.procs()
-        {
-            return None;
-        }
-        let params = &cfg.params;
-        let rule = cfg.gap_rule;
-        scratch.begin_standard(pattern, ready);
-        if scratch.arena.len() != self.msgs {
-            return None;
-        }
-        let procs = self.procs;
-        let mut timeline = Timeline::new(procs);
-        timeline.reserve(2 * self.msgs);
-
-        // Selection-key monotonicity state. The main loop always commits at
-        // the globally minimal (send_ready, proc) pair, so the sequence of
-        // those keys is non-decreasing lexicographically. Conversely, if a
-        // recorded sequence satisfies that and every per-op check below, it
-        // IS the sequence the full algorithm produces: a wrongly-skipped
-        // processor keeps its (smaller) key untouched until its own next
-        // recorded op, where the descent is caught.
-        let mut prev_t = Time::ZERO;
-        let mut prev_p = 0usize;
-
-        for &op in &self.ops {
-            let p = (op >> 1) as usize;
-            let is_recv = op & 1 == 1;
-            // Only processors with sends left participate in the main loop.
-            if p >= procs || !scratch.has_sends(p) {
-                return None;
-            }
-            let t = scratch.clocks[p].ready_at_kind(params, rule, OpKind::Send);
-            if t < prev_t || (t == prev_t && p < prev_p) {
-                return None;
-            }
-            prev_t = t;
-            prev_p = p;
-
-            let start_recv = match scratch.recv_queues[p].peek() {
-                Some(Reverse(inflight)) => scratch.clocks[p].earliest_start_kind(
-                    params,
-                    rule,
-                    OpKind::Recv,
-                    inflight.arrival,
-                ),
-                None => Time::MAX,
-            };
-            if is_recv {
-                // Receives win ties: chosen iff start_recv <= start_send.
-                if start_recv > t {
-                    return None;
-                }
-                let Reverse(inflight) = scratch.recv_queues[p].pop()?;
-                let msg = scratch.arena[inflight.slot as usize];
-                let end = scratch.clocks[p].commit_kind(params, rule, OpKind::Recv, start_recv);
-                timeline.push(CommEvent {
-                    proc: p,
-                    kind: OpKind::Recv,
-                    peer: msg.src,
-                    bytes: msg.bytes,
-                    msg_id: msg.id,
-                    start: start_recv,
-                    end,
-                });
-            } else {
-                if t >= start_recv {
-                    return None;
-                }
-                let (slot, msg) = scratch.pop_send(p);
-                let final_start = transmit(
-                    &mut scratch.clocks[p],
-                    params,
-                    rule,
-                    p,
-                    &msg,
-                    false,
-                    None,
-                    None,
-                    &mut timeline,
-                );
-                let arrival = params.arrival_time(final_start, msg.bytes);
-                scratch.recv_queues[msg.dst].push(Reverse(InFlight {
-                    arrival,
-                    id: msg.id as u32,
-                    slot,
-                }));
-            }
-        }
-
-        // The main loop only ends when no sends remain.
-        if (0..procs).any(|p| scratch.has_sends(p)) {
-            return None;
-        }
-        standard::drain(params, cfg, scratch, None, &mut timeline);
-        Some(SimResult::new(timeline))
-    }
-
-    fn replay_worstcase(
-        &self,
-        pattern: &CommPattern,
-        cfg: &SimConfig,
-        ready: &[Time],
-        scratch: &mut SimScratch,
-    ) -> Option<SimResult> {
-        // The RNG stream that chose the forced sends is baked into the ops;
-        // a different seed would have chosen differently.
-        if self.seed != cfg.seed || self.procs != pattern.procs() {
-            return None;
-        }
-        let params = &cfg.params;
-        let rule = cfg.gap_rule;
-        scratch.begin_worstcase(pattern, ready);
-        if scratch.arena.len() != self.msgs {
-            return None;
-        }
-        let procs = self.procs;
-        let mut timeline = Timeline::new(procs);
-        timeline.reserve(2 * self.msgs);
-        let mut forced_sends = 0usize;
-
-        for &op in &self.ops {
-            if op == u32::MAX {
-                // Round boundary: part 2 drains everything delivered so far.
-                worstcase::wc_drain(scratch, &mut timeline, params, rule, None, procs);
-                continue;
-            }
-            let p = (op >> 1) as usize;
-            let forced = op & 1 == 1;
-            if p >= procs || !scratch.has_sends(p) {
-                return None;
-            }
-            let (slot, msg) = scratch.pop_send(p);
-            let final_start = transmit(
-                &mut scratch.clocks[p],
-                params,
-                rule,
-                p,
-                &msg,
-                forced,
-                None,
-                None,
-                &mut timeline,
-            );
-            let arrival = params.arrival_time(final_start, msg.bytes);
-            scratch.inboxes[msg.dst].push(InFlight {
-                arrival,
-                id: msg.id as u32,
-                slot,
-            });
-            if forced {
-                forced_sends += 1;
-            }
-        }
-        if (0..procs).any(|p| scratch.has_sends(p)) {
-            return None;
-        }
-
-        let mut result = SimResult::new(timeline);
-        result.forced_sends = forced_sends;
-        Some(result)
-    }
-
-    /// [`Recording::replay`] without the timeline: re-time this recording
-    /// under `cfg` computing only the per-processor completion maxima the
-    /// whole-program fold consumes, into `out` (buffers reused across
-    /// calls). Returns `false` with `out` left in an unspecified state
-    /// when the recorded order is not provably valid under `cfg` — retime
-    /// refuses whenever [`Recording::replay`] would, and additionally when
-    /// the new parameters reorder which in-flight message a receive takes
-    /// (see module docs); fall back to a full simulation then. On `true`
-    /// the maxima equal what [`StepEnds::absorb`] would extract from the
-    /// corresponding full simulation. This is the sweep fast path: no
-    /// arena rebuild, no receive heaps, no per-event `CommEvent`
-    /// construction, no per-step timeline allocation.
+    /// was recorded from, typically different `cfg.params`), computing only
+    /// the per-processor completion maxima the whole-program fold consumes,
+    /// into `out` (buffers reused across calls). Returns `false` with `out`
+    /// left in an unspecified state when the recorded order is not provably
+    /// valid under `cfg` (see module docs); fall back to a full simulation
+    /// then. On `true` the maxima equal what [`StepEnds::absorb`] would
+    /// extract from the corresponding full simulation. No arena rebuild, no
+    /// receive heaps, no per-event `CommEvent` construction, no timeline.
     pub fn retime(
         &self,
         pattern: &CommPattern,
@@ -403,13 +189,18 @@ impl Recording {
         scratch.begin_retime(ready, &self.q_start, self.msgs, procs);
         out.reset(ready);
 
-        // Same selection-key monotonicity as `replay_standard` (see the
-        // comment there). The receive heaps are replaced by the recorded
-        // pop identities: a pop is valid iff its key does not descend
-        // within its processor's pop sequence (drain keys included via the
-        // boundary check below) — in a valid run later-sent messages
-        // arrive after the current selection key, so a descent is exactly
-        // a pop that was not the pending minimum.
+        // Selection-key monotonicity state. The main loop always commits at
+        // the globally minimal (send_ready, proc) pair, so the sequence of
+        // those keys is non-decreasing lexicographically. Conversely, if a
+        // recorded sequence satisfies that and every per-op check below, it
+        // IS the sequence the full algorithm produces: a wrongly-skipped
+        // processor keeps its (smaller) key untouched until its own next
+        // recorded op, where the descent is caught. The receive heaps are
+        // replaced by the recorded pop identities: a pop is valid iff its
+        // key does not descend within its processor's pop sequence (drain
+        // keys included via the boundary check below) — in a valid run
+        // later-sent messages arrive after the current selection key, so a
+        // descent is exactly a pop that was not the pending minimum.
         let mut prev_t = Time::ZERO;
         let mut prev_p = 0usize;
 
@@ -483,7 +274,8 @@ impl Recording {
                 scratch.rt_cursor[p] += 1;
                 let msg = self.arena[slot];
                 // `t` is the send's ready time; committing at it is exactly
-                // what `transmit` does for the fault-free recording model.
+                // what `faults::transmit` does for the fault-free recording
+                // model.
                 let end = scratch.clocks[p].commit_kind(params, rule, OpKind::Send, t);
                 out.comm_done[p] = out.comm_done[p].max(end);
                 let arrival = params.arrival_time(t, msg.bytes);
@@ -769,6 +561,30 @@ mod tests {
         }
     }
 
+    /// The per-processor maxima [`StepEnds::absorb`] extracts from a full
+    /// simulation, for comparison with [`Recording::retime`] output.
+    fn ends_of(result: &SimResult, ready: &[Time]) -> StepEnds {
+        let mut ends = StepEnds::default();
+        ends.reset(ready);
+        ends.absorb(result);
+        ends
+    }
+
+    /// The maxima of a full simulation of `pattern` under `cfg` by the
+    /// algorithm `rec` was recorded with.
+    fn full_ends(
+        rec: &Recording,
+        pattern: &CommPattern,
+        cfg: &SimConfig,
+        ready: &[Time],
+    ) -> StepEnds {
+        let full = match rec.algo {
+            ReplayAlgo::Standard => standard::simulate_from(pattern, cfg, ready),
+            ReplayAlgo::WorstCase => worstcase::simulate_from(pattern, cfg, ready),
+        };
+        ends_of(&full, ready)
+    }
+
     #[test]
     fn recorded_run_matches_direct_simulation() {
         let pattern = patterns::all_to_all(6, 512);
@@ -780,93 +596,58 @@ mod tests {
     }
 
     #[test]
-    fn standard_replay_matches_full_resim_under_new_params() {
+    fn standard_retime_matches_full_resim_under_new_params() {
         let pattern = patterns::all_to_all(6, 512);
         let base = meiko_cfg(6);
         let mut scratch = SimScratch::new();
+        let mut ends = StepEnds::default();
         let ready = vec![Time::ZERO; 6];
         let (_, rec) = record_standard(&pattern, &base, &ready, &mut scratch);
-        assert!(rec.is_replayable());
         // Mild parameter changes keep the commit order valid.
-        for (num, den) in [(11, 10), (9, 10), (13, 10)] {
+        for (num, den) in [(1, 1), (11, 10), (9, 10), (13, 10)] {
             let cfg = SimConfig {
                 params: scaled(base.params, num, den),
                 ..base
             };
-            let replayed = rec
-                .replay(&pattern, &cfg, &ready, &mut scratch)
-                .expect("mild scaling keeps order valid");
-            let full = standard::simulate_from(&pattern, &cfg, &ready);
-            assert_eq!(replayed.timeline.events(), full.timeline.events());
-            assert_eq!(replayed.finish, full.finish);
+            assert!(
+                rec.retime(&pattern, &cfg, &ready, &mut scratch, &mut ends),
+                "mild scaling {num}/{den} keeps order valid"
+            );
+            assert_eq!(ends, full_ends(&rec, &pattern, &cfg, &ready), "{num}/{den}");
         }
     }
 
     #[test]
-    fn worstcase_replay_is_exact_for_any_params() {
+    fn worstcase_retime_is_exact_for_any_params() {
         let pattern = patterns::ring(7, 256); // cyclic: exercises forced sends
         let base = meiko_cfg(7).with_seed(5);
         let ready = vec![Time::ZERO; 7];
         let mut scratch = SimScratch::new();
+        let mut ends = StepEnds::default();
         let (_, rec) = record_worstcase(&pattern, &base, &ready, &mut scratch);
-        // Even drastic parameter changes replay exactly (round structure is
-        // parameter-independent).
+        // Even drastic parameter changes re-time exactly (round structure
+        // is parameter-independent).
         for (num, den) in [(1, 10), (10, 1), (17, 3)] {
             let cfg = SimConfig {
                 params: scaled(base.params, num, den),
                 ..base
             };
-            let replayed = rec
-                .replay(&pattern, &cfg, &ready, &mut scratch)
-                .expect("worst-case replay is unconditional");
-            let full = worstcase::simulate_from(&pattern, &cfg, &ready);
-            assert_eq!(replayed.timeline.events(), full.timeline.events());
-            assert_eq!(replayed.forced_sends, full.forced_sends);
+            assert!(
+                rec.retime(&pattern, &cfg, &ready, &mut scratch, &mut ends),
+                "worst-case retime is unconditional"
+            );
+            let want = full_ends(&rec, &pattern, &cfg, &ready);
+            assert!(want.forced_sends > 0, "the ring forces sends");
+            assert_eq!(ends, want, "{num}/{den}");
         }
     }
 
     #[test]
-    fn worstcase_replay_refuses_wrong_seed() {
-        let pattern = patterns::ring(5, 64);
-        let cfg = meiko_cfg(5).with_seed(7);
-        let ready = vec![Time::ZERO; 5];
-        let mut scratch = SimScratch::new();
-        let (_, rec) = record_worstcase(&pattern, &cfg, &ready, &mut scratch);
-        let other = meiko_cfg(5).with_seed(8);
-        assert!(rec.replay(&pattern, &other, &ready, &mut scratch).is_none());
-    }
-
-    #[test]
-    fn random_tie_break_recordings_refuse_replay() {
-        let pattern = patterns::all_to_all(4, 128);
-        let cfg = meiko_cfg(4).with_random_ties(3);
-        let ready = vec![Time::ZERO; 4];
-        let mut scratch = SimScratch::new();
-        let (result, rec) = record_standard(&pattern, &cfg, &ready, &mut scratch);
-        // Recording under Random still simulates correctly...
-        let direct = standard::simulate(&pattern, &cfg);
-        assert_eq!(result.timeline.events(), direct.timeline.events());
-        // ...but refuses to replay (RNG consumption is param-dependent).
-        assert!(!rec.is_replayable());
-        assert!(rec.replay(&pattern, &cfg, &ready, &mut scratch).is_none());
-    }
-
-    /// The per-processor maxima [`StepEnds::absorb`] extracts from a full
-    /// simulation, for comparison with [`Recording::retime`] output.
-    fn ends_of(result: &SimResult, ready: &[Time]) -> StepEnds {
-        let mut ends = StepEnds::default();
-        ends.reset(ready);
-        ends.absorb(result);
-        ends
-    }
-
-    #[test]
-    fn retime_matches_replay_acceptance_and_ends() {
+    fn retime_accepts_exactly_and_matches_full_resim() {
         // Across standard + worst-case recordings and mild-to-wild scaling:
-        // retime never accepts a run replay refuses, its maxima equal those
-        // of the replayed (= full) timeline whenever it accepts, unchanged
-        // parameters always retime, and worst-case retime (whose acceptance
-        // is unconditional given the seed) matches replay exactly.
+        // whenever retime accepts, its maxima equal those of a full
+        // simulation; unchanged parameters always retime, and worst-case
+        // retime (unconditional given the seed) always accepts.
         let ready: Vec<Time> = (0..8).map(|p| Time::from_us(p as f64 * 3.0)).collect();
         let mut scratch = SimScratch::new();
         let mut ends = StepEnds::default();
@@ -884,22 +665,12 @@ mod tests {
                         params: scaled(base.params, num, den),
                         ..base
                     };
-                    let replayed = rec.replay(&pattern, &cfg, &ready, &mut scratch);
                     let accepted = rec.retime(&pattern, &cfg, &ready, &mut scratch, &mut ends);
-                    if accepted {
-                        assert!(
-                            replayed.is_some(),
-                            "retime accepted a run replay refuses at {num}/{den}"
-                        );
-                    }
-                    if (num, den) == (1, 1) || rec.algo() == ReplayAlgo::WorstCase {
+                    if (num, den) == (1, 1) || rec.algo == ReplayAlgo::WorstCase {
                         assert!(accepted, "must retime at {num}/{den}");
                     }
                     if accepted {
-                        let expect = ends_of(&replayed.unwrap(), &ready);
-                        assert_eq!(ends.comm_done, expect.comm_done, "{num}/{den}");
-                        assert_eq!(ends.last_recv_done, expect.last_recv_done, "{num}/{den}");
-                        assert_eq!(ends.forced_sends, expect.forced_sends, "{num}/{den}");
+                        assert_eq!(ends, full_ends(rec, &pattern, &cfg, &ready), "{num}/{den}");
                     }
                 }
             }
@@ -907,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn retime_refuses_exactly_like_replay_on_bad_inputs() {
+    fn retime_refuses_a_wrong_seed_and_random_ties() {
         let pattern = patterns::ring(5, 64);
         let cfg = meiko_cfg(5).with_seed(7);
         let ready = vec![Time::ZERO; 5];
@@ -917,19 +688,24 @@ mod tests {
         let (_, wc) = record_worstcase(&pattern, &cfg, &ready, &mut scratch);
         let other = meiko_cfg(5).with_seed(8);
         assert!(!wc.retime(&pattern, &other, &ready, &mut scratch, &mut ends));
-        // Random-tie standard recordings never re-time.
-        let rnd = meiko_cfg(5).with_random_ties(3);
-        let (_, st) = record_standard(&pattern, &rnd, &ready, &mut scratch);
+        // Recording under random ties still simulates correctly...
+        let pattern = patterns::all_to_all(4, 128);
+        let rnd = meiko_cfg(4).with_random_ties(3);
+        let ready = vec![Time::ZERO; 4];
+        let (result, st) = record_standard(&pattern, &rnd, &ready, &mut scratch);
+        let direct = standard::simulate(&pattern, &rnd);
+        assert_eq!(result.timeline.events(), direct.timeline.events());
+        // ...but never re-times (RNG consumption is param-dependent).
         assert!(!st.retime(&pattern, &rnd, &ready, &mut scratch, &mut ends));
     }
 
     #[test]
-    fn standard_replay_bails_when_order_becomes_invalid() {
+    fn standard_retime_bails_when_order_becomes_invalid() {
         // A chain whose receive/send interleaving flips when latency
         // collapses: with huge L the downstream processor sends its own
         // message before the upstream one arrives; with L=0 the arrival
-        // overtakes it. Replay must detect the flip and refuse rather than
-        // produce a wrong timeline.
+        // overtakes it. Retime must detect the flip and refuse rather than
+        // produce wrong maxima.
         let mut pattern = CommPattern::new(3);
         pattern.add(0, 1, 1); // arrives at 1 late under big L
         pattern.add(1, 2, 1); // P1's own send
@@ -939,6 +715,7 @@ mod tests {
         });
         let ready = vec![Time::ZERO; 3];
         let mut scratch = SimScratch::new();
+        let mut ends = StepEnds::default();
         let (_, rec) = record_standard(&pattern, &base, &ready, &mut scratch);
         let collapsed = SimConfig::new(LogGpParams {
             latency: Time::ZERO,
@@ -946,13 +723,9 @@ mod tests {
             gap: Time::from_ns(1),
             ..base.params
         });
-        match rec.replay(&pattern, &collapsed, &ready, &mut scratch) {
-            None => {} // refused: fine
-            Some(replayed) => {
-                // If it claims validity it must be bit-exact.
-                let full = standard::simulate_from(&pattern, &collapsed, &ready);
-                assert_eq!(replayed.timeline.events(), full.timeline.events());
-            }
+        // Refused is fine; if it claims validity it must be bit-exact.
+        if rec.retime(&pattern, &collapsed, &ready, &mut scratch, &mut ends) {
+            assert_eq!(ends, full_ends(&rec, &pattern, &collapsed, &ready));
         }
     }
 }

@@ -4,14 +4,14 @@
 //! timeline — pattern shape, LogGP parameters, gap rule, tie-break policy
 //! and seed, fault plans, and custom arrival hooks (including misbehaving
 //! ones, which both sides clamp identically). A second group pins the
-//! incremental-replay invariant: whenever `Recording::replay` accepts, its
-//! output equals a full re-simulation, and the worst-case replay accepts
-//! unconditionally.
+//! incremental re-timing invariant: whenever `Recording::retime` accepts,
+//! its per-processor maxima equal those of a full re-simulation, and the
+//! worst-case re-timing accepts unconditionally.
 
 use commsim::faults::StepFaults;
 use commsim::{
     patterns, reference, replay, standard, worstcase, CommPattern, Message, SimConfig, SimScratch,
-    TieBreak,
+    StepEnds, TieBreak,
 };
 use loggp::{LogGpParams, Time};
 use proptest::prelude::*;
@@ -93,6 +93,15 @@ fn assert_same(label: &str, new: &commsim::SimResult, old: &commsim::SimResult) 
         new.forced_sends, old.forced_sends,
         "{label}: forced_sends diverged"
     );
+}
+
+/// `ends` must equal the per-processor maxima [`StepEnds::absorb`] takes
+/// from `full`, a full simulation started at `ready`.
+fn assert_ends(label: &str, ends: &StepEnds, full: &commsim::SimResult, ready: &[Time]) {
+    let mut want = StepEnds::default();
+    want.reset(ready);
+    want.absorb(full);
+    assert_eq!(ends, &want, "{label}: re-timed maxima diverged");
 }
 
 proptest! {
@@ -240,13 +249,13 @@ proptest! {
         }
     }
 
-    /// Incremental re-simulation ≡ full re-simulation for param-only
-    /// changes: whenever the standard replay accepts a new parameter set,
-    /// its timeline is bit-identical to simulating from scratch; recording
-    /// itself is also bit-identical to a plain run, and replaying at the
-    /// recorded parameters always accepts.
+    /// Incremental re-timing ≡ full re-simulation for param-only changes:
+    /// recording is bit-identical to a plain run, re-timing at the recorded
+    /// parameters always accepts and equals the direct run, and whenever
+    /// the standard re-timing accepts other parameters, its maxima equal
+    /// those of simulating from scratch.
     #[test]
-    fn standard_replay_equals_full_resim(
+    fn standard_retime_equals_full_resim(
         pattern in arb_pattern(),
         base in arb_params(),
         alt in arb_params(),
@@ -257,27 +266,30 @@ proptest! {
         let base_cfg = make_cfg(base, procs, false, classic, 0);
         let ready = &ready[..procs];
         let mut scratch = SimScratch::new();
+        let mut ends = StepEnds::default();
         let (recorded, rec) = replay::record_standard(&pattern, &base_cfg, ready, &mut scratch);
         let direct = standard::simulate_from(&pattern, &base_cfg, ready);
         assert_same("recording run", &recorded, &direct);
 
-        // Replaying at the *same* params must always accept and agree.
-        let same = rec.replay(&pattern, &base_cfg, ready, &mut scratch)
-            .expect("replay at recorded params always valid");
-        assert_same("replay@same", &same, &direct);
+        // Re-timing at the *same* params must always accept and agree.
+        assert!(
+            rec.retime(&pattern, &base_cfg, ready, &mut scratch, &mut ends),
+            "retime at recorded params always valid"
+        );
+        assert_ends("retime@same", &ends, &direct, ready);
 
         // At different params, accept ⇒ bit-identical to a full run.
         let alt_cfg = make_cfg(alt, procs, false, classic, 0);
-        if let Some(replayed) = rec.replay(&pattern, &alt_cfg, ready, &mut scratch) {
+        if rec.retime(&pattern, &alt_cfg, ready, &mut scratch, &mut ends) {
             let full = standard::simulate_from(&pattern, &alt_cfg, ready);
-            assert_same("replay@alt", &replayed, &full);
+            assert_ends("retime@alt", &ends, &full, ready);
         }
     }
 
-    /// The worst-case replay is unconditional: any parameter change (same
-    /// seed) replays exactly.
+    /// The worst-case re-timing is unconditional: any parameter change
+    /// (same seed) re-times exactly.
     #[test]
-    fn worstcase_replay_equals_full_resim(
+    fn worstcase_retime_equals_full_resim(
         pattern in arb_pattern(),
         base in arb_params(),
         alt in arb_params(),
@@ -289,14 +301,17 @@ proptest! {
         let base_cfg = make_cfg(base, procs, false, classic, seed);
         let ready = &ready[..procs];
         let mut scratch = SimScratch::new();
+        let mut ends = StepEnds::default();
         let (recorded, rec) = replay::record_worstcase(&pattern, &base_cfg, ready, &mut scratch);
         let direct = worstcase::simulate_from(&pattern, &base_cfg, ready);
         assert_same("wc recording run", &recorded, &direct);
 
         let alt_cfg = make_cfg(alt, procs, false, classic, seed);
-        let replayed = rec.replay(&pattern, &alt_cfg, ready, &mut scratch)
-            .expect("worst-case replay is unconditional for matching seeds");
+        assert!(
+            rec.retime(&pattern, &alt_cfg, ready, &mut scratch, &mut ends),
+            "worst-case retime is unconditional for matching seeds"
+        );
         let full = worstcase::simulate_from(&pattern, &alt_cfg, ready);
-        assert_same("wc replay@alt", &replayed, &full);
+        assert_ends("wc retime@alt", &ends, &full, ready);
     }
 }

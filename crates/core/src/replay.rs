@@ -1,10 +1,11 @@
 //! Whole-program incremental re-simulation.
 //!
-//! Parameter sweeps (`ge-sweep`, calibration refinement) simulate the *same
-//! program* many times, changing only the LogGP parameters between runs.
-//! The communication patterns, per-step structure and — for the common
-//! deterministic configurations — the commit order of every send and
-//! receive are identical across those runs; only the *times* move. This
+//! Predicting one program on several machines — `predsim machine-sweep`,
+//! the only consumer, whose cost `bench_sim` measures — simulates the
+//! *same program* many times, changing only the LogGP parameters between
+//! runs. The communication patterns, per-step structure and — for the
+//! common deterministic configurations — the commit order of every send
+//! and receive are identical across those runs; only the *times* move. This
 //! module exploits that: [`record_program`] runs one full simulation while
 //! recording each communication step's commit order
 //! ([`commsim::Recording`]), and [`ProgramRecording::predict`] re-times the

@@ -172,31 +172,6 @@ pub fn static_bounds_or_reason(
         .ok_or("program is malformed")
 }
 
-/// Simulate one job once while recording every step, returning the
-/// prediction, the recording, and the built program.
-///
-/// The recording replays bit-identically under *any* `SimOptions`
-/// (`ProgramRecording::predict` verifies each step and transparently
-/// resimulates on any mismatch), so the caller may cache it keyed by the
-/// program alone and serve later requests with different machines or
-/// algorithms from it. Returns `None` for the same jobs
-/// [`static_bounds`] declines: fault-injected or infeasible specs. The
-/// returned program is the prepared one when the spec was prepared.
-pub fn record_job(
-    spec: &JobSpec,
-) -> Option<(
-    Prediction,
-    predsim_core::ProgramRecording,
-    Arc<predsim_core::Program>,
-)> {
-    if spec.faults.is_some() || spec.source.validate().is_err() {
-        return None;
-    }
-    let program = spec.source.build();
-    let (prediction, recording) = predsim_core::record_program(&program, &spec.opts);
-    Some((prediction, recording, program))
-}
-
 /// Ranking key for batch dispatch: static ceiling `hi` in picoseconds
 /// (descending — the job that can run longest starts first, so it cannot
 /// become the lone straggler at the end of the batch), then a
@@ -530,8 +505,8 @@ impl Engine {
     /// Prepare one job for execution: validate its spec and, when it is
     /// feasible, build its program once and return the spec with its
     /// source replaced by that [`JobSource::Program`]. Every later step —
-    /// [`lint_job`], [`static_bounds`], [`record_job`], [`Engine::run`] —
-    /// then shares the program instead of building it again.
+    /// [`lint_job`], [`static_bounds`], [`Engine::run`] — then shares the
+    /// program instead of building it again.
     ///
     /// Infeasible specs come back unbuilt, so the lint gate still reports
     /// them as `PS0501` and an unchecked run still ends them `crashed`

@@ -11,9 +11,10 @@
 //!   server admits them only if the cost model says they can finish in
 //!   time, shedding the newest deadline-less work first.
 //! - **Tiered degradation**: above configurable queue-depth watermarks
-//!   `/v1/predict` degrades from full simulation to a cached recording
-//!   replay (bit-identical totals) to the queue-free static `[lo, hi]`
-//!   estimate; every response names its `tier`.
+//!   `/v1/predict` degrades from queueing for a worker, to running the
+//!   job on the request's own thread through the same engine and step
+//!   memo (the full tier's exact answer), to the queue-free static
+//!   `[lo, hi]` estimate; every response names its `tier`.
 //! - **Worker supervision**: a supervisor thread respawns panicked
 //!   workers (re-enqueueing the job they held, once) and backfills
 //!   stalled ones; `serve_worker_restarts_total` counts interventions.

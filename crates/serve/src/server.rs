@@ -7,7 +7,7 @@
 //! acceptor ──spawns──▶ handler (one per connection, keep-alive loop)
 //!                         │ parse + build + lint, then the tier ladder:
 //!                         │   full  ──▶ queue.try_push ──▶ 429 when full
-//!                         │   replay ─▶ cached recording, no queue
+//!                         │   replay ─▶ Engine::run right here, no queue
 //!                         │   static ─▶ interval only, no simulation
 //!                         ▼
 //!                     BoundedQueue ◀──pop── worker × N ──▶ Engine::run
@@ -25,7 +25,8 @@
 //!
 //! **Overload behaviour** is tiered rather than binary. Above a
 //! high-watermark queue depth `/v1/predict` stops queueing and degrades:
-//! first to a cached step-recording replay (bit-identical totals, no
+//! first to the replay tier, which runs the job through the same engine
+//! and step memo on the handler thread (the full tier's exact answer, no
 //! queue wait), then to the queue-free static `[lo, hi]` estimate. Every
 //! response names its `tier`. Requests carrying a `deadline_ms` are
 //! admitted only if the calibrated cost model says they can finish in
@@ -88,8 +89,11 @@ pub struct ServeConfig {
     pub engine: EngineConfig,
     /// Append every finished job to this checkpoint journal.
     pub journal: Option<std::path::PathBuf>,
-    /// Queue depth at which `/v1/predict` degrades to recording replay.
-    /// `None` derives `max(1, queue_cap / 2)`.
+    /// Queue depth at which `/v1/predict` degrades to the replay tier:
+    /// the job runs on its connection's thread instead of queueing.
+    /// `None` derives `max(1, queue_cap / 2)`; an explicit value is
+    /// clamped to at least 1 too, so an idle server always queues (0
+    /// would send every predict around admission control).
     pub replay_at: Option<usize>,
     /// Queue depth at which `/v1/predict` degrades to the static-bounds
     /// estimate. `None` derives `max(replay_at, 3 * queue_cap / 4)`.
@@ -356,16 +360,6 @@ impl WorkerState {
     }
 }
 
-/// A cached step recording for the replay tier: the program it was made
-/// from plus the recording itself.
-type ReplayEntry = (
-    Arc<predsim_core::Program>,
-    Arc<predsim_core::ProgramRecording>,
-);
-
-/// Most recordings the replay tier keeps warm.
-const REPLAY_CACHE_CAP: usize = 32;
-
 struct Shared {
     engine: Engine,
     queue: BoundedQueue<Job>,
@@ -397,7 +391,6 @@ struct Shared {
     chaos_pop_site: AtomicU64,
     chaos_conn_site: AtomicU64,
     chaos_accept_site: AtomicU64,
-    replays: Mutex<HashMap<String, ReplayEntry>>,
     started: Instant,
 }
 
@@ -585,7 +578,7 @@ impl Server {
         );
         let workers = config.workers.max(1);
         let queue_cap = config.queue_cap.max(1);
-        let replay_at = config.replay_at.unwrap_or((queue_cap / 2).max(1));
+        let replay_at = config.replay_at.unwrap_or(queue_cap / 2).max(1);
         let static_at = config
             .static_at
             .unwrap_or(replay_at.max(queue_cap * 3 / 4))
@@ -613,7 +606,6 @@ impl Server {
             chaos_pop_site: AtomicU64::new(0),
             chaos_conn_site: AtomicU64::new(0),
             chaos_accept_site: AtomicU64::new(0),
-            replays: Mutex::new(HashMap::new()),
             started: Instant::now(),
         });
 
@@ -1150,64 +1142,21 @@ fn admit_and_run(shared: &Shared, admits: Vec<Admit>) -> Result<Vec<Reply>, Resp
     }
 }
 
-/// Serve one predict from the replay tier if possible: a cached step
-/// recording (or one recorded right here, once, off the queue) replayed
-/// under the request's options. `ProgramRecording::predict` verifies
-/// every step and transparently resimulates mismatches, so the totals
-/// are bit-identical to a full simulation — only the `tier` field tells
-/// the client it skipped the queue.
-fn try_replay(shared: &Shared, name: &str, spec: &JobSpec) -> Option<Response> {
-    let o = &spec.opts;
-    let p = o.cfg.params;
-    let key = format!(
-        "{name}|{},{},{},{},{}|{:?}|{:?}|{:?}|{:?}|{}",
-        p.latency.as_ps(),
-        p.overhead.as_ps(),
-        p.gap.as_ps(),
-        p.gap_per_byte.as_ps(),
-        p.procs,
-        o.algo,
-        o.sync,
-        o.overlap,
-        o.cfg.gap_rule,
-        o.cfg.seed,
-    );
-    let cached = shared
-        .replays
-        .lock()
-        .expect("replay cache poisoned")
-        .get(&key)
-        .cloned();
-    let (program, recording) = match cached {
-        Some(entry) => entry,
-        None => {
-            // One full simulation on this handler thread, amortized over
-            // every later hit. Holds no lock while simulating.
-            let (_, recording, program) = predsim_engine::record_job(spec)?;
-            let entry = (program, Arc::new(recording));
-            let mut cache = shared.replays.lock().expect("replay cache poisoned");
-            if cache.len() >= REPLAY_CACHE_CAP {
-                cache.clear();
-            }
-            cache.insert(key, entry.clone());
-            entry
-        }
-    };
-    let (prediction, _stats) = recording.predict(&program, o);
-    let result = JobResult {
-        index: 0,
-        label: spec.label.clone(),
-        outcome: JobOutcome::Done {
-            prediction,
-            attempts: 1,
-        },
-    };
+/// Serve one predict at the replay tier: run the prepared job through
+/// the one shared [`Engine`] on this handler thread, skipping the queue.
+/// It is the call a worker makes, so the answer comes from the same step
+/// memo under the same budget, retries and panic isolation, and the body
+/// equals the full tier's but for `tier`. Unlike a worker's, the result
+/// is not journaled.
+fn replay_tier(shared: &Shared, spec: &JobSpec) -> Response {
+    let mut results = shared.engine.run(std::slice::from_ref(spec));
+    let result = results.pop().expect("engine returns one result per spec");
     let bounds = predsim_engine::static_bounds(spec);
     shared.metrics.tier(api::Tier::Replay);
-    Some(Response::json(
+    Response::json(
         200,
         api::render_predict(&result, bounds.as_ref(), api::Tier::Replay),
-    ))
+    )
 }
 
 fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
@@ -1235,9 +1184,7 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
             }
         }
     } else if depth >= shared.replay_at && degradable && name != "trace" {
-        if let Some(resp) = try_replay(shared, &name, &spec) {
-            return Ok(resp);
-        }
+        return Ok(replay_tier(shared, &spec));
     }
 
     // Deadline-aware admission for the full tier.

@@ -2,6 +2,7 @@
 //! supervision, tiered degradation, and deadline-aware admission — all
 //! over a real TCP socket.
 
+use predsim_engine::EngineConfig;
 use predsim_lint::json::{self, Value};
 use predsim_serve::{ChaosPlan, ChaosSpec, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -358,6 +359,49 @@ fn overload_degrades_through_replay_to_static_and_brackets_the_truth() {
             >= 1,
         "the static tier was served"
     );
+}
+
+#[test]
+fn the_replay_tier_answers_under_the_engine_budget_like_the_full_tier() {
+    // A three-step budget cuts the GE job short. The replay tier runs the
+    // job through the same engine as a worker does, so it is cut short
+    // too: its body is the full tier's, byte for byte, but for `tier`.
+    let handle = Server::start(ServeConfig {
+        replay_at: Some(1),
+        engine: EngineConfig::default().with_step_budget(3),
+        ..pinned(8)
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let job = r#"{"source":"ge:240,24,diagonal,8"}"#;
+
+    let (status, full) = predict(addr, job);
+    assert_eq!(status, 200, "{full}");
+    assert_eq!(tier_of(&full), "full");
+    assert!(full.contains("\"outcome\":\"timed_out\""), "{full}");
+
+    // Pin the worker and queue one job behind it, as in the overload
+    // test above: depth reaches the replay watermark.
+    let hold: Vec<_> = (0..2)
+        .map(|_| std::thread::spawn(move || predict(addr, OPAQUE)))
+        .collect();
+    wait_until(30000, || {
+        let (depth, executing) = health(addr);
+        depth >= 1 && executing >= 1
+    });
+    let (status, body) = predict(addr, job);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(tier_of(&body), "replay", "{body}");
+    assert_eq!(
+        body.replace("\"tier\":\"replay\"", "\"tier\":\"full\""),
+        full
+    );
+
+    for h in hold {
+        let (status, _) = h.join().unwrap();
+        assert_eq!(status, 200, "held jobs still complete");
+    }
+    handle.drain();
 }
 
 #[test]

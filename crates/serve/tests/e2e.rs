@@ -694,6 +694,51 @@ fn calibrate_endpoint_fits_registers_and_serves_the_preset() {
 }
 
 #[test]
+fn calibrate_under_a_step_budget_is_refused_not_panicked() {
+    // Every fit evaluation would see a prediction cut off at step 3, so
+    // the fit is refused up front with an error naming the budget; the
+    // server keeps serving.
+    let handle = Server::start(ServeConfig {
+        engine: EngineConfig::default().with_step_budget(3),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let (status, _, body) = request(
+        addr,
+        "POST",
+        "/v1/calibrate",
+        r#"{"source":"ge:240,24,diagonal,4","runs":4,"holdout":1}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    let doc = json::parse(&body).expect("error body is strict JSON");
+    let error = doc.get("error").and_then(Value::as_str).expect("error");
+    assert!(error.contains("step budget (3)"), "{body}");
+    assert!(!error.contains("panicked"), "{body}");
+    assert_eq!(health(addr), (0, 0));
+    let report = handle.drain();
+    assert_eq!(
+        report.metrics.scalar("serve_worker_restarts_total", &[]),
+        Some(0)
+    );
+}
+
+#[test]
+fn a_zero_replay_watermark_still_queues_on_an_idle_server() {
+    // `replay_at` is clamped to at least 1, like `static_at`: at 0 every
+    // predict would skip the queue and admission control with it.
+    let handle = Server::start(ServeConfig {
+        replay_at: Some(0),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let (status, body) = predict(handle.addr(), r#"{"source":"cannon:96,4"}"#);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"tier\":\"full\""), "{body}");
+    handle.drain();
+}
+
+#[test]
 fn drain_finishes_in_flight_work_and_counts_every_request() {
     // The single worker stalls two seconds on every job it picks up (the
     // chaos harness's `stall` at rate 1), so the request is still

@@ -194,9 +194,10 @@ USAGE:
       LogGP preset to an emulated source (same fields as /v1/predict
       plus \"runs\", \"holdout\", \"max_rounds\", \"register\") and returns
       the fitted parameters with the bracketing report. Under load the
-      server degrades instead of failing: at queue depth --replay-at it
-      answers clean re-requests from cached recordings (tier \"replay\",
-      bit-identical), at --static-at it falls back to analyzer bounds
+      server degrades instead of failing: at queue depth --replay-at (at
+      least 1) it runs clean jobs on the request's own thread instead of
+      queueing them (tier \"replay\", the same exact answer through the
+      same step memo), at --static-at it falls back to analyzer bounds
       (tier \"static\", lo..hi bracket); requests may carry
       \"deadline_ms\" — unmeetable deadlines get an instant static
       answer or 429 with a computed Retry-After. Panicked or stalled

@@ -187,6 +187,55 @@ fn ge_sweep_finds_optimum() {
     assert!(text.contains("predicted optimum: B="), "{text}");
 }
 
+/// `machine-sweep`, the one consumer of recorded re-timing: with
+/// `--verify` every machine's re-timed prediction is checked against a
+/// full simulation, and its total, comp and comm columns equal `batch`'s
+/// rows for the same machines and switches — on GE and on a cyclic
+/// stencil, under both algorithms.
+#[test]
+fn machine_sweep_verifies_and_agrees_with_batch() {
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // The columns of the first table row that starts with `head`.
+    fn row<'a>(text: &'a str, head: &[&str]) -> Vec<&'a str> {
+        text.lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.starts_with(head))
+            .unwrap_or_else(|| panic!("no {head:?} row in:\n{text}"))
+    }
+    for src in ["ge:240,24,diagonal,8", "stencil:64,8,4"] {
+        for algo in [&[][..], &["--worst-case"][..]] {
+            let mut args = vec![
+                "machine-sweep",
+                src,
+                "--machines",
+                "meiko,paragon,ethernet",
+                "--verify",
+            ];
+            args.extend(algo);
+            let sweep = run(&args);
+            assert!(sweep.contains("all predictions verified"), "{sweep}");
+            let mut args = vec!["batch", src, "--machine", "meiko,paragon,ethernet"];
+            args.extend(algo);
+            let batch = run(&args);
+            for machine in ["meiko", "paragon", "ethernet"] {
+                assert_eq!(
+                    row(&sweep, &[machine])[1..4],
+                    row(&batch, &[src, "@", machine, "done"])[4..7],
+                    "{src} {algo:?} on {machine}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn ge_sweep_rejects_nondividing_blocks() {
     let out = bin()
