@@ -21,9 +21,10 @@
 //!   [`predsim_obs::Registry`] (`calib_*` series, visible at the serve
 //!   layer's `/metrics`).
 //!
-//! Fitted parameters persist as named presets through
-//! [`loggp::registry`], so anything that accepts `--machine` can run
-//! against a calibrated machine.
+//! Fitted parameters become named machines in [`loggp::registry`]
+//! (`predsim calibrate --out` also appends them to a preset file), so
+//! anything that accepts `--machine` can run against a calibrated
+//! machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

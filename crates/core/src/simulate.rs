@@ -401,11 +401,6 @@ impl SimBudget {
             ..SimBudget::default()
         }
     }
-
-    /// True when no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.max_virtual.is_none()
-    }
 }
 
 /// Why a budgeted simulation stopped.

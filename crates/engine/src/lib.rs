@@ -38,7 +38,8 @@
 //!   [`EngineConfig::with_budget`]) turns runaway simulations into
 //!   [`JobOutcome::TimedOut`] results carrying the partial prediction;
 //! * crashed and timed-out jobs can be retried
-//!   ([`EngineConfig::with_retries`]) with capped exponential backoff;
+//!   ([`EngineConfig::with_retries`]); a retry runs immediately, with no
+//!   backoff;
 //! * [`Engine::run_resumable`] journals every finished job to a JSONL
 //!   checkpoint ([`Journal`]) and, given the entries read back from one,
 //!   restores completed jobs instead of re-running them — bit-identical
@@ -84,7 +85,7 @@ use predsim_obs::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// [`lint_job_as`] under the standard algorithm, not strict: the pre-run
 /// gate of [`Engine::run_checked`] and of the server. Deadlock cycles are
@@ -238,21 +239,15 @@ pub struct EngineConfig {
     pub jobs: usize,
     /// Whether to memoize communication steps.
     pub memo: bool,
-    /// Lock shards of the memo cache.
-    pub shards: usize,
-    /// Entries per shard before epoch eviction.
-    pub shard_capacity: usize,
     /// Per-job simulation budget; exceeding it yields
     /// [`JobOutcome::TimedOut`] instead of running forever.
     pub budget: SimBudget,
     /// Re-execution attempts after a crashed or timed-out job (0 = fail on
     /// the first bad attempt). Predictions are deterministic, so retries
     /// guard against *host*-side transience (memory pressure, a poisoned
-    /// cache shard), not simulation randomness.
+    /// cache shard), not simulation randomness. A retry runs
+    /// immediately.
     pub retries: u32,
-    /// Base backoff between retry attempts, milliseconds; doubled per
-    /// attempt, capped at one second. `0` retries immediately.
-    pub retry_backoff_ms: u64,
 }
 
 impl Default for EngineConfig {
@@ -260,11 +255,8 @@ impl Default for EngineConfig {
         EngineConfig {
             jobs: 0,
             memo: true,
-            shards: 16,
-            shard_capacity: 4096,
             budget: SimBudget::unlimited(),
             retries: 0,
-            retry_backoff_ms: 0,
         }
     }
 }
@@ -309,12 +301,6 @@ impl EngineConfig {
     /// timed-out jobs.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Same config with a base retry backoff in milliseconds.
-    pub fn with_retry_backoff_ms(mut self, ms: u64) -> Self {
-        self.retry_backoff_ms = ms;
         self
     }
 }
@@ -467,10 +453,11 @@ impl Engine {
     /// An engine with the given configuration and observability
     /// attachments.
     pub fn with_obs(config: EngineConfig, obs: EngineObs) -> Self {
-        let cache = Arc::new(MemoCache::new(
-            config.shards.max(1),
-            config.shard_capacity.max(1),
-        ));
+        // Lock shards of the memo cache, and entries per shard before
+        // epoch eviction.
+        const MEMO_SHARDS: usize = 16;
+        const MEMO_SHARD_CAPACITY: usize = 4096;
+        let cache = Arc::new(MemoCache::new(MEMO_SHARDS, MEMO_SHARD_CAPACITY));
         Engine { config, cache, obs }
     }
 
@@ -796,18 +783,6 @@ impl Engine {
         }
     }
 
-    /// Sleep out the retry backoff before re-attempt number `attempt + 1`
-    /// (zero-based `attempt` of the failure): base × 2^attempt, capped at
-    /// one second.
-    fn backoff(&self, attempt: u32) {
-        let base = self.config.retry_backoff_ms;
-        if base == 0 {
-            return;
-        }
-        let ms = base.saturating_mul(1u64 << attempt.min(10)).min(1_000);
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-
     /// Run one job to an outcome: attempt it under `catch_unwind` and the
     /// configured budget, retrying crashed/timed-out attempts up to the
     /// configured cap. A panic is contained here — it becomes a
@@ -851,7 +826,6 @@ impl Engine {
             }
             if outcome.is_none() {
                 self.obs.metrics.job_retries_total.inc();
-                self.backoff(attempt - 1);
             }
         }
         let outcome = outcome.expect("at least one attempt ran");

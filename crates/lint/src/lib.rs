@@ -108,10 +108,6 @@ pub struct LintOptions {
     /// Minimum number of distinct senders into one processor in one step
     /// before a fan-in hotspot (`PS0301`) is reported.
     pub fanin_threshold: usize,
-    /// `max / mean` ratio above which per-step communication bounds
-    /// (`PS0302`) and per-program computation load (`PS0303`) count as
-    /// imbalanced.
-    pub imbalance_ratio: f64,
     /// Fail-stop fault windows to check receive satisfiability against
     /// (`PS0401`). Empty disables the fault analysis.
     pub fault_windows: Vec<FaultWindow>,
@@ -128,7 +124,6 @@ impl Default for LintOptions {
             params: None,
             algo: CommAlgo::Standard,
             fanin_threshold: 4,
-            imbalance_ratio: 4.0,
             fault_windows: Vec::new(),
             strict_faults: false,
             divergence_ratio: 8.0,
@@ -152,12 +147,6 @@ impl LintOptions {
     /// These options with a different fan-in threshold.
     pub fn with_fanin_threshold(mut self, threshold: usize) -> Self {
         self.fanin_threshold = threshold;
-        self
-    }
-
-    /// These options with a different imbalance ratio.
-    pub fn with_imbalance_ratio(mut self, ratio: f64) -> Self {
-        self.imbalance_ratio = ratio;
         self
     }
 

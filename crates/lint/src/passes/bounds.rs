@@ -27,6 +27,12 @@ use crate::{Code, Diagnostic, LintOptions, Pass, ProgramView, Report, Severity, 
 use commsim::CommPattern;
 use loggp::{LogGpParams, Time};
 
+/// Ratio above which a load counts as imbalanced: `max / mean` of
+/// per-step communication bounds (`PS0302`) and of per-step computation
+/// charges (`PS0303`), and `max / min` of static finish ceilings
+/// (`PS0601`).
+pub const IMBALANCE_RATIO: f64 = 4.0;
+
 /// Per-processor lower bounds on a communication step's span: zero for
 /// processors that move no network message, `(m-1)·g + 2o + L` otherwise.
 pub fn proc_bounds(pattern: &CommPattern, params: &LogGpParams) -> Vec<Time> {
@@ -95,7 +101,7 @@ impl Pass for LogGpBounds {
                 let mean = step.comp_total().as_us_f64() / view.procs as f64;
                 if mean > 0.0 {
                     let ratio = max.as_us_f64() / mean;
-                    if ratio > opts.imbalance_ratio {
+                    if ratio > IMBALANCE_RATIO {
                         comp_flagged += 1;
                         let argmax = step
                             .comp
@@ -121,7 +127,7 @@ impl Pass for LogGpBounds {
 
             self.check_fan_in(i, step, view, opts, report);
             if let Some(params) = &opts.params {
-                self.check_comm_balance(i, step, view, params, opts, report);
+                self.check_comm_balance(i, step, view, params, report);
             }
         }
 
@@ -135,7 +141,7 @@ impl Pass for LogGpBounds {
                     format!(
                         "{comp_flagged} of {comp_phases} computation phases are imbalanced \
                          beyond {:.1}x",
-                        opts.imbalance_ratio
+                        IMBALANCE_RATIO
                     ),
                 )
                 .with_note(format!(
@@ -220,7 +226,6 @@ impl LogGpBounds {
         step: &predsim_core::Step,
         view: &ProgramView<'_>,
         params: &LogGpParams,
-        opts: &LintOptions,
         report: &mut Report,
     ) {
         let bounds = proc_bounds(&step.comm, params);
@@ -239,7 +244,7 @@ impl LogGpBounds {
             .expect("active is non-empty");
         let mean = active.iter().map(|(_, b)| b.as_us_f64()).sum::<f64>() / active.len() as f64;
         let ratio = max.as_us_f64() / mean;
-        if ratio > opts.imbalance_ratio {
+        if ratio > IMBALANCE_RATIO {
             report.push(
                 Diagnostic::new(
                     Code::CommImbalance,
@@ -301,7 +306,7 @@ impl Pass for CostIntervals {
             let (min_proc, min) = *active.iter().min_by_key(|(_, h)| *h).expect("non-empty");
             if !min.is_zero() {
                 let ratio = max.as_us_f64() / min.as_us_f64();
-                if ratio > opts.imbalance_ratio {
+                if ratio > IMBALANCE_RATIO {
                     report.push(
                         Diagnostic::new(
                             Code::StaticImbalance,

@@ -196,11 +196,6 @@ pub fn pairing_starts_ruled(
     (s1, s2)
 }
 
-/// [`pairing_starts_ruled`] under the paper's extended rule.
-pub fn pairing_starts(params: &LogGpParams, first: OpKind, second: OpKind) -> (Time, Time) {
-    pairing_starts_ruled(params, GapRule::Extended, first, second)
-}
-
 /// All four Figure 1 pairings with their operation start separations under
 /// the given rule.
 pub fn figure1_pairings_ruled(params: &LogGpParams, rule: GapRule) -> Vec<(OpKind, OpKind, Time)> {

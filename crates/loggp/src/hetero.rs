@@ -16,7 +16,7 @@
 //!   processors; the step simulators themselves stay uniform.
 //!
 //! A uniform spec (no speed entries, no links) is *exactly* its base
-//! preset — the registry persists it byte-identically to a flat preset,
+//! preset — a preset file stores it byte-identically to a flat preset,
 //! and every consumer must predict bit-identically to the wrapped
 //! parameters (pinned by tests here and in `predsim-dag`).
 
@@ -207,12 +207,12 @@ impl MachineSpec {
 }
 
 /// Resolve a machine name to a (possibly heterogeneous) spec for
-/// `procs` processors: built-in presets and flat registered presets
-/// become uniform specs; names registered from a heterogeneous preset
-/// file resolve with their speed factors and links intact (shrunk to
-/// `procs` when fewer are asked for).
+/// `procs` processors: built-in presets and uniform registered machines
+/// become uniform specs; heterogeneous registered machines resolve with
+/// their speed factors and links intact (shrunk to `procs` when fewer are
+/// asked for).
 pub fn resolve(name: &str, procs: usize) -> Result<MachineSpec, String> {
-    if let Some(spec) = crate::registry::registered_spec(name) {
+    if let Some(spec) = crate::registry::registered(name) {
         return spec
             .retarget(procs)
             .map_err(|e| format!("machine '{name}': {e}"));

@@ -15,9 +15,11 @@
 //!   not just same-kind pairs;
 //! * [`presets`] — parameter sets for a few machines, most importantly the
 //!   Meiko CS-2 the paper evaluated on;
-//! * [`registry`] — file-backed *fitted* presets: named parameter sets
-//!   produced by calibration, persisted as small JSON files and resolvable
-//!   through [`presets::by_name`] like the built-ins;
+//! * [`registry`] — the process-wide map of *fitted* machines: named
+//!   [`MachineSpec`]s produced by calibration or loaded from a preset file,
+//!   resolvable through [`presets::by_name`] like the built-ins (this crate
+//!   reads no files; the `predsim` command line owns the preset-file
+//!   format);
 //! * [`hetero`] — [`MachineSpec`]: per-processor speed factors and
 //!   per-link parameter overrides wrapped around a flat preset, for
 //!   scheduling task DAGs onto non-uniform machines.

@@ -65,7 +65,8 @@ pub const DEFAULT: &str = "meiko";
 /// Names that are not built-ins fall back to the fitted-preset
 /// [`registry`](crate::registry): anything registered there (from a
 /// calibration run or a loaded preset file) resolves exactly like a
-/// built-in, re-targeted to `procs` processors.
+/// built-in, re-targeted to `procs` processors. A heterogeneous entry
+/// resolves to its base parameters.
 pub fn by_name(name: &str, procs: usize) -> Option<LogGpParams> {
     Some(match name {
         "meiko" => meiko_cs2(procs),
@@ -73,7 +74,7 @@ pub fn by_name(name: &str, procs: usize) -> Option<LogGpParams> {
         "myrinet" => myrinet_cluster(procs),
         "ethernet" => ethernet_cluster(procs),
         "ideal" => ideal(procs),
-        _ => return crate::registry::registered(name, procs),
+        _ => return crate::registry::registered(name).map(|spec| spec.base.with_procs(procs)),
     })
 }
 

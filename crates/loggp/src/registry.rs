@@ -1,63 +1,19 @@
-//! File-backed named machine presets.
+//! The process-wide registry of named machines.
 //!
 //! [`presets::by_name`](crate::presets::by_name) resolves the built-in
-//! machines; this module adds the *fitted* ones: parameter sets produced
-//! by calibration (or written by hand) that live in small JSON files and
-//! in a process-wide registry consulted as a fallback by `by_name`.
+//! machines; this module adds the *fitted* ones: machines produced by
+//! calibration or loaded from a preset file, kept in one process-wide map
+//! from name to [`MachineSpec`]. Flat consumers see a registered name
+//! through `by_name` as its base parameters;
+//! [`hetero::resolve`](crate::hetero::resolve) sees the whole spec,
+//! heterogeneity included.
 //!
-//! The file format is deliberately tiny — integer picoseconds only, no
-//! floats, so a preset round-trips bit-exactly through save/load:
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "presets": [
-//!     { "name": "ge-fit", "latency_ps": 9000000, "overhead_ps": 6000000,
-//!       "gap_ps": 16000000, "gap_per_byte_ps": 30000, "procs": 8 }
-//!   ]
-//! }
-//! ```
-//!
-//! `loggp` sits below the workspace's strict JSON parser
-//! (`predsim_lint::json` depends on this crate), so the loader here is a
-//! self-contained parser for exactly this schema: objects, arrays,
-//! strings without escapes, and unsigned integers. Anything else is a
-//! hard error — same spirit as the wire format, scoped to one file kind.
+//! This crate reads no files: the preset-file format belongs to the
+//! `predsim` command line, which registers a file's entries here.
 
-use crate::hetero::{LinkOverride, MachineSpec};
-use crate::params::LogGpParams;
-use crate::time::Time;
+use crate::hetero::MachineSpec;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{OnceLock, RwLock};
-
-/// Current preset-file schema version.
-pub const FILE_VERSION: u64 = 1;
-
-/// A named parameter set as stored in a preset file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NamedPreset {
-    /// Registry name (letters, digits, `-`, `_`, `.`; must not collide
-    /// with a built-in short name).
-    pub name: String,
-    /// The parameters (procs included: the count the fit was made at;
-    /// `by_name` re-targets it to the requested processor count).
-    pub params: LogGpParams,
-}
-
-/// A named, possibly heterogeneous machine as stored in a preset file.
-///
-/// Uniform specs render byte-identically to a flat [`NamedPreset`];
-/// heterogeneous ones carry the optional `speed_permille` and `links`
-/// fields. Flat consumers ([`parse_file`], [`registered`]) see only the
-/// base parameters of a heterogeneous entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NamedSpec {
-    /// Registry name (same rules as [`NamedPreset`]).
-    pub name: String,
-    /// The machine description.
-    pub spec: MachineSpec,
-}
 
 /// Validate a registry name: non-empty, and only characters that cannot
 /// collide with the `--machine` spec grammar (`@file:name`) or the
@@ -80,40 +36,47 @@ pub fn check_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn global() -> &'static RwLock<HashMap<String, LogGpParams>> {
-    static GLOBAL: OnceLock<RwLock<HashMap<String, LogGpParams>>> = OnceLock::new();
+fn global() -> &'static RwLock<HashMap<String, MachineSpec>> {
+    static GLOBAL: OnceLock<RwLock<HashMap<String, MachineSpec>>> = OnceLock::new();
     GLOBAL.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Register a fitted preset under `name` in the process-wide registry.
+/// Register a (possibly heterogeneous) machine under `name`.
 ///
-/// Rejects invalid names, names shadowing built-ins, parameters that do
-/// not validate, and re-registration under an existing name with
-/// *different* parameters. Re-registering identical parameters is
-/// idempotent (so loading the same preset file twice is harmless).
-pub fn register(name: &str, params: LogGpParams) -> Result<(), String> {
+/// Rejects invalid names, names shadowing built-ins, specs that do not
+/// validate, and re-registration under an existing name with a
+/// *different* spec. Re-registering an identical spec is idempotent (so
+/// loading the same preset file twice is harmless). A spec that
+/// [`is_uniform`](MachineSpec::is_uniform) registers as its base alone.
+pub fn register(name: &str, spec: MachineSpec) -> Result<(), String> {
     check_name(name)?;
-    params
-        .validate()
+    spec.validate()
         .map_err(|e| format!("preset '{name}': {e}"))?;
+    let spec = if spec.is_uniform() {
+        MachineSpec::uniform(spec.base)
+    } else {
+        spec
+    };
     let mut map = global().write().expect("preset registry poisoned");
     match map.get(name) {
-        Some(existing) if *existing != params => Err(format!(
+        Some(existing) if *existing != spec => Err(format!(
             "preset '{name}' is already registered with different parameters"
         )),
         _ => {
-            map.insert(name.to_string(), params);
+            map.insert(name.to_string(), spec);
             Ok(())
         }
     }
 }
 
-/// Look a registered preset up by name, re-targeted to `procs`
-/// processors. Built-in machines are *not* consulted here; use
-/// [`presets::by_name`](crate::presets::by_name) for the combined view.
-pub fn registered(name: &str, procs: usize) -> Option<LogGpParams> {
+/// Look a registered machine up by name, at its *registered* processor
+/// count (use [`MachineSpec::retarget`] to change it). Built-in machines
+/// are *not* consulted here; use
+/// [`presets::by_name`](crate::presets::by_name) or
+/// [`hetero::resolve`](crate::hetero::resolve) for the combined view.
+pub fn registered(name: &str) -> Option<MachineSpec> {
     let map = global().read().expect("preset registry poisoned");
-    map.get(name).map(|p| p.with_procs(procs))
+    map.get(name).cloned()
 }
 
 /// The names currently registered, sorted.
@@ -124,622 +87,32 @@ pub fn registered_names() -> Vec<String> {
     names
 }
 
-fn spec_global() -> &'static RwLock<HashMap<String, MachineSpec>> {
-    static GLOBAL: OnceLock<RwLock<HashMap<String, MachineSpec>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Register a (possibly heterogeneous) machine spec under `name`.
-///
-/// The base parameters always land in the flat registry, so
-/// [`registered`] and [`presets::by_name`](crate::presets::by_name)
-/// resolve the name too (seeing the uniform base); the heterogeneity is
-/// kept alongside and surfaces through [`registered_spec`]. The same
-/// rules as [`register`] apply: re-registering an identical spec is
-/// idempotent, anything different under an existing name is an error —
-/// including adding heterogeneity to a name registered flat.
-pub fn register_spec(name: &str, spec: &MachineSpec) -> Result<(), String> {
-    check_name(name)?;
-    spec.validate()
-        .map_err(|e| format!("preset '{name}': {e}"))?;
-    {
-        let specs = spec_global()
-            .read()
-            .expect("machine-spec registry poisoned");
-        match specs.get(name) {
-            Some(existing) if existing != spec => {
-                return Err(format!(
-                    "preset '{name}' is already registered with different parameters"
-                ));
-            }
-            Some(_) => return Ok(()),
-            None => {}
-        }
-        if !spec.is_uniform() {
-            let flat = global().read().expect("preset registry poisoned");
-            if flat.contains_key(name) {
-                return Err(format!(
-                    "preset '{name}' is already registered with different parameters"
-                ));
-            }
-        }
-    }
-    register(name, spec.base)?;
-    if !spec.is_uniform() {
-        let mut specs = spec_global()
-            .write()
-            .expect("machine-spec registry poisoned");
-        specs.insert(name.to_string(), spec.clone());
-    }
-    Ok(())
-}
-
-/// Look a registered machine spec up by name, at its *registered*
-/// processor count (use [`MachineSpec::retarget`] or
-/// [`hetero::resolve`](crate::hetero::resolve) to change it). Names
-/// registered flat come back as uniform specs.
-pub fn registered_spec(name: &str) -> Option<MachineSpec> {
-    {
-        let specs = spec_global()
-            .read()
-            .expect("machine-spec registry poisoned");
-        if let Some(s) = specs.get(name) {
-            return Some(s.clone());
-        }
-    }
-    let map = global().read().expect("preset registry poisoned");
-    map.get(name).map(|p| MachineSpec::uniform(*p))
-}
-
-/// Parse a preset file's contents down to the flat view: heterogeneous
-/// entries contribute their *base* parameters. Duplicate names within
-/// the file are rejected; every entry must validate.
-pub fn parse_file(text: &str) -> Result<Vec<NamedPreset>, String> {
-    Ok(parse_file_specs(text)?
-        .into_iter()
-        .map(|s| NamedPreset {
-            name: s.name,
-            params: s.spec.base,
-        })
-        .collect())
-}
-
-fn parse_link(i: usize, j: usize, entry: Value) -> Result<LinkOverride, String> {
-    let mut l = entry.into_object(&format!("presets[{i}].links[{j}]"))?;
-    let link = LinkOverride {
-        src: usize::try_from(l.take_int("src")?)
-            .map_err(|_| format!("links[{j}]: src out of range"))?,
-        dst: usize::try_from(l.take_int("dst")?)
-            .map_err(|_| format!("links[{j}]: dst out of range"))?,
-        latency: Time::from_ps(l.take_int("latency_ps")?),
-        overhead: Time::from_ps(l.take_int("overhead_ps")?),
-        gap: Time::from_ps(l.take_int("gap_ps")?),
-        gap_per_byte: Time::from_ps(l.take_int("gap_per_byte_ps")?),
-    };
-    l.finish(&format!("links[{j}]"))?;
-    Ok(link)
-}
-
-/// Parse a preset file's contents with heterogeneity intact. Entries
-/// without `speed_permille`/`links` fields come back as uniform specs —
-/// every flat preset file is a valid spec file.
-pub fn parse_file_specs(text: &str) -> Result<Vec<NamedSpec>, String> {
-    let value = Parser::new(text).document()?;
-    let mut obj = value.into_object("preset file")?;
-    let version = obj.take_int("version")?;
-    if version != FILE_VERSION {
-        return Err(format!(
-            "unsupported preset file version {version} (expected {FILE_VERSION})"
-        ));
-    }
-    let entries = obj.take_array("presets")?;
-    obj.finish("preset file")?;
-    let mut out = Vec::new();
-    for (i, entry) in entries.into_iter().enumerate() {
-        let mut e = entry.into_object(&format!("presets[{i}]"))?;
-        let name = e.take_str("name")?;
-        check_name(&name)?;
-        if out.iter().any(|p: &NamedSpec| p.name == name) {
-            return Err(format!("duplicate preset name '{name}' in file"));
-        }
-        let params = LogGpParams {
-            latency: Time::from_ps(e.take_int("latency_ps")?),
-            overhead: Time::from_ps(e.take_int("overhead_ps")?),
-            gap: Time::from_ps(e.take_int("gap_ps")?),
-            gap_per_byte: Time::from_ps(e.take_int("gap_per_byte_ps")?),
-            procs: usize::try_from(e.take_int("procs")?)
-                .map_err(|_| format!("preset '{name}': procs out of range"))?,
-        };
-        let mut speed_permille = Vec::new();
-        if let Some(v) = e.take_opt("speed_permille") {
-            let items = match v {
-                Value::Array(items) => items,
-                _ => return Err(format!("preset '{name}': speed_permille must be an array")),
-            };
-            for item in items {
-                match item {
-                    Value::Int(n) => speed_permille.push(n),
-                    _ => {
-                        return Err(format!(
-                            "preset '{name}': speed_permille entries must be unsigned integers"
-                        ));
-                    }
-                }
-            }
-        }
-        let mut links = Vec::new();
-        if let Some(v) = e.take_opt("links") {
-            let items = match v {
-                Value::Array(items) => items,
-                _ => return Err(format!("preset '{name}': links must be an array")),
-            };
-            for (j, item) in items.into_iter().enumerate() {
-                links.push(parse_link(i, j, item).map_err(|e| format!("preset '{name}': {e}"))?);
-            }
-        }
-        e.finish(&name)?;
-        let spec = MachineSpec {
-            base: params,
-            speed_permille,
-            links,
-        };
-        spec.validate()
-            .map_err(|err| format!("preset '{name}': {err}"))?;
-        out.push(NamedSpec { name, spec });
-    }
-    Ok(out)
-}
-
-/// Render presets in the file format (pretty-printed, trailing newline).
-pub fn render_file(presets: &[NamedPreset]) -> String {
-    let specs: Vec<NamedSpec> = presets
-        .iter()
-        .map(|p| NamedSpec {
-            name: p.name.clone(),
-            spec: MachineSpec::uniform(p.params),
-        })
-        .collect();
-    render_file_specs(&specs)
-}
-
-/// Render machine specs in the file format. Uniform entries render
-/// byte-identically to the flat [`render_file`] output (pinned by test);
-/// heterogeneous ones append `speed_permille` and/or `links` fields.
-pub fn render_file_specs(specs: &[NamedSpec]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"version\": {FILE_VERSION},");
-    s.push_str("  \"presets\": [");
-    for (i, p) in specs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    { ");
-        let _ = write!(
-            s,
-            "\"name\": \"{}\", \"latency_ps\": {}, \"overhead_ps\": {}, \
-             \"gap_ps\": {}, \"gap_per_byte_ps\": {}, \"procs\": {}",
-            p.name,
-            p.spec.base.latency.as_ps(),
-            p.spec.base.overhead.as_ps(),
-            p.spec.base.gap.as_ps(),
-            p.spec.base.gap_per_byte.as_ps(),
-            p.spec.base.procs
-        );
-        if !p.spec.speed_permille.is_empty() {
-            s.push_str(", \"speed_permille\": [");
-            for (j, f) in p.spec.speed_permille.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{f}");
-            }
-            s.push(']');
-        }
-        if !p.spec.links.is_empty() {
-            s.push_str(", \"links\": [");
-            for (j, l) in p.spec.links.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{ \"src\": {}, \"dst\": {}, \"latency_ps\": {}, \"overhead_ps\": {}, \
-                     \"gap_ps\": {}, \"gap_per_byte_ps\": {} }}",
-                    l.src,
-                    l.dst,
-                    l.latency.as_ps(),
-                    l.overhead.as_ps(),
-                    l.gap.as_ps(),
-                    l.gap_per_byte.as_ps()
-                );
-            }
-            s.push(']');
-        }
-        s.push_str(" }");
-    }
-    if specs.is_empty() {
-        s.push_str("]\n}\n");
-    } else {
-        s.push_str("\n  ]\n}\n");
-    }
-    s
-}
-
-/// Load a preset file from disk (parse only — nothing is registered).
-pub fn load_file(path: &str) -> Result<Vec<NamedPreset>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read preset file {path}: {e}"))?;
-    parse_file(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Load a preset file from disk with heterogeneity intact (parse only —
-/// nothing is registered).
-pub fn load_file_specs(path: &str) -> Result<Vec<NamedSpec>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read preset file {path}: {e}"))?;
-    parse_file_specs(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Write presets to a file in the canonical format.
-///
-/// The write is atomic: the rendered file goes to a sibling temp file
-/// first and is renamed over `path` only once fully written, so a crash
-/// (or kill) mid-save can never leave a truncated registry behind — the
-/// previous contents survive untouched.
-pub fn save_file(path: &str, presets: &[NamedPreset]) -> Result<(), String> {
-    for p in presets {
-        check_name(&p.name)?;
-        if presets.iter().filter(|q| q.name == p.name).count() > 1 {
-            return Err(format!("duplicate preset name '{}'", p.name));
-        }
-    }
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, render_file(presets))
-        .map_err(|e| format!("cannot write preset file {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("cannot move preset file into place at {path}: {e}")
-    })
-}
-
-/// Write machine specs to a file in the canonical format, atomically
-/// (same strategy as [`save_file`]).
-pub fn save_file_specs(path: &str, specs: &[NamedSpec]) -> Result<(), String> {
-    for p in specs {
-        check_name(&p.name)?;
-        p.spec
-            .validate()
-            .map_err(|e| format!("preset '{}': {e}", p.name))?;
-        if specs.iter().filter(|q| q.name == p.name).count() > 1 {
-            return Err(format!("duplicate preset name '{}'", p.name));
-        }
-    }
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, render_file_specs(specs))
-        .map_err(|e| format!("cannot write preset file {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("cannot move preset file into place at {path}: {e}")
-    })
-}
-
-/// Load a preset file and register every entry in the process-wide
-/// registry — heterogeneity intact, so `@file:name` machine specs
-/// resolve with their speed factors and link overrides through
-/// [`registered_spec`]. Returns the names registered, in file order.
-pub fn register_file(path: &str) -> Result<Vec<String>, String> {
-    let specs = load_file_specs(path)?;
-    let mut names = Vec::with_capacity(specs.len());
-    for p in &specs {
-        register_spec(&p.name, &p.spec).map_err(|e| format!("{path}: {e}"))?;
-        names.push(p.name.clone());
-    }
-    Ok(names)
-}
-
-// ---------------------------------------------------------------------
-// The schema-local JSON subset parser.
-// ---------------------------------------------------------------------
-
-enum Value {
-    Object(Vec<(String, Value)>),
-    Array(Vec<Value>),
-    Str(String),
-    Int(u64),
-}
-
-/// An object under consumption: fields are taken by name and any
-/// leftover (unknown) field is a hard error via [`Fields::finish`].
-struct Fields(Vec<(String, Value)>);
-
-impl Value {
-    fn into_object(self, what: &str) -> Result<Fields, String> {
-        match self {
-            Value::Object(fields) => Ok(Fields(fields)),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-}
-
-impl Fields {
-    fn take(&mut self, key: &str) -> Result<Value, String> {
-        let idx = self
-            .0
-            .iter()
-            .position(|(k, _)| k == key)
-            .ok_or_else(|| format!("missing field '{key}'"))?;
-        Ok(self.0.remove(idx).1)
-    }
-
-    fn take_opt(&mut self, key: &str) -> Option<Value> {
-        let idx = self.0.iter().position(|(k, _)| k == key)?;
-        Some(self.0.remove(idx).1)
-    }
-
-    fn take_int(&mut self, key: &str) -> Result<u64, String> {
-        match self.take(key)? {
-            Value::Int(n) => Ok(n),
-            _ => Err(format!("field '{key}' must be an unsigned integer")),
-        }
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<String, String> {
-        match self.take(key)? {
-            Value::Str(s) => Ok(s),
-            _ => Err(format!("field '{key}' must be a string")),
-        }
-    }
-
-    fn take_array(&mut self, key: &str) -> Result<Vec<Value>, String> {
-        match self.take(key)? {
-            Value::Array(items) => Ok(items),
-            _ => Err(format!("field '{key}' must be an array")),
-        }
-    }
-
-    fn finish(self, what: &str) -> Result<(), String> {
-        match self.0.first() {
-            None => Ok(()),
-            Some((k, _)) => Err(format!("{what}: unknown field '{k}'")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn document(&mut self) -> Result<Value, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err("trailing content after document".into());
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of preset file".into())
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'0'..=b'9' => Ok(Value::Int(self.integer()?)),
-            c => Err(format!("unexpected character '{}'", c as char)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            let key = match self.peek()? {
-                b'"' => self.string()?,
-                _ => return Err("expected a quoted key".into()),
-            };
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key '{key}'"));
-            }
-            self.eat(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                c => return Err(format!("expected ',' or '}}', found '{}'", c as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                c => return Err(format!("expected ',' or ']', found '{}'", c as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => return Err("escape sequences are not supported in preset files".into()),
-                0x00..=0x1f => return Err("control character in string".into()),
-                _ => self.pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        if digits.len() > 1 && digits.starts_with('0') {
-            return Err("leading zeros are not allowed".into());
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err("floats are not allowed in preset files (use integer picoseconds)".into());
-        }
-        digits
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hetero::LinkOverride;
+    use crate::params::LogGpParams;
     use crate::presets;
+    use crate::time::Time;
 
-    fn fitted(latency_us: f64) -> LogGpParams {
-        LogGpParams::from_us(latency_us, 4.0, 12.0, 0.02, 8)
+    fn fitted(latency_us: f64) -> MachineSpec {
+        MachineSpec::uniform(LogGpParams::from_us(latency_us, 4.0, 12.0, 0.02, 8))
     }
 
-    #[test]
-    fn file_round_trips_bit_exactly() {
-        let presets = vec![
-            NamedPreset {
-                name: "ge-fit".into(),
-                params: fitted(7.25),
-            },
-            NamedPreset {
-                name: "stencil.v2".into(),
-                params: fitted(11.5),
-            },
-        ];
-        let text = render_file(&presets);
-        let back = parse_file(&text).unwrap();
-        assert_eq!(back, presets);
-        // And the empty file round-trips too.
-        assert_eq!(parse_file(&render_file(&[])).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn parser_rejects_malformed_files() {
-        for (bad, why) in [
-            ("", "empty"),
-            ("{\"version\": 2, \"presets\": []}", "wrong version"),
-            ("{\"version\": 1}", "missing presets"),
-            (
-                "{\"version\": 1, \"presets\": [], \"extra\": 1}",
-                "unknown field",
-            ),
-            ("{\"version\": 1.0, \"presets\": []}", "floats are rejected"),
-            (
-                "{\"version\": 1, \"presets\": [{\"name\": \"x\"}]}",
-                "missing params",
-            ),
-        ] {
-            assert!(parse_file(bad).is_err(), "{why}");
+    fn hetero_spec() -> MachineSpec {
+        let base = fitted(7.25).base;
+        MachineSpec {
+            base,
+            speed_permille: vec![2000, 1000, 1000, 1000, 1000, 1000, 1000, 500],
+            links: vec![LinkOverride {
+                src: 0,
+                dst: 7,
+                latency: Time::from_ps(base.latency.as_ps() * 3),
+                overhead: base.overhead,
+                gap: base.gap,
+                gap_per_byte: base.gap_per_byte,
+            }],
         }
-    }
-
-    #[test]
-    fn duplicate_names_are_rejected_in_files_and_on_save() {
-        let p = NamedPreset {
-            name: "dup".into(),
-            params: fitted(5.0),
-        };
-        let text = render_file(&[p.clone(), p.clone()]);
-        let err = parse_file(&text).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        let err = save_file("/dev/null", &[p.clone(), p]).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn a_save_killed_mid_write_cannot_truncate_the_registry_file() {
-        let dir = std::env::temp_dir().join(format!("predsim-registry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("presets.json");
-        let path = path.to_str().unwrap();
-        let v1 = vec![NamedPreset {
-            name: "survivor".into(),
-            params: fitted(5.0),
-        }];
-        save_file(path, &v1).unwrap();
-
-        // A writer that died mid-save leaves only a partial sibling temp
-        // file — exactly what save_file would have produced up to the
-        // kill. The registry file itself must still parse as v1.
-        let abandoned = format!("{path}.tmp.99999");
-        std::fs::write(&abandoned, "{\"version\": 1, \"pres").unwrap();
-        assert_eq!(load_file(path).unwrap(), v1);
-
-        // A later complete save replaces it whole, stale temp and all.
-        let v2 = vec![NamedPreset {
-            name: "replacement".into(),
-            params: fitted(9.0),
-        }];
-        save_file(path, &v2).unwrap();
-        assert_eq!(load_file(path).unwrap(), v2);
-        let _ = std::fs::remove_file(&abandoned);
     }
 
     #[test]
@@ -760,121 +133,60 @@ mod tests {
         register("reg-test-lookup", fitted(5.0)).unwrap();
         let p = presets::by_name("reg-test-lookup", 16).expect("registered");
         assert_eq!(p.procs, 16, "re-targeted to the requested procs");
-        assert_eq!(p.latency, fitted(5.0).latency);
+        assert_eq!(p.latency, fitted(5.0).base.latency);
         assert!(registered_names().contains(&"reg-test-lookup".to_string()));
     }
 
-    fn hetero_spec() -> MachineSpec {
-        let base = fitted(7.25);
-        MachineSpec {
-            base,
-            speed_permille: vec![2000, 1000, 1000, 1000, 1000, 1000, 1000, 500],
-            links: vec![LinkOverride {
-                src: 0,
-                dst: 7,
-                latency: Time::from_ps(base.latency.as_ps() * 3),
-                overhead: base.overhead,
-                gap: base.gap,
-                gap_per_byte: base.gap_per_byte,
-            }],
-        }
-    }
-
     #[test]
-    fn uniform_spec_files_are_byte_identical_to_flat_preset_files() {
-        let flat = vec![
-            NamedPreset {
-                name: "u1".into(),
-                params: fitted(7.25),
-            },
-            NamedPreset {
-                name: "u2".into(),
-                params: fitted(11.5),
-            },
-        ];
-        let specs: Vec<NamedSpec> = flat
-            .iter()
-            .map(|p| NamedSpec {
-                name: p.name.clone(),
-                spec: MachineSpec::uniform(p.params),
-            })
-            .collect();
-        assert_eq!(render_file_specs(&specs), render_file(&flat));
-        // And a flat file parses to uniform specs.
-        assert_eq!(parse_file_specs(&render_file(&flat)).unwrap(), specs);
-    }
-
-    #[test]
-    fn hetero_spec_files_round_trip_bit_exactly() {
-        let specs = vec![
-            NamedSpec {
-                name: "flat-entry".into(),
-                spec: MachineSpec::uniform(fitted(5.0)),
-            },
-            NamedSpec {
-                name: "het-entry".into(),
-                spec: hetero_spec(),
-            },
-        ];
-        let text = render_file_specs(&specs);
-        let back = parse_file_specs(&text).unwrap();
-        assert_eq!(back, specs);
-        assert_eq!(render_file_specs(&back), text, "render is canonical");
-        // The flat view of the same file sees the base parameters only.
-        let flat = parse_file(&text).unwrap();
-        assert_eq!(flat[1].params, specs[1].spec.base);
-    }
-
-    #[test]
-    fn spec_parse_rejects_heterogeneity_that_does_not_validate() {
-        let base = NamedSpec {
-            name: "bad-het".into(),
-            spec: MachineSpec {
-                base: fitted(5.0),
-                speed_permille: vec![1000, 1000], // wrong arity for 8 procs
-                links: Vec::new(),
-            },
-        };
-        assert!(parse_file_specs(&render_file_specs(&[base])).is_err());
-    }
-
-    #[test]
-    fn register_spec_round_trips_and_rejects_conflicts() {
+    fn heterogeneous_specs_round_trip_and_reject_conflicts() {
         let spec = hetero_spec();
-        register_spec("reg-test-het", &spec).unwrap();
-        register_spec("reg-test-het", &spec).unwrap(); // idempotent
-        assert_eq!(registered_spec("reg-test-het"), Some(spec.clone()));
+        register("reg-test-het", spec.clone()).unwrap();
+        register("reg-test-het", spec.clone()).unwrap(); // idempotent
+        assert_eq!(registered("reg-test-het"), Some(spec.clone()));
         // The flat view resolves too, seeing the base parameters.
-        assert_eq!(registered("reg-test-het", 8), Some(spec.base));
+        assert_eq!(presets::by_name("reg-test-het", 8), Some(spec.base));
         // A different spec under the same name is a conflict.
         let mut other = spec.clone();
         other.speed_permille[0] = 3000;
-        let err = register_spec("reg-test-het", &other).unwrap_err();
+        let err = register("reg-test-het", other).unwrap_err();
         assert!(err.contains("different parameters"), "{err}");
-        // Adding heterogeneity to a flat-registered name is a conflict too.
-        register("reg-test-het-flat", spec.base).unwrap();
-        let mut renamed = spec.clone();
-        renamed.base = spec.base;
-        assert!(register_spec("reg-test-het-flat", &renamed).is_err());
-        // Flat-registered names come back as uniform specs.
+        // Adding heterogeneity to a name registered uniform is a conflict too.
+        register("reg-test-het-flat", MachineSpec::uniform(spec.base)).unwrap();
+        assert!(register("reg-test-het-flat", spec.clone()).is_err());
         assert_eq!(
-            registered_spec("reg-test-het-flat"),
+            registered("reg-test-het-flat"),
             Some(MachineSpec::uniform(spec.base))
         );
     }
 
     #[test]
-    fn invalid_params_are_rejected_at_parse_and_register() {
+    fn uniform_specs_register_as_their_base() {
+        let base = fitted(5.0).base;
+        register("reg-test-uniform", MachineSpec::uniform(base)).unwrap();
+        // Spelled-out unit speed factors describe the same machine.
+        let spelled = MachineSpec {
+            speed_permille: vec![1000; base.procs],
+            ..MachineSpec::uniform(base)
+        };
+        register("reg-test-uniform", spelled).unwrap();
+        assert_eq!(
+            registered("reg-test-uniform"),
+            Some(MachineSpec::uniform(base))
+        );
+    }
+
+    #[test]
+    fn invalid_specs_are_rejected_at_register() {
         // g < o violates LogGP validation.
-        let text = "{\"version\": 1, \"presets\": [{ \"name\": \"bad\", \
-                    \"latency_ps\": 1, \"overhead_ps\": 10, \"gap_ps\": 5, \
-                    \"gap_per_byte_ps\": 0, \"procs\": 4 }]}";
-        assert!(parse_file(text).is_err());
         let bad = LogGpParams {
             gap: Time::from_us(1.0),
             overhead: Time::from_us(2.0),
-            ..fitted(5.0)
+            ..fitted(5.0).base
         };
-        assert!(register("reg-test-invalid", bad).is_err());
+        assert!(register("reg-test-invalid", MachineSpec::uniform(bad)).is_err());
+        let mut arity = hetero_spec();
+        arity.speed_permille.truncate(2);
+        assert!(register("reg-test-invalid-het", arity).is_err());
+        assert!(registered("reg-test-invalid-het").is_none());
     }
 }

@@ -16,8 +16,8 @@
 //! * [`Registry`] — lock-free counters, gauges and fixed-bucket histograms
 //!   with Prometheus-style text exposition and a JSON dump; updates are
 //!   single atomic operations so instrumented hot paths stay cheap.
-//! * [`ScopedTimer`] / [`PhaseProfile`] — wall-clock profiling guards used
-//!   by the engine for per-phase accounting.
+//! * [`ScopedTimer`] — a wall-clock guard the engine uses to time its
+//!   build and simulate phases into counters.
 //! * [`HorizonProfile`] — the virtual-time-horizon profile across
 //!   processors per step (min/max/mean front, à la Korniss et al.'s
 //!   virtual-time roughness analyses), computed from the trace.
@@ -40,5 +40,5 @@ pub use metrics::{
     default_ns_buckets, default_ps_buckets, exponential_buckets, Counter, Ewma, Gauge, Histogram,
     MetricsSnapshot, Registry,
 };
-pub use profile::{PhaseProfile, ScopedTimer};
+pub use profile::ScopedTimer;
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};

@@ -1,8 +1,6 @@
-//! Wall-clock profiling hooks: scoped timer guards and per-phase
-//! accounting.
+//! Wall-clock profiling hooks: scoped timer guards.
 
 use crate::metrics::{Counter, Histogram};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -10,7 +8,6 @@ use std::time::Instant;
 enum TimerTarget {
     Counter(Arc<Counter>),
     Histogram(Arc<Histogram>),
-    Cell(Arc<AtomicU64>),
 }
 
 /// An RAII guard that measures the wall-clock time of a scope and adds the
@@ -48,13 +45,6 @@ impl ScopedTimer {
         }
     }
 
-    fn cell(cell: &Arc<AtomicU64>) -> Self {
-        ScopedTimer {
-            start: Instant::now(),
-            target: TimerTarget::Cell(Arc::clone(cell)),
-        }
-    }
-
     /// Nanoseconds elapsed so far (the guard keeps running).
     pub fn elapsed_ns(&self) -> u64 {
         self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -67,69 +57,7 @@ impl Drop for ScopedTimer {
         match &self.target {
             TimerTarget::Counter(c) => c.add(ns),
             TimerTarget::Histogram(h) => h.observe(ns),
-            TimerTarget::Cell(cell) => {
-                cell.fetch_add(ns, Ordering::Relaxed);
-            }
         }
-    }
-}
-
-/// Per-phase wall-clock accounting: a small named set of nanosecond
-/// accumulators, safe to update from many threads.
-///
-/// Phases are created on first use; [`PhaseProfile::report`] renders the
-/// totals largest-first.
-#[derive(Debug, Default)]
-pub struct PhaseProfile {
-    phases: std::sync::Mutex<Vec<(String, Arc<AtomicU64>)>>,
-}
-
-impl PhaseProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        PhaseProfile::default()
-    }
-
-    fn cell_of(&self, phase: &str) -> Arc<AtomicU64> {
-        let mut phases = self.phases.lock().expect("profile poisoned");
-        if let Some((_, cell)) = phases.iter().find(|(name, _)| name == phase) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        phases.push((phase.to_string(), Arc::clone(&cell)));
-        cell
-    }
-
-    /// Start timing `phase`; the elapsed time is added when the guard
-    /// drops.
-    pub fn enter(&self, phase: &str) -> ScopedTimer {
-        ScopedTimer::cell(&self.cell_of(phase))
-    }
-
-    /// Add `ns` to `phase` directly (for externally measured spans).
-    pub fn add_ns(&self, phase: &str, ns: u64) {
-        self.cell_of(phase).fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// `(phase, total ns)` pairs, in creation order.
-    pub fn totals(&self) -> Vec<(String, u64)> {
-        self.phases
-            .lock()
-            .expect("profile poisoned")
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Human-readable totals, largest first.
-    pub fn report(&self) -> String {
-        let mut totals = self.totals();
-        totals.sort_by_key(|(_, ns)| std::cmp::Reverse(*ns));
-        let mut out = String::new();
-        for (name, ns) in totals {
-            out.push_str(&format!("{name}: {:.3} ms\n", ns as f64 / 1e6));
-        }
-        out
     }
 }
 
@@ -151,24 +79,6 @@ mod tests {
         assert!(c.get() >= 1_000_000, "at least the slept ms: {}", c.get());
         assert_eq!(h.count(), 1);
         assert!(h.sum() >= 1_000_000);
-    }
-
-    #[test]
-    fn phase_profile_accumulates_per_phase() {
-        let profile = PhaseProfile::new();
-        profile.add_ns("build", 500);
-        profile.add_ns("simulate", 2_000);
-        profile.add_ns("build", 250);
-        {
-            let _t = profile.enter("simulate");
-        }
-        let totals = profile.totals();
-        assert_eq!(totals[0].0, "build");
-        assert_eq!(totals[0].1, 750);
-        assert!(totals[1].1 >= 2_000);
-        let report = profile.report();
-        let first = report.lines().next().unwrap();
-        assert!(first.starts_with("simulate:"), "largest first: {report}");
     }
 
     #[test]

@@ -718,9 +718,11 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
                 Reply::Speedup(Box::new(run_speedup(&request)))
             }
         };
+        // Done executing before the reply is filled: a client that has
+        // its answer must not see the job in `/healthz`'s `in_flight`.
+        drop(guard);
         job.reply.fill(job.slot, reply);
         *state.orphan.lock().expect("orphan poisoned") = None;
-        drop(guard);
         state.busy.store(false, Ordering::SeqCst);
         state.beat(shared);
     }
@@ -851,7 +853,8 @@ fn run_calibration(shared: &Shared, request: &api::CalibrateRequest) -> Calibrat
         if !report.converged {
             return Err("fit did not converge; preset not registered".to_string());
         }
-        loggp::registry::register(name, report.params).map(|()| name.clone())
+        loggp::registry::register(name, loggp::MachineSpec::uniform(report.params))
+            .map(|()| name.clone())
     });
     Ok((report, registered))
 }

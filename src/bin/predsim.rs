@@ -21,7 +21,7 @@
 //! CLI dependency; see [`predsim::cli`]); `predsim help` prints the full
 //! usage text.
 
-use predsim::cli::{machine, machine_spec, switch, valued, Args, FlagSpec};
+use predsim::cli::{machine, machine_spec, preset_file, switch, valued, Args, FlagSpec};
 use predsim::predsim_core::report::{secs, Table};
 use predsim::predsim_core::{record_program, textfmt, CommAlgo, MAX_PROCS};
 use predsim::predsim_dag::{self, SchedulerKind};
@@ -1236,7 +1236,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         config.journal = Some(path.into());
     }
     if let Some(path) = args.value("presets") {
-        let names = loggp::registry::register_file(path)
+        let names = preset_file::register_file(path)
             .map_err(|e| format!("loading presets from {path}: {e}"))?;
         println!(
             "loaded {} preset(s) from {path}: {}",
@@ -1494,20 +1494,21 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             return Err("--out and --name go together (a preset needs both)".into())
         }
         (Some(file), Some(name)) => {
-            let mut presets = if std::path::Path::new(file).exists() {
-                loggp::registry::load_file(file)?
+            // Whole entries round-trip, so heterogeneous ones keep their
+            // speed factors and links.
+            let mut entries = if std::path::Path::new(file).exists() {
+                preset_file::load(file)?
             } else {
                 Vec::new()
             };
-            if presets.iter().any(|e| e.name == name) {
+            if entries.iter().any(|e| e.name == name) {
                 return Err(format!("preset file {file} already has a preset '{name}'"));
             }
-            loggp::registry::check_name(name)?;
-            presets.push(loggp::registry::NamedPreset {
+            entries.push(preset_file::NamedSpec {
                 name: name.to_string(),
-                params: report.params,
+                spec: MachineSpec::uniform(report.params),
             });
-            loggp::registry::save_file(file, &presets)?;
+            preset_file::save(file, &entries)?;
             println!("saved preset '{name}' to {file} (use --machine @{file}:{name})");
         }
     }

@@ -1,5 +1,6 @@
 //! Strict command-line flag parsing, shared by every `predsim`
-//! subcommand.
+//! subcommand, and machine-name resolution, including `@FILE:NAME`
+//! references to [`preset_file`]s.
 //!
 //! The workspace carries no CLI dependency, so parsing is hand-rolled —
 //! and deliberately strict: unknown flags, duplicate flags, valued flags
@@ -21,7 +22,9 @@
 //! assert!(Args::parse(&raw, &[valued("machine")]).is_err(), "unknown flag");
 //! ```
 
-use loggp::{hetero, presets, LogGpParams, MachineSpec};
+use loggp::{hetero, presets, registry, LogGpParams, MachineSpec};
+
+pub mod preset_file;
 
 /// A flag a command accepts: its name and whether it takes a value.
 #[derive(Clone, Copy)]
@@ -139,18 +142,13 @@ impl Args {
 /// (as written by `predsim calibrate --out`) into the
 /// [`loggp::registry`] and resolves `NAME` from it; names registered
 /// earlier in the process (e.g. by `serve --presets`) also resolve here
-/// through [`presets::by_name`]'s registry fallback.
+/// through [`presets::by_name`]'s registry fallback. A heterogeneous
+/// preset resolves to its base parameters.
 pub fn machine(name: &str, procs: usize) -> Result<LogGpParams, String> {
-    if let Some(rest) = name.strip_prefix('@') {
-        let (path, preset) = rest
-            .rsplit_once(':')
-            .ok_or_else(|| format!("bad machine reference '{name}': expected @FILE:NAME"))?;
-        loggp::registry::register_file(path)
-            .map_err(|e| format!("loading presets from {path}: {e}"))?;
-        return loggp::registry::registered(preset, procs)
-            .ok_or_else(|| format!("preset file {path} has no preset named '{preset}'"));
+    match preset_reference(name)? {
+        Some((_, spec)) => Ok(spec.base.with_procs(procs)),
+        None => presets::by_name(name, procs).ok_or_else(|| unknown_machine(name)),
     }
-    presets::by_name(name, procs).ok_or_else(|| unknown_machine(name))
 }
 
 fn unknown_machine(name: &str) -> String {
@@ -158,7 +156,7 @@ fn unknown_machine(name: &str) -> String {
         .iter()
         .map(|s| s.to_string())
         .collect::<Vec<_>>();
-    known.extend(loggp::registry::registered_names());
+    known.extend(registry::registered_names());
     format!(
         "unknown machine '{name}' (expected one of: {}, or @FILE:NAME)",
         known.join(", ")
@@ -168,21 +166,13 @@ fn unknown_machine(name: &str) -> String {
 /// Resolve a machine name to a possibly heterogeneous [`MachineSpec`]
 /// describing `procs` processors.
 ///
-/// Accepts everything [`machine`](fn@machine) does — built-in presets and registered
-/// names become uniform specs — but `@FILE:NAME` additionally preserves
-/// the file's per-processor speed factors and per-link overrides when
-/// the preset file describes a heterogeneous machine. A heterogeneous
-/// spec can only shrink to `procs`, never extend past the processors it
-/// describes.
+/// Accepts everything [`machine`](fn@machine) does — built-in presets and
+/// uniform registered names become uniform specs — but heterogeneous
+/// presets keep their per-processor speed factors and per-link overrides.
+/// A heterogeneous spec can only shrink to `procs`, never extend past the
+/// processors it describes.
 pub fn machine_spec(name: &str, procs: usize) -> Result<MachineSpec, String> {
-    if let Some(rest) = name.strip_prefix('@') {
-        let (path, preset) = rest
-            .rsplit_once(':')
-            .ok_or_else(|| format!("bad machine reference '{name}': expected @FILE:NAME"))?;
-        loggp::registry::register_file(path)
-            .map_err(|e| format!("loading presets from {path}: {e}"))?;
-        let spec = loggp::registry::registered_spec(preset)
-            .ok_or_else(|| format!("preset file {path} has no preset named '{preset}'"))?;
+    if let Some((preset, spec)) = preset_reference(name)? {
         return spec
             .retarget(procs)
             .map_err(|e| format!("machine '{preset}': {e}"));
@@ -192,6 +182,22 @@ pub fn machine_spec(name: &str, procs: usize) -> Result<MachineSpec, String> {
         Err(e) if e.starts_with("unknown machine") => Err(unknown_machine(name)),
         Err(e) => Err(e),
     }
+}
+
+/// The `@FILE:NAME` loader behind [`machine`](fn@machine) and
+/// [`machine_spec`]: register `FILE`'s entries and look `NAME` up, at
+/// the processor count it was registered with. `None` for a plain name.
+fn preset_reference(name: &str) -> Result<Option<(&str, MachineSpec)>, String> {
+    let Some(rest) = name.strip_prefix('@') else {
+        return Ok(None);
+    };
+    let (path, preset) = rest
+        .rsplit_once(':')
+        .ok_or_else(|| format!("bad machine reference '{name}': expected @FILE:NAME"))?;
+    preset_file::register_file(path).map_err(|e| format!("loading presets from {path}: {e}"))?;
+    let spec = registry::registered(preset)
+        .ok_or_else(|| format!("preset file {path} has no preset named '{preset}'"))?;
+    Ok(Some((preset, spec)))
 }
 
 #[cfg(test)]
@@ -252,11 +258,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("presets.json");
         let fitted = presets::meiko_cs2(4).with_latency(loggp::Time::from_us(9.0));
-        loggp::registry::save_file(
+        preset_file::save(
             path.to_str().unwrap(),
-            &[loggp::registry::NamedPreset {
+            &[preset_file::NamedSpec {
                 name: "cli-test-fitted".into(),
-                params: fitted,
+                spec: MachineSpec::uniform(fitted),
             }],
         )
         .unwrap();
@@ -288,9 +294,9 @@ mod tests {
             speed_permille: vec![2000, 1000, 1000, 1000],
             links: Vec::new(),
         };
-        loggp::registry::save_file_specs(
+        preset_file::save(
             path.to_str().unwrap(),
-            &[loggp::registry::NamedSpec {
+            &[preset_file::NamedSpec {
                 name: "cli-test-hetero".into(),
                 spec: het.clone(),
             }],

@@ -28,7 +28,8 @@
 //! | [`predsim_serve`] | HTTP prediction service: admission control, graceful drain, live metrics |
 //!
 //! The facade adds one module of its own: [`cli`], the strict flag
-//! parser behind the `predsim` binary.
+//! parser and machine-name resolution behind the `predsim` binary,
+//! including the preset-file format ([`cli::preset_file`]).
 //!
 //! ## Quickstart
 //!

@@ -1112,6 +1112,73 @@ fn emulate_calibrate_closed_loop_through_the_cli() {
     );
 }
 
+/// One heterogeneous preset entry, exactly as the preset-file renderer
+/// writes it.
+const HET_PRESET_LINE: &str = r#"    { "name": "het", "latency_ps": 9000000, "overhead_ps": 6000000, "gap_ps": 16000000, "gap_per_byte_ps": 30000, "procs": 4, "speed_permille": [2000, 1000, 1000, 500], "links": [{ "src": 0, "dst": 3, "latency_ps": 27000000, "overhead_ps": 6000000, "gap_ps": 16000000, "gap_per_byte_ps": 30000 }] }"#;
+
+#[test]
+fn calibrate_out_keeps_heterogeneous_presets_in_the_file() {
+    let head = "{\n  \"version\": 1,\n  \"presets\": [\n";
+    let presets = tmp_file(
+        "hetero-calibrate.json",
+        &format!("{head}{HET_PRESET_LINE}\n  ]\n}}\n"),
+    );
+    let reference = format!("@{}:het", presets.display());
+    let dag_run = || {
+        let out = bin()
+            .args([
+                "dag",
+                "run",
+                "forkjoin:8,1,1000000,8192",
+                "--machine",
+                &reference,
+                "--procs",
+                "4",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let before = dag_run();
+    assert!(before.contains("heterogeneous: speeds"), "{before}");
+
+    // Appending a fitted preset rewrites the file around the entry.
+    let out = bin()
+        .args([
+            "calibrate",
+            "ge:240,24,diagonal,4",
+            "--runs",
+            "4",
+            "--out",
+            presets.to_str().unwrap(),
+            "--name",
+            "fitted",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&presets).unwrap();
+    assert!(
+        text.starts_with(&format!("{head}{HET_PRESET_LINE},\n")),
+        "the heterogeneous entry's line is unchanged: {text}"
+    );
+    assert!(text.contains("{ \"name\": \"fitted\", "), "{text}");
+    assert_eq!(
+        dag_run(),
+        before,
+        "the heterogeneous machine still predicts"
+    );
+}
+
 #[test]
 fn calibrate_measures_a_live_source_directly() {
     let out = bin()
@@ -1442,7 +1509,12 @@ fn serve_presets_flag_round_trips_fitted_machines() {
         "fitted-serve.json",
         r#"{"version": 1, "presets": [
             { "name": "serve-fit", "latency_ps": 9000000, "overhead_ps": 6000000,
-              "gap_ps": 16000000, "gap_per_byte_ps": 30000, "procs": 8 }
+              "gap_ps": 16000000, "gap_per_byte_ps": 30000, "procs": 8 },
+            { "name": "serve-het", "latency_ps": 9000000, "overhead_ps": 6000000,
+              "gap_ps": 16000000, "gap_per_byte_ps": 30000, "procs": 4,
+              "speed_permille": [2000, 1000, 1000, 500],
+              "links": [{ "src": 0, "dst": 3, "latency_ps": 27000000, "overhead_ps": 6000000,
+                          "gap_ps": 16000000, "gap_per_byte_ps": 30000 }] }
         ]}"#,
     );
     let mut child = bin()
@@ -1483,6 +1555,50 @@ fn serve_presets_flag_round_trips_fitted_machines() {
         r#"{"source":"cannon:64,4","machine":"never-fit"}"#,
     );
     assert_eq!(status, 400, "{reply}");
+
+    // A heterogeneous name sweeps exactly as `dag-sweep` does on the
+    // file reference; only the machine label differs.
+    let dag = bin()
+        .args(["dag", "gen", "forkjoin:8,1,1000000,8192"])
+        .output()
+        .unwrap();
+    assert!(dag.status.success());
+    let dag = String::from_utf8(dag.stdout).unwrap();
+    let dag_file = tmp_file("serve-het.dag", &dag);
+    let reference = format!("@{}:serve-het", presets.display());
+    let out = bin()
+        .args([
+            "dag-sweep",
+            dag_file.to_str().unwrap(),
+            "--machine",
+            &reference,
+            "--procs",
+            "1..4",
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let swept = String::from_utf8(out.stdout).unwrap();
+    let label = format!("\"machine\":\"{reference}\"");
+    assert!(swept.contains(&label), "{swept}");
+    let body = format!(
+        r#"{{"dag":"{}","machine":"serve-het","procs":"1..4"}}"#,
+        dag.replace('\n', "\\n")
+    );
+    let (status, reply) = http_request(&addr, "POST", "/v1/speedup", &body);
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(
+        reply,
+        swept
+            .trim_end()
+            .replace(&label, "\"machine\":\"serve-het\""),
+        "served sweep equals dag-sweep"
+    );
 
     let (status, _) = http_request(&addr, "POST", "/admin/drain", "");
     assert_eq!(status, 200);
