@@ -343,21 +343,17 @@ impl Recording {
         let rule = cfg.gap_rule;
         let procs = self.procs;
         scratch.begin_retime(ready, &self.q_start, self.msgs, procs);
-        if scratch.inboxes.len() < procs {
-            scratch.inboxes.resize_with(procs, Vec::new);
-        }
-        for inbox in &mut scratch.inboxes[..procs] {
-            inbox.clear();
-        }
+        scratch.reset_inboxes(procs);
         out.reset(ready);
 
         for &op in &self.ops {
             if op == u32::MAX {
-                // Round boundary: drain every inbox, timeline-free.
-                for p in 0..procs {
-                    if scratch.inboxes[p].is_empty() {
-                        continue;
-                    }
+                // Round boundary: drain the dirty inboxes, timeline-free.
+                // A drain touches only its own processor's clock and
+                // maxima, so unlike the simulation's drain it needs no
+                // processor order.
+                for i in 0..scratch.dirty.len() {
+                    let p = scratch.dirty[i] as usize;
                     let mut inbox = std::mem::take(&mut scratch.inboxes[p]);
                     inbox.sort_unstable();
                     for &inflight in &inbox {
@@ -371,6 +367,7 @@ impl Recording {
                     inbox.clear();
                     scratch.inboxes[p] = inbox;
                 }
+                scratch.dirty.clear();
                 continue;
             }
             let p = (op >> 1) as usize;
@@ -385,11 +382,14 @@ impl Recording {
             let end = scratch.clocks[p].commit_kind(params, rule, OpKind::Send, start);
             out.comm_done[p] = out.comm_done[p].max(end);
             let arrival = params.arrival_time(start, msg.bytes);
-            scratch.inboxes[msg.dst].push(InFlight {
-                arrival,
-                id: msg.id as u32,
-                slot,
-            });
+            scratch.deliver(
+                msg.dst,
+                InFlight {
+                    arrival,
+                    id: msg.id as u32,
+                    slot,
+                },
+            );
             if forced {
                 out.forced_sends += 1;
             }

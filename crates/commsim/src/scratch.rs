@@ -18,6 +18,11 @@
 //! Entries pop in ascending `(time, proc)` order, which makes the heap
 //! order reproduce the reference implementation's lowest-id tie-break
 //! exactly.
+//!
+//! The worst-case algorithm's per-round scans are replaced the same way:
+//! a ready worklist and a dirty-inbox list name the processors a round
+//! touches, and a [`SenderIndex`] finds the k-th processor with unsent
+//! messages without listing them all.
 
 use crate::pattern::{CommPattern, Message};
 use loggp::{ProcClock, Time};
@@ -131,6 +136,77 @@ impl Frontier {
     }
 }
 
+/// Order-statistic index over the processors that still have unsent
+/// messages: a Fenwick tree of 0/1 memberships, so removing a processor
+/// and selecting the k-th member in ascending processor order both take
+/// O(log P). The worst-case algorithm draws its deadlock victim through
+/// it, the same processor the reference loop picks from its ascending
+/// list of blocked processors.
+#[derive(Debug, Default)]
+pub(crate) struct SenderIndex {
+    /// 1-based Fenwick tree: `tree[i]` counts the members among
+    /// processors `i - lowbit(i) .. i` (0-based, half-open).
+    tree: Vec<u32>,
+    /// Number of members.
+    len: usize,
+}
+
+impl SenderIndex {
+    /// Rebuild over one flag per processor (`true` = member), in O(P).
+    pub(crate) fn reset(&mut self, members: impl IntoIterator<Item = bool>) {
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend(members.into_iter().map(u32::from));
+        self.len = self.tree.iter().filter(|&&m| m == 1).count();
+        let n = self.tree.len() - 1;
+        for i in 1..=n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+    }
+
+    /// Number of members.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Remove processor `p`, which must be a member.
+    pub(crate) fn remove(&mut self, p: usize) {
+        debug_assert!(self.len > 0);
+        self.len -= 1;
+        let mut i = p + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The `k`-th member (0-based) in ascending processor order;
+    /// `k < len()`, so there is at least one processor.
+    pub(crate) fn select(&self, k: usize) -> usize {
+        debug_assert!(k < self.len);
+        let n = self.tree.len() - 1;
+        // Descend from the highest power of two: `pos` ends as the largest
+        // prefix holding at most `k` members, so processor `pos` (0-based)
+        // is the `k`-th.
+        let mut pos = 0usize;
+        let mut rest = k as u32;
+        let mut step = 1 << n.ilog2();
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] <= rest {
+                pos = next;
+                rest -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
 const PLACEHOLDER: Message = Message {
     id: 0,
     src: 0,
@@ -165,8 +241,20 @@ pub struct SimScratch {
     pub(crate) tied: Vec<u32>,
     /// Worst-case algorithm: per-processor undelivered-message inboxes.
     pub(crate) inboxes: Vec<Vec<InFlight>>,
+    /// Worst-case algorithm and its re-timing: the processors whose inbox
+    /// is non-empty, each listed once, in delivery order. A round's drain
+    /// visits only these.
+    pub(crate) dirty: Vec<u32>,
     /// Worst-case algorithm: remaining receives before a processor may send.
     pub(crate) to_recv: Vec<u32>,
+    /// Worst-case algorithm: the processors that send all their messages
+    /// in the next round (receive counter at zero, sends pending), in
+    /// ascending order. Seeded by [`SimScratch::begin_worstcase`]; each
+    /// drain appends the processors whose counter it brings to zero.
+    pub(crate) ready: Vec<u32>,
+    /// Worst-case algorithm: the processors with unsent messages, from
+    /// which a deadlock round draws its victim.
+    pub(crate) senders: SenderIndex,
     /// Retime: per-processor cursor into the recording's arena snapshot.
     pub(crate) rt_cursor: Vec<u32>,
     /// Retime: per-message "send committed" flags and arrival times
@@ -243,22 +331,47 @@ impl SimScratch {
         self.frontier.reset(procs);
     }
 
-    /// [`SimScratch::begin`] plus the worst-case algorithm's inboxes and
-    /// receive counters.
+    /// [`SimScratch::begin`] plus the worst-case algorithm's inboxes,
+    /// receive counters, first-round worklist and sender index.
     pub(crate) fn begin_worstcase(&mut self, pattern: &CommPattern, ready: &[Time]) {
         self.begin(pattern, ready);
         let procs = pattern.procs();
+        self.reset_inboxes(procs);
+        self.to_recv.clear();
+        self.to_recv.resize(procs, 0);
+        for m in pattern.network_messages() {
+            self.to_recv[m.dst] += 1;
+        }
+        self.ready.clear();
+        for p in 0..procs {
+            if self.to_recv[p] == 0 && self.has_sends(p) {
+                self.ready.push(p as u32);
+            }
+        }
+        let pending = self.q_start[..procs].iter().zip(&self.q_end[..procs]);
+        self.senders.reset(pending.map(|(start, end)| start < end));
+    }
+
+    /// Empty the first `procs` worst-case inboxes and the dirty list.
+    pub(crate) fn reset_inboxes(&mut self, procs: usize) {
         if self.inboxes.len() < procs {
             self.inboxes.resize_with(procs, Vec::new);
         }
         for inbox in &mut self.inboxes[..procs] {
             inbox.clear();
         }
-        self.to_recv.clear();
-        self.to_recv.resize(procs, 0);
-        for m in pattern.network_messages() {
-            self.to_recv[m.dst] += 1;
+        self.dirty.clear();
+    }
+
+    /// Deliver `inflight` to processor `dst`'s worst-case inbox, listing
+    /// the inbox as dirty when it was empty.
+    #[inline]
+    pub(crate) fn deliver(&mut self, dst: usize, inflight: InFlight) {
+        let inbox = &mut self.inboxes[dst];
+        if inbox.is_empty() {
+            self.dirty.push(dst as u32);
         }
+        inbox.push(inflight);
     }
 
     /// Reset state for [`crate::replay`]'s timeline-free re-timing: clocks
@@ -376,6 +489,30 @@ mod tests {
         assert_eq!(f.pop_if_at(Time::from_us(5.0)), None);
         assert_eq!(f.pop_min().unwrap().1, 3);
         assert!(f.pop_min().is_none());
+    }
+
+    #[test]
+    fn sender_index_selects_like_a_linear_scan_after_removals() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut index = SenderIndex::default();
+        for n in [0usize, 1, 2, 3, 7, 8, 9, 64, 100, 1024, 1000] {
+            let mut members: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4) != 0).collect();
+            index.reset(members.iter().copied());
+            loop {
+                let scan: Vec<usize> = (0..n).filter(|&p| members[p]).collect();
+                assert_eq!(index.len(), scan.len(), "n={n}");
+                for (k, &p) in scan.iter().enumerate() {
+                    assert_eq!(index.select(k), p, "n={n} k={k}");
+                }
+                let Some(&victim) = scan.get(rng.gen_range(0..scan.len().max(1))) else {
+                    break;
+                };
+                index.remove(victim);
+                members[victim] = false;
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,33 @@
 //! Like [`crate::standard`], the loop runs on flat [`SimScratch`] state
 //! (arena-cursor send queues, reused inbox buffers, a receive-counter
 //! array) and is pinned bit-identical to the straightforward encoding in
-//! [`crate::reference`] by `tests/equiv.rs`. Because part 2 of every round
-//! fully drains the inboxes, the round structure — which processors send in
-//! which round, and where deadlocks are broken — depends only on the
-//! pattern, never on the LogGP parameters; [`crate::replay`] exploits that
-//! to re-time a recorded run under new parameters without re-running the
-//! selection logic.
+//! [`crate::reference`] by `tests/equiv.rs`.
+//!
+//! A round costs the messages it moves, not the processor count. The
+//! reference loop scans all P processors three times a round: for the
+//! senders, for the deadlock victim's candidates and for the inboxes to
+//! drain. On a cyclic pattern (halo exchanges, hypercube pairs) each round
+//! forces one send, so rounds ≈ messages and a step cost O(P·M). Here:
+//!
+//! - **Senders** come from a ready worklist. It starts as the processors
+//!   that receive nothing and have sends, in ascending order. The drain
+//!   appends each processor whose receive counter it brings to zero while
+//!   it still has sends. Sends change no counter, so the worklist is the
+//!   reference loop's eligible set at the top of every round.
+//! - **The drain** visits only the inboxes that received in the round (the
+//!   dirty list), sorted ascending: the reference order, which fixes the
+//!   order of timeline and trace events. Draining in that order also keeps
+//!   the worklist ascending, so it needs no sort of its own.
+//! - **The deadlock victim** is the `k`-th processor with unsent messages,
+//!   found in O(log P) by an order-statistic index (a Fenwick tree). `k` is
+//!   drawn from the same RNG stream as the reference loop's index into its
+//!   ascending list, and a single candidate consumes no RNG state in both.
+//!
+//! Because part 2 of every round fully drains the inboxes, the round
+//! structure — which processors send in which round, and where deadlocks
+//! are broken — depends only on the pattern, never on the LogGP
+//! parameters; [`crate::replay`] exploits that to re-time a recorded run
+//! under new parameters without re-running the selection logic.
 
 use crate::faults::{transmit, StepFaults};
 use crate::observe::StepTracer;
@@ -81,7 +102,8 @@ pub fn simulate_with(
 }
 
 /// Pop processor `p`'s next message, commit its send (fault-charged), and
-/// deliver it to the destination inbox with a clamped arrival.
+/// deliver it to the destination inbox with a clamped arrival. A
+/// processor whose last message this was leaves the sender index.
 #[allow(clippy::too_many_arguments)]
 fn wc_send(
     scratch: &mut SimScratch,
@@ -95,6 +117,9 @@ fn wc_send(
     faults: Option<&dyn StepFaults>,
 ) {
     let (slot, msg) = scratch.pop_send(p);
+    if !scratch.has_sends(p) {
+        scratch.senders.remove(p);
+    }
     let final_start = transmit(
         &mut scratch.clocks[p],
         params,
@@ -110,30 +135,36 @@ fn wc_send(
     // returning < send_start + o is lifted to the earliest sound arrival,
     // in release builds too.
     let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
-    scratch.inboxes[msg.dst].push(InFlight {
-        arrival,
-        id: msg.id as u32,
-        slot,
-    });
+    scratch.deliver(
+        msg.dst,
+        InFlight {
+            arrival,
+            id: msg.id as u32,
+            slot,
+        },
+    );
 }
 
 /// Part 2 of a round: every destination receives the messages delivered so
-/// far, in `(arrival, msg.id)` order.
-// Out of line on purpose: inlined into `wc_core`, its one caller, it made
-// worst-case batches at P=1024 about 10% slower (CPU time on a 2-vCPU host).
-#[inline(never)]
+/// far, in `(arrival, msg.id)` order. Only the dirty inboxes are visited,
+/// in ascending processor order — the reference loop's order, which fixes
+/// the order of timeline and trace events, and keeps the ready worklist the
+/// drain appends to ascending.
+// No inlining attribute: now that the drain visits only dirty inboxes,
+// `#[inline(never)]` and the compiler's own choice measure the same
+// (CPU-time minima 20.0 and 19.9 ms over 41 runs of `batch
+// stencil:8192,1024,10 allreduce:1024:65536:1000:hypercube --worst-case
+// --jobs 1 --no-memo`, 2-vCPU host).
 fn wc_drain(
     scratch: &mut SimScratch,
     timeline: &mut Timeline,
     params: &LogGpParams,
     rule: GapRule,
     tracer: Option<&StepTracer<'_>>,
-    procs: usize,
 ) {
-    for p in 0..procs {
-        if scratch.inboxes[p].is_empty() {
-            continue;
-        }
+    scratch.dirty.sort_unstable();
+    for i in 0..scratch.dirty.len() {
+        let p = scratch.dirty[i] as usize;
         let mut inbox = std::mem::take(&mut scratch.inboxes[p]);
         // (arrival, id) is unique, so the unstable sort is deterministic.
         inbox.sort_unstable();
@@ -159,7 +190,11 @@ fn wc_drain(
         }
         inbox.clear();
         scratch.inboxes[p] = inbox; // hand the buffer back for reuse
+        if scratch.to_recv[p] == 0 && scratch.has_sends(p) {
+            scratch.ready.push(p as u32);
+        }
     }
+    scratch.dirty.clear();
 }
 
 /// The full round loop, optionally recording the commit order for
@@ -185,8 +220,7 @@ pub(crate) fn wc_core(
     let mut rng: Option<SmallRng> = None;
 
     scratch.begin_worstcase(pattern, ready);
-    let procs = pattern.procs();
-    let mut timeline = Timeline::new(procs);
+    let mut timeline = Timeline::new(pattern.procs());
     timeline.reserve(2 * scratch.arena.len());
     let mut forced_sends = 0usize;
     let mut remaining_sends = scratch.arena.len();
@@ -195,20 +229,14 @@ pub(crate) fn wc_core(
     // are ever pending (the reference loop's "receives pending but nobody
     // eligible" branch is unreachable) and the loop runs while sends remain.
     while remaining_sends > 0 {
-        debug_assert!(scratch.inboxes[..procs].iter().all(|i| i.is_empty()));
+        debug_assert!(scratch.dirty.is_empty(), "an inbox survived the drain");
 
         // Part 1: every processor that has received everything it expects
-        // sends all of its messages.
-        scratch.tied.clear();
-        for p in 0..procs {
-            if scratch.to_recv[p] == 0 && scratch.has_sends(p) {
-                scratch.tied.push(p as u32);
-            }
-        }
-
-        if !scratch.tied.is_empty() {
-            for i in 0..scratch.tied.len() {
-                let p = scratch.tied[i] as usize;
+        // sends all of its messages. Sends change no receive counter, so
+        // the worklist the last drain left is exactly that set.
+        if !scratch.ready.is_empty() {
+            for i in 0..scratch.ready.len() {
+                let p = scratch.ready[i] as usize;
                 while scratch.has_sends(p) {
                     wc_send(
                         scratch,
@@ -227,24 +255,23 @@ pub(crate) fn wc_core(
                     }
                 }
             }
+            scratch.ready.clear();
         } else {
             // Deadlock: messages remain but every would-be sender is still
             // waiting on a cycle. Force one transmission from a randomly
-            // chosen blocked processor.
-            for p in 0..procs {
-                if scratch.has_sends(p) {
-                    scratch.tied.push(p as u32);
-                }
-            }
-            debug_assert!(!scratch.tied.is_empty());
+            // chosen blocked processor: the draw indexes the blocked
+            // processors in ascending order, as the reference loop's list.
+            let blocked = scratch.senders.len();
+            debug_assert!(blocked > 0);
             // A singleton draw returns 0 without consuming RNG state, so
             // skipping it keeps the stream identical to the reference loop.
-            let victim = if scratch.tied.len() == 1 {
-                scratch.tied[0] as usize
+            let k = if blocked == 1 {
+                0
             } else {
                 let rng = rng.get_or_insert_with(|| SmallRng::seed_from_u64(cfg.seed));
-                scratch.tied[rng.gen_range(0..scratch.tied.len())] as usize
+                rng.gen_range(0..blocked)
             };
+            let victim = scratch.senders.select(k);
             wc_send(
                 scratch,
                 &mut timeline,
@@ -268,7 +295,7 @@ pub(crate) fn wc_core(
 
         // Part 2: every destination performs the receive operations for the
         // messages delivered so far, in arrival order.
-        wc_drain(scratch, &mut timeline, params, rule, tracer, procs);
+        wc_drain(scratch, &mut timeline, params, rule, tracer);
     }
 
     let mut result = SimResult::new(timeline);

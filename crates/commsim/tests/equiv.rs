@@ -6,7 +6,8 @@
 //! ones, which both sides clamp identically). A second group pins the
 //! incremental re-timing invariant: whenever `Recording::retime` accepts,
 //! its per-processor maxima equal those of a full re-simulation, and the
-//! worst-case re-timing accepts unconditionally.
+//! worst-case re-timing accepts unconditionally. A third group repeats the
+//! worst-case properties on cyclic patterns at P in 256..=1024.
 
 use commsim::faults::StepFaults;
 use commsim::{
@@ -45,6 +46,60 @@ fn arb_pattern() -> impl Strategy<Value = CommPattern> {
 fn arb_ready() -> impl Strategy<Value = Vec<Time>> {
     proptest::collection::vec(0u64..100_000u64, 12..13)
         .prop_map(|v| v.into_iter().map(Time::from_ns).collect())
+}
+
+/// The shape of a cyclic pattern, applicable at any processor count by
+/// [`cyclic_pattern`]: (base, shift distance or hypercube dimension,
+/// message bytes, extra messages in percent of P, seed).
+type CyclicShape = (u8, usize, usize, usize, u64);
+
+fn arb_cyclic_shape() -> impl Strategy<Value = CyclicShape> {
+    (0u8..4, 1usize..8, 1usize..=4096, 0usize..=100, any::<u64>())
+}
+
+/// A pattern over `n` processors with at least `n` messages: a ring, a
+/// shift or a hypercube exchange (each processor on a cycle) with random
+/// messages on top, or a random pattern alone. Nearly every worst-case
+/// round breaks a deadlock, so the victim draws, the drain order and the
+/// ready worklist all run at full scale.
+fn cyclic_pattern(n: usize, (base, k, bytes, extra_pct, seed): CyclicShape) -> CommPattern {
+    let extra = n * extra_pct / 100;
+    let mut pattern = match base {
+        0 => patterns::ring(n, bytes),
+        1 => patterns::shift(n, k % (n - 1) + 1, bytes),
+        2 => {
+            // The largest power-of-two block of processors exchanges; the
+            // random messages below reach the rest.
+            let cube = 1usize << n.ilog2();
+            let mut p = CommPattern::new(n);
+            for m in patterns::hypercube_exchange(cube, k % cube.ilog2() as usize, bytes).messages()
+            {
+                p.add(m.src, m.dst, m.bytes);
+            }
+            p
+        }
+        _ => return patterns::random(n, n + extra, 4096, seed),
+    };
+    let topping = n.saturating_sub(pattern.len()) + extra;
+    for m in patterns::random(n, topping, 4096, seed).messages() {
+        pattern.add(m.src, m.dst, m.bytes);
+    }
+    pattern
+}
+
+fn arb_cyclic_pattern() -> impl Strategy<Value = CommPattern> {
+    (256usize..=1024, arb_cyclic_shape()).prop_map(|(n, shape)| cyclic_pattern(n, shape))
+}
+
+/// `n` ready times from `seed`: all zero (many arrival ties) for an even
+/// seed, spread over 0..131 µs for an odd one.
+fn seeded_ready(n: usize, seed: u64) -> Vec<Time> {
+    (0..n as u64)
+        .map(|p| match seed % 2 {
+            0 => Time::ZERO,
+            _ => Time::from_ns(p.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed) >> 47),
+        })
+        .collect()
 }
 
 fn make_cfg(
@@ -104,6 +159,34 @@ fn assert_ends(label: &str, ends: &StepEnds, full: &commsim::SimResult, ready: &
     assert_eq!(ends, &want, "{label}: re-timed maxima diverged");
 }
 
+/// The optimized worst-case loop ≡ the reference loop.
+fn check_worstcase_matches_reference(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) {
+    let new = worstcase::simulate_from(pattern, cfg, ready);
+    let old = reference::worstcase_simulate_from(pattern, cfg, ready);
+    assert_same("worstcase", &new, &old);
+}
+
+/// A worst-case recording reproduces the plain run, and re-timing it under
+/// `alt_cfg` (same seed) always accepts and equals a full re-simulation.
+fn check_worstcase_retime(
+    pattern: &CommPattern,
+    base_cfg: &SimConfig,
+    alt_cfg: &SimConfig,
+    ready: &[Time],
+    scratch: &mut SimScratch,
+) {
+    let mut ends = StepEnds::default();
+    let (recorded, rec) = replay::record_worstcase(pattern, base_cfg, ready, scratch);
+    let direct = worstcase::simulate_from(pattern, base_cfg, ready);
+    assert_same("wc recording run", &recorded, &direct);
+    assert!(
+        rec.retime(pattern, alt_cfg, ready, scratch, &mut ends),
+        "worst-case retime is unconditional for matching seeds"
+    );
+    let full = worstcase::simulate_from(pattern, alt_cfg, ready);
+    assert_ends("wc retime@alt", &ends, &full, ready);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -139,10 +222,7 @@ proptest! {
     ) {
         let procs = pattern.procs();
         let cfg = make_cfg(params, procs, false, classic, seed);
-        let ready = &ready[..procs];
-        let new = worstcase::simulate_from(&pattern, &cfg, ready);
-        let old = reference::worstcase_simulate_from(&pattern, &cfg, ready);
-        assert_same("worstcase", &new, &old);
+        check_worstcase_matches_reference(&pattern, &cfg, &ready[..procs]);
     }
 
     /// Equivalence holds under fault injection and a custom (contract-
@@ -299,19 +379,70 @@ proptest! {
     ) {
         let procs = pattern.procs();
         let base_cfg = make_cfg(base, procs, false, classic, seed);
-        let ready = &ready[..procs];
-        let mut scratch = SimScratch::new();
-        let mut ends = StepEnds::default();
-        let (recorded, rec) = replay::record_worstcase(&pattern, &base_cfg, ready, &mut scratch);
-        let direct = worstcase::simulate_from(&pattern, &base_cfg, ready);
-        assert_same("wc recording run", &recorded, &direct);
-
         let alt_cfg = make_cfg(alt, procs, false, classic, seed);
-        assert!(
-            rec.retime(&pattern, &alt_cfg, ready, &mut scratch, &mut ends),
-            "worst-case retime is unconditional for matching seeds"
-        );
-        let full = worstcase::simulate_from(&pattern, &alt_cfg, ready);
-        assert_ends("wc retime@alt", &ends, &full, ready);
+        let ready = &ready[..procs];
+        check_worstcase_retime(&pattern, &base_cfg, &alt_cfg, ready, &mut SimScratch::new());
+    }
+}
+
+// The same worst-case properties on cyclic patterns at P in 256..=1024,
+// where every round's work must follow the messages moved rather than P.
+// Fewer cases: the reference loop is O(P·M) per step.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn worstcase_matches_reference_at_large_p(
+        params in arb_params(),
+        pattern in arb_cyclic_pattern(),
+        classic in proptest::bool::ANY,
+        seed in any::<u64>(),
+        ready_seed in any::<u64>(),
+    ) {
+        let procs = pattern.procs();
+        let cfg = make_cfg(params, procs, false, classic, seed);
+        check_worstcase_matches_reference(&pattern, &cfg, &seeded_ready(procs, ready_seed));
+    }
+
+    #[test]
+    fn worstcase_retime_equals_full_resim_at_large_p(
+        pattern in arb_cyclic_pattern(),
+        base in arb_params(),
+        alt in arb_params(),
+        classic in proptest::bool::ANY,
+        seed in any::<u64>(),
+        ready_seed in any::<u64>(),
+    ) {
+        let procs = pattern.procs();
+        let base_cfg = make_cfg(base, procs, false, classic, seed);
+        let alt_cfg = make_cfg(alt, procs, false, classic, seed);
+        let ready = seeded_ready(procs, ready_seed);
+        check_worstcase_retime(&pattern, &base_cfg, &alt_cfg, &ready, &mut SimScratch::new());
+    }
+
+    /// One scratch carried through P = 1024 → 8 → 256 (its buffers grow,
+    /// shrink and grow again) simulates and re-times as fresh ones do.
+    #[test]
+    fn worstcase_scratch_reuse_across_processor_counts(
+        shape in arb_cyclic_shape(),
+        base in arb_params(),
+        alt in arb_params(),
+        classic in proptest::bool::ANY,
+        seed in any::<u64>(),
+        ready_seed in any::<u64>(),
+    ) {
+        let mut scratch = SimScratch::new();
+        for procs in [1024, 8, 256] {
+            let pattern = cyclic_pattern(procs, shape);
+            let cfg = make_cfg(base, procs, false, classic, seed);
+            let alt_cfg = make_cfg(alt, procs, false, classic, seed);
+            let ready = seeded_ready(procs, ready_seed);
+            let mut arrival = |m: &Message, start: Time| cfg.params.arrival_time(start, m.bytes);
+            let reused = worstcase::simulate_with(
+                &pattern, &cfg, &ready, &mut arrival, None, None, &mut scratch);
+            let fresh = worstcase::simulate_from(&pattern, &cfg, &ready);
+            assert_same("wc scratch reuse", &reused, &fresh);
+            check_worstcase_retime(&pattern, &cfg, &alt_cfg, &ready, &mut scratch);
+        }
     }
 }

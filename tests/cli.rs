@@ -509,11 +509,13 @@ fn trace_stream_is_pinned_by_digest() {
     // The order and content of every event, not just the kinds: a change
     // to any simulator hook that reorders, adds or drops one event, or
     // moves one timestamp, changes the digest.
-    let cases: [(&str, &[&str], u64); 3] = [
-        ("plain", &[], 0xfb80_dcb0_a20a_ab40),
-        ("worst-case", &["--worst-case"], 0xaaaa_77d4_068e_6dda),
+    let ge = "ge:240,24,diagonal,8";
+    let cases: [(&str, &str, &[&str], u64); 4] = [
+        ("plain", ge, &[], 0xfb80_dcb0_a20a_ab40),
+        ("worst-case", ge, &["--worst-case"], 0xaaaa_77d4_068e_6dda),
         (
             "faulted",
+            ge,
             &[
                 "--faults",
                 "drop:0.2,slow:0.3:2,fail:1@2+500",
@@ -522,11 +524,20 @@ fn trace_stream_is_pinned_by_digest() {
             ],
             0xb278_7d13_dc5c_981b,
         ),
+        // A halo exchange at P=256 is one big cycle: 624 forced sends,
+        // so the stream pins the deadlock-victim draws and the drain
+        // order of the worst-case loop at scale.
+        (
+            "worst-case-cyclic",
+            "stencil:1024,256,2",
+            &["--worst-case"],
+            0x2d1a_0928_0cca_b0f1,
+        ),
     ];
-    for (name, extra, want) in cases {
+    for (name, source, extra, want) in cases {
         let path = tmp_file(&format!("pinned-{name}.jsonl"), "");
         let out = bin()
-            .args(["trace", "ge:240,24,diagonal,8", "--trace-out"])
+            .args(["trace", source, "--trace-out"])
             .arg(&path)
             .args(extra)
             .output()
