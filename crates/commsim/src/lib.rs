@@ -62,9 +62,9 @@ pub mod worstcase;
 pub use faults::StepFaults;
 pub use observe::StepTracer;
 pub use pattern::{CommPattern, Message, MsgId, PatternError};
-pub use replay::{Recording, StepEnds};
+pub use replay::Recording;
 pub use scratch::SimScratch;
-pub use timeline::{CommEvent, SimResult, Timeline};
+pub use timeline::{CommEvent, SimResult, StepEnds, Timeline};
 
 use loggp::{GapRule, LogGpParams};
 

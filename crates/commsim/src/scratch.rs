@@ -129,7 +129,7 @@ impl Frontier {
     /// The raw heap top's `(key, proc)` — possibly a *stale* entry. The
     /// top is minimal over all entries, live ones included, so a candidate
     /// strictly below it is strictly below every live entry; see the
-    /// hold-the-min fast path in `standard::sim_core`.
+    /// hold-the-min fast path in `standard::simulate_with`.
     #[inline]
     pub(crate) fn peek_raw(&self) -> Option<(Time, u32)> {
         self.heap.peek().map(|&Reverse((t, p, _))| (t, p))
@@ -257,20 +257,6 @@ pub struct SimScratch {
     pub(crate) senders: SenderIndex,
     /// Retime: per-processor cursor into the recording's arena snapshot.
     pub(crate) rt_cursor: Vec<u32>,
-    /// Retime: per-message "send committed" flags and arrival times
-    /// (arrivals are only read once the flag is set, so stale values from a
-    /// previous retime are harmless).
-    pub(crate) rt_sent: Vec<bool>,
-    pub(crate) rt_arrival: Vec<Time>,
-    /// Retime: per-processor index of the next recorded main-loop pop.
-    pub(crate) rt_next_pop: Vec<u32>,
-    /// Retime: per-processor key of the last committed main-loop pop.
-    pub(crate) rt_last_key: Vec<(Time, u32)>,
-    /// Retime: per-processor minimum key among in-flight drain-bound
-    /// messages (append-only during the main loop).
-    pub(crate) rt_drain_min: Vec<(Time, u32)>,
-    /// Retime: drain-phase gather/sort buffer.
-    pub(crate) rt_drain: Vec<InFlight>,
 }
 
 impl SimScratch {
@@ -375,18 +361,11 @@ impl SimScratch {
     }
 
     /// Reset state for [`crate::replay`]'s timeline-free re-timing: clocks
-    /// from `ready`, send cursors from the recording's arena-snapshot
-    /// offsets `q_start0`, and the per-message / per-processor
-    /// verification buffers. Unlike [`SimScratch::begin`] this never
-    /// touches the arena — retime reads messages from the recording.
-    pub(crate) fn begin_retime(
-        &mut self,
-        ready: &[Time],
-        q_start0: &[u32],
-        msgs: usize,
-        procs: usize,
-    ) {
-        assert_eq!(ready.len(), procs, "one ready time per processor");
+    /// from `ready` and send cursors from the recording's arena-snapshot
+    /// offsets `q_start0`. Unlike [`SimScratch::begin`] this never touches
+    /// the arena — retime reads messages from the recording.
+    pub(crate) fn begin_retime(&mut self, ready: &[Time], q_start0: &[u32]) {
+        assert_eq!(ready.len(), q_start0.len(), "one ready time per processor");
         self.clocks.clear();
         self.clocks.extend(ready.iter().map(|&r| {
             let mut c = ProcClock::new();
@@ -395,17 +374,6 @@ impl SimScratch {
         }));
         self.rt_cursor.clear();
         self.rt_cursor.extend_from_slice(q_start0);
-        self.rt_sent.clear();
-        self.rt_sent.resize(msgs, false);
-        if self.rt_arrival.len() < msgs {
-            self.rt_arrival.resize(msgs, Time::ZERO);
-        }
-        self.rt_next_pop.clear();
-        self.rt_next_pop.resize(procs, 0);
-        self.rt_last_key.clear();
-        self.rt_last_key.resize(procs, (Time::ZERO, 0));
-        self.rt_drain_min.clear();
-        self.rt_drain_min.resize(procs, (Time::MAX, u32::MAX));
     }
 
     /// True iff processor `p` still has unsent messages.

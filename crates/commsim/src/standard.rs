@@ -33,7 +33,6 @@
 use crate::faults::{transmit, StepFaults};
 use crate::observe::StepTracer;
 use crate::pattern::{CommPattern, Message};
-use crate::replay::RecBufs;
 use crate::scratch::{InFlight, SimScratch};
 use crate::timeline::{CommEvent, SimResult, Timeline};
 use crate::{SimConfig, TieBreak};
@@ -94,60 +93,6 @@ pub fn simulate_with(
     tracer: Option<&StepTracer<'_>>,
     faults: Option<&dyn StepFaults>,
     scratch: &mut SimScratch,
-) -> SimResult {
-    sim_core(
-        pattern, cfg, ready, arrival_of, tracer, faults, scratch, None,
-    )
-}
-
-/// The full hot loop, optionally recording the commit order for
-/// [`crate::replay`]: each committed main-loop operation is appended to
-/// `rec.ops` as `proc << 1 | kind` (`0` = send, `1` = receive), and each
-/// main-loop receive's arena slot to `rec.recv_slots`. The drain phase is
-/// not recorded — it is a pure function of the state the main loop leaves
-/// behind.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sim_core(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-    scratch: &mut SimScratch,
-    rec: Option<&mut RecBufs>,
-) -> SimResult {
-    // Monomorphize the recording flag out of the hot loop: the plain
-    // simulation path compiles with zero recording code (the `rec`
-    // bookkeeping otherwise costs ~10% on the GE pair via register
-    // pressure alone).
-    match rec {
-        Some(r) => sim_core_impl::<true>(
-            pattern,
-            cfg,
-            ready,
-            arrival_of,
-            tracer,
-            faults,
-            scratch,
-            Some(r),
-        ),
-        None => sim_core_impl::<false>(
-            pattern, cfg, ready, arrival_of, tracer, faults, scratch, None,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sim_core_impl<const REC: bool>(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-    scratch: &mut SimScratch,
-    mut rec: Option<&mut RecBufs>,
 ) -> SimResult {
     let params = &cfg.params;
     let rule = cfg.gap_rule;
@@ -243,11 +188,6 @@ fn sim_core_impl<const REC: bool>(
                 id: msg.id as u32,
                 slot,
             }));
-            if REC {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.ops.push((min_proc as u32) << 1);
-                }
-            }
         } else {
             // Perform RECEIVE.
             let Reverse(inflight) = scratch.recv_queues[min_proc]
@@ -268,12 +208,6 @@ fn sim_core_impl<const REC: bool>(
                 t.recv(&event, inflight.arrival, false);
             }
             timeline.push(event);
-            if REC {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.ops.push((min_proc as u32) << 1 | 1);
-                    r.recv_slots.push(inflight.slot);
-                }
-            }
         }
 
         // Re-key the acting processor (its clock advanced either way).
@@ -304,8 +238,8 @@ fn sim_core_impl<const REC: bool>(
 }
 
 /// Final phase: all sends done; every processor drains its receives in
-/// arrival order. Shared between the main loop and [`crate::replay`].
-pub(crate) fn drain(
+/// arrival order.
+fn drain(
     params: &loggp::LogGpParams,
     cfg: &SimConfig,
     scratch: &mut SimScratch,

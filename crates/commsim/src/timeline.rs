@@ -198,6 +198,51 @@ impl SimResult {
     }
 }
 
+/// Per-processor completion data of one communication step: everything
+/// the whole-program fold consumes from it. Every step backend writes one
+/// (from a [`SimResult`] through [`StepEnds::absorb`], or directly when
+/// re-timing a [`Recording`](crate::Recording)), and the engine's step
+/// memo stores them. Reusable across steps: the buffers are cleared, not
+/// reallocated.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StepEnds {
+    /// Per processor: end of its last committed operation, at least the
+    /// step-entry ready time (the fold's next-computation start under
+    /// no-overlap semantics).
+    pub comm_done: Vec<Time>,
+    /// Per processor: end of its last committed *receive*, at least the
+    /// step-entry ready time (the fold's next-computation start under
+    /// receive-only overlap).
+    pub last_recv_done: Vec<Time>,
+    /// Forced transmissions (worst-case algorithm on cyclic patterns).
+    pub forced_sends: usize,
+}
+
+impl StepEnds {
+    /// Reset to the step-entry ready times (every per-processor maximum
+    /// starts from `ready[p]`).
+    pub fn reset(&mut self, ready: &[Time]) {
+        self.comm_done.clear();
+        self.comm_done.extend_from_slice(ready);
+        self.last_recv_done.clear();
+        self.last_recv_done.extend_from_slice(ready);
+        self.forced_sends = 0;
+    }
+
+    /// Fold a fully-simulated step's timeline into the maxima.
+    pub fn absorb(&mut self, result: &SimResult) {
+        for ev in result.timeline.events() {
+            let d = &mut self.comm_done[ev.proc];
+            *d = (*d).max(ev.end);
+            if ev.kind == OpKind::Recv {
+                let r = &mut self.last_recv_done[ev.proc];
+                *r = (*r).max(ev.end);
+            }
+        }
+        self.forced_sends += result.forced_sends;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ pub mod textfmt;
 
 pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
 pub use program::{Program, ProgramError, Step, StepLoad, MAX_PROCS};
-pub use replay::{record_program, ProgramRecording, ReplayStats};
+pub use replay::{record_program, ProgramRecording};
 pub use simulate::{
     fault_charge, simulate_program, simulate_program_with, CommAlgo, DirectStepSimulator, Overlap,
     Prediction, SimBudget, SimHalt, SimHooks, SimOptions, SimRun, StepFaultView, StepRecord,

@@ -1,42 +1,37 @@
-//! Whole-program incremental re-simulation.
+//! Whole-program incremental re-simulation under the worst-case algorithm.
 //!
-//! Predicting one program on several machines — `predsim machine-sweep`,
-//! the only consumer, whose cost `bench_sim` measures — simulates the
-//! *same program* many times, changing only the LogGP parameters between
-//! runs. The communication patterns, per-step structure and — for the
-//! common deterministic configurations — the commit order of every send
-//! and receive are identical across those runs; only the *times* move. This
+//! Predicting one program on several machines — `predsim machine-sweep
+//! --worst-case`, the only consumer, whose cost `bench_sim` measures —
+//! simulates the *same program* many times, changing only the LogGP
+//! parameters between runs. Under the worst-case algorithm the commit order
+//! of every communication step is then identical across those runs: the
+//! §4.2 round structure depends only on the pattern and the seed. This
 //! module exploits that: [`record_program`] runs one full simulation while
-//! recording each communication step's commit order
-//! ([`commsim::Recording`]), and [`ProgramRecording::predict`] re-times the
-//! recorded orders under new parameters instead of re-running the hot loop.
+//! recording each communication step's rounds ([`commsim::Recording`]), and
+//! [`ProgramRecording::predict`] re-times them under new parameters instead
+//! of re-running the hot loop.
 //!
-//! The invariant is absolute, not approximate: a replayed step is accepted
-//! only when the recorded order is provably valid under the new parameters
-//! (the standard algorithm's replay verifies every operation; the
-//! worst-case replay is unconditional for a matching seed). Any step whose
-//! recording cannot be validated is transparently re-simulated in full, so
-//! **[`ProgramRecording::predict`] is always bit-identical to
-//! [`simulate_program`](crate::simulate_program) at the same options** —
-//! replay changes cost, never results. [`ReplayStats`] reports how much of
-//! the program actually took the fast path.
+//! Standard-algorithm runs are not recorded: their commit order can shift
+//! with the parameters, and verifying it op by op cost as much as
+//! simulating again (DESIGN §13). A step whose recording does not apply —
+//! made under another seed, or predicted under the standard algorithm — is
+//! simulated in full, so **[`ProgramRecording::predict`] is always
+//! bit-identical to [`simulate_program`](crate::simulate_program) at the
+//! same options** — replay changes cost, never results.
 
 use crate::program::Program;
 use crate::simulate::{
     simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimHooks, SimOptions,
     StepSimulator,
 };
-use commsim::replay::{record_standard, record_worstcase};
+use commsim::replay::record_worstcase;
 use commsim::{Recording, SimScratch, StepEnds};
 use loggp::Time;
 
-/// The commit orders of every communication step of one recorded program
-/// simulation, in program order. Produced by [`record_program`].
+/// The recorded rounds of every communication step of one worst-case
+/// program simulation, in program order. Produced by [`record_program`].
 #[derive(Debug)]
 pub struct ProgramRecording {
-    /// Algorithm the recording was made under; a replay under the other
-    /// algorithm would re-time the wrong schedule, so it falls back.
-    algo: CommAlgo,
     /// One recording per communication step, in encounter order.
     steps: Vec<Recording>,
 }
@@ -53,29 +48,25 @@ impl ProgramRecording {
     }
 
     /// Re-predict the program under `opts` — typically the same program
-    /// with different `opts.cfg.params` — replaying recorded commit orders
-    /// where provably valid and re-simulating the rest. The prediction is
-    /// bit-identical to `simulate_program(prog, opts)`.
+    /// with different `opts.cfg.params`. The prediction is bit-identical to
+    /// `simulate_program(prog, opts)`.
     ///
-    /// This is the whole-program fold with a replaying backend: replayed
-    /// steps go through [`Recording::retime`], which computes the
-    /// per-processor completion maxima the fold consumes without building
-    /// a timeline or any per-event state, so an all-fast-path
-    /// re-prediction does no per-message allocation at all. Refused steps
-    /// transparently fall back to the full hot loop.
-    pub fn predict(&self, prog: &Program, opts: &SimOptions) -> (Prediction, ReplayStats) {
+    /// This is the whole-program fold with a replaying backend: each step
+    /// goes through [`Recording::retime`], which computes the per-processor
+    /// completion maxima the fold consumes without building a timeline, so
+    /// re-prediction does no per-message allocation at all. Under the
+    /// standard algorithm, or for a step whose recording refuses (another
+    /// seed), the backend runs the full hot loop instead.
+    pub fn predict(&self, prog: &Program, opts: &SimOptions) -> Prediction {
         let mut backend = Replaying {
-            recordings: if opts.algo == self.algo {
-                &self.steps
-            } else {
-                &[]
+            recordings: match opts.algo {
+                CommAlgo::WorstCase => &self.steps,
+                CommAlgo::Standard => &[],
             },
             next: 0,
             direct: DirectStepSimulator::new(),
-            stats: ReplayStats::default(),
         };
-        let run = simulate_program_with(prog, opts, &mut backend, SimHooks::default());
-        (run.prediction, backend.stats)
+        simulate_program_with(prog, opts, &mut backend, SimHooks::default()).prediction
     }
 }
 
@@ -87,7 +78,6 @@ struct Replaying<'a> {
     recordings: &'a [Recording],
     next: usize,
     direct: DirectStepSimulator,
-    stats: ReplayStats,
 }
 
 impl StepSimulator for Replaying<'_> {
@@ -103,67 +93,38 @@ impl StepSimulator for Replaying<'_> {
         let rec = self.recordings.get(self.next);
         self.next += 1;
         let scratch = &mut self.direct.scratch;
-        if rec.is_some_and(|rec| rec.retime(comm, &opts.cfg, ready, scratch, out)) {
-            self.stats.replayed += 1;
-        } else {
-            self.stats.resimulated += 1;
+        if !rec.is_some_and(|rec| rec.retime(comm, &opts.cfg, ready, scratch, out)) {
             self.direct
                 .simulate_step(step_idx, comm, opts, hooks, ready, out);
         }
     }
 }
 
-/// How much of an incremental re-prediction took the fast path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Communication steps re-timed from their recorded commit order.
-    pub replayed: usize,
-    /// Communication steps simulated in full (recording refused, missing,
-    /// or made under a different algorithm).
-    pub resimulated: usize,
-}
-
-impl ReplayStats {
-    /// Total communication steps processed.
-    pub fn comm_steps(&self) -> usize {
-        self.replayed + self.resimulated
-    }
-
-    /// Fraction of communication steps replayed (1.0 for an all-fast-path
-    /// run; 0.0 when everything was re-simulated or there was no
-    /// communication).
-    pub fn replay_fraction(&self) -> f64 {
-        if self.comm_steps() == 0 {
-            0.0
-        } else {
-            self.replayed as f64 / self.comm_steps() as f64
-        }
-    }
-}
-
-/// Simulate `prog` under `opts` while recording every communication step's
-/// commit order for later incremental re-prediction. The returned
+/// Simulate `prog` under worst-case `opts` while recording every
+/// communication step's rounds for later re-prediction. The returned
 /// [`Prediction`] is bit-identical to `simulate_program(prog, opts)`.
-pub fn record_program(prog: &Program, opts: &SimOptions) -> (Prediction, ProgramRecording) {
+/// Under the standard algorithm nothing is simulated and the answer is
+/// `None`: there is no recording to make.
+pub fn record_program(prog: &Program, opts: &SimOptions) -> Option<(Prediction, ProgramRecording)> {
+    if opts.algo == CommAlgo::Standard {
+        return None;
+    }
     let mut backend = RecordingBackend {
-        algo: opts.algo,
         scratch: SimScratch::new(),
         steps: Vec::new(),
     };
     let run = simulate_program_with(prog, opts, &mut backend, SimHooks::default());
-    (
+    Some((
         run.prediction,
         ProgramRecording {
-            algo: backend.algo,
             steps: backend.steps,
         },
-    )
+    ))
 }
 
-/// Backend of [`record_program`]: the direct algorithms with the recording
-/// hook enabled.
+/// Backend of [`record_program`]: the worst-case algorithm with the
+/// recording hook enabled.
 struct RecordingBackend {
-    algo: CommAlgo,
     scratch: SimScratch,
     steps: Vec<Recording>,
 }
@@ -178,10 +139,7 @@ impl StepSimulator for RecordingBackend {
         ready: &[Time],
         out: &mut StepEnds,
     ) {
-        let (result, rec) = match opts.algo {
-            CommAlgo::Standard => record_standard(comm, &opts.cfg, ready, &mut self.scratch),
-            CommAlgo::WorstCase => record_worstcase(comm, &opts.cfg, ready, &mut self.scratch),
-        };
+        let (result, rec) = record_worstcase(comm, &opts.cfg, ready, &mut self.scratch);
         self.steps.push(rec);
         out.reset(ready);
         out.absorb(&result);
@@ -217,139 +175,110 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recording_run_matches_plain_simulation() {
-        let prog = sample_program(6);
-        for opts in [
-            SimOptions::new(SimConfig::new(presets::meiko_cs2(6))),
-            SimOptions::new(SimConfig::new(presets::meiko_cs2(6))).worst_case(),
-        ] {
-            let plain = simulate_program(&prog, &opts);
-            let (recorded, rec) = record_program(&prog, &opts);
-            assert_eq!(plain, recorded);
-            assert_eq!(rec.len(), 3);
-        }
+    fn worst_case(procs: usize) -> SimOptions {
+        SimOptions::new(SimConfig::new(presets::meiko_cs2(procs))).worst_case()
     }
 
     #[test]
-    fn predict_at_same_params_replays_everything() {
+    fn recording_run_matches_plain_simulation() {
         let prog = sample_program(6);
-        let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(6)));
-        let (_, rec) = record_program(&prog, &opts);
-        let (pred, stats) = rec.predict(&prog, &opts);
-        assert_eq!(pred, simulate_program(&prog, &opts));
-        assert_eq!(stats.replayed, 3);
-        assert_eq!(stats.resimulated, 0);
-        assert_eq!(stats.replay_fraction(), 1.0);
+        let opts = worst_case(6);
+        let (recorded, rec) = record_program(&prog, &opts).expect("worst-case records");
+        assert_eq!(recorded, simulate_program(&prog, &opts));
+        assert_eq!(rec.len(), 3);
+    }
+
+    #[test]
+    fn standard_runs_are_not_recorded() {
+        let prog = sample_program(6);
+        let st = SimOptions::new(SimConfig::new(presets::meiko_cs2(6)));
+        for opts in [st, st.with_barrier(), st.with_overlap()] {
+            assert!(record_program(&prog, &opts).is_none());
+        }
     }
 
     #[test]
     fn predict_matches_full_simulation_across_param_changes() {
         let prog = sample_program(6);
         let base = presets::meiko_cs2(6);
-        for o in [
-            SimOptions::new(SimConfig::new(base)),
-            SimOptions::new(SimConfig::new(base)).worst_case(),
-        ] {
-            let (_, rec) = record_program(&prog, &o);
-            // Sweep: uniform scalings (order-preserving) and a few skewed
-            // ones (may force fallback); predictions must match full
-            // simulation regardless of which path each step took.
-            for (num, den) in [(3, 2), (2, 1), (1, 3), (7, 5), (1, 1)] {
-                let mut alt = o;
-                alt.cfg.params = scaled(base, num, den);
-                let (pred, stats) = rec.predict(&prog, &alt);
-                assert_eq!(pred, simulate_program(&prog, &alt), "scale {num}/{den}");
-                assert_eq!(stats.comm_steps(), 3);
-            }
-            let mut skew = o;
-            skew.cfg.params.latency = base.latency * 40;
-            let (pred, _) = rec.predict(&prog, &skew);
-            assert_eq!(pred, simulate_program(&prog, &skew));
+        let o = worst_case(6);
+        let (_, rec) = record_program(&prog, &o).unwrap();
+        for (num, den) in [(3, 2), (2, 1), (1, 3), (7, 5), (1, 1)] {
+            let mut alt = o;
+            alt.cfg.params = scaled(base, num, den);
+            let pred = rec.predict(&prog, &alt);
+            assert_eq!(pred, simulate_program(&prog, &alt), "scale {num}/{den}");
         }
-    }
-
-    #[test]
-    fn uniform_scaling_takes_the_fast_path() {
-        let prog = sample_program(6);
-        let base = presets::meiko_cs2(6);
-        let o = SimOptions::new(SimConfig::new(base));
-        let (_, rec) = record_program(&prog, &o);
-        let mut alt = o;
-        alt.cfg.params = scaled(base, 2, 1);
-        let (_, stats) = rec.predict(&prog, &alt);
-        // Doubling every parameter scales all times uniformly, so the
-        // recorded order stays valid and every step replays.
-        assert_eq!(stats.replayed, 3);
-        assert_eq!(stats.resimulated, 0);
+        let mut skew = o;
+        skew.cfg.params.latency = base.latency * 40;
+        assert_eq!(rec.predict(&prog, &skew), simulate_program(&prog, &skew));
     }
 
     #[test]
     fn algorithm_mismatch_falls_back_to_full_simulation() {
         let prog = sample_program(5);
-        let st = SimOptions::new(SimConfig::new(presets::meiko_cs2(5)));
-        let (_, rec) = record_program(&prog, &st);
-        let wc = st.worst_case();
-        let (pred, stats) = rec.predict(&prog, &wc);
-        assert_eq!(pred, simulate_program(&prog, &wc));
-        assert_eq!(stats.replayed, 0);
-        assert_eq!(stats.resimulated, 3);
-        assert_eq!(stats.replay_fraction(), 0.0);
+        let wc = worst_case(5);
+        let (_, rec) = record_program(&prog, &wc).unwrap();
+        let st = SimOptions::new(wc.cfg);
+        assert_eq!(rec.predict(&prog, &st), simulate_program(&prog, &st));
+        assert_ne!(
+            rec.predict(&prog, &st),
+            rec.predict(&prog, &wc),
+            "the algorithms must disagree here, or the fallback goes untested"
+        );
     }
 
     #[test]
-    fn random_tie_break_recordings_never_replay_but_stay_correct() {
+    fn seed_mismatch_falls_back_to_full_simulation() {
         let prog = sample_program(5);
-        let o = SimOptions::new(SimConfig::new(presets::meiko_cs2(5)).with_random_ties(9));
-        let (recorded, rec) = record_program(&prog, &o);
-        assert_eq!(recorded, simulate_program(&prog, &o));
-        let (pred, stats) = rec.predict(&prog, &o);
-        assert_eq!(pred, simulate_program(&prog, &o));
-        assert_eq!(stats.replayed, 0);
-        assert_eq!(stats.resimulated, 3);
+        let seeded = |seed| {
+            SimOptions::new(SimConfig::new(presets::meiko_cs2(5)).with_seed(seed)).worst_case()
+        };
+        let (_, rec) = record_program(&prog, &seeded(1)).unwrap();
+        for seed in [2, 3, 99] {
+            let o = seeded(seed);
+            assert_eq!(
+                rec.predict(&prog, &o),
+                simulate_program(&prog, &o),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
     fn worstcase_replay_survives_skewed_params() {
         // The worst-case recording replays unconditionally (same seed),
-        // even under skews that flip the standard algorithm's order.
+        // even under skews that would reorder a standard run.
         let prog = sample_program(6);
         let base = presets::meiko_cs2(6);
-        let o = SimOptions::new(SimConfig::new(base)).worst_case();
-        let (_, rec) = record_program(&prog, &o);
+        let o = worst_case(6);
+        let (_, rec) = record_program(&prog, &o).unwrap();
         let mut skew = o;
         skew.cfg.params.latency = base.latency * 100;
-        let (pred, stats) = rec.predict(&prog, &skew);
-        assert_eq!(pred, simulate_program(&prog, &skew));
-        assert_eq!(stats.replayed, 3);
+        assert_eq!(rec.predict(&prog, &skew), simulate_program(&prog, &skew));
     }
 
     #[test]
     fn fold_identity_across_options() {
-        // predict must reproduce simulate_program bit-for-bit
-        // under every synchronization / overlap / algorithm combination,
-        // at recorded params and across a sweep (mixing fast-path and
-        // fallback steps).
+        // predict must reproduce simulate_program bit-for-bit under every
+        // synchronization / overlap combination, at recorded params and
+        // across a sweep.
         let prog = sample_program(6);
         let base = presets::meiko_cs2(6);
-        let o0 = SimOptions::new(SimConfig::new(base));
+        let o0 = worst_case(6);
         for opts in [
             o0,
             o0.with_barrier(),
             o0.with_overlap(),
             o0.with_barrier().with_overlap(),
-            o0.worst_case(),
-            o0.worst_case().with_barrier(),
-            o0.worst_case().with_overlap(),
         ] {
-            let (recorded, rec) = record_program(&prog, &opts);
+            let (recorded, rec) = record_program(&prog, &opts).unwrap();
             assert_eq!(recorded, simulate_program(&prog, &opts));
             for (num, den) in [(1, 1), (2, 1), (7, 5), (1, 4)] {
                 let mut alt = opts;
                 alt.cfg.params = scaled(base, num, den);
-                let (pred, stats) = rec.predict(&prog, &alt);
+                let pred = rec.predict(&prog, &alt);
                 assert_eq!(pred, simulate_program(&prog, &alt), "scale {num}/{den}");
-                assert_eq!(stats.comm_steps(), 3);
             }
         }
     }
@@ -358,12 +287,9 @@ mod tests {
     fn empty_and_comp_only_programs_record_cleanly() {
         let mut prog = Program::new(3);
         prog.push(Step::new("c").with_comp(vec![Time::from_us(4.0); 3]));
-        let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(3)));
-        let (_, rec) = record_program(&prog, &opts);
+        let opts = worst_case(3);
+        let (_, rec) = record_program(&prog, &opts).unwrap();
         assert!(rec.is_empty());
-        let (pred, stats) = rec.predict(&prog, &opts);
-        assert_eq!(pred, simulate_program(&prog, &opts));
-        assert_eq!(stats.comm_steps(), 0);
-        assert_eq!(stats.replay_fraction(), 0.0);
+        assert_eq!(rec.predict(&prog, &opts), simulate_program(&prog, &opts));
     }
 }

@@ -227,8 +227,8 @@ impl Prediction {
 /// The whole-program simulator is a fold over steps; everything expensive
 /// happens inside the per-step LogGP simulation. Abstracting that one call
 /// lets alternative backends — `predsim-engine`'s fingerprint-memoizing
-/// cache, the replay of a [`crate::ProgramRecording`] — slot under the
-/// unchanged program loop while guaranteeing identical results.
+/// cache, the re-timing of a worst-case [`crate::ProgramRecording`] — slot
+/// under the unchanged program loop while guaranteeing identical results.
 pub trait StepSimulator {
     /// Simulate the communication of program step `step_idx`, with
     /// processor `p` unable to start communicating before `ready[p]`, and

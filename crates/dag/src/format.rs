@@ -221,6 +221,19 @@ edge mid sink 4096
             assert_eq!(e.line, line, "{why}: {e}");
         }
         assert_eq!(parse("").unwrap_err().line, 0, "missing header");
+        // Edge lines resolve names, and the model's errors keep their line.
+        for (text, want) in [
+            (
+                "dag name=x ps_per_flop=500\ntask a 1\nedge a b 1\n",
+                "line 3: unknown task 'b'",
+            ),
+            (
+                "dag name=x ps_per_flop=500\ntask a 1\ntask b 1\nedge a b 1\nedge a b 2\n",
+                "line 5: duplicate edge 'a' -> 'b'",
+            ),
+        ] {
+            assert_eq!(parse(text).unwrap_err().to_string(), want);
+        }
         // Cycles are whole-file errors (detected at validation).
         let cyc = "dag name=c ps_per_flop=1\ntask a 1\ntask b 1\nedge a b 1\nedge b a 1\n";
         let e = parse(cyc).unwrap_err();

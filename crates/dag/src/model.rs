@@ -7,6 +7,7 @@
 //! and overflowing costs are all rejected by [`TaskDag::validate`].
 
 use loggp::Time;
+use std::collections::HashMap;
 
 /// The most tasks a DAG may have when its size comes from outside the
 /// program: a generator spec ([`crate::generate::from_spec`]) or a speedup
@@ -41,6 +42,8 @@ pub struct TaskDag {
     name: String,
     ps_per_flop: u64,
     tasks: Vec<Task>,
+    /// Task name → index, so name checks and lookups cost O(1).
+    index: HashMap<String, usize>,
     edges: Vec<Edge>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
@@ -68,6 +71,7 @@ impl TaskDag {
             name: name.into(),
             ps_per_flop,
             tasks: Vec::new(),
+            index: HashMap::new(),
             edges: Vec::new(),
             preds: Vec::new(),
             succs: Vec::new(),
@@ -108,13 +112,15 @@ impl TaskDag {
     pub fn add_task(&mut self, name: impl Into<String>, flops: u64) -> Result<usize, String> {
         let name = name.into();
         check_task_name(&name)?;
-        if self.tasks.iter().any(|t| t.name == name) {
+        if self.index.contains_key(&name) {
             return Err(format!("duplicate task name '{name}'"));
         }
+        let id = self.tasks.len();
+        self.index.insert(name.clone(), id);
         self.tasks.push(Task { name, flops });
         self.preds.push(Vec::new());
         self.succs.push(Vec::new());
-        Ok(self.tasks.len() - 1)
+        Ok(id)
     }
 
     /// Add an edge `src → dst`; returns its index.
@@ -128,7 +134,7 @@ impl TaskDag {
         if src == dst {
             return Err(format!("edge {src} -> {src} is a self-loop"));
         }
-        if self.edges.iter().any(|e| e.src == src && e.dst == dst) {
+        if self.succs[src].iter().any(|&e| self.edges[e].dst == dst) {
             return Err(format!(
                 "duplicate edge '{}' -> '{}'",
                 self.tasks[src].name, self.tasks[dst].name
@@ -143,7 +149,7 @@ impl TaskDag {
 
     /// Look a task up by name.
     pub fn task_index(&self, name: &str) -> Option<usize> {
-        self.tasks.iter().position(|t| t.name == name)
+        self.index.get(name).copied()
     }
 
     /// The computation time of task `t` at base speed.
@@ -256,12 +262,15 @@ mod tests {
         assert!(d.add_task("", 1).is_err());
         assert!(d.add_task("has space", 1).is_err());
         d.add_task("a", 1).unwrap();
-        assert!(d.add_task("a", 2).is_err(), "duplicate name");
+        assert_eq!(d.add_task("a", 2), Err("duplicate task name 'a'".into()));
         d.add_task("b", 1).unwrap();
         assert!(d.add_edge(0, 0, 1).is_err(), "self-loop");
         assert!(d.add_edge(0, 9, 1).is_err(), "dangling");
         d.add_edge(0, 1, 1).unwrap();
-        assert!(d.add_edge(0, 1, 2).is_err(), "duplicate edge");
+        assert_eq!(d.add_edge(0, 1, 2), Err("duplicate edge 'a' -> 'b'".into()));
+        // The reverse edge is no duplicate (validation rejects the cycle).
+        d.add_edge(1, 0, 1).unwrap();
+        assert_eq!((d.task_index("b"), d.task_index("c")), (Some(1), None));
     }
 
     #[test]

@@ -99,16 +99,15 @@ USAGE:
   predsim machine-sweep SOURCE [--machines NAME,NAME,...] [--worst-case]
                         [--barrier] [--overlap] [--classic-gap] [--verify]
       Predict one SOURCE (as for 'batch') across several machine presets
-      using incremental re-simulation: the program is simulated once in
-      full on the first machine while the commit order of every
-      communication step is recorded; each further machine re-times the
-      recorded orders instead of re-running the simulator's hot loop,
-      falling back to a full per-step simulation only where the recorded
-      order is not provably valid under the new parameters. Results are
-      bit-identical to independent full simulations (--verify re-runs
-      them and checks). Prints per-machine totals plus how many steps
-      took the replay fast path. Default machines: meiko, paragon,
-      myrinet, ethernet, ideal.
+      and print per-machine totals. Under the standard algorithm each
+      machine is simulated in full. With --worst-case the program is
+      simulated once on the first machine while the rounds of every
+      communication step are recorded, and each further machine re-times
+      those rounds instead of re-running the simulator's hot loop (the
+      rounds do not depend on the LogGP parameters). Results are
+      bit-identical to independent full simulations: --verify re-runs
+      them and checks (under the standard algorithm it holds trivially).
+      Default machines: meiko, paragon, myrinet, ethernet, ideal.
 
   predsim dag gen SPEC [--out FILE]
       Generate a deterministic task DAG and print it in the line-oriented
@@ -763,12 +762,12 @@ fn ge_sweep_prefiltered(
     Ok(())
 }
 
-/// The `machine-sweep` command: one program, many machine presets,
-/// incremental re-simulation between them. The first machine is simulated
-/// in full (recording every communication step's commit order); the rest
-/// replay those orders under their own LogGP parameters, falling back to
-/// the full hot loop per step only where the recorded order cannot be
-/// proved valid. Predictions are bit-identical to independent full runs.
+/// The `machine-sweep` command: one program, many machine presets. Under
+/// the standard algorithm each machine is simulated in full. Under the
+/// worst-case one the first machine is simulated while recording every
+/// communication step's rounds, and the rest re-time those rounds under
+/// their own LogGP parameters. Predictions are bit-identical to
+/// independent full runs either way.
 fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
     let raw = args.positional.first().ok_or(
         "machine-sweep: missing SOURCE (a trace file or a ge:/cannon:/stencil:/apsp: spec)",
@@ -786,64 +785,50 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
     }
     let base_opts = sim_options(args, machines[0], procs)?;
     let rec_start = std::time::Instant::now();
-    let (base_pred, recording) = record_program(&program, &base_opts);
-    let rec_elapsed = rec_start.elapsed();
+    let recorded = record_program(&program, &base_opts);
+    let how = match recorded {
+        Some(_) => format!(
+            "recorded on '{}' in {:.1} ms",
+            machines[0],
+            rec_start.elapsed().as_secs_f64() * 1e3
+        ),
+        None => "each machine simulated in full".into(),
+    };
+    let comm_steps = program
+        .steps()
+        .iter()
+        .filter(|s| !s.comm.is_empty())
+        .count();
     println!(
-        "{raw}: P={procs}, {} step(s), {} with communication; recorded on '{}' in {:.1} ms",
-        program.len(),
-        recording.len(),
-        machines[0],
-        rec_elapsed.as_secs_f64() * 1e3,
+        "{raw}: P={procs}, {} step(s), {comm_steps} with communication; {how}",
+        program.len()
     );
 
-    let mut table = Table::new(["machine", "total (s)", "comp (s)", "comm (s)", "replayed"]);
-    let mut replayed_total = 0usize;
-    let mut resim_total = 0usize;
+    let mut table = Table::new(["machine", "total (s)", "comp (s)", "comm (s)"]);
     for (idx, mname) in machines.iter().enumerate() {
         let opts = sim_options(args, mname, procs)?;
-        let (pred, stats) = if idx == 0 {
-            // Already simulated while recording; replaying here would just
-            // re-derive the identical prediction.
-            (
-                base_pred.clone(),
-                predsim::predsim_core::ReplayStats {
-                    replayed: recording.len(),
-                    resimulated: 0,
-                },
-            )
-        } else {
-            recording.predict(&program, &opts)
+        let pred = match &recorded {
+            None => simulate_program(&program, &opts),
+            Some((base_pred, _)) if idx == 0 => base_pred.clone(),
+            Some((_, recording)) => recording.predict(&program, &opts),
         };
-        if args.flag("verify") {
-            let full = simulate_program(&program, &opts);
-            if full != pred {
-                return Err(format!(
-                    "machine-sweep: incremental prediction for '{mname}' diverged from the \
-                     full simulation — this is a bug in the replay validity check"
-                ));
-            }
+        if recorded.is_some() && args.flag("verify") && simulate_program(&program, &opts) != pred {
+            return Err(format!(
+                "machine-sweep: re-timed prediction for '{mname}' diverged from the full \
+                 simulation — this is a bug in the worst-case recording"
+            ));
         }
-        replayed_total += stats.replayed;
-        resim_total += stats.resimulated;
         table.row([
             mname.to_string(),
             secs(pred.total),
             secs(pred.comp_time),
             secs(pred.comm_time),
-            format!("{}/{}", stats.replayed, stats.comm_steps()),
         ]);
     }
     println!("{}", table.render());
-    println!(
-        "incremental replay: {replayed_total} of {} communication-step simulations \
-         took the fast path ({resim_total} full re-simulations){}",
-        replayed_total + resim_total,
-        if args.flag("verify") {
-            "; all predictions verified against full simulations"
-        } else {
-            ""
-        }
-    );
+    if args.flag("verify") {
+        println!("all predictions verified against full simulations");
+    }
     Ok(())
 }
 

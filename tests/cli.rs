@@ -187,11 +187,11 @@ fn ge_sweep_finds_optimum() {
     assert!(text.contains("predicted optimum: B="), "{text}");
 }
 
-/// `machine-sweep`, the one consumer of recorded re-timing: with
-/// `--verify` every machine's re-timed prediction is checked against a
-/// full simulation, and its total, comp and comm columns equal `batch`'s
-/// rows for the same machines and switches — on GE and on a cyclic
-/// stencil, under both algorithms.
+/// `machine-sweep`, the one consumer of recorded re-timing: under
+/// `--worst-case` with `--verify` every machine's re-timed prediction is
+/// checked against a full simulation, and under both algorithms its total,
+/// comp and comm columns equal `batch`'s rows for the same machines and
+/// switches — on GE and on a cyclic stencil.
 #[test]
 fn machine_sweep_verifies_and_agrees_with_batch() {
     let run = |args: &[&str]| {
@@ -222,6 +222,20 @@ fn machine_sweep_verifies_and_agrees_with_batch() {
             args.extend(algo);
             let sweep = run(&args);
             assert!(sweep.contains("all predictions verified"), "{sweep}");
+            // Standard runs are simulated per machine; only worst-case
+            // runs are recorded and re-timed. No per-step replay counts.
+            let how = if algo.is_empty() {
+                "; each machine simulated in full"
+            } else {
+                "; recorded on 'meiko'"
+            };
+            assert!(sweep.contains(how), "{sweep}");
+            assert_eq!(
+                row(&sweep, &["machine"]),
+                ["machine", "total", "(s)", "comp", "(s)", "comm", "(s)"],
+                "{sweep}"
+            );
+            assert!(!sweep.contains("replay"), "{sweep}");
             let mut args = vec!["batch", src, "--machine", "meiko,paragon,ethernet"];
             args.extend(algo);
             let batch = run(&args);
