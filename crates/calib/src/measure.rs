@@ -16,7 +16,7 @@
 //! ```
 
 use loggp::{LogGpParams, Time};
-use machine::{emulate_faulted, EmulatorConfig};
+use machine::{ChargedProgram, EmulatorConfig};
 use predsim_core::{Prediction, Program, StepLoad};
 use predsim_faults::FaultPlan;
 use predsim_lint::json::{self, Value};
@@ -91,7 +91,8 @@ impl MeasureConfig {
 }
 
 /// Emulate `prog` `cfg.runs` times under consecutive seeds and collect
-/// the measured wall times.
+/// the measured wall times. The loop and cache charges do not depend on
+/// the seed, so they are computed once; each run is one fold.
 pub fn measure(
     prog: &Program,
     loads: &[StepLoad],
@@ -100,18 +101,18 @@ pub fn measure(
     cfg: &MeasureConfig,
 ) -> MeasuredSet {
     assert!(cfg.runs >= 1, "need at least one run");
-    let mut runs = Vec::with_capacity(cfg.runs);
-    for i in 0..cfg.runs {
-        let seed = cfg.base_seed + i as u64;
-        let mut ecfg = cfg.ecfg.clone();
-        ecfg.cfg = ecfg.cfg.with_seed(seed);
-        let m = emulate_faulted(prog, loads, &ecfg, cfg.faults.as_ref());
-        runs.push(MeasuredRun {
-            seed,
-            total: m.prediction.total,
-            steps: step_walls(&m.prediction),
-        });
-    }
+    let charged = ChargedProgram::new(prog, loads, &cfg.ecfg);
+    let runs = (0..cfg.runs)
+        .map(|i| {
+            let seed = cfg.base_seed + i as u64;
+            let m = charged.run(seed, cfg.faults.as_ref());
+            MeasuredRun {
+                seed,
+                total: m.prediction.total,
+                steps: step_walls(&m.prediction),
+            }
+        })
+        .collect();
     MeasuredSet {
         source: source.to_string(),
         machine: machine_label.to_string(),

@@ -227,14 +227,14 @@ impl Prediction {
 /// The whole-program simulator is a fold over steps; everything expensive
 /// happens inside the per-step LogGP simulation. Abstracting that one call
 /// lets alternative backends — `predsim-engine`'s fingerprint-memoizing
-/// cache, the re-timing of a worst-case [`crate::ProgramRecording`] — slot
-/// under the unchanged program loop while guaranteeing identical results.
+/// cache, the re-timing of a worst-case [`crate::ProgramRecording`], the
+/// `machine` crate's emulated network — slot under the unchanged loop.
 pub trait StepSimulator {
     /// Simulate the communication of program step `step_idx`, with
     /// processor `p` unable to start communicating before `ready[p]`, and
-    /// write each processor's completion into `out`. Must write exactly
-    /// what the direct algorithms in [`commsim`] would with `hooks`'
-    /// tracer and faults attached, and emit exactly their events.
+    /// write each processor's completion into `out`. A predicting backend
+    /// writes exactly what the direct algorithms in [`commsim`] would with
+    /// `hooks`' tracer and faults attached, and emits exactly their events.
     fn simulate_step(
         &mut self,
         step_idx: usize,
@@ -244,6 +244,12 @@ pub trait StepSimulator {
         ready: &[Time],
         out: &mut StepEnds,
     );
+
+    /// Add work that follows a step's communication without being part
+    /// of it (the emulator's local copies) to `ready` and `comm_time`. The
+    /// fold calls this after taking the step's `comm_end`, which the work
+    /// therefore does not extend. The default adds nothing.
+    fn after_step(&mut self, _comm: &CommPattern, _ready: &mut [Time], _comm_time: &mut [Time]) {}
 }
 
 /// The pass-through backend: call the [`commsim`] algorithms directly.
@@ -537,6 +543,7 @@ pub fn simulate_program_with(
             });
             ends.comm_done.iter().copied().max().unwrap_or(comp_end_max)
         };
+        step_sim.after_step(&step.comm, &mut ready, &mut per_proc_comm);
 
         if opts.sync == Synchronization::Barrier {
             let max = ready.iter().copied().max().unwrap_or(Time::ZERO);

@@ -358,76 +358,29 @@ impl JobSource {
     /// [`MAX_PROCS`] before anything sized by it is allocated, any other
     /// violation in the generator's own precondition checks.
     pub fn build(&self) -> Arc<Program> {
+        self.build_loaded().0
+    }
+
+    /// Build the program trace *and* the per-step work profiles (block
+    /// visits and memory touches) the emulator charges. Only the generator
+    /// sources have any; the others' programs describe all their work.
+    ///
+    /// # Panics
+    /// As [`JobSource::build`].
+    pub fn build_loaded(&self) -> (Arc<Program>, Vec<predsim_core::StepLoad>) {
         if let Err(why) = self.check_procs() {
             panic!("{why}");
         }
-        match self {
-            JobSource::Program(p) => Arc::clone(p),
+        let cost = AnalyticCost::paper_default();
+        let (program, loads) = match self {
+            JobSource::Program(p) => return (Arc::clone(p), Vec::new()),
             JobSource::Gauss { n, block, layout } => {
-                let cost = AnalyticCost::paper_default();
-                Arc::new(gauss::generate(*n, *block, layout.build().as_ref(), &cost).program)
-            }
-            JobSource::Cannon { n, q } => {
-                let cost = AnalyticCost::paper_default();
-                Arc::new(cannon::generate(*n, *q, &cost).program)
-            }
-            JobSource::Stencil {
-                n,
-                procs,
-                iters,
-                ps_per_flop,
-            } => Arc::new(stencil::generate(*n, *procs, *iters, *ps_per_flop).program),
-            JobSource::Apsp { n, block, layout } => {
-                let cost = AnalyticCost::paper_default();
-                Arc::new(apsp::generate(*n, *block, layout.build().as_ref(), &cost).program)
-            }
-            JobSource::Bcast { procs, bytes } => {
-                Arc::new(collectives::binomial_broadcast(*procs, *bytes))
-            }
-            JobSource::Reduce {
-                procs,
-                bytes,
-                combine,
-            } => Arc::new(collectives::binomial_reduce(*procs, *bytes, *combine)),
-            JobSource::AllReduce {
-                procs,
-                bytes,
-                combine,
-                hypercube,
-            } => Arc::new(if *hypercube {
-                collectives::all_reduce_hypercube(*procs, *bytes, *combine)
-            } else {
-                collectives::all_reduce(*procs, *bytes, *combine)
-            }),
-            JobSource::Dag {
-                dag,
-                scheduler,
-                machine,
-            } => {
-                let placement = scheduler.place(dag, machine);
-                Arc::new(predsim_dag::lower(dag, &placement, machine).program)
-            }
-        }
-    }
-
-    /// Build the program trace *and* its per-step work profiles (block
-    /// visits and memory touches). Generator sources return the loads
-    /// their generator derives; a pre-built [`JobSource::Program`] has
-    /// none (empty — the emulator then skips iteration and cache
-    /// charges). Used by the emulation/calibration paths, which feed a
-    /// machine emulator rather than the pure predictor.
-    pub fn build_loaded(&self) -> (Arc<Program>, Vec<predsim_core::StepLoad>) {
-        match self {
-            JobSource::Program(p) => (Arc::clone(p), Vec::new()),
-            JobSource::Gauss { n, block, layout } => {
-                let cost = AnalyticCost::paper_default();
                 let t = gauss::generate(*n, *block, layout.build().as_ref(), &cost);
-                (Arc::new(t.program), t.loads)
+                (t.program, t.loads)
             }
             JobSource::Cannon { n, q } => {
-                let cost = AnalyticCost::paper_default();
                 let t = cannon::generate(*n, *q, &cost);
-                (Arc::new(t.program), t.loads)
+                (t.program, t.loads)
             }
             JobSource::Stencil {
                 n,
@@ -436,20 +389,49 @@ impl JobSource {
                 ps_per_flop,
             } => {
                 let t = stencil::generate(*n, *procs, *iters, *ps_per_flop);
-                (Arc::new(t.program), t.loads)
+                (t.program, t.loads)
             }
             JobSource::Apsp { n, block, layout } => {
-                let cost = AnalyticCost::paper_default();
                 let t = apsp::generate(*n, *block, layout.build().as_ref(), &cost);
-                (Arc::new(t.program), t.loads)
+                (t.program, t.loads)
             }
-            // Collective and DAG sources carry no block-visit profile:
-            // their work is fully described by the program itself.
-            JobSource::Bcast { .. } | JobSource::Reduce { .. } | JobSource::AllReduce { .. } => {
-                (self.build(), Vec::new())
+            JobSource::Bcast { procs, bytes } => {
+                (collectives::binomial_broadcast(*procs, *bytes), Vec::new())
             }
-            JobSource::Dag { .. } => (self.build(), Vec::new()),
-        }
+            JobSource::Reduce {
+                procs,
+                bytes,
+                combine,
+            } => (
+                collectives::binomial_reduce(*procs, *bytes, *combine),
+                Vec::new(),
+            ),
+            JobSource::AllReduce {
+                procs,
+                bytes,
+                combine,
+                hypercube,
+            } => (
+                if *hypercube {
+                    collectives::all_reduce_hypercube(*procs, *bytes, *combine)
+                } else {
+                    collectives::all_reduce(*procs, *bytes, *combine)
+                },
+                Vec::new(),
+            ),
+            JobSource::Dag {
+                dag,
+                scheduler,
+                machine,
+            } => {
+                let placement = scheduler.place(dag, machine);
+                (
+                    predsim_dag::lower(dag, &placement, machine).program,
+                    Vec::new(),
+                )
+            }
+        };
+        (Arc::new(program), loads)
     }
 
     /// Number of processors the program runs on (`usize::MAX` where the

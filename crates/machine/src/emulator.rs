@@ -1,18 +1,19 @@
-//! The discrete-event machine emulator producing "measured" running times.
-//!
-//! Structurally a superset of `predsim_core::simulate_program`: the same
-//! alternation of computation and communication phases, but with the four
-//! real-machine effects the pure LogGP predictor deliberately ignores
-//! (see the crate docs). Everything is deterministic for a fixed seed.
+//! The machine emulator producing "measured" running times: the
+//! predictor's own fold, [`predsim_core::simulate_program_with`], over a
+//! [`ChargedProgram`] (loop and cache costs, charged once per program) and
+//! an emulated-network backend (seeded jitter, contention, the shared bus
+//! and local copies). Everything is deterministic for a fixed seed.
 
 use crate::cache::{Cache, Hierarchy};
-use commsim::{standard, CommPattern, SimConfig, SimScratch, StepFaults};
+use commsim::{standard, CommPattern, Message, SimConfig, SimScratch, StepEnds, StepFaults};
 use loggp::Time;
-use predsim_core::{fault_charge, Prediction, Program, StepFaultView, StepLoad, StepRecord};
+use predsim_core::{
+    simulate_program_with, Prediction, Program, SimHooks, SimOptions, Step, StepFaultView,
+    StepLoad, StepSimulator,
+};
 use predsim_faults::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Per-processor cache configuration of the emulated node.
 #[derive(Clone, Copy, Debug)]
@@ -130,227 +131,229 @@ pub struct Measurement {
     pub iter_overhead_time: Time,
 }
 
+/// A program charged for the emulated node: each step's computation
+/// includes the iteration overhead and cache penalty of its loads. The LRU
+/// caches see the same touches in every run, so no seed changes a charge:
+/// charge once, then [`ChargedProgram::run`] under each seed.
+#[derive(Debug)]
+pub struct ChargedProgram {
+    ecfg: EmulatorConfig,
+    program: Program,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_penalty_time: Time,
+    iter_overhead_time: Time,
+}
+
+impl ChargedProgram {
+    /// Charge `prog` for `ecfg`'s node. `loads` may be empty (no
+    /// iteration or cache charges) or must be parallel to `prog.steps()`.
+    pub fn new(prog: &Program, loads: &[StepLoad], ecfg: &EmulatorConfig) -> Self {
+        assert!(
+            loads.is_empty() || loads.len() == prog.len(),
+            "loads must be empty or parallel to the program steps"
+        );
+        let procs = prog.procs();
+        let mut caches: Vec<CacheSim> = match &ecfg.cache {
+            Some(l1) => (0..procs)
+                .map(|_| CacheSim::new(l1, ecfg.l2.as_ref()))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut cache_penalty_time = Time::ZERO;
+        let mut iter_overhead_time = Time::ZERO;
+        let mut program = Program::new(procs);
+        for (step_idx, step) in prog.steps().iter().enumerate() {
+            let mut comp = step.comp.clone();
+            if let Some(load) = loads.get(step_idx) {
+                comp.resize(procs, Time::ZERO);
+                for (p, charge) in comp.iter_mut().enumerate() {
+                    let iter = ecfg.iter_overhead * load.visits[p] as u64;
+                    let penalty = caches.get_mut(p).map_or(Time::ZERO, |cache| {
+                        let touches = load.touches[p].iter();
+                        touches.map(|&(base, len)| cache.touch(base, len)).sum()
+                    });
+                    iter_overhead_time += iter;
+                    cache_penalty_time += penalty;
+                    *charge += iter + penalty;
+                }
+            }
+            program.push(Step {
+                label: step.label.clone(),
+                comp,
+                comm: step.comm.clone(),
+            });
+        }
+        let (cache_hits, cache_misses) = caches.iter().fold((0, 0), |(h, m), c| match c {
+            CacheSim::One(c, _) => (h + c.stats().hits, m + c.stats().misses),
+            CacheSim::Two(hier, ..) => (h + hier.l1_hits + hier.l2_hits, m + hier.mem_accesses),
+        });
+        ChargedProgram {
+            ecfg: ecfg.clone(),
+            program,
+            cache_hits,
+            cache_misses,
+            cache_penalty_time,
+            iter_overhead_time,
+        }
+    }
+
+    /// One run under network seed `seed`: the fold over the emulated
+    /// network. `faults` injects a plan into the emulated hardware: drops
+    /// cost retransmissions on top of the jittered, contended arrivals,
+    /// and slowdowns and outages stretch the charged computation.
+    pub fn run(&self, seed: u64, faults: Option<&FaultPlan>) -> Measurement {
+        let opts = SimOptions::new(self.ecfg.cfg.with_seed(seed));
+        let mut network = EmulatedNetwork {
+            ecfg: &self.ecfg,
+            self_copy_time: Time::ZERO,
+            link_free: Vec::new(),
+            scratch: SimScratch::new(),
+        };
+        let hooks = SimHooks {
+            faults,
+            ..SimHooks::default()
+        };
+        let prediction =
+            simulate_program_with(&self.program, &opts, &mut network, hooks).prediction;
+        Measurement {
+            prediction,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            cache_penalty_time: self.cache_penalty_time,
+            self_copy_time: network.self_copy_time,
+            iter_overhead_time: self.iter_overhead_time,
+        }
+    }
+}
+
 /// Run `prog` on the emulated machine. `loads` may be empty (no iteration
 /// or cache charges) or must be parallel to `prog.steps()`.
 pub fn emulate(prog: &Program, loads: &[StepLoad], ecfg: &EmulatorConfig) -> Measurement {
-    emulate_faulted(prog, loads, ecfg, None)
+    ChargedProgram::new(prog, loads, ecfg).run(ecfg.cfg.seed, None)
 }
 
-/// [`emulate`] with a fault plan injected into the emulated hardware:
-/// message drops cost retransmissions on top of the jitter/contention
-/// arrival model, and transient slowdowns / fail-stop outages stretch
-/// the computation phases. A `None` (or zero) plan reproduces
-/// [`emulate`] exactly — calibrating against a faulted testbed uses this
-/// entry point to produce degraded "measured" runs.
-pub fn emulate_faulted(
-    prog: &Program,
-    loads: &[StepLoad],
-    ecfg: &EmulatorConfig,
-    faults: Option<&FaultPlan>,
-) -> Measurement {
-    assert!(
-        loads.is_empty() || loads.len() == prog.len(),
-        "loads must be empty or parallel to the program steps"
-    );
-    let procs = prog.procs();
+/// One processor's caches, with the penalty of a miss at each level.
+enum CacheSim {
+    One(Cache, Time),
+    Two(Box<Hierarchy>, Time, Time),
+}
 
-    let mut ready = vec![Time::ZERO; procs];
-    let mut per_proc_comp = vec![Time::ZERO; procs];
-    let mut per_proc_comm = vec![Time::ZERO; procs];
-    let mut steps = Vec::with_capacity(prog.len());
-    let mut forced_sends = 0usize;
-
-    enum CacheSim {
-        One(Cache),
-        Two(Box<Hierarchy>),
+impl CacheSim {
+    fn new(l1: &CacheConfig, l2: Option<&CacheConfig>) -> Self {
+        let cache = |c: &CacheConfig| Cache::new(c.size_bytes, c.line_bytes, c.ways);
+        match l2 {
+            None => CacheSim::One(cache(l1), l1.miss_penalty),
+            Some(l2) => CacheSim::Two(
+                Box::new(Hierarchy::new(cache(l1), cache(l2))),
+                l1.miss_penalty,
+                l2.miss_penalty,
+            ),
+        }
     }
-    let mut caches: Vec<CacheSim> = match (&ecfg.cache, &ecfg.l2) {
-        (Some(cc), None) => (0..procs)
-            .map(|_| CacheSim::One(Cache::new(cc.size_bytes, cc.line_bytes, cc.ways)))
-            .collect(),
-        (Some(cc), Some(l2)) => (0..procs)
-            .map(|_| {
-                CacheSim::Two(Box::new(Hierarchy::new(
-                    Cache::new(cc.size_bytes, cc.line_bytes, cc.ways),
-                    Cache::new(l2.size_bytes, l2.line_bytes, l2.ways),
-                )))
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    let mut cache_penalty_time = Time::ZERO;
-    let mut self_copy_time = Time::ZERO;
-    let mut iter_overhead_time = Time::ZERO;
 
-    for (step_idx, step) in prog.steps().iter().enumerate() {
-        let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
+    /// Touch `len` bytes at `base`; the penalty of the lines that missed.
+    fn touch(&mut self, base: u64, len: u32) -> Time {
+        match self {
+            CacheSim::One(c, miss) => *miss * c.touch_range(base, len as usize),
+            CacheSim::Two(h, l1_miss, l2_miss) => {
+                let (from_l2, from_mem) = h.touch_range(base, len as usize);
+                *l1_miss * from_l2 + *l2_miss * from_mem
+            }
+        }
+    }
+}
 
-        // ---- computation phase (+ iteration overhead + cache charges) ---
-        let mut comp_end = ready.clone();
-        for p in 0..procs {
-            let mut charge = if step.comp.is_empty() {
-                Time::ZERO
+/// The emulated network as a fold backend: the standard algorithm (real
+/// executions behave like its eager, receive-priority schedule, not like
+/// the overestimation) under a jittered, contended arrival rule, and local
+/// copies of self-messages after each step.
+struct EmulatedNetwork<'a> {
+    ecfg: &'a EmulatorConfig,
+    /// Total time charged to local copies so far.
+    self_copy_time: Time,
+    /// Per destination: when its input link finishes draining.
+    link_free: Vec<Time>,
+    scratch: SimScratch,
+}
+
+impl StepSimulator for EmulatedNetwork<'_> {
+    fn simulate_step(
+        &mut self,
+        step_idx: usize,
+        comm: &CommPattern,
+        opts: &SimOptions,
+        hooks: &SimHooks<'_>,
+        ready: &[Time],
+        out: &mut StepEnds,
+    ) {
+        let step = step_idx as u64;
+        let params = opts.cfg.params;
+        let jitter = self.ecfg.jitter_pct as i64;
+        let (contention, shared_bus) = (self.ecfg.contention, self.ecfg.shared_bus);
+        let link_free = &mut self.link_free;
+        link_free.clear();
+        link_free.resize(comm.procs(), Time::ZERO);
+        let mut bus_free = Time::ZERO;
+        let mut rng = SmallRng::seed_from_u64(opts.cfg.seed ^ (0x9E37_79B9 ^ step).rotate_left(17));
+        let view = hooks.faults.map(|plan| StepFaultView::new(plan, step));
+
+        let mut arrival = |m: &Message, send_start: Time| {
+            // Network part of the flight, jittered.
+            let flight = params.wire_time(m.bytes) + params.latency;
+            let factor_permille = if jitter == 0 {
+                1000
             } else {
-                step.comp[p]
+                // Clamp at zero: jitter_pct >= 100 can draw a factor below
+                // -1000 permille, and a negative value cast to u64 would wrap
+                // to ~2^64 and blow up the flight time.
+                (1000 + rng.gen_range(-10 * jitter..=10 * jitter)).max(0) as u64
             };
-            if let Some(load) = loads.get(step_idx) {
-                let iter = ecfg.iter_overhead * load.visits[p] as u64;
-                iter_overhead_time += iter;
-                charge += iter;
-                if let Some(cc) = &ecfg.cache {
-                    let mut penalty = Time::ZERO;
-                    for &(base, len) in &load.touches[p] {
-                        match &mut caches[p] {
-                            CacheSim::One(c) => {
-                                penalty += cc.miss_penalty * c.touch_range(base, len as usize);
-                            }
-                            CacheSim::Two(h) => {
-                                let (from_l2, from_mem) = h.touch_range(base, len as usize);
-                                let l2cfg = ecfg.l2.as_ref().expect("l2 present");
-                                penalty +=
-                                    cc.miss_penalty * from_l2 + l2cfg.miss_penalty * from_mem;
-                            }
-                        }
-                    }
-                    cache_penalty_time += penalty;
-                    charge += penalty;
-                }
+            let flight = Time::from_ps(flight.as_ps() * factor_permille / 1000);
+            let mut arrival = send_start + params.overhead + flight;
+            if shared_bus {
+                // One medium for everyone: each message's wire time occupies
+                // the whole network.
+                arrival = arrival.max(bus_free);
+                bus_free = arrival + params.wire_time(m.bytes);
             }
-            if let Some(plan) = faults {
-                // Slowdowns stretch everything the CPU does this phase
-                // (base work, loop overhead and cache stalls alike);
-                // outages add their fixed silence on top.
-                charge = fault_charge(plan, step_idx, p, charge, None);
+            if contention {
+                // The destination's input link drains one message at a time.
+                // Applied after (not instead of) bus serialization when both
+                // are enabled; a bus transfer also occupies the input link, so
+                // link_free[dst] never exceeds bus_free and the combination
+                // degenerates to the bus bound, but the drain is tracked so
+                // the semantics are explicit rather than silently dropped.
+                let free = &mut link_free[m.dst];
+                arrival = arrival.max(*free);
+                *free = arrival + params.wire_time(m.bytes);
             }
-            comp_end[p] = ready[p] + charge;
-            per_proc_comp[p] += charge;
-        }
-        let comp_end_max = comp_end.iter().copied().max().unwrap_or(Time::ZERO);
-
-        // ---- communication phase ----------------------------------------
-        let (comm_end_max, mut next_ready) = if step.comm.is_empty() {
-            (comp_end_max, comp_end.clone())
-        } else {
-            let result = simulate_comm(&step.comm, ecfg, step_idx as u64, &comp_end, faults);
-            forced_sends += result.forced_sends;
-            let mut comm_done = comp_end.clone();
-            for ev in result.timeline.events() {
-                comm_done[ev.proc] = comm_done[ev.proc].max(ev.end);
-            }
-            for p in 0..procs {
-                per_proc_comm[p] += comm_done[p] - comp_end[p];
-            }
-            (
-                comm_done.iter().copied().max().unwrap_or(comp_end_max),
-                comm_done,
-            )
+            arrival
         };
-
-        // ---- local copies for self-messages ------------------------------
-        for m in step.comm.messages() {
-            if m.is_self_message() {
-                let cost = ecfg.self_copy_per_byte * m.bytes as u64;
-                self_copy_time += cost;
-                per_proc_comm[m.src] += cost;
-                next_ready[m.src] += cost;
-            }
-        }
-
-        steps.push(StepRecord {
-            label: step.label.clone(),
-            start,
-            comp_end: comp_end_max,
-            comm_end: comm_end_max,
-            forced_sends,
-        });
-        ready = next_ready;
+        let result = standard::simulate_with(
+            comm,
+            &opts.cfg,
+            ready,
+            &mut arrival,
+            None,
+            view.as_ref().map(|v| v as &dyn StepFaults),
+            &mut self.scratch,
+        );
+        out.reset(ready);
+        out.absorb(&result);
     }
 
-    let total = ready.iter().copied().max().unwrap_or(Time::ZERO);
-    let (cache_hits, cache_misses) = caches.iter().fold((0, 0), |(h, m), c| match c {
-        CacheSim::One(c) => (h + c.stats().hits, m + c.stats().misses),
-        CacheSim::Two(hier) => (h + hier.l1_hits + hier.l2_hits, m + hier.mem_accesses),
-    });
-
-    Measurement {
-        prediction: Prediction {
-            total,
-            comp_time: per_proc_comp.iter().copied().max().unwrap_or(Time::ZERO),
-            comm_time: per_proc_comm.iter().copied().max().unwrap_or(Time::ZERO),
-            per_proc_comp,
-            per_proc_comm,
-            per_proc_finish: ready,
-            steps,
-            forced_sends,
-        },
-        cache_hits,
-        cache_misses,
-        cache_penalty_time,
-        self_copy_time,
-        iter_overhead_time,
+    /// A self-message is a local memory copy, charged to its sender after
+    /// the step's network traffic: it delays the sender's next step and
+    /// lengthens its communication section, but not the step's `comm_end`.
+    fn after_step(&mut self, comm: &CommPattern, ready: &mut [Time], comm_time: &mut [Time]) {
+        for m in comm.messages().iter().filter(|m| m.is_self_message()) {
+            let cost = self.ecfg.self_copy_per_byte * m.bytes as u64;
+            self.self_copy_time += cost;
+            comm_time[m.src] += cost;
+            ready[m.src] += cost;
+        }
     }
-}
-
-/// One communication step under jitter + contention, via the hooked
-/// standard algorithm (real executions behave like the eager,
-/// receive-priority schedule, not like the overestimation).
-fn simulate_comm(
-    pattern: &CommPattern,
-    ecfg: &EmulatorConfig,
-    step_idx: u64,
-    ready: &[Time],
-    faults: Option<&FaultPlan>,
-) -> commsim::SimResult {
-    let params = ecfg.cfg.params;
-    let jitter = ecfg.jitter_pct as i64;
-    let contention = ecfg.contention;
-    let shared_bus = ecfg.shared_bus;
-    let mut link_free: HashMap<usize, Time> = HashMap::new();
-    let mut bus_free = Time::ZERO;
-    let mut rng = SmallRng::seed_from_u64(ecfg.cfg.seed ^ (0x9E37_79B9 ^ step_idx).rotate_left(17));
-    let view = faults.map(|plan| StepFaultView::new(plan, step_idx));
-
-    let mut arrival = |m: &commsim::Message, send_start: Time| {
-        // Network part of the flight, jittered.
-        let flight = params.wire_time(m.bytes) + params.latency;
-        let factor_permille = if jitter == 0 {
-            1000
-        } else {
-            // Clamp at zero: jitter_pct >= 100 can draw a factor below
-            // -1000 permille, and a negative value cast to u64 would wrap
-            // to ~2^64 and blow up the flight time.
-            (1000 + rng.gen_range(-10 * jitter..=10 * jitter)).max(0) as u64
-        };
-        let flight = Time::from_ps(flight.as_ps() * factor_permille / 1000);
-        let mut arrival = send_start + params.overhead + flight;
-        if shared_bus {
-            // One medium for everyone: each message's wire time occupies
-            // the whole network.
-            arrival = arrival.max(bus_free);
-            bus_free = arrival + params.wire_time(m.bytes);
-        }
-        if contention {
-            // The destination's input link drains one message at a time.
-            // Applied after (not instead of) bus serialization when both
-            // are enabled; a bus transfer also occupies the input link, so
-            // link_free[dst] never exceeds bus_free and the combination
-            // degenerates to the bus bound, but the drain is tracked so
-            // the semantics are explicit rather than silently dropped.
-            let free = link_free.entry(m.dst).or_insert(Time::ZERO);
-            arrival = arrival.max(*free);
-            *free = arrival + params.wire_time(m.bytes);
-        }
-        arrival
-    };
-    standard::simulate_with(
-        pattern,
-        &ecfg.cfg,
-        ready,
-        &mut arrival,
-        None,
-        view.as_ref().map(|v| v as &dyn StepFaults),
-        &mut SimScratch::new(),
-    )
 }
 
 #[cfg(test)]
@@ -692,7 +695,7 @@ mod tests {
         let plan =
             predsim_faults::FaultPlan::new(predsim_faults::FaultSpec::parse("none").unwrap(), 7);
         let clean = emulate(&prog, &[], &ecfg);
-        let faulted = emulate_faulted(&prog, &[], &ecfg, Some(&plan));
+        let faulted = ChargedProgram::new(&prog, &[], &ecfg).run(ecfg.cfg.seed, Some(&plan));
         assert_eq!(faulted.prediction, clean.prediction);
     }
 
@@ -716,7 +719,8 @@ mod tests {
             predsim_faults::FaultSpec::parse("drop:0.5:100:6,slow:0.5:3").unwrap(),
             11,
         );
-        let faulted = emulate_faulted(&prog, &[], &ecfg, Some(&plan));
+        let charged = ChargedProgram::new(&prog, &[], &ecfg);
+        let faulted = charged.run(ecfg.cfg.seed, Some(&plan));
         assert!(
             faulted.prediction.total > clean.prediction.total,
             "faults must cost time: {} vs {}",
@@ -724,7 +728,7 @@ mod tests {
             clean.prediction.total
         );
         // Determinism holds under faults too.
-        let again = emulate_faulted(&prog, &[], &ecfg, Some(&plan));
+        let again = charged.run(ecfg.cfg.seed, Some(&plan));
         assert_eq!(again.prediction, faulted.prediction);
     }
 

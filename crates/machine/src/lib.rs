@@ -25,10 +25,10 @@
 //! [`emulator::emulate`] runs a [`predsim_core::Program`] under all of
 //! these and returns "measured" series in the same shape as the
 //! predictor's output, so the benchmark harness can plot the paper's
-//! measured-vs-simulated figures. [`emulator::emulate_faulted`]
-//! additionally injects a [`predsim_faults::FaultPlan`] into the emulated
-//! hardware, so the calibration subsystem can fit against a degraded
-//! testbed.
+//! measured-vs-simulated figures. An [`emulator::ChargedProgram`] charges
+//! a program once and then runs it under any seed and an optional
+//! [`predsim_faults::FaultPlan`], so calibration measures many runs (of a
+//! degraded testbed, too) at the cost of one fold each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,4 +37,4 @@ pub mod cache;
 pub mod emulator;
 
 pub use cache::{Cache, CacheStats};
-pub use emulator::{emulate, emulate_faulted, CacheConfig, EmulatorConfig, Measurement};
+pub use emulator::{emulate, CacheConfig, ChargedProgram, EmulatorConfig, Measurement};

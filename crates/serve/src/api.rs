@@ -258,8 +258,9 @@ const CALIBRATE_FIELDS: [&str; 8] = [
     "register",
 ];
 
-/// Largest number of emulated runs one calibrate request may ask for —
-/// each run is a full emulation of the source program.
+/// Largest number of emulated runs one calibrate request may ask for.
+/// The loop and cache charges are computed once per request; each run is
+/// one fold of the charged program over the emulated network.
 pub const MAX_CALIBRATE_RUNS: usize = 64;
 /// Largest descent-round budget one calibrate request may ask for.
 pub const MAX_CALIBRATE_ROUNDS: usize = 64;

@@ -255,6 +255,35 @@ Machines: meiko (default), paragon, myrinet, ethernet, ideal — or
 @FILE:NAME for a preset fitted by 'calibrate --out FILE --name NAME'.
 ";
 
+/// Write to stdout. A closed stdout means the reader is done (as with
+/// `predsim ... | head`), so the command ends there with status 0, as a
+/// Unix filter does; any other write error is returned.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
+}
+
+/// `print!` through [`write_stdout`], returning its error.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`write_stdout`], returning its error.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 /// Flags shared by every command that builds [`SimOptions`].
 const SIM_FLAGS: [FlagSpec; 5] = [
     valued("machine"),
@@ -304,7 +333,7 @@ fn cmd_presets() -> Result<(), String> {
             },
         ]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
     Ok(())
 }
 
@@ -416,20 +445,20 @@ fn report_results(
     plan: Option<&FaultPlan>,
 ) -> Result<(), String> {
     let rendered = results_table(results).render();
-    println!("{rendered}");
+    outln!("{rendered}");
     if let Some(file) = args.value("results-out") {
         std::fs::write(file, &rendered).map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote results to {file}");
+        outln!("wrote results to {file}");
     }
     if let Some(plan) = plan {
-        println!("fault plan: {} (seed {})", plan.spec(), plan.seed());
+        outln!("fault plan: {} (seed {})", plan.spec(), plan.seed());
     }
     let restored = results
         .iter()
         .filter(|r| r.outcome.kind() == "restored")
         .count();
     if restored > 0 {
-        println!("{restored} job(s) restored from the journal, not re-run");
+        outln!("{restored} job(s) restored from the journal, not re-run");
     }
     let failed = results.iter().filter(|r| !r.outcome.is_ok()).count();
     if failed > 0 {
@@ -448,14 +477,14 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let prog = load_trace(path)?;
     let opts = sim_options(args, args.machine_name(), prog.procs())?;
     let pred = simulate_program(&prog, &opts);
-    println!("machine: {}", opts.cfg.params);
-    println!("{}", pred.summary());
-    println!("\n{}", pred.per_proc_table());
+    outln!("machine: {}", opts.cfg.params);
+    outln!("{}", pred.summary());
+    outln!("\n{}", pred.per_proc_table());
     let slow = pred.slowest_comm_steps(5);
     if !slow.is_empty() {
-        println!("slowest communication steps:");
+        outln!("slowest communication steps:");
         for (label, span) in slow {
-            println!("  {label}: {span}");
+            outln!("  {label}: {span}");
         }
     }
     Ok(())
@@ -488,9 +517,9 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     if let Some(file) = args.value("svg") {
         std::fs::write(file, commsim::gantt::render_svg(&result.timeline, 800))
             .map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote {file}");
+        outln!("wrote {file}");
     } else {
-        print!("{}", commsim::gantt::render(&result.timeline, 100));
+        out!("{}", commsim::gantt::render(&result.timeline, 100));
     }
     Ok(())
 }
@@ -501,7 +530,7 @@ fn write_engine_metrics(args: &Args, engine: &Engine) -> Result<(), String> {
     if let Some(file) = args.value("metrics-out") {
         std::fs::write(file, engine.metrics_snapshot().to_prometheus())
             .map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote metrics to {file}");
+        outln!("wrote metrics to {file}");
     }
     Ok(())
 }
@@ -527,13 +556,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
     if let Some(file) = args.value("trace-out") {
         std::fs::write(file, sink.to_jsonl()).map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote {} events to {file}", events.len());
+        outln!("wrote {} events to {file}", events.len());
     }
 
-    println!("machine: {}", opts.cfg.params);
-    println!("{}", pred.summary());
+    outln!("machine: {}", opts.cfg.params);
+    outln!("{}", pred.summary());
     let count = |k: &str| events.iter().filter(|e| e.kind() == k).count();
-    println!(
+    outln!(
         "events: {} send, {} recv, {} gap_stall, {} front",
         count("send"),
         count("recv"),
@@ -541,7 +570,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         count("front")
     );
     if let Some(plan) = &plan {
-        println!(
+        outln!(
             "fault events: {} drop, {} retransmit, {} slowdown, {} fail, {} restart (plan: {}, seed {})",
             count("drop"),
             count("retransmit"),
@@ -554,10 +583,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     }
 
     let profile = HorizonProfile::from_events(&events);
-    println!();
-    print!("{}", profile.render(60));
+    outln!();
+    out!("{}", profile.render(60));
     if let Some(step) = profile.roughest_step() {
-        println!(
+        outln!(
             "roughest step: {} (front spread {})",
             step,
             profile.max_spread()
@@ -604,7 +633,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         }
         std::fs::write(file, registry.render_prometheus())
             .map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote metrics to {file}");
+        outln!("wrote metrics to {file}");
     }
     Ok(())
 }
@@ -676,16 +705,16 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
                     .into(),
             );
         }
-        println!("blocked GE, n={n}, {layout} layout, P={procs}, {params} (static prefilter)");
+        outln!("blocked GE, n={n}, {layout} layout, P={procs}, {params} (static prefilter)");
         return ge_sweep_prefiltered(args, &engine, specs, &blocks);
     }
 
     let (journal, restored) = open_journal(args)?;
     let results = engine.run_resumable(&specs, journal.as_ref(), &restored);
 
-    println!("blocked GE, n={n}, {layout} layout, P={procs}, {params}");
+    outln!("blocked GE, n={n}, {layout} layout, P={procs}, {params}");
     if let Some(best) = best_by_total(&results) {
-        println!(
+        outln!(
             "predicted optimum: B={} at {} s",
             blocks[best],
             secs(results[best].outcome.totals().expect("best is ok").0)
@@ -727,7 +756,7 @@ fn ge_sweep_prefiltered(
         if let Some((_, best_total)) = best {
             if bounds[i].lo > best_total {
                 pruned += 1;
-                println!(
+                outln!(
                     "pruned B={}: static floor {} s exceeds best observed {} s",
                     blocks[i],
                     secs(bounds[i].lo),
@@ -748,13 +777,13 @@ fn ge_sweep_prefiltered(
         executed.push((i, result));
     }
     executed.sort_by_key(|(i, _)| *i);
-    println!(
+    outln!(
         "prefilter: simulated {} of {} candidate(s), pruned {pruned}",
         executed.len(),
         specs.len()
     );
     if let Some((i, total)) = best {
-        println!("predicted optimum: B={} at {} s", blocks[i], secs(total));
+        outln!("predicted optimum: B={} at {} s", blocks[i], secs(total));
     }
     let results: Vec<JobResult> = executed.into_iter().map(|(_, r)| r).collect();
     report_results(args, &results, None)?;
@@ -799,7 +828,7 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
         .iter()
         .filter(|s| !s.comm.is_empty())
         .count();
-    println!(
+    outln!(
         "{raw}: P={procs}, {} step(s), {comm_steps} with communication; {how}",
         program.len()
     );
@@ -825,9 +854,9 @@ fn cmd_machine_sweep(args: &Args) -> Result<(), String> {
             secs(pred.comm_time),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     if args.flag("verify") {
-        println!("all predictions verified against full simulations");
+        outln!("all predictions verified against full simulations");
     }
     Ok(())
 }
@@ -861,13 +890,13 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
             match args.value("out") {
                 Some(file) => {
                     std::fs::write(file, &text).map_err(|e| format!("writing {file}: {e}"))?;
-                    println!(
+                    outln!(
                         "wrote {} task(s), {} edge(s) to {file}",
                         dag.tasks().len(),
                         dag.edges().len()
                     );
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
             }
             Ok(())
         }
@@ -884,15 +913,15 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
             if predsim_dag::format::dump(&back) != text {
                 return Err("canonical round-trip is not bit-stable".into());
             }
-            println!(
+            outln!(
                 "{}: {} task(s), {} edge(s)",
                 dag.name(),
                 dag.tasks().len(),
                 dag.edges().len()
             );
-            println!("serial work   : {} s", secs(dag.total_comp()));
-            println!("critical path : {} s", secs(dag.critical_path()));
-            println!("round-trip OK");
+            outln!("serial work   : {} s", secs(dag.total_comp()));
+            outln!("critical path : {} s", secs(dag.critical_path()));
+            outln!("round-trip OK");
             Ok(())
         }
         "run" => {
@@ -913,7 +942,7 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
                 &lowered.program,
                 &SimOptions::new(SimConfig::new(spec.base)),
             );
-            println!(
+            outln!(
                 "{}: {} task(s), {} edge(s); {} scheduler on P={}",
                 dag.name(),
                 dag.tasks().len(),
@@ -921,12 +950,12 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
                 kind.name(),
                 procs
             );
-            println!("machine: {}", spec.base);
+            outln!("machine: {}", spec.base);
             if !spec.is_uniform() {
                 let speeds: Vec<String> = (0..procs)
                     .map(|p| format!("{:.2}x", spec.speed_of(p) as f64 / 1000.0))
                     .collect();
-                println!(
+                outln!(
                     "heterogeneous: speeds [{}], {} link override(s)",
                     speeds.join(", "),
                     spec.links.len()
@@ -936,7 +965,7 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
             for &p in &placement.proc_of {
                 tasks_on[p] += 1;
             }
-            println!(
+            outln!(
                 "placement: {} per processor; lowered to {} step(s)",
                 tasks_on
                     .iter()
@@ -945,7 +974,7 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
                     .join("/"),
                 lowered.program.len()
             );
-            println!("{}", pred.summary());
+            outln!("{}", pred.summary());
             Ok(())
         }
         other => Err(format!(
@@ -974,12 +1003,16 @@ fn cmd_dag_sweep(args: &Args) -> Result<(), String> {
     let spec = machine_spec(mname, max)?;
     let report = predsim_dag::sweep(&dag, kind, mname, &spec, &procs)?;
     if args.flag("json") {
-        println!("{}", report.to_value().to_compact());
+        outln!("{}", report.to_value().to_compact());
         return Ok(());
     }
-    println!(
+    outln!(
         "{}: {} task(s), {} edge(s); {} scheduler on {}",
-        report.dag, report.tasks, report.edges, report.scheduler, report.machine
+        report.dag,
+        report.tasks,
+        report.edges,
+        report.scheduler,
+        report.machine
     );
     let mut table = Table::new(["procs", "total (s)", "speedup", "efficiency"]);
     for p in &report.points {
@@ -990,8 +1023,8 @@ fn cmd_dag_sweep(args: &Args) -> Result<(), String> {
             format!("{:.1}%", p.efficiency_permille as f64 / 10.0),
         ]);
     }
-    println!("{}", table.render());
-    println!(
+    outln!("{}", table.render());
+    outln!(
         "T(1) = {} s; knee at P={} (largest swept count at >= 50% efficiency)",
         secs(report.t1),
         report.knee
@@ -1029,9 +1062,9 @@ fn explain_code(raw: &str) -> Result<(), String> {
             let known: Vec<&str> = Code::ALL.iter().map(|c| c.as_str()).collect();
             format!("unknown code '{raw}'; known codes: {}", known.join(", "))
         })?;
-    println!("{}: {}", code.as_str(), code.description());
-    println!();
-    println!("{}", code.explain());
+    outln!("{}: {}", code.as_str(), code.description());
+    outln!();
+    outln!("{}", code.explain());
     Ok(())
 }
 
@@ -1066,7 +1099,7 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
             Ok(()) => {
                 let program = source.build();
                 if !as_json {
-                    println!(
+                    outln!(
                         "checking {raw} (P={}, {} step(s))",
                         program.procs(),
                         program.len()
@@ -1090,17 +1123,17 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
         if as_json {
             sources.push(api::check_source(raw, &report, bounds));
         } else {
-            print!("{}", report.render());
+            out!("{}", report.render());
             match bounds {
-                Some(Ok(b)) => println!("{}", b.render()),
-                Some(Err(why)) => println!("static bounds unavailable: {why}"),
+                Some(Ok(b)) => outln!("{}", b.render()),
+                Some(Err(why)) => outln!("static bounds unavailable: {why}"),
                 None => {}
             }
-            println!();
+            outln!();
         }
     }
     if as_json {
-        println!("{}", api::check_document(sources).to_pretty());
+        outln!("{}", api::check_document(sources).to_pretty());
     }
     if any_error || (args.flag("strict") && any_warning) {
         Ok(ExitCode::FAILURE)
@@ -1141,14 +1174,14 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         .run_checked_resumable(&specs, journal.as_ref(), &restored)
         .map_err(|e| e.to_string())?;
 
-    println!(
+    outln!(
         "{} jobs on {} worker(s)",
         results.len(),
         engine.config().effective_jobs()
     );
     let stats = engine.stats();
     if engine.config().memo {
-        println!(
+        outln!(
             "memo cache: {} hits / {} misses ({:.0}% hit rate), {} evictions",
             stats.hits,
             stats.misses,
@@ -1212,7 +1245,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             Some(v) => v.parse().map_err(|e| format!("bad --chaos-seed: {e}"))?,
             None => 1,
         };
-        println!("chaos enabled: {spec} (seed {seed})");
+        outln!("chaos enabled: {spec} (seed {seed})");
         config.chaos = Some(ChaosPlan::new(spec, seed));
     } else if args.value("chaos-seed").is_some() {
         return Err("--chaos-seed only makes sense together with --chaos".into());
@@ -1223,7 +1256,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(path) = args.value("presets") {
         let names = preset_file::register_file(path)
             .map_err(|e| format!("loading presets from {path}: {e}"))?;
-        println!(
+        outln!(
             "loaded {} preset(s) from {path}: {}",
             names.len(),
             names.join(", ")
@@ -1233,19 +1266,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let handle = Server::start(config).map_err(|e| format!("starting server: {e}"))?;
     // The listening line is a contract: scripts (and the repo's own
     // tests) wait for it before sending requests.
-    println!("predsim-serve listening on http://{}", handle.addr());
+    outln!("predsim-serve listening on http://{}", handle.addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
 
     handle.wait_for_drain_request();
-    println!("drain requested; finishing admitted work");
+    outln!("drain requested; finishing admitted work");
     let report = handle.drain();
     if let Some(file) = args.value("metrics-out") {
         std::fs::write(file, report.metrics.to_prometheus())
             .map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote metrics to {file}");
+        outln!("wrote metrics to {file}");
     }
-    println!("drained cleanly");
+    outln!("drained cleanly");
     Ok(())
 }
 
@@ -1265,7 +1298,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     // The sample grid is steps × procs characters.
     let steps = count(args, "steps")?.unwrap_or(16);
     let procs = count(args, "procs")?.unwrap_or(8);
-    print!("{}", plan.explain(steps, procs));
+    out!("{}", plan.explain(steps, procs));
     Ok(())
 }
 
@@ -1295,14 +1328,14 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
         return Err("need at least two samples".into());
     }
     let fit = loggp::fit::fit_point_to_point(&samples);
-    println!("samples: {}", samples.len());
-    println!(
+    outln!("samples: {}", samples.len());
+    outln!(
         "fitted G        : {:.4} us/byte",
         fit.gap_per_byte.as_us_f64()
     );
-    println!("fitted 2o + L   : {} ", fit.endpoint);
-    println!("rms residual    : {}", fit.rms_residual);
-    println!(
+    outln!("fitted 2o + L   : {} ", fit.endpoint);
+    outln!("rms residual    : {}", fit.rms_residual);
+    outln!(
         "(supply o and g from CPU-occupancy / burst measurements, then\n loggp::fit::assemble builds the full parameter set)"
     );
     Ok(())
@@ -1342,22 +1375,25 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
     let machine_label = args.machine_name();
 
     let set = predsim_calib::measure(&program, &loads, raw, machine_label, &cfg);
-    println!(
+    outln!(
         "emulated {} on {} ({} run(s), base seed {})",
-        raw, machine_label, cfg.runs, cfg.base_seed
+        raw,
+        machine_label,
+        cfg.runs,
+        cfg.base_seed
     );
     if let Some(plan) = &cfg.faults {
-        println!("fault plan: {} (seed {})", plan.spec(), plan.seed());
+        outln!("fault plan: {} (seed {})", plan.spec(), plan.seed());
     }
     let lo = set.runs.iter().map(|r| r.total).min().unwrap_or(Time::ZERO);
     let hi = set.runs.iter().map(|r| r.total).max().unwrap_or(Time::ZERO);
     for r in &set.runs {
-        println!("  seed {:>4}: {} s", r.seed, secs(r.total));
+        outln!("  seed {:>4}: {} s", r.seed, secs(r.total));
     }
-    println!("measured total: min {} s, max {} s", secs(lo), secs(hi));
+    outln!("measured total: min {} s, max {} s", secs(lo), secs(hi));
     if let Some(file) = args.value("measure-out") {
         std::fs::write(file, set.to_jsonl()?).map_err(|e| format!("writing {file}: {e}"))?;
-        println!(
+        outln!(
             "wrote {} run(s) x {} step(s) to {file}",
             set.runs.len(),
             set.step_count()?
@@ -1384,7 +1420,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             let set = predsim_calib::MeasuredSet::parse_jsonl(&text)
                 .map_err(|e| format!("{raw}: {e}"))?;
             let program = valid_source(&set.source)?.build();
-            println!(
+            outln!(
                 "calibrating against {} ({} recorded run(s) of '{}' on '{}')",
                 raw,
                 set.runs.len(),
@@ -1397,12 +1433,15 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             let (program, loads) = valid_source(raw)?.build_loaded();
             let margs = measure_config(args, program.procs(), 8)?;
             let machine_label = args.machine_name();
-            println!(
+            outln!(
                 "emulating {} on {} ({} run(s), base seed {})",
-                raw, machine_label, margs.runs, margs.base_seed
+                raw,
+                machine_label,
+                margs.runs,
+                margs.base_seed
             );
             if let Some(plan) = &margs.faults {
-                println!("fault plan: {} (seed {})", plan.spec(), plan.seed());
+                outln!("fault plan: {} (seed {})", plan.spec(), plan.seed());
             }
             let set = predsim_calib::measure(&program, &loads, raw, machine_label, &margs);
             (set, program)
@@ -1422,16 +1461,20 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
     let report = predsim_calib::calibrate(&program, &set, &engine, &fit_cfg)?;
 
     let p = report.params;
-    println!("fitted machine:");
-    println!("  L = {:.3} us", p.latency.as_us_f64());
-    println!("  o = {:.3} us", p.overhead.as_us_f64());
-    println!("  g = {:.3} us", p.gap.as_us_f64());
-    println!("  G = {:.5} us/byte", p.gap_per_byte.as_us_f64());
-    println!(
+    outln!("fitted machine:");
+    outln!("  L = {:.3} us", p.latency.as_us_f64());
+    outln!("  o = {:.3} us", p.overhead.as_us_f64());
+    outln!("  g = {:.3} us", p.gap.as_us_f64());
+    outln!("  G = {:.5} us/byte", p.gap_per_byte.as_us_f64());
+    outln!(
         "fit: rmse {} | objective {} | {} round(s), {} evaluation(s) ({} unique)",
-        report.rmse, report.objective, report.rounds, report.evaluations, report.unique_evaluations
+        report.rmse,
+        report.objective,
+        report.rounds,
+        report.evaluations,
+        report.unique_evaluations
     );
-    println!(
+    outln!(
         "bracket ({} run(s), {}): {}/{} inside [std {} s, wc {} s] — {:.1}%",
         report.bracket.total,
         if report.holdout_runs > 0 {
@@ -1451,7 +1494,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         predsim_calib::export_metrics(&registry, &report);
         std::fs::write(file, registry.render_prometheus())
             .map_err(|e| format!("writing {file}: {e}"))?;
-        println!("wrote metrics to {file}");
+        outln!("wrote metrics to {file}");
     }
 
     if !report.converged {
@@ -1494,7 +1537,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
                 spec: MachineSpec::uniform(report.params),
             });
             preset_file::save(file, &entries)?;
-            println!("saved preset '{name}' to {file} (use --machine @{file}:{name})");
+            outln!("saved preset '{name}' to {file} (use --machine @{file}:{name})");
         }
     }
     Ok(())
@@ -1503,7 +1546,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
 fn run() -> Result<ExitCode, String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first() else {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     };
     let spec: Vec<FlagSpec> = match cmd.as_str() {
@@ -1631,7 +1674,7 @@ fn run() -> Result<ExitCode, String> {
         "emulate" => cmd_emulate(&args),
         "calibrate" => cmd_calibrate(&args),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
