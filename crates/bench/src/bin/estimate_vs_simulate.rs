@@ -9,7 +9,7 @@
 //!   both runs), on a pre-built program;
 //! * **estimate vs engine** — `static_bounds` (program build included)
 //!   against a fresh engine running the same std/wc pair through its
-//!   full path (lint gate, build, simulate);
+//!   full path (build, simulate);
 //! * **soundness spot check** — the interval must bracket both
 //!   simulated totals, same as the proptest suite asserts.
 //!

@@ -195,6 +195,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::TempDir;
     use predsim_core::Prediction;
 
     fn result(index: usize, label: &str, outcome: JobOutcome) -> JobResult {
@@ -221,20 +222,10 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        // No create_dir_all here: Journal::create/resume make missing
-        // parent directories themselves.
-        std::env::temp_dir()
-            .join(format!("predsim-journal-{}", std::process::id()))
-            .join(name)
-    }
-
     #[test]
     fn create_and_resume_make_missing_parent_directories() {
-        let dir =
-            std::env::temp_dir().join(format!("predsim-journal-nested-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("a/b/c").join("ckpt.jsonl");
+        let dir = TempDir::new("journal-nested");
+        let path = dir.join("a/b/c/ckpt.jsonl");
         assert!(!path.parent().unwrap().exists());
         {
             let journal = Journal::create(&path).unwrap();
@@ -244,7 +235,7 @@ mod tests {
         assert_eq!(entries.len(), 1);
 
         // Resume of a journal whose directories never existed either.
-        let fresh = dir.join("x/y").join("fresh.jsonl");
+        let fresh = dir.join("x/y/fresh.jsonl");
         let (journal, entries) = Journal::resume(&fresh).unwrap();
         assert!(entries.is_empty());
         journal.record(&result(0, "first", done(1.0)));
@@ -255,9 +246,8 @@ mod tests {
 
     #[test]
     fn create_rotates_an_existing_journal_to_prev_instead_of_truncating() {
-        let path = tmp("rotate.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("jsonl.prev"));
+        let dir = TempDir::new("journal");
+        let path = dir.join("rotate.jsonl");
         {
             let journal = Journal::create(&path).unwrap();
             journal.record(&result(0, "first-run", done(3.0)));
@@ -276,7 +266,8 @@ mod tests {
 
     #[test]
     fn round_trips_entries_through_the_file() {
-        let path = tmp("round.jsonl");
+        let dir = TempDir::new("journal");
+        let path = dir.join("round.jsonl");
         let journal = Journal::create(&path).unwrap();
         journal.record(&result(0, "ge \"quoted\" @ meiko", done(10.0)));
         journal.record(&result(
@@ -313,7 +304,8 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_lines_are_skipped() {
-        let path = tmp("torn.jsonl");
+        let dir = TempDir::new("journal");
+        let path = dir.join("torn.jsonl");
         {
             let journal = Journal::create(&path).unwrap();
             journal.record(&result(0, "ok", done(5.0)));
@@ -330,8 +322,8 @@ mod tests {
 
     #[test]
     fn resume_of_a_missing_file_is_empty_and_appendable() {
-        let path = tmp("fresh.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("journal");
+        let path = dir.join("fresh.jsonl");
         let (journal, entries) = Journal::resume(&path).unwrap();
         assert!(entries.is_empty());
         journal.record(&result(0, "first", done(1.0)));
@@ -341,7 +333,8 @@ mod tests {
 
     #[test]
     fn restored_results_are_not_duplicated() {
-        let path = tmp("restored.jsonl");
+        let dir = TempDir::new("journal");
+        let path = dir.join("restored.jsonl");
         let journal = Journal::create(&path).unwrap();
         journal.record(&result(0, "a", done(1.0)));
         journal.record(&result(

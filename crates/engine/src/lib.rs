@@ -13,9 +13,9 @@
 //!   `--jobs` threads over crossbeam channels and reassembles the
 //!   [`JobResult`]s in submission order — results are bit-identical to
 //!   running the jobs sequentially, whatever the worker count. A batch
-//!   crosses the pool twice: a prepare pass builds each job's program
-//!   once ([`Engine::prepare`]) and lints and ranks it, then the simulate
-//!   pass runs the prepared jobs;
+//!   crosses the pool once, dealt in submission order: the worker that
+//!   takes a job builds its program once ([`Engine::prepare`]) and runs
+//!   it;
 //! * **a step-pattern memo cache** ([`MemoCache`]) fingerprints each
 //!   communication step (pattern × machine × algorithm × relative
 //!   readiness, see [`fingerprint::StepKey`]) and answers a hit with the
@@ -87,28 +87,29 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// [`lint_job_as`] under the standard algorithm, not strict: the pre-run
-/// gate of [`Engine::run_checked`] and of the server. Deadlock cycles are
-/// warnings here (the worst-case simulator forces transmissions on them —
-/// its defined behaviour), so the gate rejects exactly the jobs that could
-/// not execute: bad specs and structurally broken programs.
-pub fn lint_job(spec: &JobSpec) -> Report {
-    lint_job_as(spec, CommAlgo::Standard, false)
-}
-
-/// Lint one job without running it: first the spec itself (would the
-/// generator behind it even accept these inputs?), then — when the spec is
-/// feasible — the built program, under the spec's machine parameters and
-/// the fail-stop windows of its fault plan. On a spec from
-/// [`Engine::prepare`] this lints the prepared program and builds nothing.
+/// The pre-run gate of [`Engine::run_checked`] and of the server: spec
+/// validation alone. A spec [`JobSource::validate`] refuses gets a report
+/// with one `PS0501` error, the report [`lint_job_as`] returns for it; any
+/// other spec an empty [`Report`]. No program is built and no pass runs.
 ///
-/// Infeasible specs yield a single `PS0501` error. `algo` decides whether
-/// a deadlock cycle is an error (worst-case, as `predsim check
-/// --worst-case` lints) or a warning; `strict` makes a receive starved by a
-/// fault window an error (`check --strict`).
-pub fn lint_job_as(spec: &JobSpec, algo: CommAlgo, strict: bool) -> Report {
+/// This rejects exactly what `lint_job_as(spec, CommAlgo::Standard,
+/// false)` rejects, with the same report, because of two facts:
+///
+/// * a built [`predsim_core::Program`] cannot hold the defects the
+///   error-severity well-formedness checks (`PS0101`–`PS0104`) look for:
+///   `Program::try_new`, `Program::try_push` and `CommPattern::try_add`
+///   refuse each of them at construction;
+/// * under the standard algorithm, not strict, every other pass emits
+///   only warnings and infos. A deadlock cycle is an error only under
+///   the worst-case algorithm (whose simulator forces transmissions on
+///   it — its defined behaviour), a receive starved by a fault window
+///   only with `strict`.
+///
+/// The property `gate_is_exactly_spec_validation` in
+/// `crates/engine/tests/gate.rs` pins both over generated specs.
+pub fn lint_job(spec: &JobSpec) -> Report {
+    let mut report = Report::new();
     if let Err(why) = spec.source.validate() {
-        let mut report = Report::new();
         report.push(
             Diagnostic::new(
                 Code::BadJobSpec,
@@ -118,7 +119,27 @@ pub fn lint_job_as(spec: &JobSpec, algo: CommAlgo, strict: bool) -> Report {
             )
             .with_note("the generator would panic on these inputs; fix the spec"),
         );
-        return report;
+    }
+    report
+}
+
+/// Lint one job without running it, as `predsim check` does: first the
+/// spec itself ([`lint_job`]: would the generator behind it even accept
+/// these inputs?), then — when the spec is feasible — the built program,
+/// under every pass, the spec's machine parameters and the fail-stop
+/// windows of its fault plan. On a spec from [`Engine::prepare`] this
+/// lints the prepared program and builds nothing.
+///
+/// Infeasible specs yield [`lint_job`]'s single `PS0501` error. `algo`
+/// decides whether a deadlock cycle is an error (worst-case, as `predsim
+/// check --worst-case` lints) or a warning; `strict` makes a receive
+/// starved by a fault window an error (`check --strict`). Under the
+/// standard algorithm, not strict, only the `PS0501` error can occur,
+/// which is why the run path's gate is [`lint_job`].
+pub fn lint_job_as(spec: &JobSpec, algo: CommAlgo, strict: bool) -> Report {
+    let gate = lint_job(spec);
+    if gate.has_errors() {
+        return gate;
     }
     let mut opts = LintOptions::default()
         .with_algo(algo)
@@ -173,29 +194,6 @@ pub fn static_bounds_or_reason(
         .ok_or("program is malformed")
 }
 
-/// Ranking key for batch dispatch: static ceiling `hi` in picoseconds
-/// (descending — the job that can run longest starts first, so it cannot
-/// become the lone straggler at the end of the batch), then a
-/// memo-affinity hash grouping specs with the same machine and algorithm
-/// (their step fingerprints can hit each other's cache entries), then the
-/// submission index. Jobs with no static interval (faulted, infeasible)
-/// come with `hi = u64::MAX` and rank as longest.
-fn rank_key(index: usize, spec: &JobSpec, hi: u64) -> (std::cmp::Reverse<u64>, u64, usize) {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    let p = spec.opts.cfg.params;
-    (
-        p.latency.as_ps(),
-        p.overhead.as_ps(),
-        p.gap.as_ps(),
-        p.gap_per_byte.as_ps(),
-        p.procs,
-    )
-        .hash(&mut hasher);
-    matches!(spec.opts.algo, CommAlgo::WorstCase).hash(&mut hasher);
-    (std::cmp::Reverse(hi), hasher.finish(), index)
-}
-
 /// One job [`Engine::run_checked`] refused to execute.
 #[derive(Clone, Debug)]
 pub struct RejectedJob {
@@ -203,12 +201,13 @@ pub struct RejectedJob {
     pub index: usize,
     /// The spec's label.
     pub label: String,
-    /// The diagnostics that caused the rejection (plus any riding along).
+    /// The gate's report: the one `PS0501` error of a spec that
+    /// [`JobSource::validate`] refuses ([`lint_job`]).
     pub report: Report,
 }
 
-/// The error of [`Engine::run_checked`]: every job whose lint report
-/// contains error-severity diagnostics. No job of the batch was executed.
+/// The error of [`Engine::run_checked`]: every job whose spec the gate
+/// ([`lint_job`]) refused. No job of the batch was executed.
 #[derive(Clone, Debug)]
 pub struct BatchRejection {
     /// The refused jobs, in submission order.
@@ -492,14 +491,16 @@ impl Engine {
     /// Prepare one job for execution: validate its spec and, when it is
     /// feasible, build its program once and return the spec with its
     /// source replaced by that [`JobSource::Program`]. Every later step —
-    /// [`lint_job`], [`static_bounds`], [`Engine::run`] — then shares the
-    /// program instead of building it again.
+    /// [`static_bounds`], [`lint_job_as`], [`Engine::run`] — then shares
+    /// the program instead of building it again. A batch prepares each
+    /// job on the worker that runs it; callers that need a program before
+    /// the run (serve's handlers, `ge-sweep --prefilter`) prepare it
+    /// themselves.
     ///
-    /// Infeasible specs come back unbuilt, so the lint gate still reports
-    /// them as `PS0501` and an unchecked run still ends them `crashed`
-    /// ([`JobSource::build`] panics on what validation refuses, on an
-    /// over-cap processor count before allocating); so does a spec whose
-    /// generator panics despite validating.
+    /// Infeasible specs come back unbuilt, so an unchecked run still ends
+    /// them `crashed` ([`JobSource::build`] panics on what validation
+    /// refuses, on an over-cap processor count before allocating); so
+    /// does a spec whose generator panics despite validating.
     pub fn prepare(&self, mut spec: JobSpec) -> JobSpec {
         if spec.source.validate().is_ok() {
             if let Ok(program) = catch_unwind(AssertUnwindSafe(|| self.build(&spec.source))) {
@@ -568,11 +569,11 @@ impl Engine {
             .expect("an unchecked batch rejects nothing")
     }
 
-    /// Like [`Engine::run`], but pre-validate every spec with [`lint_job`]
-    /// first. If any job's report contains errors, the whole batch is
-    /// refused (nothing runs) and the offending reports come back as a
-    /// [`BatchRejection`] — diagnostics instead of a mid-batch panic
-    /// inside a worker thread.
+    /// Like [`Engine::run`], but first pass every spec through the gate
+    /// ([`lint_job`]: spec validation, on the calling thread). If the gate
+    /// refuses any job, the whole batch is refused (nothing runs) and the
+    /// offending `PS0501` reports come back as a [`BatchRejection`] —
+    /// diagnostics instead of a mid-batch panic inside a worker thread.
     pub fn run_checked(&self, specs: &[JobSpec]) -> Result<Vec<JobResult>, BatchRejection> {
         self.run_checked_resumable(specs, None, &[])
     }
@@ -580,7 +581,7 @@ impl Engine {
     /// [`Engine::run_checked`] with checkpointing: pre-validate, then run
     /// as [`Engine::run_resumable`] does with the given journal and
     /// restored entries. Validation happens before anything executes,
-    /// including restored jobs — a spec that no longer lints clean refuses
+    /// including restored jobs — a spec that no longer validates refuses
     /// the batch even if its previous run was journalled.
     pub fn run_checked_resumable(
         &self,
@@ -591,12 +592,13 @@ impl Engine {
         self.run_batch(specs, journal, restored, true)
     }
 
-    /// The batch path behind every `run*` method. Two passes over the
-    /// worker pool: the prepare pass builds each job's program once
-    /// ([`Engine::prepare`]), lints it when `checked`, and takes its static
-    /// ceiling when the batch is ranked; the simulate pass then runs the
-    /// prepared jobs in ranked order. Each prepared program is held until
-    /// its job has been simulated.
+    /// The batch path behind every `run*` method: gate every spec of a
+    /// checked batch (restored ones included) on the calling thread, then
+    /// restore journalled jobs and run the pending ones in one pass over
+    /// the worker pool, dealt in submission order. A worker builds a job's
+    /// program when it takes the job ([`Engine::prepare`]; retries reuse
+    /// it) and drops it once the job is done, so it holds at most one
+    /// program at a time.
     fn run_batch(
         &self,
         specs: &[JobSpec],
@@ -606,6 +608,23 @@ impl Engine {
     ) -> Result<Vec<JobResult>, BatchRejection> {
         if specs.is_empty() {
             return Ok(Vec::new());
+        }
+        if checked {
+            let rejected: Vec<RejectedJob> = specs
+                .iter()
+                .enumerate()
+                .filter_map(|(index, spec)| {
+                    let report = lint_job(spec);
+                    report.has_errors().then(|| RejectedJob {
+                        index,
+                        label: spec.label.clone(),
+                        report,
+                    })
+                })
+                .collect();
+            if !rejected.is_empty() {
+                return Err(BatchRejection { rejected });
+            }
         }
         let mut slots: Vec<Option<JobResult>> = (0..specs.len()).map(|_| None).collect();
         for entry in restored {
@@ -626,81 +645,29 @@ impl Engine {
                 });
             }
         }
-        let mut pending: Vec<usize> = slots
+        let pending: Vec<usize> = slots
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.is_none().then_some(i))
             .collect();
         let workers = self.config.effective_jobs().min(pending.len());
-        let ranked = workers > 1;
-
-        // The prepare pass. A checked batch lints restored jobs too; only
-        // pending ones keep their program and get a ceiling.
-        let pass: Vec<usize> = if checked {
-            (0..specs.len()).collect()
-        } else {
-            pending.clone()
-        };
-        let mut prepared: Vec<Option<JobSpec>> = vec![None; specs.len()];
-        let mut ceilings = vec![u64::MAX; specs.len()];
-        let mut rejected = Vec::new();
-        on_pool(
-            self.config.effective_jobs().min(pass.len()),
-            pass,
-            |_, i| {
-                let spec = self.prepare(specs[i].clone());
-                let report = checked.then(|| lint_job(&spec)).filter(Report::has_errors);
-                let ceiling = (ranked && report.is_none() && slots[i].is_none())
-                    .then(|| static_bounds(&spec))
-                    .flatten()
-                    .map_or(u64::MAX, |b| b.hi.as_ps());
-                (i, spec, report, ceiling)
-            },
-            |(i, spec, report, ceiling)| match report {
-                Some(report) => rejected.push(RejectedJob {
-                    index: i,
-                    label: spec.label,
-                    report,
-                }),
-                None if slots[i].is_none() => {
-                    ceilings[i] = ceiling;
-                    prepared[i] = Some(spec);
-                }
-                None => {}
-            },
-        );
-        if !rejected.is_empty() {
-            rejected.sort_by_key(|job| job.index);
-            return Err(BatchRejection { rejected });
-        }
         self.obs
             .metrics
             .jobs_restored_total
             .add((specs.len() - pending.len()) as u64);
-        if ranked {
-            // Dispatch order only — results still land in their
-            // submission-order slots, so the batch output is bit-identical
-            // to the unranked (and the sequential) order.
-            pending.sort_by_cached_key(|&i| rank_key(i, &specs[i], ceilings[i]));
-        }
         self.obs
             .registry
             .gauge("engine_workers", "worker threads of the last batch")
             .set(workers as u64);
 
-        // The simulate pass. Results are journalled as they arrive, so a
-        // batch killed mid-run has already checkpointed everything that
-        // finished.
-        let jobs: Vec<(usize, JobSpec)> = pending
-            .iter()
-            .map(|&i| (i, prepared[i].take().expect("pending jobs are prepared")))
-            .collect();
+        // Results are journalled as they arrive, so a batch killed mid-run
+        // has already checkpointed everything that finished.
         on_pool(
             workers,
-            jobs,
-            |worker, (i, spec)| {
+            pending,
+            |worker, i| {
                 self.assign(i, worker);
-                self.execute(i, &spec)
+                self.execute(i, &self.prepare(specs[i].clone()))
             },
             |result| {
                 if let Some(journal) = journal {
@@ -871,9 +838,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deal `items` to `workers` threads (run inline when `workers <= 1`),
-/// apply `work(worker, item)` to each, and hand every result to `done` on
-/// the calling thread as it arrives. Both passes of a batch run on it.
+/// Deal `items` to `workers` threads in order (run inline when
+/// `workers <= 1`), apply `work(worker, item)` to each, and hand every
+/// result to `done` on the calling thread as it arrives.
 fn on_pool<T: Send, R: Send>(
     workers: usize,
     items: Vec<T>,
@@ -896,8 +863,7 @@ fn on_pool<T: Send, R: Send>(
     // The drain terminates when the last worker exits and drops its
     // `done_tx` clone. A worker dying outside the per-job isolation (it
     // should not: `prepare` and `execute` catch job panics) is reported
-    // per job by the simulate pass, not propagated as a batch-killing
-    // panic.
+    // per job by `run_batch`, not propagated as a batch-killing panic.
     let joined = crossbeam::thread::scope(|scope| {
         for worker in 0..workers {
             let work_rx = work_rx.clone();
@@ -932,6 +898,37 @@ pub fn best_by_total(results: &[JobResult]) -> Option<usize> {
 mod tests {
     use super::*;
     use loggp::presets;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A directory of one test's own under the system temp dir, removed
+    /// with everything in it when the guard drops: when the test ends,
+    /// pass or panic.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "predsim-{tag}-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        /// The path of `file` in this directory.
+        pub(crate) fn join(&self, file: &str) -> PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     fn stencil_grid() -> Vec<JobSpec> {
         Grid::new()
@@ -1085,7 +1082,7 @@ mod tests {
             )
             .machine("meiko", presets::meiko_cs2(16))
             .build();
-        let report = lint_job(&jobs[0]);
+        let report = lint_job_as(&jobs[0], CommAlgo::Standard, false);
         assert!(!report.has_errors());
         assert!(report.count(predsim_lint::Severity::Warning) > 0);
 
@@ -1494,10 +1491,8 @@ mod tests {
     #[test]
     fn journal_resume_is_bit_identical_to_straight_through() {
         let jobs = stencil_grid();
-        // Journal::create makes the missing directories itself.
-        let path = std::env::temp_dir()
-            .join(format!("predsim-engine-{}", std::process::id()))
-            .join("resume.jsonl");
+        let dir = TempDir::new("engine");
+        let path = dir.join("resume.jsonl");
 
         // Straight-through run, fully journalled.
         let journal = Journal::create(&path).unwrap();

@@ -313,7 +313,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Static bounds: simulation-free intervals bracket every engine result, and
-// the hi-ranked dispatch order stays a pure optimization.
+// parallel dispatch stays a pure optimization.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -376,11 +376,12 @@ fn static_bounds_are_unavailable_for_faulted_and_infeasible_jobs() {
     assert!(predsim_engine::static_bounds(&infeasible).is_none());
 }
 
-/// The ranked dispatch path (workers > 1) must produce results identical
+/// The parallel dispatch path (workers > 1) must produce results identical
 /// to the sequential path even when the batch mixes clean, faulted and
-/// wildly different-sized jobs — ranking reorders only the work queue.
+/// wildly different-sized jobs — worker timing decides only which job
+/// finishes first.
 #[test]
-fn ranked_dispatch_is_bit_identical_to_sequential() {
+fn dispatch_is_bit_identical_to_sequential() {
     let plan = FaultPlan::new(
         FaultSpec {
             drop_ppm: 0,

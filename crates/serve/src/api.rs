@@ -25,9 +25,9 @@
 //! `POST /v1/predict` takes one job object; `POST /v1/batch` takes
 //! `{"jobs": [job, ...]}`. Before anything is enqueued the job is
 //! pre-validated with the engine's pre-run gate
-//! ([`predsim_engine::lint_job`]) — error-severity diagnostics turn into a
-//! `422` whose body is the check document ([`check_document`]) `predsim
-//! check --json` prints.
+//! ([`predsim_engine::lint_job`], spec validation) — a spec it refuses
+//! turns into a `422` whose body is the check document
+//! ([`check_document`]) `predsim check --json` prints.
 //!
 //! This module extracts JSON fields; what a switch or a seed means is
 //! decided where the CLI's flags are decided too
@@ -35,8 +35,8 @@
 
 use crate::http::Response;
 use commsim::SimConfig;
-use loggp::{presets, LogGpParams};
-use predsim_core::{textfmt, Program, SimOptions};
+use loggp::presets;
+use predsim_core::{textfmt, SimOptions};
 use predsim_dag::{SchedulerKind, MAX_TASKS};
 use predsim_engine::{JobResult, JobSource, JobSpec};
 use predsim_faults::FaultPlan;
@@ -266,9 +266,7 @@ pub const MAX_CALIBRATE_RUNS: usize = 64;
 pub const MAX_CALIBRATE_ROUNDS: usize = 64;
 
 /// One parsed `POST /v1/calibrate` request: everything a worker needs to
-/// measure the source on the emulator and fit a preset to it. `Clone` so
-/// the supervisor can re-enqueue a copy if the worker holding it dies.
-#[derive(Clone)]
+/// measure the source on the emulator and fit a preset to it.
 pub struct CalibrateRequest {
     /// The generator source (the server reads no files, so only specs).
     pub source: String,
@@ -405,9 +403,8 @@ pub fn render_calibrate(
 const SPEEDUP_FIELDS: [&str; 4] = ["dag", "scheduler", "machine", "procs"];
 
 /// One parsed `POST /v1/speedup` request: a task DAG plus the scheduler,
-/// machine, and processor range to sweep. `Clone` so the supervisor can
-/// re-enqueue a copy if the worker holding it dies.
-#[derive(Clone, Debug)]
+/// machine, and processor range to sweep.
+#[derive(Debug)]
 pub struct SpeedupRequest {
     /// The DAG to sweep (sent inline; the server reads no files).
     pub dag: Arc<predsim_dag::TaskDag>,
@@ -526,10 +523,11 @@ pub fn check_document(sources: Vec<Value>) -> Value {
 }
 
 /// Pre-validate a batch of parsed jobs with the engine's pre-run gate
-/// ([`predsim_engine::lint_job`]: the server admits every job the engine
-/// can run, so deadlock cycles stay warnings). `Ok(())` means no job has
-/// error-severity diagnostics; otherwise the `422` check document, with
-/// one source per rejected job.
+/// ([`predsim_engine::lint_job`]: spec validation, which refuses exactly
+/// the jobs the engine cannot run; deadlock cycles are no reason to
+/// refuse). `Ok(())` means every spec validates; otherwise the `422`
+/// check document, with one source per rejected job and its `PS0501`
+/// report.
 pub fn check_jobs(jobs: &[(String, JobSpec)]) -> Result<(), ApiError> {
     let rejected: Vec<Value> = jobs
         .iter()
@@ -545,22 +543,6 @@ pub fn check_jobs(jobs: &[(String, JobSpec)]) -> Result<(), ApiError> {
     } else {
         Err(ApiError::invalid(check_document(rejected)))
     }
-}
-
-/// [`check_jobs`] for one built program under `params`: the gate of the
-/// requests that run a program of their own (`/v1/calibrate` and
-/// `/v1/speedup`).
-pub fn check_program(
-    name: &str,
-    program: Arc<Program>,
-    params: LogGpParams,
-) -> Result<(), ApiError> {
-    let spec = JobSpec::new(
-        name,
-        JobSource::Program(program),
-        SimOptions::new(SimConfig::new(params)),
-    );
-    check_jobs(&[(name.to_string(), spec)])
 }
 
 /// Render one engine result as a JSON object.

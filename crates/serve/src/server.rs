@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ handler (one per connection, keep-alive loop)
-//!                         │ parse + build + lint, then the tier ladder:
+//!                         │ parse + validate + build, then the tier ladder:
 //!                         │   full  ──▶ queue.try_push ──▶ 429 when full
 //!                         │   replay ─▶ Engine::run right here, no queue
 //!                         │   static ─▶ interval only, no simulation
@@ -19,9 +19,12 @@
 //!
 //! Every full prediction goes through the one shared [`Engine`], so the
 //! memo cache, journal, and metrics registry see the server's whole
-//! lifetime. The handler builds each job's program once
-//! ([`Engine::prepare`]) before the lint gate; every later step — tiers,
-//! admission, the worker's run, the reported bounds — reuses it.
+//! lifetime. The handler validates each job's spec (the gate,
+//! [`predsim_engine::lint_job`]), then builds its program once
+//! ([`Engine::prepare`]); every later step — tiers, admission, the
+//! worker's run, the reported bounds — reuses it. `/v1/calibrate` and
+//! `/v1/speedup` run no gate: parsing validates their sources, and every
+//! program built from a valid source passes it.
 //!
 //! **Overload behaviour** is tiered rather than binary. Above a
 //! high-watermark queue depth `/v1/predict` stops queueing and degrades:
@@ -123,33 +126,32 @@ impl Default for ServeConfig {
     }
 }
 
-/// What one admitted queue entry asks a worker to do. `Clone` so the
-/// worker can park an orphan copy for the supervisor before running.
+/// What one admitted queue entry asks a worker to do. Each request sits
+/// behind an `Arc`, so the orphan copy a worker parks for the supervisor
+/// before running shares it (a calibration carries every block touch of
+/// its program) instead of copying it.
 #[derive(Clone)]
 enum Work {
-    /// Run one prepared prediction job through the engine. Boxed so the
-    /// enum stays pointer-sized regardless of how `JobSpec` grows.
-    Predict(Box<JobSpec>),
+    /// Run one prepared prediction job through the engine.
+    Predict(Arc<JobSpec>),
     /// Measure a source on the emulator and fit a LogGP preset to it
-    /// (`POST /v1/calibrate`). Boxed: a calibration carries its whole
-    /// measured configuration and is rare next to predictions.
-    Calibrate(Box<api::CalibrateRequest>),
+    /// (`POST /v1/calibrate`).
+    Calibrate(Arc<api::CalibrateRequest>),
     /// Sweep a task DAG across processor counts (`POST /v1/speedup`).
-    /// Boxed for the same reason as calibrations.
-    Speedup(Box<api::SpeedupRequest>),
+    Speedup(Arc<api::SpeedupRequest>),
 }
 
 /// One admitted unit of work: what to do, the slot its handler is
 /// waiting on, and the admission metadata the cost model and the
-/// shedding policy act on.
+/// shedding policy act on. A clone is the orphan copy a worker parks
+/// before running ([`WorkerState::park`]).
+#[derive(Clone)]
 struct Job {
     work: Work,
     reply: Arc<ReplySlot>,
     slot: usize,
     /// Estimated wall cost at admission (subtracted when popped).
     est_ns: u64,
-    /// Static ceiling the estimate came from (0 when none).
-    hi_ps: u64,
     /// Answer-by instant, for requests that carried `deadline_ms`.
     deadline: Option<Instant>,
     /// May a deadline admission evict this entry? (Single deadline-less
@@ -158,22 +160,6 @@ struct Job {
     /// Already re-enqueued once by the supervisor; a second worker death
     /// answers `crashed` instead of looping forever.
     requeued: bool,
-}
-
-impl Job {
-    /// The copy a worker parks for the supervisor before running.
-    fn orphan_copy(&self) -> Job {
-        Job {
-            work: self.work.clone(),
-            reply: Arc::clone(&self.reply),
-            slot: self.slot,
-            est_ns: self.est_ns,
-            hi_ps: self.hi_ps,
-            deadline: self.deadline,
-            sheddable: self.sheddable,
-            requeued: self.requeued,
-        }
-    }
 }
 
 /// What one calibration produced: the fit report plus what happened to
@@ -350,6 +336,13 @@ impl WorkerState {
             orphan: Mutex::new(None),
             exited: AtomicBool::new(false),
         })
+    }
+
+    /// Park a copy of the job about to run, so a death anywhere past this
+    /// point leaves the supervisor everything it needs to keep the
+    /// admitted ⇒ answered invariant.
+    fn park(&self, job: &Job) {
+        *self.orphan.lock().expect("orphan poisoned") = Some(job.clone());
     }
 
     fn beat(&self, shared: &Shared) {
@@ -664,10 +657,7 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
         state.busy.store(true, Ordering::SeqCst);
         shared.cost.on_leave_queue(job.est_ns);
         let guard = ExecGuard::new(shared);
-        // Park an orphan copy first, so a death anywhere past this point
-        // leaves the supervisor everything it needs to keep the
-        // admitted ⇒ answered invariant.
-        *state.orphan.lock().expect("orphan poisoned") = Some(job.orphan_copy());
+        state.park(&job);
         if let Some(plan) = &shared.chaos {
             let site = shared.chaos_pop_site.fetch_add(1, Ordering::SeqCst);
             if plan.worker_panic(site) {
@@ -689,15 +679,12 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
                 shared.metrics.shed("expired");
                 Reply::Shed
             }
-            (_, Work::Predict(_)) => {
-                let Work::Predict(spec) = job.work else {
-                    unreachable!()
-                };
+            (_, Work::Predict(spec)) => {
                 let exec_started = Instant::now();
                 // jobs=1 runs inline on this thread; the engine's per-job
                 // catch_unwind turns job panics into `crashed` results,
                 // so the reply slot is always filled.
-                let mut results = shared.engine.run(std::slice::from_ref(&*spec));
+                let mut results = shared.engine.run(std::slice::from_ref(&**spec));
                 let result = results.pop().expect("engine returns one result per spec");
                 if let Some(journal) = &shared.journal {
                     journal.record(&result);
@@ -705,18 +692,10 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
                 let exec_ns = exec_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 Reply::Predict(result, exec_ns)
             }
-            (_, Work::Calibrate(_)) => {
-                let Work::Calibrate(request) = job.work else {
-                    unreachable!()
-                };
-                Reply::Calibrate(Box::new(run_calibration(shared, &request)))
+            (_, Work::Calibrate(request)) => {
+                Reply::Calibrate(Box::new(run_calibration(shared, request)))
             }
-            (_, Work::Speedup(_)) => {
-                let Work::Speedup(request) = job.work else {
-                    unreachable!()
-                };
-                Reply::Speedup(Box::new(run_speedup(&request)))
-            }
+            (_, Work::Speedup(request)) => Reply::Speedup(Box::new(run_speedup(request))),
         };
         // Done executing before the reply is filled: a client that has
         // its answer must not see the job in `/healthz`'s `in_flight`.
@@ -1093,7 +1072,6 @@ fn drain_request(shared: &Shared) -> Response {
 struct Admit {
     work: Work,
     est_ns: u64,
-    hi_ps: u64,
     deadline: Option<Instant>,
     sheddable: bool,
 }
@@ -1103,7 +1081,6 @@ impl Admit {
         Admit {
             work,
             est_ns,
-            hi_ps: 0,
             deadline: None,
             sheddable: false,
         }
@@ -1123,7 +1100,6 @@ fn admit_and_run(shared: &Shared, admits: Vec<Admit>) -> Result<Vec<Reply>, Resp
             reply: Arc::clone(&reply),
             slot,
             est_ns: a.est_ns,
-            hi_ps: a.hi_ps,
             deadline: a.deadline,
             sheddable: a.sheddable,
             requeued: false,
@@ -1164,11 +1140,12 @@ fn replay_tier(shared: &Shared, spec: &JobSpec) -> Response {
 
 fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
     let req = parse_body(request, shared.draining(), api::parse_predict)?;
-    // The program is built once, here: the lint gate, the degraded tiers,
-    // deadline admission, the worker and the post-run bounds all share it.
-    let gate = (req.name, shared.engine.prepare(req.spec));
-    api::check_jobs(std::slice::from_ref(&gate))?;
-    let (name, spec) = gate;
+    let job = (req.name, req.spec);
+    api::check_jobs(std::slice::from_ref(&job))?;
+    let (name, spec) = job;
+    // The program is built once, here: the degraded tiers, deadline
+    // admission, the worker and the post-run bounds all share it.
+    let spec = shared.engine.prepare(spec);
     // Jobs the static analyzer can bracket are the ones the degraded
     // tiers can serve; faulted or infeasible jobs only have the full
     // path.
@@ -1193,14 +1170,14 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
     // Deadline-aware admission for the full tier.
     let mut bounds: Option<predsim_lint::ProgramBounds> = None;
     let mut est_ns = shared.cost.est_job_ns(0);
-    let mut hi_ps = 0;
     let mut deadline = None;
     if let Some(ms) = req.deadline_ms {
         if degradable {
             bounds = predsim_engine::static_bounds(&spec);
         }
-        hi_ps = bounds.as_ref().map_or(0, |b| b.hi.as_ps());
-        est_ns = shared.cost.est_job_ns(hi_ps);
+        est_ns = shared
+            .cost
+            .est_job_ns(bounds.as_ref().map_or(0, |b| b.hi.as_ps()));
         let budget_ns = ms.saturating_mul(1_000_000);
         let late = || {
             shared
@@ -1241,11 +1218,10 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
         deadline = Some(Instant::now() + Duration::from_millis(ms));
     }
 
-    let for_bounds = spec.clone();
+    let spec = Arc::new(spec);
     let admit = Admit {
-        work: Work::Predict(Box::new(spec)),
+        work: Work::Predict(Arc::clone(&spec)),
         est_ns,
-        hi_ps,
         deadline,
         sheddable: deadline.is_none(),
     };
@@ -1255,7 +1231,7 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
             // the simulation returns (unless the deadline path already
             // needed it): it never delays the enqueue, and shed requests
             // never pay for it.
-            let bounds = bounds.or_else(|| predsim_engine::static_bounds(&for_bounds));
+            let bounds = bounds.or_else(|| predsim_engine::static_bounds(&spec));
             if exec_ns > 0 {
                 shared
                     .cost
@@ -1271,12 +1247,12 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
             // Admitted, then evicted by a deadline admission or expired in
             // the queue: still answered, at the static tier when the
             // analyzer can bracket the job.
-            match bounds.or_else(|| predsim_engine::static_bounds(&for_bounds)) {
+            match bounds.or_else(|| predsim_engine::static_bounds(&spec)) {
                 Some(b) => {
                     shared.metrics.tier(api::Tier::Static);
                     Ok(Response::json(
                         200,
-                        api::render_predict_static(&for_bounds.label, &b),
+                        api::render_predict_static(&spec.label, &b),
                     ))
                 }
                 None => Err(shared.too_busy("shed under overload; retry later")),
@@ -1302,16 +1278,11 @@ fn estimate(request: &Request) -> Result<Response, Response> {
 }
 
 fn calibrate(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    // Parsing validates the source before building its program, so there
+    // is nothing left for a gate to refuse.
     let parsed = parse_body(request, shared.draining(), api::parse_calibrate)?;
-    // The same pre-run gate as /v1/predict: a source the engine would
-    // refuse to run is refused here, with the same 422 document.
-    api::check_program(
-        &parsed.source,
-        Arc::clone(&parsed.program),
-        parsed.fit.initial,
-    )?;
     let est = shared.cost.est_job_ns(0);
-    let work = Admit::plain(Work::Calibrate(Box::new(parsed)), est);
+    let work = Admit::plain(Work::Calibrate(Arc::new(parsed)), est);
     match admit_and_run(shared, vec![work])?.pop() {
         Some(Reply::Calibrate(outcome)) => match *outcome {
             Ok((report, registered)) => Ok(Response::json(
@@ -1325,20 +1296,12 @@ fn calibrate(request: &Request, shared: &Shared) -> Result<Response, Response> {
 }
 
 fn speedup(request: &Request, shared: &Shared) -> Result<Response, Response> {
+    // Parsing validates the DAG and the machine; every program the sweep
+    // lowers from them is built, so there is nothing left for a gate to
+    // refuse.
     let parsed = parse_body(request, shared.draining(), api::parse_speedup)?;
-    // The same pre-run gate as /v1/predict, applied to the schedule the
-    // sweep will simulate at its largest processor count: a lowered
-    // program the engine would refuse to run is refused here, with the
-    // same 422 document.
-    let placement = parsed.scheduler.place(&parsed.dag, &parsed.spec);
-    let lowered = predsim_dag::lower(&parsed.dag, &placement, &parsed.spec);
-    api::check_program(
-        &format!("dag:{}", parsed.dag.name()),
-        Arc::new(lowered.program),
-        parsed.spec.base,
-    )?;
     let est = shared.cost.est_job_ns(0);
-    let work = Admit::plain(Work::Speedup(Box::new(parsed)), est);
+    let work = Admit::plain(Work::Speedup(Arc::new(parsed)), est);
     match admit_and_run(shared, vec![work])?.pop() {
         Some(Reply::Speedup(outcome)) => match *outcome {
             Ok(report) => Ok(Response::json(200, api::render_speedup(&report))),
@@ -1350,16 +1313,15 @@ fn speedup(request: &Request, shared: &Shared) -> Result<Response, Response> {
 
 fn batch(request: &Request, shared: &Shared) -> Result<Response, Response> {
     let jobs = parse_body(request, shared.draining(), api::parse_batch)?;
-    // As for /v1/predict: one build per job, shared by gate and worker.
-    let jobs: Vec<(String, JobSpec)> = jobs
-        .into_iter()
-        .map(|(name, spec)| (name, shared.engine.prepare(spec)))
-        .collect();
     api::check_jobs(&jobs)?;
+    // As for /v1/predict: each job's program is built here, once.
     let est = shared.cost.est_job_ns(0);
     let work = jobs
         .into_iter()
-        .map(|(_, spec)| Admit::plain(Work::Predict(Box::new(spec)), est))
+        .map(|(_, spec)| {
+            let spec = shared.engine.prepare(spec);
+            Admit::plain(Work::Predict(Arc::new(spec)), est)
+        })
         .collect();
     let mut results = Vec::new();
     for reply in admit_and_run(shared, work)? {
@@ -1372,4 +1334,51 @@ fn batch(request: &Request, shared: &Shared) -> Result<Response, Response> {
         results.push(result);
     }
     Ok(Response::json(200, api::render_batch(&results)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_parked_orphan_shares_its_request_with_the_running_job() {
+        let predict = api::parse_predict(r#"{"source":"stencil:64,4,2"}"#).unwrap();
+        let calibrate = api::parse_calibrate(r#"{"source":"ge:64,16,diagonal,4"}"#).unwrap();
+        assert!(
+            !calibrate.loads.is_empty(),
+            "a calibration carries its loads"
+        );
+        let dag = "dag name=t ps_per_flop=500\ntask a 1000\ntask b 1000\nedge a b 64\n";
+        let speedup = api::parse_speedup(&format!(
+            r#"{{"dag":{},"procs":"1..4"}}"#,
+            predsim_lint::json::Value::Str(dag.into()).to_compact()
+        ))
+        .unwrap();
+        for work in [
+            Work::Predict(Arc::new(predict.spec)),
+            Work::Calibrate(Arc::new(calibrate)),
+            Work::Speedup(Arc::new(speedup)),
+        ] {
+            let job = Job {
+                work,
+                reply: ReplySlot::new(1),
+                slot: 0,
+                est_ns: 0,
+                deadline: None,
+                sheddable: false,
+                requeued: false,
+            };
+            let state = WorkerState::new();
+            state.park(&job);
+            let orphan = state.orphan.lock().unwrap().take().expect("a parked job");
+            let shared = match (&orphan.work, &job.work) {
+                (Work::Predict(a), Work::Predict(b)) => Arc::ptr_eq(a, b),
+                (Work::Calibrate(a), Work::Calibrate(b)) => Arc::ptr_eq(a, b),
+                (Work::Speedup(a), Work::Speedup(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            assert!(shared, "the orphan must share the request, not copy it");
+            assert!(Arc::ptr_eq(&orphan.reply, &job.reply));
+        }
+    }
 }

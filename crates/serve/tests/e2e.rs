@@ -400,8 +400,9 @@ fn each_served_job_builds_its_program_once() {
             .map(|v| v.parse::<u64>().expect("counter value"))
     };
 
-    // A full-tier predict: the lint gate, the worker's run and the
-    // reported bounds all share the handler's one build.
+    // A full-tier predict: the worker's run and the reported bounds
+    // share the handler's one build (the gate validates the spec and
+    // builds nothing).
     let (status, body) = predict(addr, r#"{"source":"ge:240,24,diagonal,8"}"#);
     assert_eq!(status, 200);
     assert!(body.contains(r#""tier":"full""#), "{body}");

@@ -203,6 +203,37 @@ fn preset_reference(name: &str) -> Result<Option<(&str, MachineSpec)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A directory of one test's own under the system temp dir, removed
+    /// with everything in it when the guard drops: when the test ends,
+    /// pass or panic.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "predsim-{tag}-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        /// The path of `file` in this directory, as a string.
+        pub(crate) fn join(&self, file: &str) -> String {
+            self.0.join(file).to_str().unwrap().to_string()
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     fn raw(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -254,12 +285,11 @@ mod tests {
 
     #[test]
     fn machine_file_references_load_the_registry() {
-        let dir = std::env::temp_dir().join("predsim-cli-machine-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-machine");
         let path = dir.join("presets.json");
         let fitted = presets::meiko_cs2(4).with_latency(loggp::Time::from_us(9.0));
         preset_file::save(
-            path.to_str().unwrap(),
+            &path,
             &[preset_file::NamedSpec {
                 name: "cli-test-fitted".into(),
                 spec: MachineSpec::uniform(fitted),
@@ -267,13 +297,13 @@ mod tests {
         )
         .unwrap();
 
-        let spec = format!("@{}:cli-test-fitted", path.display());
+        let spec = format!("@{path}:cli-test-fitted");
         assert_eq!(machine(&spec, 8).unwrap(), fitted.with_procs(8));
         // Once loaded, the bare name resolves through the registry too.
         assert_eq!(machine("cli-test-fitted", 8).unwrap(), fitted.with_procs(8));
 
         assert!(machine("@no-colon", 4).is_err(), "missing :NAME");
-        let err = machine(&format!("@{}:absent", path.display()), 4).unwrap_err();
+        let err = machine(&format!("@{path}:absent"), 4).unwrap_err();
         assert!(err.contains("absent"), "{err}");
     }
 
@@ -286,8 +316,7 @@ mod tests {
         assert!(machine_spec("cray", 8).is_err());
 
         // A heterogeneous preset file keeps its speed factors.
-        let dir = std::env::temp_dir().join("predsim-cli-machine-spec-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-machine-spec");
         let path = dir.join("hetero.json");
         let het = MachineSpec {
             base: presets::meiko_cs2(4),
@@ -295,7 +324,7 @@ mod tests {
             links: Vec::new(),
         };
         preset_file::save(
-            path.to_str().unwrap(),
+            &path,
             &[preset_file::NamedSpec {
                 name: "cli-test-hetero".into(),
                 spec: het.clone(),
@@ -303,7 +332,7 @@ mod tests {
         )
         .unwrap();
 
-        let reference = format!("@{}:cli-test-hetero", path.display());
+        let reference = format!("@{path}:cli-test-hetero");
         assert_eq!(machine_spec(&reference, 4).unwrap(), het);
         // Shrinking keeps the described prefix; extending is refused.
         let small = machine_spec(&reference, 2).unwrap();

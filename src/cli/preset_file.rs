@@ -302,6 +302,7 @@ fn uint(v: &Value) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::TempDir;
 
     fn fitted(latency_us: f64) -> MachineSpec {
         MachineSpec::uniform(LogGpParams::from_us(latency_us, 4.0, 12.0, 0.02, 8))
@@ -328,12 +329,6 @@ mod tests {
                 gap_per_byte: base.gap_per_byte,
             }],
         }
-    }
-
-    fn temp_path(file: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("predsim-preset-file-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(file).to_str().unwrap().to_string()
     }
 
     #[test]
@@ -463,7 +458,8 @@ mod tests {
 
     #[test]
     fn a_save_killed_mid_write_cannot_truncate_the_registry_file() {
-        let path = temp_path("presets.json");
+        let dir = TempDir::new("preset-file");
+        let path = dir.join("presets.json");
         let v1 = vec![named("survivor", fitted(5.0))];
         save(&path, &v1).unwrap();
 
@@ -481,12 +477,12 @@ mod tests {
         ];
         save(&path, &v2).unwrap();
         assert_eq!(load(&path).unwrap(), v2);
-        let _ = std::fs::remove_file(&abandoned);
     }
 
     #[test]
     fn register_file_keeps_heterogeneity() {
-        let path = temp_path("register.json");
+        let dir = TempDir::new("preset-file");
+        let path = dir.join("register.json");
         let specs = vec![
             named("pf-test-flat", fitted(5.0)),
             named("pf-test-het", hetero_spec()),
@@ -499,7 +495,7 @@ mod tests {
         assert_eq!(registry::registered("pf-test-het"), Some(hetero_spec()));
         // Loading the same file again is harmless.
         register_file(&path).unwrap();
-        let err = load(&temp_path("absent.json")).unwrap_err();
+        let err = load(&dir.join("absent.json")).unwrap_err();
         assert!(err.contains("cannot read preset file"), "{err}");
     }
 }

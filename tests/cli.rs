@@ -1,19 +1,47 @@
 //! Integration tests for the `predsim` CLI binary.
 
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_predsim"))
 }
 
-fn tmp_file(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("predsim-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(contents.as_bytes()).unwrap();
-    path
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when the guard drops: when the test ends, pass or
+/// panic.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "predsim-cli-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// Write `contents` to `name` in this directory; returns its path.
+    fn file(&self, name: &str, contents: &str) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, contents).unwrap();
+        path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 const TRACE: &str = "\
@@ -51,7 +79,8 @@ fn presets_lists_machines() {
 
 #[test]
 fn simulate_reports_prediction() {
-    let path = tmp_file("trace.txt", TRACE);
+    let dir = TempDir::new();
+    let path = dir.file("trace.txt", TRACE);
     let out = bin()
         .args(["simulate", path.to_str().unwrap()])
         .output()
@@ -69,7 +98,8 @@ fn simulate_reports_prediction() {
 
 #[test]
 fn simulate_flags_change_results() {
-    let path = tmp_file("trace2.txt", TRACE);
+    let dir = TempDir::new();
+    let path = dir.file("trace2.txt", TRACE);
     let run = |extra: &[&str]| {
         let mut cmd = bin();
         cmd.args(["simulate", path.to_str().unwrap(), "--machine", "ethernet"]);
@@ -88,10 +118,11 @@ fn simulate_flags_change_results() {
 
 #[test]
 fn classic_gap_flag_changes_prediction() {
+    let dir = TempDir::new();
     // A trace where one processor alternates receive/send: the extended
     // rule inserts a gap the classic rule does not.
     let trace = "program procs=3\nstep label=relay\nmsg 0 1 1\nmsg 1 2 1\nstep label=relay2\nmsg 0 1 1\nmsg 1 2 1\n";
-    let path = tmp_file("relay.txt", trace);
+    let path = dir.file("relay.txt", trace);
     let run = |extra: &[&str]| {
         let mut cmd = bin();
         cmd.args(["simulate", path.to_str().unwrap()]);
@@ -118,7 +149,8 @@ fn classic_gap_flag_changes_prediction() {
 
 #[test]
 fn simulate_rejects_bad_trace() {
-    let path = tmp_file("bad.txt", "step label=x\n");
+    let dir = TempDir::new();
+    let path = dir.file("bad.txt", "step label=x\n");
     let out = bin()
         .args(["simulate", path.to_str().unwrap()])
         .output()
@@ -129,7 +161,8 @@ fn simulate_rejects_bad_trace() {
 
 #[test]
 fn gantt_renders_ascii_and_svg() {
-    let path = tmp_file("trace3.txt", TRACE);
+    let dir = TempDir::new();
+    let path = dir.file("trace3.txt", TRACE);
     let out = bin()
         .args(["gantt", path.to_str().unwrap(), "--step", "2"])
         .output()
@@ -142,7 +175,7 @@ fn gantt_renders_ascii_and_svg() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("completion:"), "{text}");
 
-    let svg_path = tmp_file("out.svg", "");
+    let svg_path = dir.file("out.svg", "");
     let out = bin()
         .args([
             "gantt",
@@ -161,7 +194,8 @@ fn gantt_renders_ascii_and_svg() {
 
 #[test]
 fn gantt_rejects_computation_only_step() {
-    let path = tmp_file("trace4.txt", TRACE);
+    let dir = TempDir::new();
+    let path = dir.file("trace4.txt", TRACE);
     let out = bin()
         .args(["gantt", path.to_str().unwrap(), "--step", "1"])
         .output()
@@ -370,6 +404,7 @@ fn check_rejects_infeasible_specs() {
 
 #[test]
 fn check_rejects_processor_counts_beyond_the_limit() {
+    let dir = TempDir::new();
     // Programs are sized by their processor count: each of these specs
     // would allocate gigabytes. Under a 4 GB address-space limit, `check`
     // must answer with an error, not abort.
@@ -395,7 +430,7 @@ fn check_rejects_processor_counts_beyond_the_limit() {
         assert!(text.contains("error[PS0501]"), "{spec}: {text}");
         assert!(text.contains("maximum"), "{spec}: {text}");
     }
-    let trace = tmp_file("huge.trace", "program procs=4000000000\nstep label=a\n");
+    let trace = dir.file("huge.trace", "program procs=4000000000\nstep label=a\n");
     let out = limited(&["check", trace.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
@@ -461,8 +496,9 @@ fn batch_accepts_apsp_sources() {
 
 #[test]
 fn trace_writes_strict_jsonl_and_metrics() {
-    let events_path = tmp_file("events.jsonl", "");
-    let metrics_path = tmp_file("trace-metrics.prom", "");
+    let dir = TempDir::new();
+    let events_path = dir.file("events.jsonl", "");
+    let metrics_path = dir.file("trace-metrics.prom", "");
     let out = bin()
         .args([
             "trace",
@@ -520,6 +556,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn trace_stream_is_pinned_by_digest() {
+    let dir = TempDir::new();
     // The order and content of every event, not just the kinds: a change
     // to any simulator hook that reorders, adds or drops one event, or
     // moves one timestamp, changes the digest.
@@ -549,7 +586,7 @@ fn trace_stream_is_pinned_by_digest() {
         ),
     ];
     for (name, source, extra, want) in cases {
-        let path = tmp_file(&format!("pinned-{name}.jsonl"), "");
+        let path = dir.file(&format!("pinned-{name}.jsonl"), "");
         let out = bin()
             .args(["trace", source, "--trace-out"])
             .arg(&path)
@@ -592,6 +629,7 @@ fn trace_stream_is_pinned_by_digest() {
 
 #[test]
 fn emulated_runs_are_pinned_by_digest() {
+    let dir = TempDir::new();
     // Every measured step wall of three seeded runs. The GE and APSP
     // programs carry self-messages, whose local copies delay the next
     // step but do not extend a step's measured wall; stencil and Cannon
@@ -614,7 +652,7 @@ fn emulated_runs_are_pinned_by_digest() {
         ),
     ];
     for (i, (source, extra, want)) in cases.into_iter().enumerate() {
-        let path = tmp_file(&format!("pinned-emulate-{i}.jsonl"), "");
+        let path = dir.file(&format!("pinned-emulate-{i}.jsonl"), "");
         let out = bin()
             .args(["emulate", source, "--runs", "3", "--measure-out"])
             .arg(&path)
@@ -638,9 +676,10 @@ fn emulated_runs_are_pinned_by_digest() {
 
 #[test]
 fn trace_total_matches_simulate() {
+    let dir = TempDir::new();
     // Tracing is purely observational: the predicted total reported by
     // `trace` equals what `simulate` reports on the same input.
-    let path = tmp_file("traced.txt", TRACE);
+    let path = dir.file("traced.txt", TRACE);
     let total_line = |cmd: &str| {
         let out = bin().args([cmd, path.to_str().unwrap()]).output().unwrap();
         assert!(
@@ -659,7 +698,8 @@ fn trace_total_matches_simulate() {
 
 #[test]
 fn ge_sweep_and_batch_export_prometheus_metrics() {
-    let sweep_prom = tmp_file("sweep.prom", "");
+    let dir = TempDir::new();
+    let sweep_prom = dir.file("sweep.prom", "");
     let out = bin()
         .args([
             "ge-sweep",
@@ -684,7 +724,7 @@ fn ge_sweep_and_batch_export_prometheus_metrics() {
     assert!(prom.contains("engine_jobs_total 2"), "{prom}");
     assert!(prom.contains("engine_cache_hits"), "{prom}");
 
-    let batch_prom = tmp_file("batch.prom", "");
+    let batch_prom = dir.file("batch.prom", "");
     let out = bin()
         .args([
             "batch",
@@ -708,13 +748,14 @@ fn ge_sweep_and_batch_export_prometheus_metrics() {
 
 #[test]
 fn fit_recovers_parameters() {
+    let dir = TempDir::new();
     // Synthetic Meiko samples: T(k) = 2o + L + (k-1)G = 21 - 0.03 + 0.03k us.
     let mut data = String::from("# bytes,us\n");
     for k in [64usize, 256, 1024, 4096] {
         let t = 21.0 - 0.03 + 0.03 * k as f64;
         data.push_str(&format!("{k},{t}\n"));
     }
-    let path = tmp_file("ping.csv", &data);
+    let path = dir.file("ping.csv", &data);
     let out = bin()
         .args(["fit", path.to_str().unwrap()])
         .output()
@@ -796,9 +837,10 @@ fn faulted_batch_is_reproducible_and_seeded() {
 
 #[test]
 fn batch_checkpoint_resume_is_identical_to_straight_through() {
-    let journal = tmp_file("resume-journal.jsonl", "");
-    let full = tmp_file("resume-full.txt", "");
-    let resumed = tmp_file("resume-resumed.txt", "");
+    let dir = TempDir::new();
+    let journal = dir.file("resume-journal.jsonl", "");
+    let full = dir.file("resume-full.txt", "");
+    let resumed = dir.file("resume-resumed.txt", "");
 
     let out = bin()
         .args([
@@ -1084,10 +1126,9 @@ fn serve_round_trips_over_a_real_socket_and_drains_on_request() {
 
 #[test]
 fn emulate_calibrate_closed_loop_through_the_cli() {
-    let dir = std::env::temp_dir().join(format!("predsim-cli-calib-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let measured = dir.join("ge.measured.jsonl");
-    let presets = dir.join("fitted.json");
+    let dir = TempDir::new();
+    let measured = dir.path().join("ge.measured.jsonl");
+    let presets = dir.path().join("fitted.json");
 
     // Measure: emulated runs recorded as strict flat JSONL.
     let out = bin()
@@ -1189,8 +1230,9 @@ const HET_PRESET_LINE: &str = r#"    { "name": "het", "latency_ps": 9000000, "ov
 
 #[test]
 fn calibrate_out_keeps_heterogeneous_presets_in_the_file() {
+    let dir = TempDir::new();
     let head = "{\n  \"version\": 1,\n  \"presets\": [\n";
-    let presets = tmp_file(
+    let presets = dir.file(
         "hetero-calibrate.json",
         &format!("{head}{HET_PRESET_LINE}\n  ]\n}}\n"),
     );
@@ -1252,12 +1294,13 @@ fn calibrate_out_keeps_heterogeneous_presets_in_the_file() {
 
 #[test]
 fn served_calibration_equals_the_cli() {
+    let dir = TempDir::new();
     use predsim::loggp::Time;
     use predsim::predsim_core::report::secs;
     use predsim::predsim_lint::json::{parse, Value};
     use std::io::BufRead as _;
 
-    let presets = tmp_file("served-vs-cli.json", "");
+    let presets = dir.file("served-vs-cli.json", "");
     std::fs::remove_file(&presets).unwrap();
     let out = bin()
         .args([
@@ -1505,6 +1548,7 @@ fn ge_sweep_prefilter_finds_the_same_optimum_as_the_plain_sweep() {
 
 #[test]
 fn ge_sweep_prefilter_refuses_faults_and_checkpoints() {
+    let dir = TempDir::new();
     let out = bin()
         .args([
             "ge-sweep",
@@ -1523,7 +1567,7 @@ fn ge_sweep_prefilter_refuses_faults_and_checkpoints() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let journal = tmp_file("prefilter.journal", "");
+    let journal = dir.file("prefilter.journal", "");
     let out = bin()
         .args([
             "ge-sweep",
@@ -1615,7 +1659,8 @@ fn serve_estimate_matches_check_bounds_json_byte_for_byte() {
 
 #[test]
 fn machine_file_references_distinguish_missing_file_from_missing_name() {
-    let trace = tmp_file("regtest.trace", TRACE);
+    let dir = TempDir::new();
+    let trace = dir.file("regtest.trace", TRACE);
 
     // Missing file: the error names the unreadable path.
     let out = bin()
@@ -1632,7 +1677,7 @@ fn machine_file_references_distinguish_missing_file_from_missing_name() {
     assert!(err.contains("cannot read preset file"), "{err}");
 
     // Present file, absent name: a different, name-specific error.
-    let presets = tmp_file(
+    let presets = dir.file(
         "fitted-cli.json",
         r#"{"version": 1, "presets": [
             { "name": "cli-fit", "latency_ps": 9000000, "overhead_ps": 6000000,
@@ -1674,8 +1719,9 @@ fn machine_file_references_distinguish_missing_file_from_missing_name() {
 
 #[test]
 fn serve_presets_flag_round_trips_fitted_machines() {
+    let dir = TempDir::new();
     use std::io::BufRead as _;
-    let presets = tmp_file(
+    let presets = dir.file(
         "fitted-serve.json",
         r#"{"version": 1, "presets": [
             { "name": "serve-fit", "latency_ps": 9000000, "overhead_ps": 6000000,
@@ -1734,7 +1780,7 @@ fn serve_presets_flag_round_trips_fitted_machines() {
         .unwrap();
     assert!(dag.status.success());
     let dag = String::from_utf8(dag.stdout).unwrap();
-    let dag_file = tmp_file("serve-het.dag", &dag);
+    let dag_file = dir.file("serve-het.dag", &dag);
     let reference = format!("@{}:serve-het", presets.display());
     let out = bin()
         .args([
@@ -1777,6 +1823,7 @@ fn serve_presets_flag_round_trips_fitted_machines() {
 
 #[test]
 fn dag_workflow_generates_checks_runs_and_sweeps() {
+    let dir = TempDir::new();
     // gen writes the line format.
     let out = bin()
         .args(["dag", "gen", "forkjoin:4,1,100000,1024"])
@@ -1787,7 +1834,7 @@ fn dag_workflow_generates_checks_runs_and_sweeps() {
     assert!(text.starts_with("dag name=forkjoin"), "{text}");
 
     // check round-trips the generated file.
-    let path = tmp_file("forkjoin.dag", &text);
+    let path = dir.file("forkjoin.dag", &text);
     let out = bin()
         .args(["dag", "check", path.to_str().unwrap()])
         .output()
@@ -1831,7 +1878,7 @@ fn dag_workflow_generates_checks_runs_and_sweeps() {
     assert!(json.contains("\"knee_procs\":"), "{json}");
 
     // A malformed DAG file is refused.
-    let bad = tmp_file("bad.dag", "dag name=x ps_per_flop=500\nedge a b 1\n");
+    let bad = dir.file("bad.dag", "dag name=x ps_per_flop=500\nedge a b 1\n");
     let out = bin()
         .args(["dag", "check", bad.to_str().unwrap()])
         .output()
