@@ -7,12 +7,16 @@
 //! interior relaxations as `Op4` — min-plus products have exactly the
 //! cubic loop structure of their `(+, ×)` counterparts, so the calibrated
 //! curves carry over.
+//!
+//! Each destination set is an [`OwnerSet`], sent to in ascending
+//! processor order. [`generate_with`] is the one generator body; it hands
+//! each step's block visits and touches to a [`LoadSink`], which
+//! [`generate`] collects and a prediction drops ([`predsim_core::NoLoads`]).
 
 use blockops::{CostModel, OpClass};
 use commsim::CommPattern;
 use loggp::Time;
-use predsim_core::{Layout, Program, Step, StepLoad};
-use std::collections::BTreeSet;
+use predsim_core::{Layout, LoadSink, OwnerSet, Program, Step, StepLoad};
 
 /// A generated blocked-APSP program plus emulator metadata.
 #[derive(Clone, Debug)]
@@ -48,6 +52,30 @@ impl ApspProgram {
 /// # Panics
 /// Panics if `b` does not divide `n`.
 pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -> ApspProgram {
+    let mut loads = Vec::new();
+    let program = generate_with(n, b, layout, cost, &mut loads);
+    ApspProgram {
+        program,
+        loads,
+        n,
+        block: b,
+        nb: n / b,
+        procs: layout.procs(),
+    }
+}
+
+/// The program of [`generate`], with each step's work profile sent to
+/// `loads` instead of kept.
+///
+/// # Panics
+/// As [`generate`].
+pub fn generate_with<S: LoadSink>(
+    n: usize,
+    b: usize,
+    layout: &dyn Layout,
+    cost: &dyn CostModel,
+    loads: &mut S,
+) -> Program {
     assert!(
         b > 0 && n.is_multiple_of(b),
         "block size {b} must divide the matrix size {n}"
@@ -58,28 +86,27 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
     let owner = |i: usize, j: usize| layout.owner(i, j);
     let block_bytes = 8 * b * b;
     let base = |i: usize, j: usize| ((i * nb + j) * block_bytes) as u64;
+    let [op1, op2, op3, op4] =
+        [OpClass::Op1, OpClass::Op2, OpClass::Op3, OpClass::Op4].map(|op| cost.op_cost(op, b));
 
     let mut program = Program::new(procs);
-    let mut loads = Vec::new();
+    let mut dsts = OwnerSet::new(procs);
 
     for k in 0..nb {
         // --- closure step -------------------------------------------------
+        let s = program.len();
+        loads.grow(s + 1, procs);
         let p_diag = owner(k, k);
         let mut comp = vec![Time::ZERO; procs];
-        comp[p_diag] = cost.op_cost(OpClass::Op1, b);
-        let mut load = StepLoad::new(procs);
-        load.add_visits(p_diag, 1);
-        load.touch(p_diag, base(k, k), block_bytes as u32);
+        comp[p_diag] = op1;
+        loads.add_visits(s, p_diag, 1);
+        loads.touch(s, p_diag, base(k, k), block_bytes as u32);
         let mut pat = CommPattern::new(procs);
         // The closed diagonal goes to every panel owner of row/col k.
-        let mut dsts: BTreeSet<usize> = BTreeSet::new();
-        for t in 0..nb {
-            if t != k {
-                dsts.insert(owner(k, t));
-                dsts.insert(owner(t, k));
-            }
-        }
-        for dst in dsts {
+        let panel_owners = (0..nb)
+            .filter(|&t| t != k)
+            .flat_map(|t| [owner(k, t), owner(t, k)]);
+        for &dst in dsts.collect(panel_owners) {
             pat.add(p_diag, dst, block_bytes);
         }
         program.push(
@@ -87,35 +114,31 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
                 .with_comp(comp)
                 .with_comm(pat),
         );
-        loads.push(load);
 
         // --- panel step ----------------------------------------------------
+        let s = program.len();
+        loads.grow(s + 1, procs);
         let mut comp = vec![Time::ZERO; procs];
-        let mut load = StepLoad::new(procs);
         let mut pat = CommPattern::new(procs);
         for t in 0..nb {
             if t == k {
                 continue;
             }
             let pr = owner(k, t);
-            comp[pr] += cost.op_cost(OpClass::Op2, b);
-            load.add_visits(pr, 1);
-            load.touch(pr, base(k, t), block_bytes as u32);
-            load.touch(pr, base(k, k), block_bytes as u32);
-            let row_dsts: BTreeSet<usize> =
-                (0..nb).filter(|&i| i != k).map(|i| owner(i, t)).collect();
-            for dst in row_dsts {
+            comp[pr] += op2;
+            loads.add_visits(s, pr, 1);
+            loads.touch(s, pr, base(k, t), block_bytes as u32);
+            loads.touch(s, pr, base(k, k), block_bytes as u32);
+            for &dst in dsts.collect((0..nb).filter(|&i| i != k).map(|i| owner(i, t))) {
                 pat.add(pr, dst, block_bytes);
             }
 
             let pc = owner(t, k);
-            comp[pc] += cost.op_cost(OpClass::Op3, b);
-            load.add_visits(pc, 1);
-            load.touch(pc, base(t, k), block_bytes as u32);
-            load.touch(pc, base(k, k), block_bytes as u32);
-            let col_dsts: BTreeSet<usize> =
-                (0..nb).filter(|&j| j != k).map(|j| owner(t, j)).collect();
-            for dst in col_dsts {
+            comp[pc] += op3;
+            loads.add_visits(s, pc, 1);
+            loads.touch(s, pc, base(t, k), block_bytes as u32);
+            loads.touch(s, pc, base(k, k), block_bytes as u32);
+            for &dst in dsts.collect((0..nb).filter(|&j| j != k).map(|j| owner(t, j))) {
                 pat.add(pc, dst, block_bytes);
             }
         }
@@ -124,11 +147,11 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
                 .with_comp(comp)
                 .with_comm(pat),
         );
-        loads.push(load);
 
         // --- interior step ---------------------------------------------------
+        let s = program.len();
+        loads.grow(s + 1, procs);
         let mut comp = vec![Time::ZERO; procs];
-        let mut load = StepLoad::new(procs);
         for i in 0..nb {
             if i == k {
                 continue;
@@ -138,25 +161,16 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
                     continue;
                 }
                 let p = owner(i, j);
-                comp[p] += cost.op_cost(OpClass::Op4, b);
-                load.add_visits(p, 1);
-                load.touch(p, base(i, j), block_bytes as u32);
-                load.touch(p, base(i, k), block_bytes as u32);
-                load.touch(p, base(k, j), block_bytes as u32);
+                comp[p] += op4;
+                loads.add_visits(s, p, 1);
+                loads.touch(s, p, base(i, j), block_bytes as u32);
+                loads.touch(s, p, base(i, k), block_bytes as u32);
+                loads.touch(s, p, base(k, j), block_bytes as u32);
             }
         }
         program.push(Step::new(format!("interior {k}")).with_comp(comp));
-        loads.push(load);
     }
-
-    ApspProgram {
-        program,
-        loads,
-        n,
-        block: b,
-        nb,
-        procs,
-    }
+    program
 }
 
 #[cfg(test)]

@@ -19,6 +19,14 @@
 //! * **drain terminates** on both servers with an empty queue;
 //! * **goodput under chaos ≥ 70%** of the fault-free baseline.
 //!
+//! The injected stalls, the accept hiccups and the clients' retry backoff
+//! are sleeps, so their share of the chaos run would grow as requests get
+//! cheaper and the ratio would fall while the server recovers faster. They
+//! are therefore set by the baseline: each scales with the baseline's
+//! measured wall per request, and a baseline of 1930 ms for 3000 requests
+//! gives 150 ms stalls, 20 ms hiccups and a 20 ms backoff. The report's
+//! `config` records the values a run used.
+//!
 //! ```text
 //! cargo run -p bench --release --bin resilience_report -- \
 //!     [--out BENCH_RESILIENCE.json] [--requests N] [--chaos-seed N]
@@ -43,8 +51,28 @@ const BODIES: [&str; 5] = [
 ];
 
 /// The injected failure mix: ≥5% worker panics, plus stalls, accept
-/// hiccups, and mid-request connection drops.
-const CHAOS: &str = "panic:0.05,stall:0.02:150,hiccup:0.05:20,drop-conn:0.05";
+/// hiccups (each lasting the given milliseconds), and mid-request
+/// connection drops.
+fn chaos_spec(stall_ms: u64, hiccup_ms: u64) -> String {
+    format!("panic:0.05,stall:0.02:{stall_ms},hiccup:0.05:{hiccup_ms},drop-conn:0.05")
+}
+
+/// The baseline wall the delays below are chosen for: 1930 ms for 3000
+/// requests.
+const REFERENCE_WALL_MS: u128 = 1930;
+const REFERENCE_REQUESTS: u128 = 3000;
+/// Injected stall, accept hiccup and client retry backoff at that point.
+const STALL_MS: u64 = 150;
+const HICCUP_MS: u64 = 20;
+const BACKOFF_MS: u64 = 20;
+
+/// `ms` scaled by the baseline's wall per request over the reference's,
+/// rounded, and at least 1 ms.
+fn scaled(ms: u64, baseline_wall: Duration, requests: usize) -> u64 {
+    let num = u128::from(ms) * baseline_wall.as_micros() * REFERENCE_REQUESTS;
+    let den = (REFERENCE_WALL_MS * 1000 * requests as u128).max(1);
+    ((num + den / 2) / den).max(1) as u64
+}
 
 const WORKERS: usize = 2;
 const QUEUE_CAP: usize = 8;
@@ -180,9 +208,10 @@ fn run_value(report: &LoadReport, extra: Vec<(String, Value)>) -> Value {
 
 fn main() {
     let mut out = "BENCH_RESILIENCE.json".to_string();
-    // Long enough that each run lasts seconds and the chaos run meets
-    // about twenty injected stalls: a baseline shorter than one 150 ms
-    // stall would make the goodput ratio measure that stall, not recovery.
+    // Long enough that the chaos run meets about twenty injected stalls,
+    // each as long as some 230 baseline requests: with far fewer
+    // requests one stall would be a large share of the run, and the
+    // goodput ratio would measure that stall, not recovery.
     let mut requests = 3000usize;
     let mut chaos_seed = 42u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -226,7 +255,7 @@ fn main() {
         concurrency: WORKERS * 2,
         requests,
         attempts: 10,
-        backoff_ms: 20,
+        backoff_ms: BACKOFF_MS,
         seed: 7,
     };
     eprintln!(
@@ -239,16 +268,24 @@ fn main() {
     let baseline_drained = baseline_drain.metrics.scalar("serve_queue_depth", &[]) == Some(0);
     let (b_answered, b_exact, b_brackets, _) = check(&baseline, &truths, &mut violations);
 
-    // The same server under chaos and 2× the concurrency.
+    // The same server under chaos and 2× the concurrency, its sleeps
+    // scaled to the baseline.
+    let [stall_ms, hiccup_ms, backoff_ms] =
+        [STALL_MS, HICCUP_MS, BACKOFF_MS].map(|ms| scaled(ms, baseline.wall, requests));
+    let chaos_text = chaos_spec(stall_ms, hiccup_ms);
     let chaos_opts = LoadOptions {
         concurrency: baseline_opts.concurrency * 2,
+        backoff_ms,
         ..baseline_opts.clone()
     };
     eprintln!(
-        "resilience: chaos run ({CHAOS} seed {chaos_seed}, {} clients)",
+        "resilience: chaos run ({chaos_text} seed {chaos_seed}, {} clients, {backoff_ms} ms backoff)",
         chaos_opts.concurrency
     );
-    let plan = ChaosPlan::new(ChaosSpec::parse(CHAOS).expect("chaos spec"), chaos_seed);
+    let plan = ChaosPlan::new(
+        ChaosSpec::parse(&chaos_text).expect("chaos spec"),
+        chaos_seed,
+    );
     let handle = Server::start(config(Some(plan))).expect("chaos server starts");
     let chaos = run_load(&handle.addr().to_string(), &bodies, &chaos_opts);
     let chaos_drain = handle.drain();
@@ -280,8 +317,11 @@ fn main() {
                 ("workers".into(), Value::Int(WORKERS as i64)),
                 ("queue_cap".into(), Value::Int(QUEUE_CAP as i64)),
                 ("requests".into(), Value::Int(requests as i64)),
-                ("chaos".into(), Value::Str(CHAOS.into())),
+                ("chaos".into(), Value::Str(chaos_text)),
                 ("chaos_seed".into(), Value::Int(chaos_seed as i64)),
+                ("stall_ms".into(), Value::Int(stall_ms as i64)),
+                ("hiccup_ms".into(), Value::Int(hiccup_ms as i64)),
+                ("backoff_ms".into(), Value::Int(backoff_ms as i64)),
                 (
                     "baseline_clients".into(),
                     Value::Int(baseline_opts.concurrency as i64),

@@ -1,8 +1,12 @@
 //! Trace generation for Cannon's algorithm.
+//!
+//! [`generate_with`] is the one generator body; it hands each round's tile
+//! visits and touches to a [`LoadSink`], which [`generate`] collects and a
+//! prediction drops ([`predsim_core::NoLoads`]).
 
 use blockops::{CostModel, OpClass};
 use commsim::CommPattern;
-use predsim_core::{Program, Step, StepLoad};
+use predsim_core::{LoadSink, Program, Step, StepLoad};
 
 /// A generated Cannon program plus emulator metadata.
 #[derive(Clone, Debug)]
@@ -49,6 +53,28 @@ fn c_id(q: usize, p: usize) -> u64 {
 /// # Panics
 /// Panics if `q` does not divide `n` or `q == 0`.
 pub fn generate(n: usize, q: usize, cost: &dyn CostModel) -> CannonProgram {
+    let mut loads = Vec::new();
+    let program = generate_with(n, q, cost, &mut loads);
+    CannonProgram {
+        program,
+        loads,
+        n,
+        q,
+        m: n / q,
+    }
+}
+
+/// The program of [`generate`], with each step's work profile sent to
+/// `loads` instead of kept.
+///
+/// # Panics
+/// As [`generate`].
+pub fn generate_with<S: LoadSink>(
+    n: usize,
+    q: usize,
+    cost: &dyn CostModel,
+    loads: &mut S,
+) -> Program {
     assert!(
         q > 0 && n.is_multiple_of(q),
         "grid side {q} must divide the matrix size {n}"
@@ -56,7 +82,6 @@ pub fn generate(n: usize, q: usize, cost: &dyn CostModel) -> CannonProgram {
     let m = n / q;
     let procs = q * q;
     let mut program = Program::new(procs);
-    let mut loads = Vec::new();
 
     // --- skew step: A row i left by i, B column j up by j ---------------
     let mut skew = CommPattern::new(procs);
@@ -70,20 +95,21 @@ pub fn generate(n: usize, q: usize, cost: &dyn CostModel) -> CannonProgram {
         }
     }
     program.push(Step::new("skew").with_comm(skew));
-    loads.push(StepLoad::new(procs));
+    loads.grow(program.len(), procs);
 
     // --- q rounds: multiply, then rotate (no rotate after the last) -----
+    let multiply = cost.op_cost(OpClass::Op4, m);
+    let tile = (8 * m * m) as u32;
     for round in 0..q {
-        let comp: Vec<loggp::Time> = (0..procs).map(|_| cost.op_cost(OpClass::Op4, m)).collect();
-        let mut load = StepLoad::new(procs);
-        let tile = (8 * m * m) as u32;
+        let s = program.len();
+        loads.grow(s + 1, procs);
         for p in 0..procs {
-            load.add_visits(p, 1);
-            load.touch(p, a_id(q, p) * tile as u64, tile);
-            load.touch(p, b_id(q, p) * tile as u64, tile);
-            load.touch(p, c_id(q, p) * tile as u64, tile);
+            loads.add_visits(s, p, 1);
+            loads.touch(s, p, a_id(q, p) * tile as u64, tile);
+            loads.touch(s, p, b_id(q, p) * tile as u64, tile);
+            loads.touch(s, p, c_id(q, p) * tile as u64, tile);
         }
-        let mut step = Step::new(format!("round {round}")).with_comp(comp);
+        let mut step = Step::new(format!("round {round}")).with_comp(vec![multiply; procs]);
         if round + 1 < q {
             let mut shift = CommPattern::new(procs);
             for i in 0..q {
@@ -96,16 +122,8 @@ pub fn generate(n: usize, q: usize, cost: &dyn CostModel) -> CannonProgram {
             step = step.with_comm(shift);
         }
         program.push(step);
-        loads.push(load);
     }
-
-    CannonProgram {
-        program,
-        loads,
-        n,
-        q,
-        m,
-    }
+    program
 }
 
 #[cfg(test)]

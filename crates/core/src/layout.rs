@@ -169,9 +169,69 @@ pub fn max_diagonal_share(layout: &dyn Layout, nb: usize) -> usize {
     worst
 }
 
+/// The distinct processors among a run of block owners, in ascending
+/// order: what collecting the run into a `BTreeSet<usize>` yields, from
+/// one mark per processor that every set reuses instead of a tree per set.
+/// Generators use it for destination sets, so a message's id (its place
+/// in the pattern) follows from its destination.
+#[derive(Clone, Debug)]
+pub struct OwnerSet {
+    marked: Vec<bool>,
+    owners: Vec<usize>,
+}
+
+impl OwnerSet {
+    /// An empty set over `procs` processors.
+    pub fn new(procs: usize) -> Self {
+        OwnerSet {
+            marked: vec![false; procs],
+            owners: Vec::with_capacity(procs),
+        }
+    }
+
+    /// Replace the set with the distinct values of `owners` and return
+    /// them in ascending order. Once every processor is in, the rest of
+    /// `owners` is not drawn.
+    ///
+    /// # Panics
+    /// Panics if an owner is not below the processor count.
+    pub fn collect(&mut self, owners: impl IntoIterator<Item = usize>) -> &[usize] {
+        for &p in &self.owners {
+            self.marked[p] = false;
+        }
+        self.owners.clear();
+        for p in owners {
+            if !std::mem::replace(&mut self.marked[p], true) {
+                self.owners.push(p);
+                if self.owners.len() == self.marked.len() {
+                    break;
+                }
+            }
+        }
+        self.owners.sort_unstable();
+        &self.owners
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn owner_sets_iterate_like_btree_sets() {
+        let mut set = OwnerSet::new(6);
+        let runs: [&[usize]; 5] = [&[3, 1, 3, 0], &[], &[5, 5, 2], &[0, 1, 2, 3, 4, 5, 1], &[4]];
+        for run in runs {
+            let want: Vec<usize> = run
+                .iter()
+                .copied()
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(set.collect(run.iter().copied()), want.as_slice());
+        }
+    }
 
     #[test]
     fn owners_in_range() {

@@ -56,8 +56,8 @@ pub mod search;
 pub mod simulate;
 pub mod textfmt;
 
-pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
-pub use program::{Program, ProgramError, Step, StepLoad, MAX_PROCS};
+pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, OwnerSet, RowCyclic};
+pub use program::{LoadSink, NoLoads, Program, ProgramError, Step, StepLoad, MAX_PROCS};
 pub use replay::{record_program, ProgramRecording};
 pub use simulate::{
     fault_charge, simulate_program, simulate_program_with, CommAlgo, DirectStepSimulator, Overlap,

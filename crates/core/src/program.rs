@@ -113,7 +113,9 @@ impl Step {
 /// Optional per-step *work profile* metadata, produced by application trace
 /// generators alongside the [`Program`] and consumed by the machine
 /// emulator to model effects the pure LogGP prediction deliberately
-/// ignores: per-block iteration overhead and cache behaviour.
+/// ignores: per-block iteration overhead and cache behaviour. A generator
+/// hands its profiles to a [`LoadSink`]; `Vec<StepLoad>` is the one that
+/// keeps them, one per step.
 #[derive(Clone, Debug, Default)]
 pub struct StepLoad {
     /// Per processor: the ordered list of `(base address, length in
@@ -143,6 +145,59 @@ impl StepLoad {
     /// Record `n` loop iterations at `proc`.
     pub fn add_visits(&mut self, proc: usize, n: u32) {
         self.visits[proc] += n;
+    }
+}
+
+/// Where a trace generator sends the work profile of each step it builds.
+///
+/// Generators are generic over their sink. A prediction never reads the
+/// profiles, so it passes [`NoLoads`], whose calls compile away together
+/// with the addresses computed for them; the emulator passes a
+/// `Vec<StepLoad>`, which collects exactly one [`StepLoad`] per step.
+/// Steps are addressed by index, so a generator that finishes its steps
+/// out of order (the elimination's wavefront levels) records each touch
+/// where it belongs; the touches of one (step, processor) keep the order
+/// they were recorded in.
+pub trait LoadSink {
+    /// Make the profile at least `steps` steps long; new steps start
+    /// empty, over `procs` processors.
+    fn grow(&mut self, steps: usize, procs: usize);
+
+    /// [`StepLoad::add_visits`] on step `step`.
+    fn add_visits(&mut self, step: usize, proc: usize, n: u32);
+
+    /// [`StepLoad::touch`] on step `step`.
+    fn touch(&mut self, step: usize, proc: usize, base: u64, len: u32);
+}
+
+/// The [`LoadSink`] that keeps nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoLoads;
+
+impl LoadSink for NoLoads {
+    #[inline(always)]
+    fn grow(&mut self, _steps: usize, _procs: usize) {}
+
+    #[inline(always)]
+    fn add_visits(&mut self, _step: usize, _proc: usize, _n: u32) {}
+
+    #[inline(always)]
+    fn touch(&mut self, _step: usize, _proc: usize, _base: u64, _len: u32) {}
+}
+
+impl LoadSink for Vec<StepLoad> {
+    fn grow(&mut self, steps: usize, procs: usize) {
+        if self.len() < steps {
+            self.resize_with(steps, || StepLoad::new(procs));
+        }
+    }
+
+    fn add_visits(&mut self, step: usize, proc: usize, n: u32) {
+        self[step].add_visits(proc, n);
+    }
+
+    fn touch(&mut self, step: usize, proc: usize, base: u64, len: u32) {
+        self[step].touch(proc, base, len);
     }
 }
 

@@ -9,7 +9,9 @@
 use blockops::AnalyticCost;
 use loggp::{LogGpParams, MachineSpec, Time};
 use predsim_core::layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
-use predsim_core::{collectives, Prediction, Program, SimOptions, MAX_PROCS};
+use predsim_core::{
+    collectives, LoadSink, NoLoads, Prediction, Program, SimOptions, StepLoad, MAX_PROCS,
+};
 use predsim_dag::{SchedulerKind, TaskDag};
 use predsim_faults::FaultPlan;
 use std::sync::Arc;
@@ -351,87 +353,83 @@ impl JobSource {
         }
     }
 
-    /// Build (or borrow) the program trace.
+    /// Build (or borrow) the program trace: what every prediction
+    /// simulates. The generators run with their work profiles switched off
+    /// ([`NoLoads`]), so this is not `build_loaded().0` but the same
+    /// program built without recording a single block touch.
     ///
     /// # Panics
     /// On inputs [`JobSource::validate`] rejects: a processor count over
     /// [`MAX_PROCS`] before anything sized by it is allocated, any other
     /// violation in the generator's own precondition checks.
     pub fn build(&self) -> Arc<Program> {
-        self.build_loaded().0
+        self.build_into(&mut NoLoads)
     }
 
     /// Build the program trace *and* the per-step work profiles (block
-    /// visits and memory touches) the emulator charges. Only the generator
-    /// sources have any; the others' programs describe all their work.
+    /// visits and memory touches) the emulator charges: the program
+    /// [`JobSource::build`] returns, from the same generator body, plus one
+    /// [`StepLoad`] per step. Only the generator sources have any; the
+    /// others' programs describe all their work, so theirs is empty.
     ///
     /// # Panics
     /// As [`JobSource::build`].
-    pub fn build_loaded(&self) -> (Arc<Program>, Vec<predsim_core::StepLoad>) {
+    pub fn build_loaded(&self) -> (Arc<Program>, Vec<StepLoad>) {
+        let mut loads = Vec::new();
+        let program = self.build_into(&mut loads);
+        (program, loads)
+    }
+
+    /// The one builder behind [`JobSource::build`] and
+    /// [`JobSource::build_loaded`]: generators send their work profiles to
+    /// `loads`.
+    fn build_into<S: LoadSink>(&self, loads: &mut S) -> Arc<Program> {
         if let Err(why) = self.check_procs() {
             panic!("{why}");
         }
         let cost = AnalyticCost::paper_default();
-        let (program, loads) = match self {
-            JobSource::Program(p) => return (Arc::clone(p), Vec::new()),
+        Arc::new(match self {
+            JobSource::Program(p) => return Arc::clone(p),
             JobSource::Gauss { n, block, layout } => {
-                let t = gauss::generate(*n, *block, layout.build().as_ref(), &cost);
-                (t.program, t.loads)
+                gauss::trace::generate_with(*n, *block, layout.build().as_ref(), &cost, loads)
             }
-            JobSource::Cannon { n, q } => {
-                let t = cannon::generate(*n, *q, &cost);
-                (t.program, t.loads)
-            }
+            JobSource::Cannon { n, q } => cannon::trace::generate_with(*n, *q, &cost, loads),
             JobSource::Stencil {
                 n,
                 procs,
                 iters,
                 ps_per_flop,
-            } => {
-                let t = stencil::generate(*n, *procs, *iters, *ps_per_flop);
-                (t.program, t.loads)
-            }
+            } => stencil::trace::generate_with(*n, *procs, *iters, *ps_per_flop, loads),
             JobSource::Apsp { n, block, layout } => {
-                let t = apsp::generate(*n, *block, layout.build().as_ref(), &cost);
-                (t.program, t.loads)
+                apsp::trace::generate_with(*n, *block, layout.build().as_ref(), &cost, loads)
             }
-            JobSource::Bcast { procs, bytes } => {
-                (collectives::binomial_broadcast(*procs, *bytes), Vec::new())
-            }
+            JobSource::Bcast { procs, bytes } => collectives::binomial_broadcast(*procs, *bytes),
             JobSource::Reduce {
                 procs,
                 bytes,
                 combine,
-            } => (
-                collectives::binomial_reduce(*procs, *bytes, *combine),
-                Vec::new(),
-            ),
+            } => collectives::binomial_reduce(*procs, *bytes, *combine),
             JobSource::AllReduce {
                 procs,
                 bytes,
                 combine,
                 hypercube,
-            } => (
+            } => {
                 if *hypercube {
                     collectives::all_reduce_hypercube(*procs, *bytes, *combine)
                 } else {
                     collectives::all_reduce(*procs, *bytes, *combine)
-                },
-                Vec::new(),
-            ),
+                }
+            }
             JobSource::Dag {
                 dag,
                 scheduler,
                 machine,
             } => {
                 let placement = scheduler.place(dag, machine);
-                (
-                    predsim_dag::lower(dag, &placement, machine).program,
-                    Vec::new(),
-                )
+                predsim_dag::lower(dag, &placement, machine).program
             }
-        };
-        (Arc::new(program), loads)
+        })
     }
 
     /// Number of processors the program runs on (`usize::MAX` where the

@@ -20,12 +20,16 @@
 //! destination processor coincide are kept as *self-messages*: the LogGP
 //! predictor ignores them (as in the paper), while the machine emulator
 //! charges them as local memory copies.
+//!
+//! Each destination set is an [`OwnerSet`], sent to in ascending
+//! processor order. [`generate_with`] is the one generator body; it hands
+//! each task's block visit and touches to a [`LoadSink`], which
+//! [`generate`] collects and a prediction drops ([`predsim_core::NoLoads`]).
 
 use blockops::{CostModel, OpClass};
 use commsim::CommPattern;
 use loggp::Time;
-use predsim_core::{Layout, Program, Step, StepLoad};
-use std::collections::BTreeSet;
+use predsim_core::{Layout, LoadSink, OwnerSet, Program, Step, StepLoad};
 
 /// A generated blocked-elimination program plus the metadata the machine
 /// emulator needs.
@@ -74,6 +78,39 @@ pub fn factor_bytes(b: usize) -> usize {
 /// Panics if `b` does not divide `n` (the paper's equal-sized-block
 /// restriction) or if the layout maps onto zero processors.
 pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -> GeProgram {
+    let mut loads = Vec::new();
+    let program = generate_with(n, b, layout, cost, &mut loads);
+    let nb = n / b;
+    let panels = (nb * nb.saturating_sub(1) / 2) as u64;
+    GeProgram {
+        program,
+        loads,
+        n,
+        block: b,
+        nb,
+        procs: layout.procs(),
+        layout_name: layout.name(),
+        op_totals: [
+            nb as u64,
+            panels,
+            panels,
+            (0..nb as u64).map(|m| m * m).sum(),
+        ],
+    }
+}
+
+/// The program of [`generate`], with each wavefront level's work profile
+/// sent to `loads` instead of kept.
+///
+/// # Panics
+/// As [`generate`].
+pub fn generate_with<S: LoadSink>(
+    n: usize,
+    b: usize,
+    layout: &dyn Layout,
+    cost: &dyn CostModel,
+    loads: &mut S,
+) -> Program {
     assert!(
         b > 0 && n.is_multiple_of(b),
         "block size {b} must divide the matrix size {n}"
@@ -84,126 +121,55 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
 
     let owner = |i: usize, j: usize| layout.owner(i, j);
     let block_id = |i: usize, j: usize| (i * nb + j) as u64;
+    let [op1, op2, op3, op4] =
+        [OpClass::Op1, OpClass::Op2, OpClass::Op3, OpClass::Op4].map(|op| cost.op_cost(op, b));
+    let (fb, bb) = (factor_bytes(b), full_block_bytes(b));
 
-    // Dependency levels of the previous elimination step's Op4 per block.
+    // Dependency levels of the previous elimination step's Op4 per block,
+    // and of this step's Op2 per column and Op3 per row.
     let mut lvl4_prev = vec![vec![0u32; nb]; nb];
-    let mut max_level = 0u32;
-
-    // Per-level accumulation; grown on demand.
-    let mut comp: Vec<Vec<Time>> = Vec::new();
-    let mut loads: Vec<StepLoad> = Vec::new();
-    let mut msgs: Vec<Vec<(usize, usize, usize)>> = Vec::new(); // (src, dst, bytes)
-    let mut op_totals = [0u64; 4];
-
-    let ensure_level = |lvl: u32,
-                        comp: &mut Vec<Vec<Time>>,
-                        loads: &mut Vec<StepLoad>,
-                        msgs: &mut Vec<Vec<(usize, usize, usize)>>| {
-        while comp.len() < lvl as usize {
-            comp.push(vec![Time::ZERO; procs]);
-            loads.push(StepLoad::new(procs));
-            msgs.push(Vec::new());
-        }
+    let mut l2 = vec![0u32; nb];
+    let mut l3 = vec![0u32; nb];
+    let mut waves = Waves {
+        procs,
+        block_bytes: bb,
+        comp: Vec::new(),
+        comm: Vec::new(),
+        loads,
     };
-
-    let mut charge = |lvl: u32,
-                      proc: usize,
-                      op: OpClass,
-                      touched: &[u64],
-                      comp: &mut Vec<Vec<Time>>,
-                      loads: &mut Vec<StepLoad>,
-                      msgs: &mut Vec<Vec<(usize, usize, usize)>>| {
-        ensure_level(lvl, comp, loads, msgs);
-        let idx = lvl as usize - 1;
-        comp[idx][proc] += cost.op_cost(op, b);
-        loads[idx].add_visits(proc, 1);
-        let block_bytes = full_block_bytes(b) as u32;
-        for &t in touched {
-            loads[idx].touch(proc, t * full_block_bytes(b) as u64, block_bytes);
-        }
-        op_totals[match op {
-            OpClass::Op1 => 0,
-            OpClass::Op2 => 1,
-            OpClass::Op3 => 2,
-            OpClass::Op4 => 3,
-        }] += 1;
-    };
+    let mut dsts = OwnerSet::new(procs);
 
     for k in 0..nb {
         // ---- Op1 on the diagonal block --------------------------------
         let l1 = 1 + lvl4_prev[k][k];
         let p_diag = owner(k, k);
-        charge(
-            l1,
-            p_diag,
-            OpClass::Op1,
-            &[block_id(k, k)],
-            &mut comp,
-            &mut loads,
-            &mut msgs,
-        );
-        max_level = max_level.max(l1);
+        let idx = waves.charge(l1, p_diag, op1, &[block_id(k, k)]);
 
         // Factor messages: L⁻¹ to the pivot row, U⁻¹ to the pivot column,
         // one per destination processor.
-        {
-            let mut row_dsts: BTreeSet<usize> = BTreeSet::new();
-            let mut col_dsts: BTreeSet<usize> = BTreeSet::new();
-            for j in k + 1..nb {
-                row_dsts.insert(owner(k, j));
-                col_dsts.insert(owner(j, k));
-            }
-            let idx = l1 as usize - 1;
-            for dst in row_dsts {
-                msgs[idx].push((p_diag, dst, factor_bytes(b)));
-            }
-            for dst in col_dsts {
-                msgs[idx].push((p_diag, dst, factor_bytes(b)));
-            }
+        for &dst in dsts.collect((k + 1..nb).map(|j| owner(k, j))) {
+            waves.comm[idx].add(p_diag, dst, fb);
+        }
+        for &dst in dsts.collect((k + 1..nb).map(|j| owner(j, k))) {
+            waves.comm[idx].add(p_diag, dst, fb);
         }
 
         // ---- Op2 along the pivot row, Op3 down the pivot column --------
-        let mut l2 = vec![0u32; nb];
-        let mut l3 = vec![0u32; nb];
         for j in k + 1..nb {
-            let lvl = 1 + l1.max(lvl4_prev[k][j]);
-            l2[j] = lvl;
-            max_level = max_level.max(lvl);
+            l2[j] = 1 + l1.max(lvl4_prev[k][j]);
             let p = owner(k, j);
-            charge(
-                lvl,
-                p,
-                OpClass::Op2,
-                &[block_id(k, j), block_id(k, k)],
-                &mut comp,
-                &mut loads,
-                &mut msgs,
-            );
+            let idx = waves.charge(l2[j], p, op2, &[block_id(k, j), block_id(k, k)]);
             // Result U[k][j] goes to every owner of column-j trailing blocks.
-            let dsts: BTreeSet<usize> = (k + 1..nb).map(|i| owner(i, j)).collect();
-            let idx = lvl as usize - 1;
-            for dst in dsts {
-                msgs[idx].push((p, dst, full_block_bytes(b)));
+            for &dst in dsts.collect((k + 1..nb).map(|i| owner(i, j))) {
+                waves.comm[idx].add(p, dst, bb);
             }
         }
         for i in k + 1..nb {
-            let lvl = 1 + l1.max(lvl4_prev[i][k]);
-            l3[i] = lvl;
-            max_level = max_level.max(lvl);
+            l3[i] = 1 + l1.max(lvl4_prev[i][k]);
             let p = owner(i, k);
-            charge(
-                lvl,
-                p,
-                OpClass::Op3,
-                &[block_id(i, k), block_id(k, k)],
-                &mut comp,
-                &mut loads,
-                &mut msgs,
-            );
-            let dsts: BTreeSet<usize> = (k + 1..nb).map(|j| owner(i, j)).collect();
-            let idx = lvl as usize - 1;
-            for dst in dsts {
-                msgs[idx].push((p, dst, full_block_bytes(b)));
+            let idx = waves.charge(l3[i], p, op3, &[block_id(i, k), block_id(k, k)]);
+            for &dst in dsts.collect((k + 1..nb).map(|j| owner(i, j))) {
+                waves.comm[idx].add(p, dst, bb);
             }
         }
 
@@ -212,15 +178,11 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
             for j in k + 1..nb {
                 let lvl = 1 + l2[j].max(l3[i]).max(lvl4_prev[i][j]);
                 lvl4_prev[i][j] = lvl;
-                max_level = max_level.max(lvl);
-                charge(
+                waves.charge(
                     lvl,
                     owner(i, j),
-                    OpClass::Op4,
+                    op4,
                     &[block_id(i, j), block_id(i, k), block_id(k, j)],
-                    &mut comp,
-                    &mut loads,
-                    &mut msgs,
                 );
             }
         }
@@ -228,27 +190,44 @@ pub fn generate(n: usize, b: usize, layout: &dyn Layout, cost: &dyn CostModel) -
 
     // Assemble the program.
     let mut program = Program::new(procs);
-    for (idx, comp_lvl) in comp.into_iter().enumerate() {
-        let mut pattern = CommPattern::new(procs);
-        for &(src, dst, bytes) in &msgs[idx] {
-            pattern.add(src, dst, bytes);
-        }
+    for (idx, (comp, comm)) in waves.comp.into_iter().zip(waves.comm).enumerate() {
         program.push(
             Step::new(format!("wave {}", idx + 1))
-                .with_comp(comp_lvl)
-                .with_comm(pattern),
+                .with_comp(comp)
+                .with_comm(comm),
         );
     }
+    program
+}
 
-    GeProgram {
-        program,
-        loads,
-        n,
-        block: b,
-        nb,
-        procs,
-        layout_name: layout.name(),
-        op_totals,
+/// The wavefront levels built so far, grown on demand: levels fill out of
+/// order, since a task's level is only known when its dependencies are.
+struct Waves<'a, S> {
+    procs: usize,
+    block_bytes: usize,
+    comp: Vec<Vec<Time>>,
+    comm: Vec<CommPattern>,
+    loads: &'a mut S,
+}
+
+impl<S: LoadSink> Waves<'_, S> {
+    /// Charge one task at (1-based) level `lvl` to `proc`: its cost, one
+    /// block visit and a touch of each block in `blocks`. Returns the
+    /// level's step index.
+    fn charge(&mut self, lvl: u32, proc: usize, cost: Time, blocks: &[u64]) -> usize {
+        let idx = lvl as usize - 1;
+        while self.comp.len() <= idx {
+            self.comp.push(vec![Time::ZERO; self.procs]);
+            self.comm.push(CommPattern::new(self.procs));
+        }
+        self.comp[idx][proc] += cost;
+        self.loads.grow(idx + 1, self.procs);
+        self.loads.add_visits(idx, proc, 1);
+        for &block in blocks {
+            let base = block * self.block_bytes as u64;
+            self.loads.touch(idx, proc, base, self.block_bytes as u32);
+        }
+        idx
     }
 }
 

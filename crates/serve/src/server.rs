@@ -1147,9 +1147,10 @@ fn predict(request: &Request, shared: &Shared) -> Result<Response, Response> {
     // admission, the worker and the post-run bounds all share it.
     let spec = shared.engine.prepare(spec);
     // Jobs the static analyzer can bracket are the ones the degraded
-    // tiers can serve; faulted or infeasible jobs only have the full
-    // path.
-    let degradable = spec.faults.is_none() && spec.source.validate().is_ok();
+    // tiers can serve. The gate above has refused every infeasible spec,
+    // so only faulted jobs lack them: fault injection voids the static
+    // bounds.
+    let degradable = spec.faults.is_none();
 
     // The tier ladder: past the high watermarks, answer without queueing.
     let depth = shared.queue.depth();

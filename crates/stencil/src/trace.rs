@@ -1,8 +1,12 @@
 //! Trace generation for the banded Jacobi iteration.
+//!
+//! [`generate_with`] is the one generator body; it hands each iteration's
+//! band visits and touches to a [`LoadSink`], which [`generate`] collects
+//! and a prediction drops ([`predsim_core::NoLoads`]).
 
 use commsim::CommPattern;
 use loggp::Time;
-use predsim_core::{Program, Step, StepLoad};
+use predsim_core::{LoadSink, Program, Step, StepLoad};
 
 /// A generated stencil program plus emulator metadata.
 #[derive(Clone, Debug)]
@@ -39,12 +43,34 @@ pub fn band_rows(n: usize, procs: usize, p: usize) -> usize {
 /// # Panics
 /// Panics if `procs == 0` or `procs > n` (a band needs at least one row).
 pub fn generate(n: usize, procs: usize, iters: usize, ps_per_flop: u64) -> StencilProgram {
+    let mut loads = Vec::new();
+    let program = generate_with(n, procs, iters, ps_per_flop, &mut loads);
+    StencilProgram {
+        program,
+        loads,
+        n,
+        procs,
+        iters,
+    }
+}
+
+/// The program of [`generate`], with each step's work profile sent to
+/// `loads` instead of kept.
+///
+/// # Panics
+/// As [`generate`].
+pub fn generate_with<S: LoadSink>(
+    n: usize,
+    procs: usize,
+    iters: usize,
+    ps_per_flop: u64,
+    loads: &mut S,
+) -> Program {
     assert!(
         procs > 0 && procs <= n,
         "need 1..=n bands, got {procs} for n={n}"
     );
     let mut program = Program::new(procs);
-    let mut loads = Vec::new();
 
     let comp: Vec<Time> = (0..procs)
         .map(|p| Time::from_ps(4 * ps_per_flop * (band_rows(n, procs, p) * n) as u64))
@@ -58,29 +84,22 @@ pub fn generate(n: usize, procs: usize, iters: usize, ps_per_flop: u64) -> Stenc
                 pattern.add(p + 1, p, 8 * n); // top halo up
             }
         }
-        let mut load = StepLoad::new(procs);
+        let s = program.len();
+        loads.grow(s + 1, procs);
         for p in 0..procs {
-            load.add_visits(p, band_rows(n, procs, p) as u32);
+            loads.add_visits(s, p, band_rows(n, procs, p) as u32);
             // The whole band (two grid copies) is the step's working set;
             // bands get disjoint address ranges.
             let band_bytes = (16 * n * band_rows(n, procs, p)) as u32;
-            load.touch(p, (p * 16 * n * (n / procs + 1)) as u64, band_bytes);
+            loads.touch(s, p, (p * 16 * n * (n / procs + 1)) as u64, band_bytes);
         }
         program.push(
             Step::new(format!("iter {it}"))
                 .with_comp(comp.clone())
                 .with_comm(pattern),
         );
-        loads.push(load);
     }
-
-    StencilProgram {
-        program,
-        loads,
-        n,
-        procs,
-        iters,
-    }
+    program
 }
 
 #[cfg(test)]
