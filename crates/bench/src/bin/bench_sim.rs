@@ -19,8 +19,16 @@
 //!   the recorded rounds (`predsim_core::replay`, the path `predsim
 //!   machine-sweep --worst-case` runs) against simulating them in full on
 //!   the same built program, asserted bit-identical. The metric is a
-//!   re-timed point's cost as a fraction of a simulate-only point; neither
-//!   side builds the program, so a faster build cannot move it.
+//!   re-timed point's cost as a fraction of a simulate-only point, the
+//!   median over many alternating rounds of each round's own fraction;
+//!   neither side builds the program, so a faster build cannot move it.
+//!
+//! The fold reuses a communication step that exactly repeats the one
+//! before it instead of simulating it; the hot-loop rows time both sides
+//! with that reuse off, so every row times the step loops on every step
+//! (`stencil:512,8,10` repeats 6 of its 10 steps). With the reuse on both
+//! sides, the fold's own per-step cost, the same on both, dilutes that
+//! row's ratio from about 2.0x to about 1.7x.
 //!
 //! Writes `BENCH_SIM.json` (strict JSON, integer nanoseconds, ratios
 //! as x100 integers) and prints the numbers as a table.
@@ -36,13 +44,16 @@
 //! hosts, the ratios should not.
 
 use predsim_core::{
-    record_program, simulate_program, simulate_program_with, SimHooks, SimOptions, StepSimulator,
+    record_program, simulate_program, simulate_program_with, DirectStepSimulator, SimHooks,
+    SimOptions, StepSimulator,
 };
 use predsim_engine::JobSource;
 use predsim_lint::json::{self, Value};
 use std::time::{Duration, Instant};
 
 const ROUNDS: u32 = 7;
+/// Alternating rounds of the re-timing measurement.
+const RETIME_ROUNDS: usize = 41;
 const BASELINE: &str = "BENCH_SIM.json";
 /// `--check` fails when a ratio regresses by more than this fraction.
 const TOLERANCE: f64 = 0.20;
@@ -80,6 +91,39 @@ fn wall_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration,
     (best_a, best_b)
 }
 
+/// Median over [`RETIME_ROUNDS`] rounds of the mean wall time of `iters`
+/// calls of each of two sides, and the median of the rounds' own `a / b`
+/// ratios. Each round runs both sides back to back, in alternating order,
+/// so host-load drift lands in one round's two sides alike, and a round
+/// the host disturbed moves a median by at most one rank.
+fn median_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration, Duration, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t.elapsed() / iters
+    };
+    let (mut walls_a, mut walls_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..RETIME_ROUNDS {
+        let (ta, tb) = if round % 2 == 0 {
+            let ta = time(&mut a);
+            (ta, time(&mut b))
+        } else {
+            let tb = time(&mut b);
+            (time(&mut a), tb)
+        };
+        walls_a.push(ta);
+        walls_b.push(tb);
+        ratios.push(ta.as_nanos() as f64 / tb.as_nanos() as f64);
+    }
+    walls_a.sort_unstable();
+    walls_b.sort_unstable();
+    ratios.sort_unstable_by(f64::total_cmp);
+    let mid = RETIME_ROUNDS / 2;
+    (walls_a[mid], walls_b[mid], ratios[mid])
+}
+
 /// The pre-PR comm loop as a program backend: the verbatim reference
 /// algorithms, exactly what `DirectStepSimulator` called before the
 /// restructuring (fresh per-simulation state, O(P) scans).
@@ -106,6 +150,34 @@ impl StepSimulator for ReferenceStepSimulator {
         out.reset(ready);
         out.absorb(&result);
     }
+}
+
+/// The optimized loops without the fold's reuse of repeated steps: a
+/// backend keeping [`StepSimulator::translation_invariant`]'s default.
+struct EveryStep(DirectStepSimulator);
+
+impl StepSimulator for EveryStep {
+    fn simulate_step(
+        &mut self,
+        step_idx: usize,
+        comm: &commsim::CommPattern,
+        opts: &SimOptions,
+        hooks: &SimHooks<'_>,
+        ready: &[loggp::Time],
+        out: &mut commsim::StepEnds,
+    ) {
+        self.0
+            .simulate_step(step_idx, comm, opts, hooks, ready, out);
+    }
+}
+
+/// `prog` under `opts` through the optimized loops, every step simulated.
+fn simulate_every_step(
+    program: &predsim_core::Program,
+    opts: &SimOptions,
+) -> predsim_core::Prediction {
+    let backend = &mut EveryStep(DirectStepSimulator::new());
+    simulate_program_with(program, opts, backend, SimHooks::default()).prediction
 }
 
 /// `prog` under `opts` through the reference backend.
@@ -159,19 +231,22 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
         .map(|s| s.comm.messages().len())
         .sum();
 
-    // Equivalence: the optimized loops and the reference produce the same
-    // prediction, bit for bit.
+    // Equivalence: the optimized loops, with and without the fold's reuse
+    // of repeated steps, and the reference produce the same prediction,
+    // bit for bit.
     for o in [&std_opts, &wc_opts] {
-        let new = simulate_program(&program, o);
         let old = simulate_reference(&program, o);
+        let new = simulate_every_step(&program, o);
         assert_eq!(new, old, "{source}: optimized loop diverged from reference");
+        let reused = simulate_program(&program, o);
+        assert_eq!(reused, old, "{source}: reusing repeated steps diverged");
     }
 
     let (new_pair, reference_pair) = wall_pair(
         iters,
         || {
-            std::hint::black_box(simulate_program(&program, &std_opts));
-            std::hint::black_box(simulate_program(&program, &wc_opts));
+            std::hint::black_box(simulate_every_step(&program, &std_opts));
+            std::hint::black_box(simulate_every_step(&program, &wc_opts));
         },
         || {
             std::hint::black_box(simulate_reference(&program, &std_opts));
@@ -191,11 +266,12 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
 
 /// The worst-case GE sweep: a re-timed point against a simulate-only one.
 struct Retime {
-    /// Mean cost of re-timing one further preset from the recording.
+    /// Median cost of re-timing one further preset from the recording.
     point: Duration,
-    /// Mean cost of simulating one further preset in full.
+    /// Median cost of simulating one further preset in full.
     sim_point: Duration,
-    /// `point / sim_point`, the asserted metric.
+    /// The median over rounds of each round's re-timing cost over its
+    /// simulation cost, the asserted metric.
     fraction: f64,
 }
 
@@ -217,7 +293,7 @@ fn measure_retime() -> Retime {
             "re-timed sweep point diverged from full simulation"
         );
     }
-    let (retime_total, sim_total) = wall_pair(
+    let (retime_total, sim_total, fraction) = median_pair(
         4,
         || {
             for o in &rest {
@@ -230,12 +306,10 @@ fn measure_retime() -> Retime {
             }
         },
     );
-    let point = retime_total / rest.len() as u32;
-    let sim_point = sim_total / rest.len() as u32;
     Retime {
-        point,
-        sim_point,
-        fraction: point.as_nanos() as f64 / sim_point.as_nanos() as f64,
+        point: retime_total / rest.len() as u32,
+        sim_point: sim_total / rest.len() as u32,
+        fraction,
     }
 }
 

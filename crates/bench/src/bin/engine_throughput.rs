@@ -1,7 +1,6 @@
 //! Batch-engine throughput: wall-clock time of a realistic prediction
-//! sweep under the four engine configurations (1 thread / all threads ×
-//! memo on / off), verifying along the way that every configuration
-//! produces bit-identical predictions.
+//! sweep on one thread and on all threads, verifying along the way that
+//! both produce bit-identical predictions.
 //!
 //! ```text
 //! cargo run -p bench --release --bin engine_throughput
@@ -16,9 +15,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A program that repeats the same heavyweight collective step: uniform
-/// computation followed by a `procs`-way all-to-all. Every iteration after
-/// the first presents the identical relative readiness shape, so the memo
-/// cache answers it with a shifted replay of the first.
+/// computation followed by a `procs`-way all-to-all. Once the relative
+/// entry front settles, every iteration repeats the one before it exactly,
+/// so the simulation fold answers it by shifting the previous step's ends.
 fn collective_trace(procs: usize, steps: usize, bytes: usize) -> Arc<Program> {
     let mut prog = Program::new(procs);
     for s in 0..steps {
@@ -33,8 +32,8 @@ fn collective_trace(procs: usize, steps: usize, bytes: usize) -> Arc<Program> {
 
 /// The sweep: every paper block size for GE on 8 processors, long-running
 /// stencil and Cannon predictions, and two repeated-collective traces —
-/// a mix of memo-friendly (repeated steps) and memo-hostile (distinct
-/// wavefronts) jobs, each predicted on two machines.
+/// a mix of jobs whose steps repeat and jobs whose wavefronts are all
+/// distinct, each predicted on two machines.
 fn workload() -> Vec<JobSpec> {
     let n = 480;
     let mut grid = Grid::new();
@@ -121,29 +120,23 @@ fn main() {
         cpus
     );
 
-    let par_no_memo = format!("{cpus} workers, no memo");
-    let par_memo = format!("{cpus} workers, memo");
-    let configs: [(&str, EngineConfig); 4] = [
-        (
-            "sequential, no memo",
-            EngineConfig::default().with_jobs(1).with_memo(false),
-        ),
-        ("sequential, memo", EngineConfig::default().with_jobs(1)),
-        (&par_no_memo, EngineConfig::default().with_memo(false)),
-        (&par_memo, EngineConfig::default()),
+    let parallel = format!("{cpus} workers");
+    let configs: [(&str, EngineConfig); 2] = [
+        ("sequential", EngineConfig::default().with_jobs(1)),
+        (&parallel, EngineConfig::default()),
     ];
 
     let mut table = Table::new([
         "configuration",
         "wall (ms)",
         "speedup",
-        "memo hits",
-        "memo misses",
+        "steps reused",
+        "steps simulated",
     ]);
     let mut baseline: Option<(f64, Vec<JobResult>)> = None;
     let mut best_speedup = 0.0f64;
     for (name, config) in configs {
-        let (dt, results, hits, misses) = time_run(config, &jobs);
+        let (dt, results, reused, simulated) = time_run(config, &jobs);
         let speedup = match &baseline {
             None => 1.0,
             Some((t0, first)) => {
@@ -156,19 +149,19 @@ fn main() {
             name.to_string(),
             format!("{:.1}", dt * 1e3),
             format!("{speedup:.2}x"),
-            hits.to_string(),
-            misses.to_string(),
+            reused.to_string(),
+            simulated.to_string(),
         ]);
         if baseline.is_none() {
             baseline = Some((dt, results));
         }
     }
     println!("{}", table.render());
-    println!("all four configurations produced bit-identical predictions");
+    println!("both configurations produced bit-identical predictions");
     if cpus >= 4 {
         assert!(
             best_speedup >= 2.0,
-            "expected >=2x speedup over the sequential no-memo baseline on a \
+            "expected >=2x speedup over the sequential baseline on a \
              {cpus}-core host, measured {best_speedup:.2}x"
         );
         println!("speedup target met: {best_speedup:.2}x >= 2x");

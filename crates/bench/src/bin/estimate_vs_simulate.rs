@@ -2,7 +2,7 @@
 //! brackets, on the paper's headline workload (GE 960/32, diagonal
 //! layout, 8 processors, Meiko CS-2 parameters).
 //!
-//! Three comparisons, all memo-cold:
+//! Three comparisons:
 //!
 //! * **interpreter vs bracket** — one `analyze` pass against the
 //!   standard + worst-case simulation pair it replaces (a bracket needs

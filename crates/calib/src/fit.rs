@@ -21,8 +21,8 @@
 //! `2o + L + (k−1)G`, so simple patterns cannot split `o` from `L`;
 //! relays and gap-bound bursts can, but the valley is narrow and plain
 //! per-axis descent stalls in it). Candidate points are evaluated
-//! through the engine (sharing its step-pattern memo cache) and
-//! memoized per parameter point, so revisited sweep points are free.
+//! through the engine and memoized per parameter point, so revisited
+//! sweep points are free.
 
 use crate::bracket::{bracket, BracketReport};
 use crate::measure::{step_walls, MeasuredRun, MeasuredSet};

@@ -6,8 +6,9 @@
 //! directed cycle waits forever until a transmission is forced. This module
 //! provides the shared Tarjan SCC analysis used by
 //! [`CommPattern::has_cycle`](crate::CommPattern::has_cycle),
-//! [`CommPattern::sccs`](crate::CommPattern::sccs) and the `predsim-lint`
-//! deadlock pass.
+//! [`CommPattern::sccs`](crate::CommPattern::sccs), the `predsim-lint`
+//! deadlock pass and, through the reusable [`Tarjan`], its interval
+//! analyzer, which runs it on every step.
 
 /// Result of [`tarjan_sccs`]: the component partition of a directed graph.
 #[derive(Clone, Debug)]
@@ -38,72 +39,144 @@ impl SccResult {
 }
 
 /// Tarjan's strongly-connected-components algorithm, iteratively (no
-/// recursion, so arbitrarily deep chains are safe). `adj[v]` lists the
-/// successors of vertex `v`; vertices are `0..n` with `adj.len() == n`.
-/// Duplicate edges are permitted (the processor graphs are multigraphs).
-pub fn tarjan_sccs(adj: &[Vec<usize>]) -> SccResult {
-    let n = adj.len();
+/// recursion, so arbitrarily deep chains are safe), with state that is
+/// reused from one graph to the next: [`Tarjan::run`] clears its buffers
+/// instead of allocating them, and stores the components flat, so running
+/// it on every step of a program allocates only while the buffers grow.
+/// [`tarjan_sccs`] is the one-shot form.
+#[derive(Clone, Debug, Default)]
+pub struct Tarjan {
+    /// Discovery order of each vertex (`UNSET` before it is reached).
+    index: Vec<usize>,
+    low: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    /// Explicit DFS frames: (vertex, next child position in adj[vertex]).
+    frames: Vec<(usize, usize)>,
+    comp_of: Vec<usize>,
+    /// The members of every component, component after component, each
+    /// sorted ascending.
+    members: Vec<usize>,
+    /// Component `c` is `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Tarjan {
     const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n]; // discovery order
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comp_of = vec![UNSET; n];
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    let mut counter = 0usize;
 
-    // Explicit DFS frames: (vertex, next child position in adj[vertex]).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSET {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = counter;
-        low[root] = counter;
-        counter += 1;
-        stack.push(root);
-        on_stack[root] = true;
+    /// Find the strongly connected components of `adj`, where `adj[v]`
+    /// lists the successors of vertex `v` and vertices are `0..adj.len()`.
+    /// Duplicate edges are permitted (the processor graphs are
+    /// multigraphs). Replaces whatever the previous run found.
+    pub fn run(&mut self, adj: &[Vec<usize>]) {
+        let n = adj.len();
+        let Tarjan {
+            index,
+            low,
+            on_stack,
+            stack,
+            frames,
+            comp_of,
+            members,
+            starts,
+        } = self;
+        index.clear();
+        index.resize(n, Self::UNSET);
+        low.clear();
+        low.resize(n, 0);
+        on_stack.clear();
+        on_stack.resize(n, false);
+        stack.clear();
+        frames.clear();
+        comp_of.clear();
+        comp_of.resize(n, Self::UNSET);
+        members.clear();
+        starts.clear();
+        starts.push(0);
+        let mut counter = 0usize;
 
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < adj[v].len() {
-                let w = adj[v][*child];
-                *child += 1;
-                if index[w] == UNSET {
-                    index[w] = counter;
-                    low[w] = counter;
-                    counter += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack non-empty");
-                        on_stack[w] = false;
-                        comp_of[w] = components.len();
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+        for root in 0..n {
+            if index[root] != Self::UNSET {
+                continue;
+            }
+            frames.push((root, 0));
+            index[root] = counter;
+            low[root] = counter;
+            counter += 1;
+            stack.push(root);
+            on_stack[root] = true;
+
+            while let Some(&mut (v, ref mut child)) = frames.last_mut() {
+                if *child < adj[v].len() {
+                    let w = adj[v][*child];
+                    *child += 1;
+                    if index[w] == Self::UNSET {
+                        index[w] = counter;
+                        low[w] = counter;
+                        counter += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        frames.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
                     }
-                    comp.sort_unstable();
-                    components.push(comp);
+                } else {
+                    frames.pop();
+                    if let Some(&(parent, _)) = frames.last() {
+                        low[parent] = low[parent].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        let c = starts.len() - 1;
+                        let start = members.len();
+                        loop {
+                            let w = stack.pop().expect("tarjan stack non-empty");
+                            on_stack[w] = false;
+                            comp_of[w] = c;
+                            members.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        members[start..].sort_unstable();
+                        starts.push(members.len());
+                    }
                 }
             }
         }
     }
 
+    /// Number of components the last run found.
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// True iff the last run found no component (an empty graph).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The vertices of component `c`, sorted ascending. Components come
+    /// in the order [`SccResult::components`] documents.
+    pub fn component(&self, c: usize) -> &[usize] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// The index of the component containing vertex `v`.
+    pub fn comp_of(&self, v: usize) -> usize {
+        self.comp_of[v]
+    }
+}
+
+/// Tarjan's strongly-connected-components algorithm on `adj` as a fresh
+/// [`SccResult`]: one run of a new [`Tarjan`].
+pub fn tarjan_sccs(adj: &[Vec<usize>]) -> SccResult {
+    let mut tarjan = Tarjan::default();
+    tarjan.run(adj);
+    let components = (0..tarjan.len())
+        .map(|c| tarjan.component(c).to_vec())
+        .collect();
     SccResult {
-        comp_of,
+        comp_of: tarjan.comp_of,
         components,
     }
 }
@@ -209,6 +282,29 @@ mod tests {
             assert!(adj[a].contains(&b), "{a}->{b} missing in {cyc:?}");
         }
         assert_eq!(cyc[0], *cyc.iter().min().unwrap());
+    }
+
+    #[test]
+    fn a_reused_tarjan_matches_a_fresh_one() {
+        let graphs: [Vec<Vec<usize>>; 4] = [
+            vec![vec![1], vec![0, 2], vec![3], vec![4], vec![2]],
+            vec![vec![1], vec![2], vec![]],
+            vec![],
+            vec![vec![2, 3], vec![0], vec![1], vec![3], vec![0], vec![5]],
+        ];
+        let mut tarjan = Tarjan::default();
+        for adj in &graphs {
+            tarjan.run(adj);
+            let fresh = tarjan_sccs(adj);
+            assert_eq!(tarjan.len(), fresh.components.len());
+            assert_eq!(tarjan.is_empty(), adj.is_empty());
+            for (c, comp) in fresh.components.iter().enumerate() {
+                assert_eq!(tarjan.component(c), comp.as_slice());
+            }
+            for (v, &c) in fresh.comp_of.iter().enumerate() {
+                assert_eq!(tarjan.comp_of(v), c);
+            }
+        }
     }
 
     #[test]

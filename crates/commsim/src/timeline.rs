@@ -201,9 +201,9 @@ impl SimResult {
 /// Per-processor completion data of one communication step: everything
 /// the whole-program fold consumes from it. Every step backend writes one
 /// (from a [`SimResult`] through [`StepEnds::absorb`], or directly when
-/// re-timing a [`Recording`](crate::Recording)), and the engine's step
-/// memo stores them. Reusable across steps: the buffers are cleared, not
-/// reallocated.
+/// re-timing a [`Recording`](crate::Recording)), and the fold shifts the
+/// previous step's to answer a step that repeats it exactly. Reusable
+/// across steps: the buffers are cleared, not reallocated.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepEnds {
     /// Per processor: end of its last committed operation, at least the

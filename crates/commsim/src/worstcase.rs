@@ -154,7 +154,8 @@ fn wc_send(
 // `#[inline(never)]` and the compiler's own choice measure the same
 // (CPU-time minima 20.0 and 19.9 ms over 41 runs of `batch
 // stencil:8192,1024,10 allreduce:1024:65536:1000:hypercube --worst-case
-// --jobs 1 --no-memo`, 2-vCPU host).
+// --jobs 1` with the engine's former step memo switched off, 2-vCPU
+// host).
 fn wc_drain(
     scratch: &mut SimScratch,
     timeline: &mut Timeline,

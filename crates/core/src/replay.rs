@@ -198,6 +198,35 @@ mod tests {
     }
 
     #[test]
+    fn recording_and_re_timing_see_every_repeated_step() {
+        // The recorder and the re-timer keep the trait's default, so the
+        // fold hands them every step, repeated or not: one recording per
+        // communication step, consumed in order.
+        let procs = 4;
+        let mut prog = Program::new(procs);
+        for i in 0..8 {
+            prog.push(
+                Step::new(format!("iter {i}"))
+                    .with_comp(vec![Time::from_us(500.0); procs])
+                    .with_comm(patterns::ring(procs, 1024)),
+            );
+        }
+        let opts = worst_case(procs);
+        let (recorded, rec) = record_program(&prog, &opts).expect("worst-case records");
+        assert_eq!(rec.len(), 8);
+        let plain = simulate_program_with(
+            &prog,
+            &opts,
+            &mut DirectStepSimulator::new(),
+            SimHooks::default(),
+        );
+        assert!(plain.steps_reused > 0, "the plain fold reuses: {plain:?}");
+        assert_eq!(recorded, plain.prediction);
+        let other = SimOptions::new(SimConfig::new(presets::intel_paragon(procs))).worst_case();
+        assert_eq!(rec.predict(&prog, &other), simulate_program(&prog, &other));
+    }
+
+    #[test]
     fn predict_matches_full_simulation_across_param_changes() {
         let prog = sample_program(6);
         let base = presets::meiko_cs2(6);

@@ -226,9 +226,9 @@ impl Prediction {
 ///
 /// The whole-program simulator is a fold over steps; everything expensive
 /// happens inside the per-step LogGP simulation. Abstracting that one call
-/// lets alternative backends — `predsim-engine`'s fingerprint-memoizing
-/// cache, the re-timing of a worst-case [`crate::ProgramRecording`], the
-/// `machine` crate's emulated network — slot under the unchanged loop.
+/// lets alternative backends — the re-timing of a worst-case
+/// [`crate::ProgramRecording`], the `machine` crate's emulated network —
+/// slot under the unchanged loop.
 pub trait StepSimulator {
     /// Simulate the communication of program step `step_idx`, with
     /// processor `p` unable to start communicating before `ready[p]`, and
@@ -250,6 +250,20 @@ pub trait StepSimulator {
     /// fold calls this after taking the step's `comm_end`, which the work
     /// therefore does not extend. The default adds nothing.
     fn after_step(&mut self, _comm: &CommPattern, _ready: &mut [Time], _comm_time: &mut [Time]) {}
+
+    /// Whether the fold may answer a step that exactly repeats the
+    /// previous communication step without calling
+    /// [`StepSimulator::simulate_step`] (see [`simulate_program_with`]). A
+    /// backend may say yes only if what it writes is a pure function of
+    /// the pattern, the options and the entry front that commutes with
+    /// translation: from `ready + Δ` it writes the ends it writes from
+    /// `ready`, each plus `Δ`, whatever the step index and whatever it
+    /// simulated before. The default says no, which keeps every call: a
+    /// backend that seeds by step index (the emulated network) or must see
+    /// every step (the worst-case recorder and re-timer) keeps it.
+    fn translation_invariant(&self) -> bool {
+        false
+    }
 }
 
 /// The pass-through backend: call the [`commsim`] algorithms directly.
@@ -301,6 +315,12 @@ impl StepSimulator for DirectStepSimulator {
         );
         out.reset(ready);
         out.absorb(&result);
+    }
+
+    /// The [`commsim`] algorithms are translation-invariant: see
+    /// [`simulate_program_with`].
+    fn translation_invariant(&self) -> bool {
+        true
     }
 }
 
@@ -442,6 +462,13 @@ pub struct SimRun {
     pub prediction: Prediction,
     /// Whether (and where) the budget cut the run short.
     pub halt: SimHalt,
+    /// Communication steps the fold answered by shifting the previous
+    /// communication step's ends, because they repeated it exactly.
+    pub steps_reused: usize,
+    /// Communication steps handed to the backend. With `steps_reused`
+    /// this counts every communication step the run reached; steps
+    /// without messages count in neither.
+    pub steps_simulated: usize,
 }
 
 /// Everything a whole-program simulation does besides predicting: where
@@ -479,6 +506,32 @@ pub fn simulate_program(prog: &Program, opts: &SimOptions) -> Prediction {
 /// communication to `step_sim`, chaining each processor's readiness from
 /// step to step. With [`DirectStepSimulator`] and default hooks this is
 /// exactly [`simulate_program`].
+///
+/// # Repeated steps
+///
+/// A communication step is a map from its entry front (`comp_end`, each
+/// processor's end of computation) to its exit front, and that map is
+/// translation-invariant in time: the LogGP algorithms compute every
+/// quantity as a chain of `max` and `+` over the entry front and the model
+/// parameters, with no absolute anchor, and their random tie-breaking and
+/// deadlock forcing are seeded from the configuration alone, not from
+/// the step index. Shifting every entry time by `Δ` therefore shifts every
+/// committed operation, and so every end the fold reads, by exactly `Δ`,
+/// in integer picoseconds. So when a communication step has the same
+/// pattern as the previous communication step and enters with the same
+/// front relative to its minimum (`comp_end − min(comp_end)`), the fold
+/// does not simulate it: it writes the previous step's ends shifted by
+/// `Δ`, the difference of the two minima, which is bit-identical to
+/// simulating it. This is the steady state of the (max,+) recurrences
+/// of a repeated step: once the relative front settles, every repetition
+/// advances each processor by the same cycle time `Δ`.
+///
+/// Only a backend that declares itself translation-invariant
+/// ([`StepSimulator::translation_invariant`]) is skipped this way, and
+/// never in a traced or faulted run: a trace must hold every step's
+/// events, and fault decisions are keyed by step index. A step budget or
+/// a virtual-time budget cuts a run at the same step either way.
+/// [`SimRun`] counts the reused and the simulated communication steps.
 pub fn simulate_program_with(
     prog: &Program,
     opts: &SimOptions,
@@ -499,6 +552,14 @@ pub fn simulate_program_with(
     // of it there too).
     let mut comp_end = vec![Time::ZERO; procs];
     let mut ends = StepEnds::default();
+
+    // The previous communication step, when the run may reuse it: its
+    // pattern, its entry front's minimum, and its entry front relative to
+    // that minimum. `ends` still holds its exit front.
+    let reuse = step_sim.translation_invariant() && hooks.trace.is_none() && hooks.faults.is_none();
+    let mut prev: Option<(&CommPattern, Time)> = None;
+    let mut prev_rel = Vec::with_capacity(procs);
+    let (mut steps_reused, mut steps_simulated) = (0, 0);
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
         if let Some(max) = hooks.budget.max_steps {
@@ -532,7 +593,31 @@ pub fn simulate_program_with(
             ready.copy_from_slice(&comp_end);
             comp_end_max
         } else {
-            step_sim.simulate_step(step_idx, &step.comm, opts, &hooks, &comp_end, &mut ends);
+            let entry_min = comp_end.iter().copied().min().unwrap_or(Time::ZERO);
+            let repeated = prev
+                .filter(|&(pattern, _)| *pattern == step.comm)
+                .filter(|_| {
+                    comp_end
+                        .iter()
+                        .zip(&prev_rel)
+                        .all(|(&t, &rel)| t - entry_min == rel)
+                });
+            if let Some((_, prev_min)) = repeated {
+                for t in ends.comm_done.iter_mut().chain(&mut ends.last_recv_done) {
+                    *t = *t - prev_min + entry_min;
+                }
+                steps_reused += 1;
+            } else {
+                step_sim.simulate_step(step_idx, &step.comm, opts, &hooks, &comp_end, &mut ends);
+                steps_simulated += 1;
+                if reuse {
+                    prev_rel.clear();
+                    prev_rel.extend(comp_end.iter().map(|&t| t - entry_min));
+                }
+            }
+            if reuse {
+                prev = Some((&step.comm, entry_min));
+            }
             forced_sends += ends.forced_sends;
             for p in 0..procs {
                 per_proc_comm[p] += ends.comm_done[p] - comp_end[p];
@@ -587,7 +672,12 @@ pub fn simulate_program_with(
         steps,
         forced_sends,
     };
-    SimRun { prediction, halt }
+    SimRun {
+        prediction,
+        halt,
+        steps_reused,
+        steps_simulated,
+    }
 }
 
 #[cfg(test)]
@@ -817,6 +907,64 @@ mod tests {
             fronts,
             vec![Time::from_us(100.0).as_ps(), Time::from_us(1.0).as_ps()]
         );
+    }
+
+    /// `procs` processors repeating one ring exchange `steps` times after
+    /// `comp_us` of computation each.
+    fn repeated_ring(procs: usize, steps: usize, comp_us: f64) -> Program {
+        let mut prog = Program::new(procs);
+        for i in 0..steps {
+            prog.push(
+                Step::new(format!("iter {i}"))
+                    .with_comp(vec![Time::from_us(comp_us); procs])
+                    .with_comm(commsim::patterns::ring(procs, 1024)),
+            );
+        }
+        prog
+    }
+
+    #[test]
+    fn a_settled_repeated_step_is_shifted_not_simulated() {
+        // A backend that simulates every step afresh keeps the trait's
+        // default, so it never reuses; the direct backend reuses every
+        // step whose relative front has settled, and the run is the same.
+        struct Fresh;
+        impl StepSimulator for Fresh {
+            fn simulate_step(
+                &mut self,
+                step_idx: usize,
+                comm: &CommPattern,
+                opts: &SimOptions,
+                hooks: &SimHooks<'_>,
+                ready: &[Time],
+                out: &mut StepEnds,
+            ) {
+                DirectStepSimulator::new().simulate_step(step_idx, comm, opts, hooks, ready, out)
+            }
+        }
+        let prog = repeated_ring(4, 10, 500.0);
+        for o in [opts(4), opts(4).worst_case(), opts(4).with_overlap()] {
+            let fresh = simulate_program_with(&prog, &o, &mut Fresh, SimHooks::default());
+            assert_eq!((fresh.steps_reused, fresh.steps_simulated), (0, 10));
+            let reused = run(&prog, &o, SimHooks::default());
+            assert!(reused.steps_reused >= 5, "{reused:?}");
+            assert_eq!(reused.steps_reused + reused.steps_simulated, 10);
+            assert_eq!(reused.prediction, fresh.prediction);
+        }
+    }
+
+    #[test]
+    fn a_step_budget_stops_a_reusing_run_at_the_same_step() {
+        let prog = repeated_ring(4, 10, 500.0);
+        let hooks = SimHooks {
+            budget: SimBudget::steps(7),
+            ..SimHooks::default()
+        };
+        let cut = run(&prog, &opts(4), hooks);
+        assert_eq!(cut.halt, SimHalt::StepBudget { at_step: 7 });
+        assert_eq!(cut.steps_reused + cut.steps_simulated, 7);
+        let full = run(&prog, &opts(4), SimHooks::default());
+        assert_eq!(cut.prediction.steps[..], full.prediction.steps[..7]);
     }
 
     #[test]

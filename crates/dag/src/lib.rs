@@ -7,8 +7,8 @@
 //! payload) is **scheduled** onto the processors of a possibly
 //! heterogeneous [`loggp::MachineSpec`] and then **lowered** to a
 //! multi-step [`predsim_core::Program`] whose step chaining enforces
-//! every task dependency. The optimized simulator, the memo cache, the
-//! static bounds analyzer, fault injection and the serve tiers all work
+//! every task dependency. The optimized simulator, the static bounds
+//! analyzer, fault injection and the serve tiers all work
 //! on the lowered program unchanged.
 //!
 //! The pieces:

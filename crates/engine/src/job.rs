@@ -548,9 +548,9 @@ pub struct JobSpec {
     pub source: JobSource,
     /// Simulation options (machine model, algorithm, policies).
     pub opts: SimOptions,
-    /// Faults to inject into the simulation, if any. Faulted jobs bypass
-    /// the memo cache: fault decisions are keyed by absolute step index,
-    /// which the cache's relative step fingerprints cannot see.
+    /// Faults to inject into the simulation, if any. A faulted job
+    /// simulates every step: fault decisions are keyed by step index, so
+    /// a repeated step is not the same step twice.
     pub faults: Option<FaultPlan>,
 }
 

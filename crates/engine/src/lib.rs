@@ -3,32 +3,25 @@
 //! The paper's workflow evaluates many predictions: block-size sweeps
 //! (Figure 7), machine comparisons, scaling studies. Each prediction is an
 //! independent pure function of `(program, machine, options)`, so a batch
-//! parallelizes perfectly — and consecutive predictions re-simulate the
-//! *same communication steps* over and over (every stencil iteration,
-//! every Cannon rotate round, every repeated wavefront shape).
+//! parallelizes perfectly: a **worker pool** ([`Engine::run`]) deals
+//! [`JobSpec`]s to `--jobs` threads over crossbeam channels and
+//! reassembles the [`JobResult`]s in submission order — results are
+//! bit-identical to running the jobs sequentially, whatever the worker
+//! count. A batch crosses the pool once, dealt in submission order: the
+//! worker that takes a job builds its program once ([`Engine::prepare`])
+//! and runs it through [`predsim_core::simulate_program_with`] over a
+//! [`DirectStepSimulator`]. That fold answers a communication step that
+//! exactly repeats the previous one (every settled stencil iteration,
+//! every repeated collective) by shifting the previous step's ends instead
+//! of simulating it again; [`Engine::stats`] counts the reused and the
+//! simulated steps.
 //!
-//! The engine exploits both:
-//!
-//! * **a worker pool** ([`Engine::run`]) deals [`JobSpec`]s to
-//!   `--jobs` threads over crossbeam channels and reassembles the
-//!   [`JobResult`]s in submission order — results are bit-identical to
-//!   running the jobs sequentially, whatever the worker count. A batch
-//!   crosses the pool once, dealt in submission order: the worker that
-//!   takes a job builds its program once ([`Engine::prepare`]) and runs
-//!   it;
-//! * **a step-pattern memo cache** ([`MemoCache`]) fingerprints each
-//!   communication step (pattern × machine × algorithm × relative
-//!   readiness, see [`fingerprint::StepKey`]) and answers a hit with the
-//!   cached per-processor completions, shifted to the step's base time.
-//!   Keys compare their full canonical encoding, so collisions cannot
-//!   corrupt results.
-//!
-//! Both are observable: attach an [`EngineObs`] (trace sink + metrics
+//! The engine is observable: attach an [`EngineObs`] (trace sink + metrics
 //! registry from `predsim-obs`) via [`Engine::with_obs`] and every job
-//! emits `job_start`/`worker_assign`/`job_finish` events, every memo
-//! lookup a `memo_hit`/`memo_miss`, while [`Engine::run_report`] returns
-//! the batch results together with a metrics snapshot. Observation never
-//! changes results — predictions stay bit-identical with tracing on.
+//! emits `job_start`/`worker_assign`/`job_finish` events, while
+//! [`Engine::run_report`] returns the batch results together with a
+//! metrics snapshot. Observation never changes results — predictions stay
+//! bit-identical with tracing on.
 //!
 //! The engine is also **resilient**: a batch never dies with a job.
 //!
@@ -46,38 +39,36 @@
 //!   to an uninterrupted run, because predictions are pure functions of
 //!   their specs;
 //! * [`JobSpec::with_faults`] attaches a `predsim-faults` plan, predicting
-//!   the job on a degraded machine (such jobs bypass the memo cache, whose
-//!   step fingerprints cannot see absolute step indices).
+//!   the job on a degraded machine (such jobs simulate every step, because
+//!   fault decisions are keyed by step index).
 //!
 //! ```
 //! use predsim_engine::{Engine, EngineConfig, Grid, JobSource};
 //! use loggp::presets;
 //!
 //! let jobs = Grid::new()
-//!     .source("stencil 64", JobSource::Stencil { n: 64, procs: 4, iters: 8, ps_per_flop: 500 })
+//!     .source("stencil 256", JobSource::Stencil { n: 256, procs: 4, iters: 8, ps_per_flop: 500 })
 //!     .machine("meiko", presets::meiko_cs2(4))
 //!     .machine("paragon", presets::intel_paragon(4))
 //!     .build();
 //! let engine = Engine::new(EngineConfig::default());
 //! let results = engine.run(&jobs);
 //! assert_eq!(results.len(), 2);
-//! assert!(engine.stats().hits > 0); // iterations 2..8 replay iteration 1
+//! assert!(engine.stats().hits > 0); // settled iterations reuse the one before
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod fingerprint;
 pub mod job;
 pub mod journal;
 
-pub use cache::{CacheStats, MemoCache, MemoStepSimulator};
-pub use fingerprint::StepKey;
 pub use job::{Grid, JobOutcome, JobResult, JobSource, JobSpec, LayoutSpec};
 pub use journal::{Journal, JournalEntry};
 
 use crossbeam::channel;
-use predsim_core::{simulate_program_with, CommAlgo, Prediction, SimBudget, SimHooks, SimRun};
+use predsim_core::{
+    simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimBudget, SimHooks, SimRun,
+};
 use predsim_lint::{check_program, Code, Diagnostic, LintOptions, Report, Severity, Span};
 use predsim_obs::{
     default_ns_buckets, Counter, Histogram, MetricsSnapshot, Registry, ScopedTimer, TraceEvent,
@@ -231,21 +222,18 @@ impl std::fmt::Display for BatchRejection {
 
 impl std::error::Error for BatchRejection {}
 
-/// Engine tuning knobs.
+/// Engine tuning knobs: workers, the per-job budget and retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// Whether to memoize communication steps.
-    pub memo: bool,
     /// Per-job simulation budget; exceeding it yields
     /// [`JobOutcome::TimedOut`] instead of running forever.
     pub budget: SimBudget,
     /// Re-execution attempts after a crashed or timed-out job (0 = fail on
     /// the first bad attempt). Predictions are deterministic, so retries
-    /// guard against *host*-side transience (memory pressure, a poisoned
-    /// cache shard), not simulation randomness. A retry runs
-    /// immediately.
+    /// guard against *host*-side transience (memory pressure), not
+    /// simulation randomness. A retry runs immediately.
     pub retries: u32,
 }
 
@@ -253,7 +241,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: 0,
-            memo: true,
             budget: SimBudget::unlimited(),
             retries: 0,
         }
@@ -275,12 +262,6 @@ impl EngineConfig {
     /// Same config with an explicit worker count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Same config with memoization switched on or off.
-    pub fn with_memo(mut self, memo: bool) -> Self {
-        self.memo = memo;
         self
     }
 
@@ -317,6 +298,8 @@ struct EngineMetrics {
     phase_build_ns: Arc<Counter>,
     phase_simulate_ns: Arc<Counter>,
     programs_built_total: Arc<Counter>,
+    steps_reused_total: Arc<Counter>,
+    steps_simulated_total: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -354,6 +337,14 @@ impl EngineMetrics {
                 "engine_programs_built_total",
                 "programs built from generator specs",
             ),
+            steps_reused_total: registry.counter(
+                "engine_steps_reused_total",
+                "communication steps answered by shifting an exactly repeated step",
+            ),
+            steps_simulated_total: registry.counter(
+                "engine_steps_simulated_total",
+                "communication steps simulated",
+            ),
         }
     }
 }
@@ -363,8 +354,9 @@ impl EngineMetrics {
 ///
 /// The default has no sink (events cost nothing) and a private registry.
 /// Attaching a sink makes every batch job emit `job_start` /
-/// `worker_assign` / `job_finish` events and every memo-cache lookup a
-/// `memo_hit` / `memo_miss` event; results stay bit-identical either way.
+/// `worker_assign` / `job_finish` events, and a faulted job its
+/// operations, fault charges and fronts; results stay bit-identical either
+/// way.
 #[derive(Clone)]
 pub struct EngineObs {
     sink: Option<Arc<dyn TraceSink>>,
@@ -418,22 +410,30 @@ pub struct RunReport {
     /// The job results, in submission order — exactly [`Engine::run`]'s
     /// return value.
     pub results: Vec<JobResult>,
-    /// Snapshot of the engine registry, including the memo-cache gauges
-    /// published at the end of the run.
+    /// Snapshot of the engine registry at the end of the run.
     pub metrics: MetricsSnapshot,
-    /// Memo-cache counters as of the end of the run.
-    pub cache: CacheStats,
+    /// Step counters as of the end of the run ([`Engine::stats`]).
+    pub steps: StepStats,
     /// Host wall-clock of the whole batch, in nanoseconds.
     pub wall_ns: u64,
 }
 
-/// The batch-prediction engine: a worker pool plus a shared memo cache.
-///
-/// The cache persists across [`Engine::run`] calls, so a sweep following a
-/// sweep over the same programs starts warm.
+/// The communication steps an engine's runs reached, as counted by
+/// [`Engine::stats`]. The field names are those of the step memo the fold's
+/// reuse replaced, so readers of the old counters keep working.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepStats {
+    /// Communication steps the fold reused: each repeated the previous
+    /// communication step exactly and was answered by shifting its ends
+    /// ([`SimRun::steps_reused`]).
+    pub hits: u64,
+    /// Communication steps simulated ([`SimRun::steps_simulated`]).
+    pub misses: u64,
+}
+
+/// The batch-prediction engine: a worker pool over the one simulation fold.
 pub struct Engine {
     config: EngineConfig,
-    cache: Arc<MemoCache>,
     obs: EngineObs,
 }
 
@@ -452,16 +452,10 @@ impl Engine {
     /// An engine with the given configuration and observability
     /// attachments.
     pub fn with_obs(config: EngineConfig, obs: EngineObs) -> Self {
-        // Lock shards of the memo cache, and entries per shard before
-        // epoch eviction.
-        const MEMO_SHARDS: usize = 16;
-        const MEMO_SHARD_CAPACITY: usize = 4096;
-        let cache = Arc::new(MemoCache::new(MEMO_SHARDS, MEMO_SHARD_CAPACITY));
-        Engine { config, cache, obs }
+        Engine { config, obs }
     }
 
-    /// A single-threaded engine (useful as the comparison baseline; still
-    /// memoizes unless `memo` is disabled).
+    /// A single-threaded engine (useful as the comparison baseline).
     pub fn sequential() -> Self {
         Engine::new(EngineConfig::default().with_jobs(1))
     }
@@ -471,9 +465,15 @@ impl Engine {
         &self.config
     }
 
-    /// Snapshot of the memo-cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
+    /// The communication steps every run of this engine has reached so
+    /// far: `hits` reused, `misses` simulated. They are the registry's
+    /// `engine_steps_reused_total` and `engine_steps_simulated_total`
+    /// counters, so engines sharing a registry share them too.
+    pub fn stats(&self) -> StepStats {
+        StepStats {
+            hits: self.obs.metrics.steps_reused_total.get(),
+            misses: self.obs.metrics.steps_simulated_total.get(),
+        }
     }
 
     /// The engine's observability attachments.
@@ -481,11 +481,11 @@ impl Engine {
         &self.obs
     }
 
-    /// Predict one job with this engine's cache. The job runs under the
+    /// Predict one job with this engine. The job runs under the
     /// engine's budget; a truncated run returns the prediction over the
     /// simulated prefix (use [`Engine::run`] for outcome-aware results).
     pub fn run_one(&self, spec: &JobSpec) -> Prediction {
-        self.run_one_bounded(u64::MAX, spec).prediction
+        self.run_one_bounded(spec).prediction
     }
 
     /// Prepare one job for execution: validate its spec and, when it is
@@ -525,25 +525,28 @@ impl Engine {
         program
     }
 
-    /// The one true per-job simulation path, stamped with a batch job
-    /// index for the trace. A faulted job traces its operations, fault
-    /// charges and fronts; a fault-free one only its memo hits and misses.
-    /// Faulted jobs bypass the memo cache — fault decisions are keyed by
-    /// absolute step index, which the cache's relative fingerprints cannot
-    /// represent.
-    fn run_one_bounded(&self, job: u64, spec: &JobSpec) -> SimRun {
+    /// The one true per-job simulation path. A faulted job traces its
+    /// operations, fault charges and fronts into the attached sink, and
+    /// simulates every step; a fault-free one traces nothing, so the fold
+    /// may reuse its repeated steps. The run's step counts are added to
+    /// [`Engine::stats`].
+    fn run_one_bounded(&self, spec: &JobSpec) -> SimRun {
         let program = self.build(&spec.source);
         let _t = ScopedTimer::counter(&self.obs.metrics.phase_simulate_ns);
-        let sink = self.obs.sink.as_deref();
         let faults = spec.faults.as_ref();
         let hooks = SimHooks {
-            trace: faults.and(sink),
+            trace: faults.and(self.obs.sink.as_deref()),
             faults,
             budget: self.config.budget,
         };
-        let cache = self.config.memo.then_some(self.cache.as_ref());
-        let mut backend = MemoStepSimulator::new(cache).traced(sink, job);
-        simulate_program_with(&program, &spec.opts, &mut backend, hooks)
+        let backend = &mut DirectStepSimulator::new();
+        let run = simulate_program_with(&program, &spec.opts, backend, hooks);
+        let metrics = &self.obs.metrics;
+        metrics.steps_reused_total.add(run.steps_reused as u64);
+        metrics
+            .steps_simulated_total
+            .add(run.steps_simulated as u64);
+        run
     }
 
     /// Execute a batch; results come back in submission order and are
@@ -703,9 +706,7 @@ impl Engine {
     }
 
     /// Like [`Engine::run`], but also snapshot the metrics registry and
-    /// the memo-cache counters when the batch finishes. Cache figures are
-    /// published into the registry first (as `engine_cache_*` gauges), so
-    /// a Prometheus or JSON export of the snapshot carries them too.
+    /// the step counters when the batch finishes.
     pub fn run_report(&self, specs: &[JobSpec]) -> RunReport {
         let start = Instant::now();
         let results = self.run(specs);
@@ -713,32 +714,21 @@ impl Engine {
         RunReport {
             results,
             metrics: self.metrics_snapshot(),
-            cache: self.stats(),
+            steps: self.stats(),
             wall_ns,
         }
     }
 
-    /// Publish the memo-cache counters into the registry (as
-    /// `engine_cache_*` gauges), flush the trace sink, and snapshot the
-    /// registry. Called by [`Engine::run_report`]; call it directly after
-    /// [`Engine::run`]/[`Engine::run_checked`] to export metrics.
+    /// Flush the trace sink and snapshot the registry, whose
+    /// `engine_steps_reused_total` and `engine_steps_simulated_total`
+    /// counters carry [`Engine::stats`]. Called by [`Engine::run_report`];
+    /// call it directly after [`Engine::run`]/[`Engine::run_checked`] to
+    /// export metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let cache = self.stats();
-        let reg = &self.obs.registry;
-        reg.gauge("engine_cache_hits", "memo-cache hits so far")
-            .set(cache.hits);
-        reg.gauge("engine_cache_misses", "memo-cache misses so far")
-            .set(cache.misses);
-        reg.gauge("engine_cache_inserts", "memo-cache inserts so far")
-            .set(cache.inserts);
-        reg.gauge("engine_cache_evictions", "memo-cache evictions so far")
-            .set(cache.evictions);
-        reg.gauge("engine_cache_hit_permille", "memo-cache hit rate, permille")
-            .set((cache.hit_rate() * 1000.0).round() as u64);
         if let Some(sink) = &self.obs.sink {
             sink.flush();
         }
-        reg.snapshot()
+        self.obs.registry.snapshot()
     }
 
     fn assign(&self, index: usize, worker: u64) {
@@ -766,7 +756,7 @@ impl Engine {
         let max_attempts = self.config.retries.saturating_add(1);
         let mut outcome = None;
         for attempt in 1..=max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(job, spec))) {
+            match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(spec))) {
                 Ok(run) if run.halt.is_complete() => {
                     outcome = Some(JobOutcome::Done {
                         prediction: run.prediction,
@@ -972,26 +962,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_and_memo_is_transparent() {
+    fn parallel_matches_sequential_and_the_plain_fold() {
         let jobs = stencil_grid();
-        let plain: Vec<JobResult> = {
-            let e = Engine::new(EngineConfig::default().with_jobs(1).with_memo(false));
-            e.run(&jobs)
-        };
-        let memo_seq = Engine::sequential().run(&jobs);
-        let memo_par = Engine::new(EngineConfig::default().with_jobs(4)).run(&jobs);
-        assert_identical(&plain, &memo_seq);
-        assert_identical(&plain, &memo_par);
+        let seq = Engine::sequential().run(&jobs);
+        let par = Engine::new(EngineConfig::default().with_jobs(4)).run(&jobs);
+        assert_identical(&seq, &par);
+        for (spec, result) in jobs.iter().zip(&seq) {
+            let plain = predsim_core::simulate_program(&spec.source.build(), &spec.opts);
+            assert_eq!(*result.prediction(), plain, "{}", spec.label);
+        }
     }
 
     #[test]
-    fn repeated_steps_hit_the_cache() {
+    fn repeated_steps_are_reused() {
         let engine = Engine::new(EngineConfig::default().with_jobs(2));
         let jobs = Grid::new()
             .source(
                 "st",
                 JobSource::Stencil {
-                    n: 48,
+                    n: 256,
                     procs: 4,
                     iters: 40,
                     ps_per_flop: 500,
@@ -1001,10 +990,11 @@ mod tests {
             .build();
         engine.run(&jobs);
         let stats = engine.stats();
-        // The readiness offsets settle into a steady state after a few
-        // warm-up iterations; from then on every iteration is a hit.
-        assert!(stats.hits >= 20, "hits: {}", stats.hits);
+        // The relative entry front settles after a few warm-up iterations;
+        // from then on every iteration repeats the one before it exactly.
+        assert!(stats.hits >= 30, "reused: {}", stats.hits);
         assert!(stats.misses >= 1);
+        assert_eq!(stats.hits + stats.misses, 40, "one exchange per iteration");
     }
 
     #[test]
@@ -1147,8 +1137,11 @@ mod tests {
         assert_eq!(count("job_start"), jobs.len());
         assert_eq!(count("job_finish"), jobs.len());
         assert_eq!(count("worker_assign"), jobs.len());
-        assert!(count("memo_hit") > 0, "repeated steps must hit");
-        assert!(count("memo_miss") > 0);
+        assert_eq!(
+            events.len(),
+            3 * jobs.len(),
+            "a fault-free job traces only its start, assignment and finish"
+        );
         for r in &report.results {
             assert!(
                 events.iter().any(|e| matches!(e,
@@ -1161,7 +1154,7 @@ mod tests {
             );
         }
 
-        // The snapshot agrees with the batch and the cache counters.
+        // The snapshot agrees with the batch and the step counters.
         let snap = &report.metrics;
         assert_eq!(
             snap.scalar("engine_jobs_total", &[]),
@@ -1170,17 +1163,33 @@ mod tests {
         assert_eq!(snap.scalar("engine_workers", &[]), Some(2));
         let (n, _) = snap.histogram_totals("engine_job_wall_ns").unwrap();
         assert_eq!(n, jobs.len() as u64);
+        let comm_steps: usize = jobs
+            .iter()
+            .map(|spec| {
+                let program = spec.source.build();
+                program
+                    .steps()
+                    .iter()
+                    .filter(|s| !s.comm.is_empty())
+                    .count()
+            })
+            .sum();
         assert_eq!(
-            snap.scalar("engine_cache_hits", &[]),
-            Some(report.cache.hits)
+            report.steps.hits + report.steps.misses,
+            comm_steps as u64,
+            "every communication step is reused or simulated"
         );
         assert_eq!(
-            snap.scalar("engine_cache_misses", &[]),
-            Some(report.cache.misses)
+            snap.scalar("engine_steps_reused_total", &[]),
+            Some(report.steps.hits)
+        );
+        assert_eq!(
+            snap.scalar("engine_steps_simulated_total", &[]),
+            Some(report.steps.misses)
         );
         assert!(snap.scalar("engine_phase_simulate_ns", &[]).unwrap() > 0);
         assert!(report.wall_ns > 0);
-        assert_eq!(report.cache, engine.stats());
+        assert_eq!(report.steps, engine.stats());
     }
 
     /// A spec whose `build()` panics (block does not divide n), exercising
@@ -1360,6 +1369,42 @@ mod tests {
     }
 
     #[test]
+    fn step_counts_cover_every_attempt() {
+        // Two attempts of a job cut after 3 of its 6 exchanges: the step
+        // counters add up the steps both attempts reached.
+        let jobs = Grid::new()
+            .source(
+                "st",
+                JobSource::Stencil {
+                    n: 256,
+                    procs: 4,
+                    iters: 6,
+                    ps_per_flop: 500,
+                },
+            )
+            .machine("meiko", presets::meiko_cs2(4))
+            .build();
+        let engine = Engine::new(
+            EngineConfig::default()
+                .with_jobs(1)
+                .with_step_budget(3)
+                .with_retries(1),
+        );
+        engine.run(&jobs);
+        let stats = engine.stats();
+        assert_eq!(stats.hits + stats.misses, 6, "{stats:?}");
+        let snap = engine.metrics_snapshot();
+        assert_eq!(
+            snap.scalar("engine_steps_reused_total", &[]),
+            Some(stats.hits)
+        );
+        assert_eq!(
+            snap.scalar("engine_steps_simulated_total", &[]),
+            Some(stats.misses)
+        );
+    }
+
+    #[test]
     fn retries_are_counted_on_crashing_jobs() {
         let engine = Engine::new(EngineConfig::default().with_jobs(1).with_retries(2));
         let results = engine.run(&[crashing_spec("boom")]);
@@ -1377,7 +1422,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_jobs_bypass_the_memo_and_stay_deterministic() {
+    fn faulted_jobs_simulate_every_step_and_stay_deterministic() {
         let plan = predsim_faults::FaultPlan::new(
             predsim_faults::FaultSpec::parse("drop:0.4:100:6").unwrap(),
             42,
@@ -1404,11 +1449,8 @@ mod tests {
             b[0].prediction(),
             "fault decisions are independent of worker count"
         );
-        assert_eq!(
-            engine.stats().hits + engine.stats().misses,
-            0,
-            "faulted jobs must not touch the memo cache"
-        );
+        assert_eq!(engine.stats().hits, 0, "faulted jobs reuse no step");
+        assert_eq!(engine.stats().misses, 8, "one exchange per iteration");
         // And the engine path agrees with the library entry point.
         let hooks = SimHooks {
             faults: Some(&plan),
@@ -1427,7 +1469,6 @@ mod tests {
     fn trace_events_per_job_kind_are_pinned() {
         // What an attached sink sees for each kind of job: a faulted job
         // traces its fault story (operations, fault charges and fronts), a
-        // memoized one only its memo hits and misses, an unmemoized
         // fault-free one nothing between its start and finish. The digest
         // pins order and content; only the host wall time is masked.
         let plan = predsim_faults::FaultPlan::new(
@@ -1451,16 +1492,14 @@ mod tests {
             (
                 "faulted",
                 grid().faults(plan).build(),
-                true,
                 0x34fd_9a32_1b64_67cf,
             ),
-            ("memo", grid().build(), true, 0x4b5a_5500_b168_52d1),
-            ("direct", grid().build(), false, 0x17b9_4ebf_ca4e_59ed),
+            ("direct", grid().build(), 0x17b9_4ebf_ca4e_59ed),
         ];
-        for (name, jobs, memo, want) in cases {
+        for (name, jobs, want) in cases {
             let sink = Arc::new(predsim_obs::MemorySink::new());
             let obs = EngineObs::new().with_sink(sink.clone());
-            let config = EngineConfig::default().with_jobs(1).with_memo(memo);
+            let config = EngineConfig::default().with_jobs(1);
             Engine::with_obs(config, obs).run(&jobs);
             let mut jsonl = String::new();
             for mut ev in sink.events() {
@@ -1476,11 +1515,6 @@ mod tests {
                 .iter()
                 .any(|k| ["send", "front", "slowdown"].contains(k));
             assert_eq!(fault_free, name != "faulted", "{name}: {kinds:?}");
-            assert_eq!(
-                kinds.contains(&"memo_miss"),
-                name == "memo",
-                "{name}: {kinds:?}"
-            );
             let digest = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });

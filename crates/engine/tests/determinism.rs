@@ -1,20 +1,16 @@
 //! Property tests: the engine is a pure optimization.
 //!
-//! Whatever the worker count and whether the memo cache is on, a batch's
-//! results must be bit-identical — same predicted times, same per-step
-//! records, same per-step completions — to evaluating the same specs
-//! sequentially with the direct simulator (which is what
-//! `predsim_core::search::sweep` does).
+//! Whatever the worker count, a batch's results must be bit-identical —
+//! same predicted times, same per-step records — to evaluating the same
+//! specs sequentially with `predsim_core::simulate_program` (which is what
+//! `predsim_core::search::sweep` does). That the fold's reuse of a
+//! repeated step is exact is the property `reuse_is_exact` in
+//! `crates/core/tests/reuse.rs`.
 
-use commsim::StepEnds;
 use loggp::{presets, LogGpParams, Time};
-use predsim_core::{
-    search, simulate_program_with, DirectStepSimulator, Prediction, SimHooks, SimOptions,
-    StepSimulator,
-};
+use predsim_core::{search, simulate_program, Prediction, SimOptions};
 use predsim_engine::{
-    best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec, MemoCache,
-    MemoStepSimulator,
+    best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec,
 };
 use predsim_faults::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -100,44 +96,26 @@ fn assert_predictions_identical(a: &Prediction, b: &Prediction, label: &str) {
     }
 }
 
-/// A [`StepSimulator`] wrapper that also records every step's
-/// per-processor completion — the "per-step" half of the bit-identical
-/// claim.
-struct Logging<S> {
-    inner: S,
-    steps: Vec<StepEnds>,
-}
-
-impl<S> Logging<S> {
-    fn new(inner: S) -> Self {
-        Logging {
-            inner,
-            steps: Vec::new(),
-        }
-    }
-}
-
-impl<S: StepSimulator> StepSimulator for Logging<S> {
-    fn simulate_step(
-        &mut self,
-        step_idx: usize,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        hooks: &SimHooks<'_>,
-        ready: &[Time],
-        out: &mut StepEnds,
-    ) {
-        self.inner
-            .simulate_step(step_idx, comm, opts, hooks, ready, out);
-        self.steps.push(out.clone());
-    }
+/// The number of communication steps of the specs' programs.
+fn comm_steps(specs: &[JobSpec]) -> u64 {
+    specs
+        .iter()
+        .map(|spec| {
+            let program = spec.source.build();
+            program
+                .steps()
+                .iter()
+                .filter(|s| !s.comm.is_empty())
+                .count() as u64
+        })
+        .sum()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// N workers, with and without memo, reproduce the sequential direct
-    /// path exactly, and pick the same optimum `search::sweep` picks.
+    /// N workers reproduce the sequential direct path exactly, and pick
+    /// the same optimum `search::sweep` picks.
     #[test]
     fn engine_is_bit_identical_to_sequential_sweep(
         (kinds, mach, jobs, worst) in (
@@ -149,23 +127,25 @@ proptest! {
     ) {
         let specs = specs_for(&kinds, mach, worst);
 
-        // The reference: one thread, no memo — exactly what a plain loop
-        // over `simulate_program` computes.
-        let baseline = Engine::new(EngineConfig::default().with_jobs(1).with_memo(false)).run(&specs);
+        // The reference: one thread — exactly what a plain loop over
+        // `simulate_program` computes.
+        let baseline = Engine::new(EngineConfig::default().with_jobs(1)).run(&specs);
+        for (spec, b) in specs.iter().zip(&baseline) {
+            let plain = simulate_program(&spec.source.build(), &spec.opts);
+            assert_predictions_identical(&plain, b.prediction(), &spec.label);
+        }
 
-        for memo in [false, true] {
-            let engine = Engine::new(EngineConfig::default().with_jobs(jobs).with_memo(memo));
-            let results = engine.run(&specs);
-            prop_assert_eq!(results.len(), baseline.len());
-            for (r, b) in results.iter().zip(&baseline) {
-                prop_assert_eq!(r.index, b.index);
-                prop_assert_eq!(&r.label, &b.label);
-                assert_predictions_identical(
-                    r.prediction(),
-                    b.prediction(),
-                    &format!("jobs={jobs} memo={memo} {}", r.label),
-                );
-            }
+        let engine = Engine::new(EngineConfig::default().with_jobs(jobs));
+        let results = engine.run(&specs);
+        prop_assert_eq!(results.len(), baseline.len());
+        for (r, b) in results.iter().zip(&baseline) {
+            prop_assert_eq!(r.index, b.index);
+            prop_assert_eq!(&r.label, &b.label);
+            assert_predictions_identical(
+                r.prediction(),
+                b.prediction(),
+                &format!("jobs={jobs} {}", r.label),
+            );
         }
 
         // Optimum selection agrees with the sequential search primitive.
@@ -175,43 +155,6 @@ proptest! {
         let engine_best = best_by_total(&baseline).unwrap();
         prop_assert_eq!(sweep.best, engine_best);
         prop_assert_eq!(sweep.best_time, baseline[engine_best].prediction().total);
-    }
-
-    /// The memoizing step simulator writes the same per-step completions
-    /// (every processor's end, forced sends) as the direct one, even when
-    /// many lookups hit the cache.
-    #[test]
-    fn memo_preserves_step_ends(
-        (kind, param, mach, worst) in (0usize..3, 0usize..64, 0usize..5, proptest::bool::ANY)
-    ) {
-        let source = source_for(kind, param);
-        let mut opts = SimOptions::new(commsim::SimConfig::new(machine_for(mach, source.procs())));
-        if worst {
-            opts = opts.worst_case();
-        }
-        let program = source.build();
-        let run = |backend: &mut dyn StepSimulator| {
-            simulate_program_with(&program, &opts, backend, SimHooks::default()).prediction
-        };
-
-        let mut direct = Logging::new(DirectStepSimulator::new());
-        let direct_pred = run(&mut direct);
-
-        let cache = MemoCache::new(4, 1024);
-        let mut memo = Logging::new(MemoStepSimulator::new(Some(&cache)));
-        let memo_pred = run(&mut memo);
-
-        assert_predictions_identical(&direct_pred, &memo_pred, "memo vs direct");
-        prop_assert_eq!(&direct.steps, &memo.steps, "per-step completions differ");
-
-        // Re-running the same program is answered largely from the cache
-        // and still identical.
-        let mut warm = Logging::new(MemoStepSimulator::new(Some(&cache)));
-        let warm_pred = run(&mut warm);
-        assert_predictions_identical(&direct_pred, &warm_pred, "warm memo vs direct");
-        prop_assert_eq!(&direct.steps, &warm.steps);
-        let stats = cache.stats();
-        prop_assert!(stats.hits >= stats.misses, "second run must hit: {:?}", stats);
     }
 
     /// Tracing and metrics are purely observational: an engine with a
@@ -228,8 +171,7 @@ proptest! {
         )
     ) {
         let specs = specs_for(&kinds, mach, worst);
-        let baseline =
-            Engine::new(EngineConfig::default().with_jobs(1).with_memo(false)).run(&specs);
+        let baseline = Engine::new(EngineConfig::default().with_jobs(1)).run(&specs);
 
         let sink = Arc::new(predsim_obs::MemorySink::new());
         let obs = EngineObs::new().with_sink(sink.clone());
@@ -251,11 +193,10 @@ proptest! {
         prop_assert_eq!(count("job_start"), specs.len());
         prop_assert_eq!(count("job_finish"), specs.len());
         prop_assert_eq!(count("worker_assign"), specs.len());
-        // Memo events account for every cache lookup the run made.
-        prop_assert_eq!(
-            (count("memo_hit") as u64, count("memo_miss") as u64),
-            (report.cache.hits, report.cache.misses)
-        );
+        // A fault-free job traces nothing between its start and finish,
+        // and the step counters account for every communication step.
+        prop_assert_eq!(events.len(), 3 * specs.len());
+        prop_assert_eq!(report.steps.hits + report.steps.misses, comm_steps(&specs));
         prop_assert_eq!(
             report.metrics.scalar("engine_jobs_total", &[]),
             Some(specs.len() as u64)

@@ -39,7 +39,7 @@
 
 use crate::json::Value;
 use crate::ProgramView;
-use commsim::graph::tarjan_sccs;
+use commsim::graph::Tarjan;
 use commsim::{CommPattern, Message};
 use loggp::{LogGpParams, Time};
 use predsim_core::simulate::{Overlap, Synchronization};
@@ -385,16 +385,11 @@ impl ProgramBounds {
     }
 }
 
-/// Per-processor floor of one communication step.
-struct CommLo {
-    done: Vec<Time>,
-    recv_done: Vec<Time>,
-}
-
 /// Reusable per-step buffers. The interpreter visits many small steps,
-/// and its profile was dominated by the per-step `Vec<Vec<_>>` churn —
-/// every proc-indexed buffer therefore lives here and is cleared with
-/// its capacity kept between steps.
+/// and its profile was dominated by per-step allocation — every
+/// proc-indexed buffer therefore lives here and is cleared with its
+/// capacity kept between steps, so a step allocates only while a buffer
+/// grows.
 struct Scratch {
     /// Per-proc FIFO send queues (what [`CommPattern::send_queues`]
     /// builds, without the per-step allocation).
@@ -407,8 +402,25 @@ struct Scratch {
     arr_lo: Vec<Vec<Time>>,
     /// Ceiling pass: upper-bounded arrival costs per destination.
     arrivals: Vec<Vec<Cost>>,
+    /// Ceiling pass: the processor graph's strongly connected components.
+    sccs: Tarjan,
+    /// Ceiling pass: per component, whether a cycle reaches it.
+    tainted: Vec<bool>,
     /// Ceiling pass: per-component successor lists (≤ procs entries).
     comp_succ: Vec<Vec<usize>>,
+    /// Per proc: floor of the step's entry front, where its computation
+    /// ends and its communication starts.
+    lo_c: Vec<Time>,
+    /// Per proc: ceiling of the step's entry front.
+    hi_c: Vec<Cost>,
+    /// Per proc: floor of the end of its last communication operation.
+    lo_done: Vec<Time>,
+    /// Per proc: floor of the end of its last receive.
+    lo_recv: Vec<Time>,
+    /// Per proc: ceiling of the end of its last communication operation.
+    hi_done: Vec<Cost>,
+    /// Per proc: ceiling of the end of its last receive.
+    hi_recv: Vec<Cost>,
 }
 
 impl Scratch {
@@ -419,7 +431,15 @@ impl Scratch {
             adj: vec![Vec::new(); procs],
             arr_lo: vec![Vec::new(); procs],
             arrivals: vec![Vec::new(); procs],
+            sccs: Tarjan::default(),
+            tainted: Vec::with_capacity(procs),
             comp_succ: vec![Vec::new(); procs],
+            lo_c: Vec::with_capacity(procs),
+            hi_c: Vec::with_capacity(procs),
+            lo_done: Vec::with_capacity(procs),
+            lo_recv: Vec::with_capacity(procs),
+            hi_done: Vec::with_capacity(procs),
+            hi_recv: Vec::with_capacity(procs),
         }
     }
 
@@ -447,11 +467,19 @@ impl Scratch {
     }
 }
 
-/// Floor of a communication step: receive ladders over lower-bounded
-/// arrivals plus FIFO send chains, all built from separations both gap
-/// rules guarantee for consecutive same-kind operations.
-fn comm_step_lo(scratch: &mut Scratch, params: &LogGpParams, entry: &[Time]) -> CommLo {
-    let Scratch { queues, arr_lo, .. } = scratch;
+/// Floor of a communication step entered at `lo_c`, into `lo_done` and
+/// `lo_recv`: receive ladders over lower-bounded arrivals plus FIFO send
+/// chains, all built from separations both gap rules guarantee for
+/// consecutive same-kind operations.
+fn comm_step_lo(scratch: &mut Scratch, params: &LogGpParams) {
+    let Scratch {
+        queues,
+        arr_lo,
+        lo_c: entry,
+        lo_done: done,
+        lo_recv: recv_done,
+        ..
+    } = scratch;
     let procs = queues.len();
     let sep = params.op_separation();
     let o = params.overhead;
@@ -469,8 +497,8 @@ fn comm_step_lo(scratch: &mut Scratch, params: &LogGpParams, entry: &[Time]) -> 
         }
     }
 
-    let mut done = entry.to_vec();
-    let mut recv_done = entry.to_vec();
+    done.clone_from(entry);
+    recv_done.clone_from(entry);
     for p in 0..procs {
         let s = queues[p].len();
         if s > 0 {
@@ -492,46 +520,46 @@ fn comm_step_lo(scratch: &mut Scratch, params: &LogGpParams, entry: &[Time]) -> 
             recv_done[p] = recv_done[p].max(end);
         }
     }
-    CommLo { done, recv_done }
 }
 
-/// Per-processor ceiling of one communication step.
-struct CommHi {
-    done: Vec<Cost>,
-    recv_done: Vec<Cost>,
-}
-
-/// Ceiling of a communication step. Processors whose ancestry is fully
-/// acyclic are walked in topological order with receive/send ladders; the
-/// rest — every processor reachable from a nontrivial SCC, where the
-/// worst-case algorithm's forced transmissions can land — collapse into
-/// one blob charged `2·sep + wire + L` per touching message.
-fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams, entry: &[Cost]) -> CommHi {
+/// Ceiling of a communication step entered at `hi_c`, into `hi_done` and
+/// `hi_recv`. Processors whose ancestry is fully acyclic are walked in
+/// topological order with receive/send ladders; the rest — every
+/// processor reachable from a nontrivial SCC, where the worst-case
+/// algorithm's forced transmissions can land — collapse into one blob
+/// charged `2·sep + wire + L` per touching message.
+fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams) {
     let Scratch {
         queues,
         recvs,
         adj,
         arrivals,
+        sccs: scc,
+        tainted,
         comp_succ,
+        hi_c: entry,
+        hi_done: done,
+        hi_recv: recv_done,
         ..
     } = scratch;
     let procs = queues.len();
     let sep = params.op_separation();
     let o = params.overhead;
 
-    let scc = tarjan_sccs(adj);
-    let ncomps = scc.components.len();
+    scc.run(adj);
+    let ncomps = scc.len();
     // Taint: nontrivial components and everything they reach. Forced
     // transmissions can only pick a victim while some cycle is starving
     // the round, and only processors downstream of a cycle can be blocked
     // then — fully-acyclic ancestries always drain without forcing.
-    let mut tainted: Vec<bool> = scc.components.iter().map(|c| c.len() > 1).collect();
+    tainted.clear();
+    tainted.extend((0..ncomps).map(|c| scc.component(c).len() > 1));
     for v in &mut comp_succ[..ncomps] {
         v.clear();
     }
     for queue in queues.iter() {
         for m in queue {
-            let (a, b) = (scc.comp_of[m.src], scc.comp_of[m.dst]);
+            let (a, b) = (scc.comp_of(m.src), scc.comp_of(m.dst));
             if a != b {
                 comp_succ[a].push(b);
             }
@@ -547,14 +575,14 @@ fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams, entry: &[Cost]) -> 
         }
     }
 
-    let mut done = entry.to_vec();
-    let mut recv_done = entry.to_vec();
+    done.clone_from(entry);
+    recv_done.clone_from(entry);
 
     for c in (0..ncomps).rev() {
         if tainted[c] {
             continue;
         }
-        let p = scc.components[c][0];
+        let p = scc.component(c)[0];
         let r = recvs[p];
         let s = queues[p].len();
         // All arrivals are bounded by A; receive i+1 starts at most one
@@ -604,7 +632,7 @@ fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams, entry: &[Cost]) -> 
         // order, forced or not, under either gap rule.
         let mut base: Option<Cost> = None;
         for p in 0..procs {
-            if !tainted[scc.comp_of[p]] {
+            if !tainted[scc.comp_of(p)] {
                 continue;
             }
             let mut c = entry[p];
@@ -619,7 +647,7 @@ fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams, entry: &[Cost]) -> 
         let mut total = base.expect("tainted component implies a tainted proc");
         for queue in queues.iter() {
             for m in queue {
-                if tainted[scc.comp_of[m.src]] || tainted[scc.comp_of[m.dst]] {
+                if tainted[scc.comp_of(m.src)] || tainted[scc.comp_of(m.dst)] {
                     total = total
                         .gap(sep.saturating_mul(2))
                         .wire(params.wire_time(m.bytes))
@@ -628,14 +656,12 @@ fn comm_step_hi(scratch: &mut Scratch, params: &LogGpParams, entry: &[Cost]) -> 
             }
         }
         for p in 0..procs {
-            if tainted[scc.comp_of[p]] {
+            if tainted[scc.comp_of(p)] {
                 done[p] = total;
                 recv_done[p] = total;
             }
         }
     }
-
-    CommHi { done, recv_done }
 }
 
 /// Run the cost-interval interpreter over a program view.
@@ -669,42 +695,41 @@ pub fn analyze(view: &ProgramView<'_>, cfg: &BoundsConfig) -> Option<ProgramBoun
     let mut lo = vec![Time::ZERO; procs];
     let mut hi = vec![Time::ZERO; procs];
     let mut steps_out: Vec<StepBounds> = Vec::with_capacity(view.steps.len());
-    // Per step, per proc: which processor's entry readiness seeded the
-    // ceiling chain, and the chain's dominant term — the critical path's
-    // backpointers.
-    let mut origins: Vec<Vec<usize>> = Vec::with_capacity(view.steps.len());
-    let mut classes: Vec<Vec<Bottleneck>> = Vec::with_capacity(view.steps.len());
+    // Per step, per proc (flat, step-major): which processor's entry
+    // readiness seeded the ceiling chain, and the chain's dominant term —
+    // the critical path's backpointers.
+    let mut origins: Vec<usize> = Vec::with_capacity(view.steps.len() * procs);
+    let mut classes: Vec<Bottleneck> = Vec::with_capacity(view.steps.len() * procs);
     let mut prev_hi_end = Time::ZERO;
 
     for (i, step) in view.steps.iter().enumerate() {
         // Computation phase: charges are exact (fault-free), so both ends
         // of the interval advance by the same amount.
-        let mut lo_c: Vec<Time> = Vec::with_capacity(procs);
-        let mut hi_c: Vec<Cost> = Vec::with_capacity(procs);
+        scratch.lo_c.clear();
+        scratch.hi_c.clear();
         for p in 0..procs {
             let base = if step.comp.is_empty() {
                 Time::ZERO
             } else {
                 step.comp[p]
             };
-            lo_c.push(lo[p] + base);
-            hi_c.push(Cost::seed(hi[p], p).comp(base));
+            scratch.lo_c.push(lo[p] + base);
+            scratch.hi_c.push(Cost::seed(hi[p], p).comp(base));
         }
 
-        // Communication phase.
-        let (lo_done, lo_recv, hi_done, hi_recv) = if step.comm.is_empty() {
-            (lo_c.clone(), lo_c.clone(), hi_c.clone(), hi_c.clone())
+        // Communication phase; a step without one ends where its
+        // computation does.
+        let (lo_base, hi_base) = if step.comm.is_empty() {
+            (&mut scratch.lo_c, &mut scratch.hi_c)
         } else {
             // One indexing pass serves both the floor and the ceiling.
             scratch.load(&step.comm);
-            let l = comm_step_lo(&mut scratch, params, &lo_c);
-            let h = comm_step_hi(&mut scratch, params, &hi_c);
-            (l.done, l.recv_done, h.done, h.recv_done)
-        };
-
-        let (lo_base, hi_base) = match cfg.overlap {
-            Overlap::None => (lo_done, hi_done),
-            Overlap::RecvOnly => (lo_recv, hi_recv),
+            comm_step_lo(&mut scratch, params);
+            comm_step_hi(&mut scratch, params);
+            match cfg.overlap {
+                Overlap::None => (&mut scratch.lo_done, &mut scratch.hi_done),
+                Overlap::RecvOnly => (&mut scratch.lo_recv, &mut scratch.hi_recv),
+            }
         };
 
         // Step attribution happens before synchronization (the barrier
@@ -729,22 +754,22 @@ pub fn analyze(view: &ProgramView<'_>, cfg: &BoundsConfig) -> Option<ProgramBoun
         });
         prev_hi_end = hi_end;
 
-        let (lo_next, hi_next): (Vec<Time>, Vec<Cost>) = match cfg.sync {
-            Synchronization::PerProcessor => (lo_base, hi_base),
-            Synchronization::Barrier => {
-                let hmax = hi_base
-                    .iter()
-                    .copied()
-                    .reduce(Cost::max)
-                    .expect("procs > 0");
-                (vec![lo_end; procs], vec![hmax; procs])
-            }
-        };
-        origins.push(hi_next.iter().map(|c| c.from).collect());
-        classes.push(hi_next.iter().map(|c| c.brk.dominant()).collect());
+        if cfg.sync == Synchronization::Barrier {
+            let hmax = hi_base
+                .iter()
+                .copied()
+                .reduce(Cost::max)
+                .expect("procs > 0");
+            lo_base.fill(lo_end);
+            hi_base.fill(hmax);
+        }
+        origins.extend(hi_base.iter().map(|c| c.from));
+        classes.extend(hi_base.iter().map(|c| c.brk.dominant()));
 
-        lo = lo_next;
-        hi = hi_next.iter().map(|c| c.t).collect();
+        lo.copy_from_slice(lo_base);
+        for (h, c) in hi.iter_mut().zip(hi_base.iter()) {
+            *h = c.t;
+        }
     }
 
     let final_argmax = hi
@@ -760,9 +785,9 @@ pub fn analyze(view: &ProgramView<'_>, cfg: &BoundsConfig) -> Option<ProgramBoun
             step: t,
             label: view.steps[t].label.clone(),
             proc: p,
-            class: classes[t][p],
+            class: classes[t * procs + p],
         });
-        p = origins[t][p];
+        p = origins[t * procs + p];
     }
     critical_path.reverse();
 
@@ -904,6 +929,57 @@ mod tests {
             assert!(b.lo <= std.total);
             assert!(wc.total <= b.hi);
         }
+    }
+
+    #[test]
+    fn bounds_under_barrier_and_receive_overlap_are_pinned() {
+        // `check` has no switch for either extension, so this pins the
+        // analyzer's whole value under each: a cyclic step, an acyclic
+        // fan-in with a self-message, a computation-only step and a
+        // repeat of the cyclic step, from a skewed start.
+        let procs = 6;
+        let mut fan_in = patterns::gather(procs, 2, 4096);
+        fan_in.add(3, 3, 512);
+        let mut program = Program::new(procs);
+        let skew: Vec<Time> = (0..procs)
+            .map(|p| Time::from_us(3.0 + 7.0 * p as f64))
+            .collect();
+        program.push(
+            Step::new("ring")
+                .with_comp(skew)
+                .with_comm(patterns::ring(procs, 2048)),
+        );
+        program.push(
+            Step::new("fan-in")
+                .with_comp(vec![Time::from_us(11.0); procs])
+                .with_comm(fan_in),
+        );
+        program.push(Step::new("work").with_comp(vec![Time::from_us(5.0); procs]));
+        program.push(Step::new("ring again").with_comm(patterns::ring(procs, 2048)));
+        let params = presets::intel_paragon(procs);
+        let digest = |cfg: BoundsConfig| {
+            let b = analyze(&ProgramView::of(&program), &cfg).unwrap();
+            b.to_value()
+                .to_compact()
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
+                    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let barrier = BoundsConfig::new(params).with_sync(Synchronization::Barrier);
+        let overlap = BoundsConfig::new(params).with_overlap(Overlap::RecvOnly);
+        assert_eq!(
+            digest(barrier),
+            0x344f_3acf_1cb6_db97,
+            "barrier: {:#018x}",
+            digest(barrier)
+        );
+        assert_eq!(
+            digest(overlap),
+            0xe8ce_18ee_32c5_9c10,
+            "overlap: {:#018x}",
+            digest(overlap)
+        );
     }
 
     #[test]

@@ -110,20 +110,6 @@ pub enum TraceEvent {
         /// How the job ended: `"done"`, `"timed_out"` or `"crashed"`.
         outcome: String,
     },
-    /// The memo cache answered a step lookup.
-    MemoHit {
-        /// Job index (u64::MAX when unknown).
-        job: u64,
-        /// Program step.
-        step: u64,
-    },
-    /// The memo cache missed and the step was simulated.
-    MemoMiss {
-        /// Job index (u64::MAX when unknown).
-        job: u64,
-        /// Program step.
-        step: u64,
-    },
     /// A fault plan dropped one transmission attempt of a message; the
     /// sender will retransmit after its retransmission timeout.
     Drop {
@@ -252,8 +238,6 @@ impl TraceEvent {
             TraceEvent::WorkerAssign { .. } => "worker_assign",
             TraceEvent::JobStart { .. } => "job_start",
             TraceEvent::JobFinish { .. } => "job_finish",
-            TraceEvent::MemoHit { .. } => "memo_hit",
-            TraceEvent::MemoMiss { .. } => "memo_miss",
             TraceEvent::Drop { .. } => "drop",
             TraceEvent::Retransmit { .. } => "retransmit",
             TraceEvent::Slowdown { .. } => "slowdown",
@@ -365,10 +349,6 @@ impl TraceEvent {
                 field_u64(&mut out, "total_ps", *total_ps, f);
                 field_u64(&mut out, "wall_ns", *wall_ns, f);
                 field_str(&mut out, "outcome", outcome, f);
-            }
-            TraceEvent::MemoHit { job, step } | TraceEvent::MemoMiss { job, step } => {
-                field_u64(&mut out, "job", *job, f);
-                field_u64(&mut out, "step", *step, f);
             }
             TraceEvent::Drop {
                 step,

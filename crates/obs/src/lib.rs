@@ -9,7 +9,7 @@
 //! * [`TraceEvent`] / [`TraceSink`] — a structured event stream. The
 //!   simulators emit one event per committed send/receive (plus gap-stall
 //!   and drain markers), the whole-program predictor emits per-step
-//!   virtual-time fronts, and the batch engine emits job / worker / memo
+//!   virtual-time fronts, and the batch engine emits job and worker
 //!   events. Sinks: [`MemorySink`] (in-process analysis), [`JsonlSink`]
 //!   (one strict-JSON object per line, parseable by `predsim-lint`'s
 //!   parser) and [`NullSink`].

@@ -579,8 +579,8 @@ pub fn result_value(result: &JobResult) -> Value {
 pub enum Tier {
     /// A fresh full simulation ran on a worker.
     Full,
-    /// The job ran through the same engine and step memo on the request's
-    /// own thread, skipping the queue — the full tier's exact answer.
+    /// The job ran through the same engine on the request's own thread,
+    /// skipping the queue — the full tier's exact answer.
     Replay,
     /// Only the static `[lo, hi]` interval was computed; no simulation.
     Static,

@@ -12,8 +12,8 @@
 //!   time, shedding the newest deadline-less work first.
 //! - **Tiered degradation**: above configurable queue-depth watermarks
 //!   `/v1/predict` degrades from queueing for a worker, to running the
-//!   job on the request's own thread through the same engine and step
-//!   memo (the full tier's exact answer), to the queue-free static
+//!   job on the request's own thread through the same engine (the full
+//!   tier's exact answer), to the queue-free static
 //!   `[lo, hi]` estimate; every response names its `tier`.
 //! - **Worker supervision**: a supervisor thread respawns panicked
 //!   workers (re-enqueueing the job they held, once) and backfills

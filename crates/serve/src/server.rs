@@ -18,8 +18,7 @@
 //! ```
 //!
 //! Every full prediction goes through the one shared [`Engine`], so the
-//! memo cache, journal, and metrics registry see the server's whole
-//! lifetime. The handler validates each job's spec (the gate,
+//! journal and the metrics registry see the server's whole lifetime. The handler validates each job's spec (the gate,
 //! [`predsim_engine::lint_job`]), then builds its program once
 //! ([`Engine::prepare`]); every later step — tiers, admission, the
 //! worker's run, the reported bounds — reuses it. `/v1/calibrate` and
@@ -29,8 +28,7 @@
 //! **Overload behaviour** is tiered rather than binary. Above a
 //! high-watermark queue depth `/v1/predict` stops queueing and degrades:
 //! first to the replay tier, which runs the job through the same engine
-//! and step memo on the handler thread (the full tier's exact answer, no
-//! queue wait), then to the queue-free static `[lo, hi]` estimate. Every
+//! on the handler thread (the full tier's exact answer, no queue wait), then to the queue-free static `[lo, hi]` estimate. Every
 //! response names its `tier`. Requests carrying a `deadline_ms` are
 //! admitted only if the calibrated cost model says they can finish in
 //! time; provably-late requests shed the newest deadline-less queue
@@ -808,7 +806,7 @@ fn fill_crashed(job: Job) {
 }
 
 /// Execute one calibration on a worker: emulate the source, fit a
-/// preset on the shared engine (reusing its memo cache), publish the
+/// preset on the shared engine, publish the
 /// `calib_*` metrics, and register the preset when asked to. Panics
 /// anywhere inside become an `Err`, not a dead worker.
 fn run_calibration(shared: &Shared, request: &api::CalibrateRequest) -> CalibrationOutcome {
@@ -1123,8 +1121,8 @@ fn admit_and_run(shared: &Shared, admits: Vec<Admit>) -> Result<Vec<Reply>, Resp
 
 /// Serve one predict at the replay tier: run the prepared job through
 /// the one shared [`Engine`] on this handler thread, skipping the queue.
-/// It is the call a worker makes, so the answer comes from the same step
-/// memo under the same budget, retries and panic isolation, and the body
+/// It is the call a worker makes, so the answer comes from the same
+/// engine under the same budget, retries and panic isolation, and the body
 /// equals the full tier's but for `tier`. Unlike a worker's, the result
 /// is not journaled.
 fn replay_tier(shared: &Shared, spec: &JobSpec) -> Response {

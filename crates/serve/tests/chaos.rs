@@ -11,8 +11,8 @@ use std::time::Duration;
 
 /// A prediction whose simulation takes tens of milliseconds even in
 /// release builds: enough to teach the cost model a job cost far above
-/// a 1 ms deadline. Distinct sizes per index so the engine's memo cache
-/// cannot short-circuit repeated submissions.
+/// a 1 ms deadline. Each index is a distinct size, so every submission
+/// is a job of its own.
 fn heavy(i: usize) -> String {
     let n = 3840 - 120 * i;
     format!(r#"{{"source":"ge:{n},24,diagonal,8"}}"#)
@@ -411,8 +411,7 @@ fn a_hopeless_deadline_gets_an_instant_static_answer_and_sheds_a_victim() {
 
     // Seed the cost model: two completed predicts teach it the
     // wall-per-virtual-ps ratio and the mean job cost (the worker's
-    // simulation time, the stall excluded). Distinct jobs, so neither is
-    // a memo-cache hit.
+    // simulation time, the stall excluded).
     for i in 0..2 {
         let (status, _) = predict(addr, &heavy(i));
         assert_eq!(status, 200);

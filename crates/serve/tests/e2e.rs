@@ -375,7 +375,7 @@ fn metrics_are_exposed_in_prometheus_text_and_strict_json() {
         "# TYPE serve_queue_depth gauge",
         "serve_request_wall_ns_bucket",
         "engine_jobs_total",
-        "engine_cache_hits",
+        "engine_steps_simulated_total",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
@@ -518,7 +518,7 @@ fn back_to_back_requests_on_one_connection_do_not_wait_for_a_delayed_ack() {
     let mut reader = BufReader::new(conn);
 
     // Each request leaves in one write, so the client's own Nagle never
-    // holds part of it back; the predict hits the memo after the first.
+    // holds part of it back.
     let body = r#"{"source":"cannon:96,4"}"#;
     let predict = format!(
         "POST /v1/predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",

@@ -4,8 +4,7 @@
 //! emulated machine.
 //!
 //! The predictions run on the batch engine: every (layout, block) cell is
-//! an independent job, dealt to one worker per CPU, with repeated
-//! communication steps answered from the step-pattern memo cache.
+//! an independent job, dealt to one worker per CPU.
 //!
 //! ```text
 //! cargo run --release --example gauss_sweep
@@ -32,7 +31,7 @@ fn main() {
     ];
 
     // One engine for the whole example: all layout × block predictions in
-    // a single batch, in parallel, sharing the memo cache.
+    // a single batch, in parallel.
     let engine = Engine::new(EngineConfig::default());
     let specs: Vec<JobSpec> = layouts
         .iter()
@@ -86,11 +85,10 @@ fn main() {
     println!("prediction says: use the {lname} layout with B={lb} (predicted {lt})");
     let stats = engine.stats();
     println!(
-        "engine: {} workers, memo {} hits / {} misses ({:.0}% hit rate)",
+        "engine: {} workers, {} communication steps simulated, {} reused",
         engine.config().effective_jobs(),
-        stats.hits,
         stats.misses,
-        100.0 * stats.hit_rate()
+        stats.hits
     );
 
     // The paper's future-work search, automated — probes evaluated on the

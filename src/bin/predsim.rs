@@ -82,7 +82,7 @@ USAGE:
       prediction.
 
   predsim ge-sweep [--n N] [--procs P] [--machine NAME] [--layout L] [--blocks A,B,...]
-                   [--prefilter] [--jobs N] [--no-memo] [--faults SPEC] [--seed N]
+                   [--prefilter] [--jobs N] [--faults SPEC] [--seed N]
                    [--job-budget STEPS] [--retries K]
                    [--checkpoint FILE | --resume FILE]
                    [--results-out FILE] [--metrics-out FILE]
@@ -141,7 +141,7 @@ USAGE:
       >= 50% efficiency. DAG and --machine are as for 'dag run'. --json
       emits the strict-JSON report, byte-identical to POST /v1/speedup.
 
-  predsim batch SOURCE... [--machine NAME[,NAME...]] [--jobs N] [--no-memo]
+  predsim batch SOURCE... [--machine NAME[,NAME...]] [--jobs N]
                 [--worst-case] [--barrier] [--overlap] [--classic-gap]
                 [--faults SPEC] [--seed N] [--job-budget STEPS] [--retries K]
                 [--checkpoint FILE | --resume FILE]
@@ -158,19 +158,21 @@ USAGE:
                                      reduce+broadcast (or hypercube exchange)
         dag:GENSPEC:PROCS            task DAG ('dag gen' SPEC), HEFT-scheduled
       Jobs are pre-validated with the analyzer (invalid specs are
-      rejected with diagnostics). Prints one row per job plus memo-cache
-      statistics; --metrics-out writes the engine's metrics in
-      Prometheus format. --faults injects the seeded fault plan into
-      every job; --job-budget caps each job's simulated steps (over
-      budget: timed_out); --retries re-runs crashed or over-budget jobs
-      up to K extra times; --checkpoint appends every finished job to a
-      JSONL journal as it completes, and --resume reads such a journal
-      back, skips the jobs already done, and appends the rest to the
-      same file — the combined results are identical to an uninterrupted
-      run. --results-out writes the results table to a file.
+      rejected with diagnostics). Prints one row per job and how many
+      communication steps were simulated and how many repeated the step
+      before them exactly and were reused; --metrics-out writes the
+      engine's metrics in Prometheus format. --faults injects the seeded
+      fault plan into every job; --job-budget caps each job's simulated
+      steps (over budget: timed_out); --retries re-runs crashed or
+      over-budget jobs up to K extra times; --checkpoint appends every
+      finished job to a JSONL journal as it completes, and --resume reads
+      such a journal back, skips the jobs already done, and appends the
+      rest to the same file — the combined results are identical to an
+      uninterrupted run. --results-out writes the results table to a
+      file.
 
   predsim serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-                [--request-timeout SECS] [--no-memo] [--job-budget STEPS]
+                [--request-timeout SECS] [--job-budget STEPS]
                 [--retries K] [--checkpoint FILE] [--metrics-out FILE]
                 [--presets FILE] [--replay-at N] [--static-at N]
                 [--stall-timeout MS] [--chaos SPEC] [--chaos-seed N]
@@ -196,7 +198,7 @@ USAGE:
       server degrades instead of failing: at queue depth --replay-at (at
       least 1) it runs clean jobs on the request's own thread instead of
       queueing them (tier \"replay\", the same exact answer through the
-      same step memo), at --static-at it falls back to analyzer bounds
+      same engine), at --static-at it falls back to analyzer bounds
       (tier \"static\", lo..hi bracket); requests may carry
       \"deadline_ms\" — unmeetable deadlines get an instant static
       answer or 429 with a computed Retry-After. Panicked or stalled
@@ -295,9 +297,8 @@ const SIM_FLAGS: [FlagSpec; 5] = [
 
 /// Flags shared by the batch-engine commands (`batch`, `ge-sweep`):
 /// parallelism, fault injection, and resilience.
-const BATCH_FLAGS: [FlagSpec; 10] = [
+const BATCH_FLAGS: [FlagSpec; 9] = [
     valued("jobs"),
-    switch("no-memo"),
     valued("faults"),
     valued("seed"),
     valued("job-budget"),
@@ -374,11 +375,9 @@ fn count(args: &Args, name: &str) -> Result<Option<usize>, String> {
 }
 
 /// Build the engine configuration from the shared batch flags
-/// (`--jobs`, `--no-memo`, `--job-budget`, `--retries`).
+/// (`--jobs`, `--job-budget`, `--retries`).
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
-    let mut cfg = EngineConfig::default()
-        .with_jobs(args.jobs()?)
-        .with_memo(!args.flag("no-memo"));
+    let mut cfg = EngineConfig::default().with_jobs(args.jobs()?);
     if let Some(v) = args.value("job-budget") {
         let steps: usize = v.parse().map_err(|e| format!("bad --job-budget: {e}"))?;
         if steps == 0 {
@@ -524,8 +523,9 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Write the engine's Prometheus metrics (including the `engine_cache_*`
-/// gauges) to `file` when `--metrics-out` was given.
+/// Write the engine's Prometheus metrics (including the
+/// `engine_steps_reused_total` and `engine_steps_simulated_total`
+/// counters) to `file` when `--metrics-out` was given.
 fn write_engine_metrics(args: &Args, engine: &Engine) -> Result<(), String> {
     if let Some(file) = args.value("metrics-out") {
         std::fs::write(file, engine.metrics_snapshot().to_prometheus())
@@ -729,8 +729,7 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
 /// static ceiling (most promising first), run them one at a time, and skip
 /// every candidate whose static floor already exceeds the best observed
 /// total — its simulation cannot win. Sequential on purpose: each result
-/// tightens the pruning threshold for the next candidate, and the memo
-/// cache still carries over between runs (one engine). Each program is
+/// tightens the pruning threshold for the next candidate. Each program is
 /// built once and shared by its bounds and its run.
 fn ge_sweep_prefiltered(
     args: &Args,
@@ -1180,15 +1179,11 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         engine.config().effective_jobs()
     );
     let stats = engine.stats();
-    if engine.config().memo {
-        outln!(
-            "memo cache: {} hits / {} misses ({:.0}% hit rate), {} evictions",
-            stats.hits,
-            stats.misses,
-            100.0 * stats.hit_rate(),
-            stats.evictions
-        );
-    }
+    outln!(
+        "communication steps: {} simulated, {} reused",
+        stats.misses,
+        stats.hits
+    );
     report_results(args, &results, plan.as_ref())?;
     write_engine_metrics(args, &engine)?;
     Ok(())
@@ -1618,7 +1613,6 @@ fn run() -> Result<ExitCode, String> {
             valued("workers"),
             valued("queue-cap"),
             valued("request-timeout"),
-            switch("no-memo"),
             valued("job-budget"),
             valued("retries"),
             valued("checkpoint"),

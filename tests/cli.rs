@@ -675,6 +675,109 @@ fn emulated_runs_are_pinned_by_digest() {
 }
 
 #[test]
+fn check_bounds_output_is_pinned_by_digest() {
+    // The interval analyzer's whole report, text and JSON, on every
+    // generator family (cyclic allreduce and Cannon rounds, a deep
+    // broadcast tree, a DAG) and two machines: a change to how the
+    // analyzer walks a step must not move a byte of it.
+    let cases: [(&str, &str, u64, u64); 12] = [
+        (
+            "ge:960,24,diagonal,8",
+            "meiko",
+            0x01ac_3ed6_e70d_1887,
+            0x3e1d_06af_1e1d_edc4,
+        ),
+        (
+            "ge:960,24,diagonal,8",
+            "paragon",
+            0xae84_5f0c_e61e_40e4,
+            0x225a_ba5e_0e93_5018,
+        ),
+        (
+            "cannon:960,16",
+            "meiko",
+            0x6d31_5118_a2ca_1622,
+            0x7e9b_46ae_3a05_4aca,
+        ),
+        (
+            "cannon:960,16",
+            "paragon",
+            0xd055_ab9e_7126_e312,
+            0x7870_d71f_196a_fbe5,
+        ),
+        (
+            "stencil:4096,64,20",
+            "meiko",
+            0xeff4_a878_d9fe_1ded,
+            0x0bbe_a13c_2bae_3a53,
+        ),
+        (
+            "stencil:4096,64,20",
+            "paragon",
+            0x350e_f46b_80dc_3f9a,
+            0xbb67_4eaf_4fd8_0ed0,
+        ),
+        (
+            "allreduce:256:65536:1000",
+            "meiko",
+            0x2d26_e646_281e_cf00,
+            0x6225_4a97_ada9_054b,
+        ),
+        (
+            "allreduce:256:65536:1000",
+            "paragon",
+            0xbde6_d1a9_b576_efc2,
+            0x2dd2_a0aa_d2e8_a9d9,
+        ),
+        (
+            "bcast:512:65536",
+            "meiko",
+            0xa147_a06d_228b_5092,
+            0x635d_0fb8_f0cd_fc5f,
+        ),
+        (
+            "bcast:512:65536",
+            "paragon",
+            0xc339_c835_a68d_a304,
+            0xd232_f607_4108_bb89,
+        ),
+        (
+            "dag:layered:1,16,32,1000000,16384:16",
+            "meiko",
+            0x72c6_abb7_6ff4_5cc5,
+            0xbca6_5c08_288e_504d,
+        ),
+        (
+            "dag:layered:1,16,32,1000000,16384:16",
+            "paragon",
+            0xc40e_cd08_f047_a103,
+            0x0316_e03d_6322_cc38,
+        ),
+    ];
+    for (source, machine, want_text, want_json) in cases {
+        for (json, want) in [(false, want_text), (true, want_json)] {
+            let mut cmd = bin();
+            cmd.args(["check", "--bounds", "--machine", machine, source]);
+            if json {
+                cmd.arg("--json");
+            }
+            let out = cmd.output().unwrap();
+            assert!(
+                out.status.success(),
+                "{source} on {machine}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                fnv1a(&out.stdout),
+                want,
+                "{source} on {machine} (json: {json}): digest is {:#018x}",
+                fnv1a(&out.stdout)
+            );
+        }
+    }
+}
+
+#[test]
 fn trace_total_matches_simulate() {
     let dir = TempDir::new();
     // Tracing is purely observational: the predicted total reported by
@@ -694,6 +797,33 @@ fn trace_total_matches_simulate() {
             .to_string()
     };
     assert_eq!(total_line("simulate"), total_line("trace"));
+}
+
+#[test]
+fn batch_reports_reused_and_simulated_steps() {
+    // The 40 exchanges of a computation-bound stencil settle after a few
+    // iterations; from then on each repeats the one before it exactly and
+    // is reused. Both counts reach the metrics too.
+    let dir = TempDir::new();
+    let prom = dir.file("steps.prom", "");
+    let out = bin()
+        .args(["batch", "stencil:256,4,40", "--jobs", "1", "--metrics-out"])
+        .arg(&prom)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("communication steps: 4 simulated, 36 reused"),
+        "{text}"
+    );
+    let prom = std::fs::read_to_string(&prom).unwrap();
+    assert!(prom.contains("engine_steps_simulated_total 4"), "{prom}");
+    assert!(prom.contains("engine_steps_reused_total 36"), "{prom}");
 }
 
 #[test]
@@ -722,7 +852,8 @@ fn ge_sweep_and_batch_export_prometheus_metrics() {
     let prom = std::fs::read_to_string(&sweep_prom).unwrap();
     assert!(prom.contains("# TYPE engine_jobs_total counter"), "{prom}");
     assert!(prom.contains("engine_jobs_total 2"), "{prom}");
-    assert!(prom.contains("engine_cache_hits"), "{prom}");
+    assert!(prom.contains("engine_steps_reused_total"), "{prom}");
+    assert!(prom.contains("engine_steps_simulated_total"), "{prom}");
 
     let batch_prom = dir.file("batch.prom", "");
     let out = bin()
