@@ -43,6 +43,7 @@
 //! failing on a >20% regression — absolute nanoseconds vary across
 //! hosts, the ratios should not.
 
+use commsim::reference;
 use predsim_core::{
     record_program, simulate_program, simulate_program_with, DirectStepSimulator, SimHooks,
     SimOptions, StepSimulator,
@@ -126,7 +127,8 @@ fn median_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duratio
 
 /// The pre-PR comm loop as a program backend: the verbatim reference
 /// algorithms, exactly what `DirectStepSimulator` called before the
-/// restructuring (fresh per-simulation state, O(P) scans).
+/// restructuring (fresh per-simulation state, O(P) scans), writing the
+/// same `StepEnds` sink.
 struct ReferenceStepSimulator;
 
 impl StepSimulator for ReferenceStepSimulator {
@@ -139,16 +141,14 @@ impl StepSimulator for ReferenceStepSimulator {
         ready: &[loggp::Time],
         out: &mut commsim::StepEnds,
     ) {
-        let result = match opts.algo {
-            predsim_core::CommAlgo::Standard => {
-                commsim::reference::standard_simulate_from(comm, &opts.cfg, ready)
-            }
-            predsim_core::CommAlgo::WorstCase => {
-                commsim::reference::worstcase_simulate_from(comm, &opts.cfg, ready)
-            }
+        let params = opts.cfg.params;
+        let arrival = &mut |m: &commsim::Message, start| params.arrival_time(start, m.bytes);
+        let simulate = match opts.algo {
+            predsim_core::CommAlgo::Standard => reference::standard_simulate_faulted,
+            predsim_core::CommAlgo::WorstCase => reference::worstcase_simulate_faulted,
         };
         out.reset(ready);
-        out.absorb(&result);
+        simulate(comm, &opts.cfg, ready, arrival, out, None);
     }
 }
 

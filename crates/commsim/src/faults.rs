@@ -21,10 +21,11 @@
 //! That slightly overestimates a pipelined NIC, which is the right direction
 //! for a prediction tool, and keeps both algorithms' schedules deterministic.
 
-use crate::observe::StepTracer;
+use crate::observe::OpSink;
 use crate::pattern::Message;
-use crate::timeline::{CommEvent, Timeline};
-use loggp::{GapRule, LogGpParams, OpKind, ProcClock, Time};
+use crate::timeline::CommEvent;
+use crate::SimConfig;
+use loggp::{OpKind, ProcClock, Time};
 
 /// Per-step fault decisions consulted by the simulation algorithms.
 pub trait StepFaults {
@@ -38,21 +39,20 @@ pub trait StepFaults {
     fn rto(&self, attempt: u32) -> Time;
 }
 
-/// Commit every transmission attempt of `msg` at `proc`'s clock and record
-/// them on the timeline; returns the start time of the *final* (delivered)
-/// attempt, which the caller feeds to its arrival model.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn transmit(
+/// Commit every transmission attempt of `msg` at `proc`'s clock, reporting
+/// to `sink` the first as a send (flagged `forced`) and each further one
+/// as the previous attempt's drop and a retransmission. Returns the start
+/// of the *final* (delivered) attempt, which feeds the arrival model.
+pub(crate) fn transmit<S: OpSink>(
     clock: &mut ProcClock,
-    params: &LogGpParams,
-    rule: GapRule,
+    cfg: &SimConfig,
     proc: usize,
     msg: &Message,
     forced: bool,
     faults: Option<&dyn StepFaults>,
-    tracer: Option<&StepTracer<'_>>,
-    timeline: &mut Timeline,
+    sink: &mut S,
 ) -> Time {
+    let (params, rule) = (&cfg.params, cfg.gap_rule);
     let attempts = faults.map(|f| f.attempts(msg).max(1)).unwrap_or(1);
     let mut start = clock.ready_at_kind(params, rule, OpKind::Send);
     let mut end = clock.commit_kind(params, rule, OpKind::Send, start);
@@ -65,17 +65,12 @@ pub(crate) fn transmit(
         start,
         end,
     };
-    if let Some(t) = tracer {
-        t.send(&event, forced);
-    }
-    timeline.push(event);
+    sink.send(&event, forced);
     for attempt in 1..attempts {
         let rto = faults
             .expect("attempts > 1 implies a fault plan")
             .rto(attempt - 1);
-        if let Some(t) = tracer {
-            t.dropped(&event, (attempt - 1) as u64);
-        }
+        sink.dropped(&event, (attempt - 1) as u64);
         let port_ready = clock.ready_at_kind(params, rule, OpKind::Send);
         start = port_ready.max(start.saturating_add(rto));
         end = clock.commit_kind(params, rule, OpKind::Send, start);
@@ -84,10 +79,7 @@ pub(crate) fn transmit(
             end,
             ..event
         };
-        if let Some(t) = tracer {
-            t.retransmit(&event, attempt as u64, rto);
-        }
-        timeline.push(event);
+        sink.retransmit(&event, attempt as u64, rto);
     }
     start
 }
@@ -95,7 +87,9 @@ pub(crate) fn transmit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loggp::presets;
+    use crate::observe::StepTracer;
+    use crate::timeline::SimResult;
+    use loggp::{presets, GapRule};
     use predsim_obs::{MemorySink, TraceEvent};
 
     /// Every message is dropped `drops` times, fixed timeout.
@@ -119,9 +113,9 @@ mod tests {
         let rto = Time::from_us(200.0);
         let faults = FixedDrops { drops: 2, rto };
         let sink = MemorySink::new();
-        let tracer = StepTracer::new(&sink, 0);
+        let mut tracer = StepTracer::new(&sink, 0);
         let mut clock = ProcClock::new();
-        let mut timeline = Timeline::new(2);
+        let mut result = SimResult::empty(2);
         let msg = Message {
             id: 0,
             src: 0,
@@ -130,19 +124,17 @@ mod tests {
         };
         let final_start = transmit(
             &mut clock,
-            &params,
-            GapRule::Extended,
+            &SimConfig::new(params),
             0,
             &msg,
             false,
             Some(&faults),
-            Some(&tracer),
-            &mut timeline,
+            &mut (&mut result, &mut tracer),
         );
         // Attempt 0 at t=0; attempt 1 at max(g, 0 + rto) = rto; attempt 2
         // at max(rto + g, rto + rto) = 2*rto (rto >> g on this machine).
         assert_eq!(final_start, rto + rto);
-        assert_eq!(timeline.len(), 3);
+        assert_eq!(result.timeline.len(), 3);
         let events = sink.events();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         assert_eq!(
@@ -168,7 +160,7 @@ mod tests {
     fn no_faults_is_a_plain_send() {
         let params = presets::meiko_cs2(2);
         let mut clock = ProcClock::new();
-        let mut timeline = Timeline::new(2);
+        let mut result = SimResult::empty(2);
         let msg = Message {
             id: 3,
             src: 0,
@@ -177,16 +169,14 @@ mod tests {
         };
         let start = transmit(
             &mut clock,
-            &params,
-            GapRule::Extended,
+            &SimConfig::new(params),
             0,
             &msg,
             false,
             None,
-            None,
-            &mut timeline,
+            &mut result,
         );
         assert_eq!(start, Time::ZERO);
-        assert_eq!(timeline.len(), 1);
+        assert_eq!(result.timeline.len(), 1);
     }
 }

@@ -19,9 +19,11 @@
 //!   message transmissions. The result upper-bounds the communication time
 //!   a LogGP-faithful execution can exhibit.
 //!
-//! Both produce a [`Timeline`] of [`CommEvent`]s which can be rendered as an
-//! ASCII Gantt chart ([`gantt::render`], reproducing the paper's Figures 4
-//! and 5) and independently checked against the LogGP constraints
+//! Both report every committed [`CommEvent`] to one [`OpSink`] ([`observe`]):
+//! a whole-program prediction keeps each processor's [`StepEnds`], and
+//! `simulate` a [`SimResult`] whose [`Timeline`] can be rendered as an ASCII
+//! Gantt chart ([`gantt::render`], reproducing the paper's Figures 4 and 5)
+//! and independently checked against the LogGP constraints
 //! ([`validate::validate`]).
 //!
 //! # Example: the paper's sample pattern (Figure 3)
@@ -60,7 +62,7 @@ pub mod validate;
 pub mod worstcase;
 
 pub use faults::StepFaults;
-pub use observe::StepTracer;
+pub use observe::{OpSink, StepTracer};
 pub use pattern::{CommPattern, Message, MsgId, PatternError};
 pub use replay::Recording;
 pub use scratch::SimScratch;

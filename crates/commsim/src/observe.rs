@@ -1,15 +1,62 @@
-//! Trace emission for the step simulators.
+//! The one channel through which the step simulators report what they
+//! commit: both algorithms ([`crate::standard::simulate_with`],
+//! [`crate::worstcase::simulate_with`]) hand every committed operation,
+//! in commit order, to an [`OpSink`] and keep no record of their own.
+//! The sink chooses what to keep:
 //!
-//! A [`StepTracer`] couples a [`TraceSink`] with the index of the program
-//! step being simulated; the hooked entry points
-//! ([`crate::standard::simulate_with`],
-//! [`crate::worstcase::simulate_with`]) call back into it at every
-//! committed operation. Tracing is strictly observational: the simulators
-//! compute identical timelines with and without a tracer attached.
+//! * [`StepEnds`](crate::StepEnds): the per-processor maxima a prediction folds;
+//! * [`SimResult`](crate::SimResult): the timeline (gantt, validation, stats, tests);
+//! * [`StepTracer`]: [`TraceEvent`]s stamped with the program step;
+//! * a borrowed pair `(&mut A, &mut B)`: what both of its sinks keep;
+//! * the recorder behind [`crate::replay::record_worstcase`]: a worst-case
+//!   step's rounds.
+//!
+//! No sink changes what is committed.
 
 use crate::timeline::CommEvent;
 use loggp::Time;
 use predsim_obs::{TraceEvent, TraceSink};
+
+/// Receives every operation a step simulator commits, in commit order.
+pub trait OpSink {
+    /// A message's first transmission attempt; `forced` marks the
+    /// worst-case algorithm's deadlock-breaking transmissions.
+    fn send(&mut self, ev: &CommEvent, forced: bool);
+
+    /// A receive of a message that arrived at `arrival`; `drain` marks the
+    /// standard algorithm's final phase, after every send.
+    fn recv(&mut self, ev: &CommEvent, arrival: Time, drain: bool);
+
+    /// The network dropped attempt `attempt`, whose send `ev` was already
+    /// reported. Only a trace records it: by default it is ignored.
+    fn dropped(&mut self, _ev: &CommEvent, _attempt: u64) {}
+
+    /// Retransmission attempt `attempt`, committed after waiting out `rto`.
+    fn retransmit(&mut self, ev: &CommEvent, attempt: u64, rto: Time);
+}
+
+/// Both sinks see every operation, the first one first.
+impl<A: OpSink + ?Sized, B: OpSink + ?Sized> OpSink for (&mut A, &mut B) {
+    fn send(&mut self, ev: &CommEvent, forced: bool) {
+        self.0.send(ev, forced);
+        self.1.send(ev, forced);
+    }
+
+    fn recv(&mut self, ev: &CommEvent, arrival: Time, drain: bool) {
+        self.0.recv(ev, arrival, drain);
+        self.1.recv(ev, arrival, drain);
+    }
+
+    fn dropped(&mut self, ev: &CommEvent, attempt: u64) {
+        self.0.dropped(ev, attempt);
+        self.1.dropped(ev, attempt);
+    }
+
+    fn retransmit(&mut self, ev: &CommEvent, attempt: u64, rto: Time) {
+        self.0.retransmit(ev, attempt, rto);
+        self.1.retransmit(ev, attempt, rto);
+    }
+}
 
 /// Emits [`TraceEvent`]s for the operations of one communication step.
 pub struct StepTracer<'a> {
@@ -27,10 +74,13 @@ impl<'a> StepTracer<'a> {
     pub fn step(&self) -> u64 {
         self.step
     }
+}
 
-    /// Record a committed send operation (`forced` marks the worst-case
-    /// algorithm's deadlock-breaking transmissions).
-    pub fn send(&self, ev: &CommEvent, forced: bool) {
+/// One [`TraceEvent`] per operation, named after the method; a receive
+/// that started strictly after its message's arrival also emits a
+/// [`TraceEvent::GapStall`].
+impl OpSink for StepTracer<'_> {
+    fn send(&mut self, ev: &CommEvent, forced: bool) {
         self.sink.emit(&TraceEvent::Send {
             step: self.step,
             proc: ev.proc,
@@ -43,10 +93,7 @@ impl<'a> StepTracer<'a> {
         });
     }
 
-    /// Record a committed receive operation; when the receive started
-    /// strictly after the message's arrival a [`TraceEvent::GapStall`] is
-    /// emitted alongside it.
-    pub fn recv(&self, ev: &CommEvent, arrival: Time, drain: bool) {
+    fn recv(&mut self, ev: &CommEvent, arrival: Time, drain: bool) {
         self.sink.emit(&TraceEvent::Recv {
             step: self.step,
             proc: ev.proc,
@@ -70,9 +117,7 @@ impl<'a> StepTracer<'a> {
         }
     }
 
-    /// Record that the network dropped one transmission attempt of a
-    /// message (`ev` is the dropped attempt's send event).
-    pub fn dropped(&self, ev: &CommEvent, attempt: u64) {
+    fn dropped(&mut self, ev: &CommEvent, attempt: u64) {
         self.sink.emit(&TraceEvent::Drop {
             step: self.step,
             proc: ev.proc,
@@ -83,8 +128,7 @@ impl<'a> StepTracer<'a> {
         });
     }
 
-    /// Record a retransmission attempt committed after waiting out `rto`.
-    pub fn retransmit(&self, ev: &CommEvent, attempt: u64, rto: Time) {
+    fn retransmit(&mut self, ev: &CommEvent, attempt: u64, rto: Time) {
         self.sink.emit(&TraceEvent::Retransmit {
             step: self.step,
             proc: ev.proc,
@@ -119,7 +163,7 @@ mod tests {
     #[test]
     fn recv_after_arrival_emits_gap_stall() {
         let sink = MemorySink::new();
-        let tracer = StepTracer::new(&sink, 4);
+        let mut tracer = StepTracer::new(&sink, 4);
         tracer.recv(&ev(0, OpKind::Recv, 100, 160), Time::from_ps(40), false);
         let events = sink.events();
         assert_eq!(events.len(), 2);
@@ -137,7 +181,7 @@ mod tests {
     #[test]
     fn prompt_recv_emits_no_stall() {
         let sink = MemorySink::new();
-        let tracer = StepTracer::new(&sink, 0);
+        let mut tracer = StepTracer::new(&sink, 0);
         tracer.recv(&ev(0, OpKind::Recv, 40, 100), Time::from_ps(40), true);
         let events = sink.events();
         assert_eq!(events.len(), 1);
@@ -147,7 +191,7 @@ mod tests {
     #[test]
     fn send_carries_forced_flag() {
         let sink = MemorySink::new();
-        let tracer = StepTracer::new(&sink, 2);
+        let mut tracer = StepTracer::new(&sink, 2);
         assert_eq!(tracer.step(), 2);
         tracer.send(&ev(3, OpKind::Send, 0, 60), true);
         assert!(matches!(

@@ -5,17 +5,18 @@
 //! rebuilt per call, an O(P) scan for the minimum-time processor on every
 //! committed operation, and a fresh tie vector per iteration. The
 //! optimized loops in [`crate::standard`] and [`crate::worstcase`] must
-//! produce **bit-identical** timelines to these; the equivalence proptests
-//! in `tests/equiv.rs` pin that, and `bench_sim` measures the speedup of
-//! the optimized loops against these baselines.
+//! produce **bit-identical** timelines to these and report the same
+//! operations to their sinks; the equivalence proptests in
+//! `tests/equiv.rs` pin that, and `bench_sim` measures the speedup of the
+//! optimized loops against these baselines.
 //!
 //! Nothing in the production path calls this module; it exists purely as a
 //! differential oracle and a benchmark baseline.
 
 use crate::faults::{transmit, StepFaults};
-use crate::observe::StepTracer;
+use crate::observe::OpSink;
 use crate::pattern::{CommPattern, Message};
-use crate::timeline::{CommEvent, SimResult, Timeline};
+use crate::timeline::{CommEvent, SimResult};
 use crate::{SimConfig, TieBreak};
 use loggp::{OpKind, ProcClock, Time};
 use rand::rngs::SmallRng;
@@ -48,35 +49,33 @@ struct StdProcState {
     recv_queue: BinaryHeap<Reverse<InFlight>>,
 }
 
-/// The reference standard algorithm with the default arrival model.
-pub fn standard_simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
-    standard_simulate_from(pattern, cfg, &vec![Time::ZERO; pattern.procs()])
-}
-
 /// The reference standard algorithm with per-processor ready times.
 pub fn standard_simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
     let params = cfg.params;
+    let mut result = SimResult::empty(pattern.procs());
     standard_simulate_faulted(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
+        &mut result,
         None,
-        None,
-    )
+    );
+    result
 }
 
-/// The reference standard algorithm (paper Figure 2), full entry point.
+/// The reference standard algorithm (paper Figure 2), full entry point:
+/// every committed operation goes to `sink`, in commit order.
 // Indices double as processor ids throughout.
 #[allow(clippy::needless_range_loop)]
-pub fn standard_simulate_faulted(
+pub fn standard_simulate_faulted<S: OpSink>(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
+    sink: &mut S,
     faults: Option<&dyn StepFaults>,
-) -> SimResult {
+) {
     assert_eq!(ready.len(), pattern.procs(), "one ready time per processor");
     let params = &cfg.params;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -95,8 +94,6 @@ pub fn standard_simulate_faulted(
             }
         })
         .collect();
-
-    let mut timeline = Timeline::new(pattern.procs());
 
     // Main loop: while there are processors that want to send.
     loop {
@@ -137,17 +134,8 @@ pub fn standard_simulate_faulted(
                 .send_queue
                 .pop_front()
                 .expect("send queue non-empty");
-            let final_start = transmit(
-                &mut procs[min_proc].clock,
-                params,
-                rule,
-                min_proc,
-                &msg,
-                false,
-                faults,
-                tracer,
-                &mut timeline,
-            );
+            let clock = &mut procs[min_proc].clock;
+            let final_start = transmit(clock, cfg, min_proc, &msg, false, faults, sink);
             let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
             procs[msg.dst]
                 .recv_queue
@@ -170,10 +158,7 @@ pub fn standard_simulate_faulted(
                 start: start_recv,
                 end,
             };
-            if let Some(t) = tracer {
-                t.recv(&event, inflight.arrival, false);
-            }
-            timeline.push(event);
+            sink.recv(&event, inflight.arrival, false);
         }
     }
 
@@ -199,14 +184,9 @@ pub fn standard_simulate_faulted(
                 start,
                 end,
             };
-            if let Some(t) = tracer {
-                t.recv(&event, inflight.arrival, true);
-            }
-            timeline.push(event);
+            sink.recv(&event, inflight.arrival, true);
         }
     }
-
-    SimResult::new(timeline)
 }
 
 struct WcProcState {
@@ -219,11 +199,6 @@ struct WcProcState {
     to_recv: usize,
 }
 
-/// The reference worst-case algorithm with the default arrival model.
-pub fn worstcase_simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
-    worstcase_simulate_from(pattern, cfg, &vec![Time::ZERO; pattern.procs()])
-}
-
 /// The reference worst-case algorithm with per-processor ready times.
 pub fn worstcase_simulate_from(
     pattern: &CommPattern,
@@ -231,27 +206,30 @@ pub fn worstcase_simulate_from(
     ready: &[Time],
 ) -> SimResult {
     let params = cfg.params;
+    let mut result = SimResult::empty(pattern.procs());
     worstcase_simulate_faulted(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
+        &mut result,
         None,
-        None,
-    )
+    );
+    result
 }
 
-/// The reference overestimation algorithm (paper §4.2), full entry point.
+/// The reference overestimation algorithm (paper §4.2), full entry point:
+/// every committed operation goes to `sink`, in commit order.
 // Indices double as processor ids throughout.
 #[allow(clippy::needless_range_loop)]
-pub fn worstcase_simulate_faulted(
+pub fn worstcase_simulate_faulted<S: OpSink>(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
+    sink: &mut S,
     faults: Option<&dyn StepFaults>,
-) -> SimResult {
+) {
     assert_eq!(ready.len(), pattern.procs(), "one ready time per processor");
     let params = &cfg.params;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -274,11 +252,8 @@ pub fn worstcase_simulate_faulted(
         })
         .collect();
 
-    let mut timeline = Timeline::new(pattern.procs());
-    let mut forced_sends = 0usize;
-
     let send_msg = |procs: &mut Vec<WcProcState>,
-                    timeline: &mut Timeline,
+                    sink: &mut S,
                     p: usize,
                     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
                     forced: bool| {
@@ -286,17 +261,7 @@ pub fn worstcase_simulate_faulted(
             .send_queue
             .pop_front()
             .expect("send queue non-empty");
-        let final_start = transmit(
-            &mut procs[p].clock,
-            params,
-            cfg.gap_rule,
-            p,
-            &msg,
-            forced,
-            faults,
-            tracer,
-            timeline,
-        );
+        let final_start = transmit(&mut procs[p].clock, cfg, p, &msg, forced, faults, sink);
         let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
         procs[msg.dst].inbox.push((arrival, msg));
     };
@@ -317,7 +282,7 @@ pub fn worstcase_simulate_faulted(
         if !eligible.is_empty() {
             for p in eligible {
                 while !procs[p].send_queue.is_empty() {
-                    send_msg(&mut procs, &mut timeline, p, arrival_of, false);
+                    send_msg(&mut procs, sink, p, arrival_of, false);
                 }
             }
         } else if recvs_remain {
@@ -332,8 +297,7 @@ pub fn worstcase_simulate_faulted(
                 .collect();
             debug_assert!(!blocked.is_empty());
             let victim = blocked[rng.gen_range(0..blocked.len())];
-            send_msg(&mut procs, &mut timeline, victim, arrival_of, true);
-            forced_sends += 1;
+            send_msg(&mut procs, sink, victim, arrival_of, true);
         }
 
         // Part 2: every destination performs the receive operations for the
@@ -362,16 +326,9 @@ pub fn worstcase_simulate_faulted(
                     start,
                     end,
                 };
-                if let Some(t) = tracer {
-                    t.recv(&event, arrival, false);
-                }
-                timeline.push(event);
+                sink.recv(&event, arrival, false);
                 procs[p].to_recv -= 1;
             }
         }
     }
-
-    let mut result = SimResult::new(timeline);
-    result.forced_sends = forced_sends;
-    result
 }

@@ -24,16 +24,20 @@
 //! Recordings assume the default LogGP arrival model and no fault
 //! injection.
 
+use crate::observe::OpSink;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
-use crate::timeline::{SimResult, StepEnds};
+use crate::timeline::{CommEvent, StepEnds};
 use crate::{worstcase, SimConfig};
 use loggp::{OpKind, Time};
 
 /// The commit order of one worst-case step (see module docs).
 ///
-/// Ops encode `proc << 1 | forced` for each send; round boundaries are
-/// `u32::MAX` sentinels.
+/// Ops encode `proc << 1 | forced` for each send, in commit order, and a
+/// `u32::MAX` sentinel ends each round's sends, where its drain runs.
+/// Because every round fully drains, they are a pure function of the
+/// pattern and the forced-send RNG stream: they replay exactly under any
+/// LogGP parameters as long as the seed matches.
 #[derive(Clone, Debug)]
 pub struct Recording {
     procs: usize,
@@ -55,8 +59,8 @@ impl Recording {
     /// into `out` (buffers reused across calls). Returns `false` with `out`
     /// left in an unspecified state when `cfg.seed` or the processor count
     /// differs from the recording's; fall back to a full simulation then.
-    /// On `true` the maxima equal what [`StepEnds::absorb`] would extract
-    /// from the corresponding full simulation.
+    /// On `true` the maxima equal what the corresponding full simulation
+    /// writes into a [`StepEnds`] sink.
     pub fn retime(
         &self,
         pattern: &CommPattern,
@@ -119,33 +123,33 @@ impl Recording {
                     slot,
                 },
             );
-            if forced {
-                out.forced_sends += 1;
-            }
+            out.forced_sends += usize::from(forced);
         }
         (0..procs).all(|p| scratch.rt_cursor[p] >= self.q_end[p])
     }
 }
 
-/// Run the worst-case algorithm and record its commit order. The result is
-/// bit-identical to [`worstcase::simulate_from`] with the same inputs.
-pub fn record_worstcase(
+/// Run the worst-case algorithm into `sink` and record its commit order.
+/// `sink` sees exactly what [`worstcase::simulate_with`] reports with the
+/// default arrival model and no faults: a [`StepEnds`] for a prediction,
+/// a [`SimResult`](crate::SimResult) to compare whole timelines.
+pub fn record_worstcase<S: OpSink>(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
     scratch: &mut SimScratch,
-) -> (SimResult, Recording) {
+    sink: &mut S,
+) -> Recording {
     let params = cfg.params;
-    let mut ops = Vec::new();
-    let result = worstcase::wc_core(
+    let mut order = OrderRecorder(Vec::new());
+    worstcase::simulate_with(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
-        None,
+        &mut (&mut order, sink),
         None,
         scratch,
-        Some(&mut ops),
     );
     let procs = pattern.procs();
     // The run advanced the cursors in `scratch.q_start` to the range ends;
@@ -155,21 +159,40 @@ pub fn record_worstcase(
         .chain(q_end.iter().copied())
         .take(procs)
         .collect();
-    let rec = Recording {
+    Recording {
         procs,
         seed: cfg.seed,
-        ops,
+        ops: order.0,
         arena: scratch.arena.clone(),
         q_start,
         q_end,
-    };
-    (result, rec)
+    }
+}
+
+/// The sink that writes a [`Recording`]'s ops: one per send, and a round
+/// boundary where a receive first follows a send. That is exactly where a
+/// §4.2 round's drain begins, because every round sends at least one
+/// network message and receives it in its own drain.
+struct OrderRecorder(Vec<u32>);
+
+impl OpSink for OrderRecorder {
+    fn send(&mut self, ev: &CommEvent, forced: bool) {
+        self.0.push((ev.proc as u32) << 1 | u32::from(forced));
+    }
+
+    fn recv(&mut self, _ev: &CommEvent, _arrival: Time, _drain: bool) {
+        if self.0.last().is_some_and(|&op| op != u32::MAX) {
+            self.0.push(u32::MAX);
+        }
+    }
+
+    fn retransmit(&mut self, _ev: &CommEvent, _attempt: u64, _rto: Time) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns;
+    use crate::{patterns, SimResult};
     use loggp::{presets, LogGpParams};
 
     fn meiko_cfg(procs: usize) -> SimConfig {
@@ -191,7 +214,16 @@ mod tests {
     fn full_ends(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> StepEnds {
         let mut ends = StepEnds::default();
         ends.reset(ready);
-        ends.absorb(&worstcase::simulate_from(pattern, cfg, ready));
+        let params = cfg.params;
+        worstcase::simulate_with(
+            pattern,
+            cfg,
+            ready,
+            &mut |m, start| params.arrival_time(start, m.bytes),
+            &mut ends,
+            None,
+            &mut SimScratch::new(),
+        );
         ends
     }
 
@@ -202,7 +234,13 @@ mod tests {
         let ready = vec![Time::ZERO; 7];
         let mut scratch = SimScratch::new();
         let mut ends = StepEnds::default();
-        let (_, rec) = record_worstcase(&pattern, &base, &ready, &mut scratch);
+        let rec = record_worstcase(
+            &pattern,
+            &base,
+            &ready,
+            &mut scratch,
+            &mut SimResult::empty(7),
+        );
         // Even drastic parameter changes re-time exactly (round structure
         // is parameter-independent).
         for (num, den) in [(1, 10), (10, 1), (17, 3)] {
@@ -234,7 +272,13 @@ mod tests {
             patterns::random(8, 24, 2048, 17),
         ] {
             let base = meiko_cfg(8).with_seed(3);
-            let (_, rec) = record_worstcase(&pattern, &base, &ready, &mut scratch);
+            let rec = record_worstcase(
+                &pattern,
+                &base,
+                &ready,
+                &mut scratch,
+                &mut SimResult::empty(8),
+            );
             for (num, den) in [(1, 1), (11, 10), (2, 1), (1, 3), (17, 3)] {
                 let cfg = SimConfig {
                     params: scaled(base.params, num, den),
@@ -256,7 +300,13 @@ mod tests {
         let ready = vec![Time::ZERO; 5];
         let mut scratch = SimScratch::new();
         let mut ends = StepEnds::default();
-        let (_, wc) = record_worstcase(&pattern, &cfg, &ready, &mut scratch);
+        let wc = record_worstcase(
+            &pattern,
+            &cfg,
+            &ready,
+            &mut scratch,
+            &mut SimResult::empty(5),
+        );
         let other = meiko_cfg(5).with_seed(8);
         assert!(!wc.retime(&pattern, &other, &ready, &mut scratch, &mut ends));
     }

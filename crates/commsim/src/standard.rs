@@ -31,10 +31,10 @@
 //! hooks.
 
 use crate::faults::{transmit, StepFaults};
-use crate::observe::StepTracer;
+use crate::observe::OpSink;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
-use crate::timeline::{CommEvent, SimResult, Timeline};
+use crate::timeline::{CommEvent, SimResult};
 use crate::{SimConfig, TieBreak};
 use loggp::{OpKind, Time};
 use rand::rngs::SmallRng;
@@ -55,15 +55,17 @@ pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
 /// phase ends).
 pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
     let params = cfg.params;
+    let mut result = SimResult::empty(pattern.procs());
     simulate_with(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
-        None,
+        &mut result,
         None,
         &mut SimScratch::new(),
-    )
+    );
+    result
 }
 
 /// [`simulate_from`] with every hook exposed:
@@ -76,8 +78,11 @@ pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> 
 ///   earlier answer is **clamped** to `send_start + o`, in release builds
 ///   too, so a misbehaving model can delay messages but never yields an
 ///   unsound timeline.
-/// * `tracer` observes every committed operation; tracing never changes
-///   the computed timeline.
+/// * `sink` receives every committed operation in commit order and is the
+///   only output: a [`SimResult`] keeps the timeline, a
+///   [`StepEnds`](crate::StepEnds) the per-processor maxima, a
+///   [`StepTracer`](crate::StepTracer) emits trace events (see
+///   [`crate::observe`]). No sink changes what is committed.
 /// * `faults` may drop and retransmit each message per
 ///   [`StepFaults::attempts`], with every attempt charged at the sender
 ///   (see [`crate::faults`]) and only the final attempt feeding the
@@ -85,15 +90,15 @@ pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> 
 /// * `scratch` holds the per-step buffers; the whole-program simulator
 ///   keeps one across steps, so repeated steps allocate nothing in the
 ///   steady state.
-pub fn simulate_with(
+pub fn simulate_with<S: OpSink>(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
+    sink: &mut S,
     faults: Option<&dyn StepFaults>,
     scratch: &mut SimScratch,
-) -> SimResult {
+) {
     let params = &cfg.params;
     let rule = cfg.gap_rule;
     // The RNG is only consulted under [`TieBreak::Random`]; deterministic
@@ -112,9 +117,6 @@ pub fn simulate_with(
             );
         }
     }
-
-    let mut timeline = Timeline::new(procs);
-    timeline.reserve(2 * scratch.arena.len());
 
     // Main loop: while there are processors that want to send. `cur` is
     // the already-popped minimum frontier entry; the hold-the-min fast
@@ -169,17 +171,8 @@ pub fn simulate_with(
         if start_send < start_recv {
             // Perform SEND: strict '<' gives receives priority on ties.
             let (slot, msg) = scratch.pop_send(min_proc);
-            let final_start = transmit(
-                &mut scratch.clocks[min_proc],
-                params,
-                rule,
-                min_proc,
-                &msg,
-                false,
-                faults,
-                tracer,
-                &mut timeline,
-            );
+            let clock = &mut scratch.clocks[min_proc];
+            let final_start = transmit(clock, cfg, min_proc, &msg, false, faults, sink);
             // Documented clamp: a hook returning < send_start + o is lifted
             // to the earliest sound arrival.
             let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
@@ -204,10 +197,7 @@ pub fn simulate_with(
                 start: start_recv,
                 end,
             };
-            if let Some(t) = tracer {
-                t.recv(&event, inflight.arrival, false);
-            }
-            timeline.push(event);
+            sink.recv(&event, inflight.arrival, false);
         }
 
         // Re-key the acting processor (its clock advanced either way).
@@ -233,19 +223,13 @@ pub fn simulate_with(
         }
     }
 
-    drain(params, cfg, scratch, tracer, &mut timeline);
-    SimResult::new(timeline)
+    drain(cfg, scratch, sink);
 }
 
 /// Final phase: all sends done; every processor drains its receives in
 /// arrival order.
-fn drain(
-    params: &loggp::LogGpParams,
-    cfg: &SimConfig,
-    scratch: &mut SimScratch,
-    tracer: Option<&StepTracer<'_>>,
-    timeline: &mut Timeline,
-) {
+fn drain<S: OpSink>(cfg: &SimConfig, scratch: &mut SimScratch, sink: &mut S) {
+    let params = &cfg.params;
     for (i, clock) in scratch.clocks.iter_mut().enumerate() {
         while let Some(Reverse(inflight)) = scratch.recv_queues[i].pop() {
             let msg = scratch.arena[inflight.slot as usize];
@@ -261,10 +245,7 @@ fn drain(
                 start,
                 end,
             };
-            if let Some(t) = tracer {
-                t.recv(&event, inflight.arrival, true);
-            }
-            timeline.push(event);
+            sink.recv(&event, inflight.arrival, true);
         }
     }
 }
@@ -432,12 +413,13 @@ mod tests {
         // Interleave differently-shaped simulations through one scratch and
         // compare each against a fresh run.
         for pattern in [&big, &small, &big] {
-            let reused = simulate_with(
+            let mut reused = SimResult::empty(10);
+            simulate_with(
                 pattern,
                 &cfg,
                 &[Time::ZERO; 10],
                 &mut |m, start| cfg.params.arrival_time(start, m.bytes),
-                None,
+                &mut reused,
                 None,
                 &mut scratch,
             );
@@ -466,12 +448,13 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_with(
+        let mut r = SimResult::empty(2);
+        simulate_with(
             &pattern,
             &cfg,
             &[Time::ZERO; 2],
             &mut |_m, _start| Time::ZERO,
-            None,
+            &mut r,
             None,
             &mut SimScratch::new(),
         );

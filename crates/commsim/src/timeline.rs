@@ -1,5 +1,6 @@
 //! Timelines: the output of the simulation algorithms.
 
+use crate::observe::OpSink;
 use loggp::{OpKind, Time};
 use std::collections::BTreeMap;
 
@@ -56,11 +57,6 @@ impl Timeline {
             self.procs
         );
         self.events.push(ev);
-    }
-
-    /// Pre-allocate room for `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.events.reserve(additional);
     }
 
     /// Number of processors.
@@ -173,7 +169,8 @@ impl Timeline {
     }
 }
 
-/// A simulation result: the timeline plus its completion time.
+/// A simulation result: the timeline plus its completion time. As an
+/// [`OpSink`] it records every committed operation.
 #[derive(Clone, Debug)]
 pub struct SimResult {
     /// The committed operation schedule.
@@ -196,14 +193,42 @@ impl SimResult {
             forced_sends: 0,
         }
     }
+
+    /// An empty result over `procs` processors, to record a simulation.
+    pub fn empty(procs: usize) -> Self {
+        SimResult::new(Timeline::new(procs))
+    }
+
+    fn push(&mut self, ev: &CommEvent) {
+        self.finish = self.finish.max(ev.end);
+        self.timeline.push(*ev);
+    }
+}
+
+/// Every send, retransmission and receive becomes a timeline event;
+/// forced sends are counted.
+impl OpSink for SimResult {
+    fn send(&mut self, ev: &CommEvent, forced: bool) {
+        self.push(ev);
+        self.forced_sends += usize::from(forced);
+    }
+
+    fn recv(&mut self, ev: &CommEvent, _arrival: Time, _drain: bool) {
+        self.push(ev);
+    }
+
+    fn retransmit(&mut self, ev: &CommEvent, _attempt: u64, _rto: Time) {
+        self.push(ev);
+    }
 }
 
 /// Per-processor completion data of one communication step: everything
 /// the whole-program fold consumes from it. Every step backend writes one
-/// (from a [`SimResult`] through [`StepEnds::absorb`], or directly when
-/// re-timing a [`Recording`](crate::Recording)), and the fold shifts the
-/// previous step's to answer a step that repeats it exactly. Reusable
-/// across steps: the buffers are cleared, not reallocated.
+/// (as the step algorithms' [`OpSink`] after [`StepEnds::reset`], or
+/// directly when re-timing a [`Recording`](crate::Recording)), and the
+/// fold shifts the previous step's to answer a step that repeats it
+/// exactly. Reusable across steps: the buffers are cleared, not
+/// reallocated.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepEnds {
     /// Per processor: end of its last committed operation, at least the
@@ -228,18 +253,23 @@ impl StepEnds {
         self.last_recv_done.extend_from_slice(ready);
         self.forced_sends = 0;
     }
+}
 
-    /// Fold a fully-simulated step's timeline into the maxima.
-    pub fn absorb(&mut self, result: &SimResult) {
-        for ev in result.timeline.events() {
-            let d = &mut self.comm_done[ev.proc];
-            *d = (*d).max(ev.end);
-            if ev.kind == OpKind::Recv {
-                let r = &mut self.last_recv_done[ev.proc];
-                *r = (*r).max(ev.end);
-            }
-        }
-        self.forced_sends += result.forced_sends;
+/// Every operation raises its processor's `comm_done`, a receive also its
+/// `last_recv_done`; forced sends are counted.
+impl OpSink for StepEnds {
+    fn send(&mut self, ev: &CommEvent, forced: bool) {
+        self.comm_done[ev.proc] = self.comm_done[ev.proc].max(ev.end);
+        self.forced_sends += usize::from(forced);
+    }
+
+    fn recv(&mut self, ev: &CommEvent, _arrival: Time, _drain: bool) {
+        self.comm_done[ev.proc] = self.comm_done[ev.proc].max(ev.end);
+        self.last_recv_done[ev.proc] = self.last_recv_done[ev.proc].max(ev.end);
+    }
+
+    fn retransmit(&mut self, ev: &CommEvent, _attempt: u64, _rto: Time) {
+        self.comm_done[ev.proc] = self.comm_done[ev.proc].max(ev.end);
     }
 }
 

@@ -38,8 +38,8 @@
 //!   reference loop's eligible set at the top of every round.
 //! - **The drain** visits only the inboxes that received in the round (the
 //!   dirty list), sorted ascending: the reference order, which fixes the
-//!   order of timeline and trace events. Draining in that order also keeps
-//!   the worklist ascending, so it needs no sort of its own.
+//!   order in which the sink sees the receives. Draining in that order
+//!   also keeps the worklist ascending, so it needs no sort of its own.
 //! - **The deadlock victim** is the `k`-th processor with unsent messages,
 //!   found in O(log P) by an order-statistic index (a Fenwick tree). `k` is
 //!   drawn from the same RNG stream as the reference loop's index into its
@@ -52,10 +52,10 @@
 //! under new parameters without re-running the selection logic.
 
 use crate::faults::{transmit, StepFaults};
-use crate::observe::StepTracer;
+use crate::observe::OpSink;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
-use crate::timeline::{CommEvent, SimResult, Timeline};
+use crate::timeline::{CommEvent, SimResult};
 use crate::SimConfig;
 use loggp::{GapRule, LogGpParams, OpKind, Time};
 use rand::rngs::SmallRng;
@@ -70,67 +70,106 @@ pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
 /// enter the step when their computation phase ends).
 pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
     let params = cfg.params;
+    let mut result = SimResult::empty(pattern.procs());
     simulate_with(
         pattern,
         cfg,
         ready,
         &mut |m, start| params.arrival_time(start, m.bytes),
-        None,
+        &mut result,
         None,
         &mut SimScratch::new(),
-    )
+    );
+    result
 }
 
 /// [`simulate_from`] with every hook exposed, under the same contract as
 /// [`crate::standard::simulate_with`]: a custom arrival model (clamped to
-/// `send_start + o`), a tracer (forced, deadlock-breaking transmissions
-/// are flagged on their send events), message drops and charged
-/// retransmissions decided exactly as for the standard algorithm (so the
-/// overestimation bound holds under injection), and a reusable scratch.
-pub fn simulate_with(
+/// `send_start + o`), a sink that receives every committed operation and
+/// is the only output (forced, deadlock-breaking transmissions are
+/// flagged on their sends; no receive is a drain), message drops and
+/// charged retransmissions decided exactly as for the standard algorithm
+/// (so the overestimation bound holds under injection), and a reusable
+/// scratch.
+pub fn simulate_with<S: OpSink>(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
+    sink: &mut S,
     faults: Option<&dyn StepFaults>,
     scratch: &mut SimScratch,
-) -> SimResult {
-    wc_core(
-        pattern, cfg, ready, arrival_of, tracer, faults, scratch, None,
-    )
+) {
+    let params = &cfg.params;
+    let rule = cfg.gap_rule;
+    // Only deadlock rounds consult the RNG; acyclic patterns build none.
+    let mut rng: Option<SmallRng> = None;
+
+    scratch.begin_worstcase(pattern, ready);
+    let mut remaining_sends = scratch.arena.len();
+
+    // Part 2 fully drains every inbox, so at the top of a round no receives
+    // are ever pending (the reference loop's "receives pending but nobody
+    // eligible" branch is unreachable) and the loop runs while sends remain.
+    while remaining_sends > 0 {
+        debug_assert!(scratch.dirty.is_empty(), "an inbox survived the drain");
+
+        // Part 1: every processor that has received everything it expects
+        // sends all of its messages. Sends change no receive counter, so
+        // the worklist the last drain left is exactly that set.
+        if !scratch.ready.is_empty() {
+            for i in 0..scratch.ready.len() {
+                let p = scratch.ready[i] as usize;
+                while scratch.has_sends(p) {
+                    wc_send(scratch, cfg, p, false, arrival_of, faults, sink);
+                    remaining_sends -= 1;
+                }
+            }
+            scratch.ready.clear();
+        } else {
+            // Deadlock: messages remain but every would-be sender is still
+            // waiting on a cycle. Force one transmission from a randomly
+            // chosen blocked processor: the draw indexes the blocked
+            // processors in ascending order, as the reference loop's list.
+            let blocked = scratch.senders.len();
+            debug_assert!(blocked > 0);
+            // A singleton draw returns 0 without consuming RNG state, so
+            // skipping it keeps the stream identical to the reference loop.
+            let k = if blocked == 1 {
+                0
+            } else {
+                let rng = rng.get_or_insert_with(|| SmallRng::seed_from_u64(cfg.seed));
+                rng.gen_range(0..blocked)
+            };
+            let victim = scratch.senders.select(k);
+            wc_send(scratch, cfg, victim, true, arrival_of, faults, sink);
+            remaining_sends -= 1;
+        }
+
+        // Part 2: every destination performs the receive operations for the
+        // messages delivered so far, in arrival order.
+        wc_drain(scratch, params, rule, sink);
+    }
 }
 
 /// Pop processor `p`'s next message, commit its send (fault-charged), and
 /// deliver it to the destination inbox with a clamped arrival. A
 /// processor whose last message this was leaves the sender index.
-#[allow(clippy::too_many_arguments)]
-fn wc_send(
+fn wc_send<S: OpSink>(
     scratch: &mut SimScratch,
-    timeline: &mut Timeline,
-    params: &LogGpParams,
-    rule: GapRule,
+    cfg: &SimConfig,
     p: usize,
     forced: bool,
     arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
     faults: Option<&dyn StepFaults>,
+    sink: &mut S,
 ) {
+    let params = &cfg.params;
     let (slot, msg) = scratch.pop_send(p);
     if !scratch.has_sends(p) {
         scratch.senders.remove(p);
     }
-    let final_start = transmit(
-        &mut scratch.clocks[p],
-        params,
-        rule,
-        p,
-        &msg,
-        forced,
-        faults,
-        tracer,
-        timeline,
-    );
+    let final_start = transmit(&mut scratch.clocks[p], cfg, p, &msg, forced, faults, sink);
     // Documented clamp (see `standard::simulate_with`): an arrival model
     // returning < send_start + o is lifted to the earliest sound arrival,
     // in release builds too.
@@ -148,20 +187,19 @@ fn wc_send(
 /// Part 2 of a round: every destination receives the messages delivered so
 /// far, in `(arrival, msg.id)` order. Only the dirty inboxes are visited,
 /// in ascending processor order — the reference loop's order, which fixes
-/// the order of timeline and trace events, and keeps the ready worklist the
-/// drain appends to ascending.
+/// the order of the receives the sink sees, and keeps the ready worklist
+/// the drain appends to ascending.
 // No inlining attribute: now that the drain visits only dirty inboxes,
 // `#[inline(never)]` and the compiler's own choice measure the same
 // (CPU-time minima 20.0 and 19.9 ms over 41 runs of `batch
 // stencil:8192,1024,10 allreduce:1024:65536:1000:hypercube --worst-case
 // --jobs 1` with the engine's former step memo switched off, 2-vCPU
 // host).
-fn wc_drain(
+fn wc_drain<S: OpSink>(
     scratch: &mut SimScratch,
-    timeline: &mut Timeline,
     params: &LogGpParams,
     rule: GapRule,
-    tracer: Option<&StepTracer<'_>>,
+    sink: &mut S,
 ) {
     scratch.dirty.sort_unstable();
     for i in 0..scratch.dirty.len() {
@@ -183,10 +221,7 @@ fn wc_drain(
                 start,
                 end,
             };
-            if let Some(t) = tracer {
-                t.recv(&event, inflight.arrival, false);
-            }
-            timeline.push(event);
+            sink.recv(&event, inflight.arrival, false);
             scratch.to_recv[p] -= 1;
         }
         inbox.clear();
@@ -196,112 +231,6 @@ fn wc_drain(
         }
     }
     scratch.dirty.clear();
-}
-
-/// The full round loop, optionally recording the commit order for
-/// [`crate::replay`]: each send is appended as `proc << 1 | forced`, and a
-/// `u32::MAX` sentinel marks the end of each round's part 1 (where the
-/// drain runs). Because every round fully drains, the recorded structure
-/// is a pure function of the pattern and the forced-send RNG stream — it
-/// replays exactly under any LogGP parameters as long as the seed matches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn wc_core(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-    scratch: &mut SimScratch,
-    mut rec: Option<&mut Vec<u32>>,
-) -> SimResult {
-    let params = &cfg.params;
-    let rule = cfg.gap_rule;
-    // Only deadlock rounds consult the RNG; acyclic patterns build none.
-    let mut rng: Option<SmallRng> = None;
-
-    scratch.begin_worstcase(pattern, ready);
-    let mut timeline = Timeline::new(pattern.procs());
-    timeline.reserve(2 * scratch.arena.len());
-    let mut forced_sends = 0usize;
-    let mut remaining_sends = scratch.arena.len();
-
-    // Part 2 fully drains every inbox, so at the top of a round no receives
-    // are ever pending (the reference loop's "receives pending but nobody
-    // eligible" branch is unreachable) and the loop runs while sends remain.
-    while remaining_sends > 0 {
-        debug_assert!(scratch.dirty.is_empty(), "an inbox survived the drain");
-
-        // Part 1: every processor that has received everything it expects
-        // sends all of its messages. Sends change no receive counter, so
-        // the worklist the last drain left is exactly that set.
-        if !scratch.ready.is_empty() {
-            for i in 0..scratch.ready.len() {
-                let p = scratch.ready[i] as usize;
-                while scratch.has_sends(p) {
-                    wc_send(
-                        scratch,
-                        &mut timeline,
-                        params,
-                        rule,
-                        p,
-                        false,
-                        arrival_of,
-                        tracer,
-                        faults,
-                    );
-                    remaining_sends -= 1;
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.push((p as u32) << 1);
-                    }
-                }
-            }
-            scratch.ready.clear();
-        } else {
-            // Deadlock: messages remain but every would-be sender is still
-            // waiting on a cycle. Force one transmission from a randomly
-            // chosen blocked processor: the draw indexes the blocked
-            // processors in ascending order, as the reference loop's list.
-            let blocked = scratch.senders.len();
-            debug_assert!(blocked > 0);
-            // A singleton draw returns 0 without consuming RNG state, so
-            // skipping it keeps the stream identical to the reference loop.
-            let k = if blocked == 1 {
-                0
-            } else {
-                let rng = rng.get_or_insert_with(|| SmallRng::seed_from_u64(cfg.seed));
-                rng.gen_range(0..blocked)
-            };
-            let victim = scratch.senders.select(k);
-            wc_send(
-                scratch,
-                &mut timeline,
-                params,
-                rule,
-                victim,
-                true,
-                arrival_of,
-                tracer,
-                faults,
-            );
-            remaining_sends -= 1;
-            forced_sends += 1;
-            if let Some(r) = rec.as_deref_mut() {
-                r.push((victim as u32) << 1 | 1);
-            }
-        }
-        if let Some(r) = rec.as_deref_mut() {
-            r.push(u32::MAX); // round boundary: the drain runs here
-        }
-
-        // Part 2: every destination performs the receive operations for the
-        // messages delivered so far, in arrival order.
-        wc_drain(scratch, &mut timeline, params, rule, tracer);
-    }
-
-    let mut result = SimResult::new(timeline);
-    result.forced_sends = forced_sends;
-    result
 }
 
 #[cfg(test)]
@@ -445,12 +374,13 @@ mod tests {
             patterns::all_to_all(8, 64),
             patterns::ring(8, 1024),
         ] {
-            let reused = simulate_with(
+            let mut reused = SimResult::empty(8);
+            simulate_with(
                 &pattern,
                 &cfg,
                 &[Time::ZERO; 8],
                 &mut |m, start| cfg.params.arrival_time(start, m.bytes),
-                None,
+                &mut reused,
                 None,
                 &mut scratch,
             );
@@ -465,12 +395,13 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_with(
+        let mut r = SimResult::empty(2);
+        simulate_with(
             &pattern,
             &cfg,
             &[Time::ZERO; 2],
             &mut |_m, _start| Time::ZERO,
-            None,
+            &mut r,
             None,
             &mut SimScratch::new(),
         );

@@ -3,18 +3,22 @@
 //! `commsim::reference`, across every dimension that can change a
 //! timeline — pattern shape, LogGP parameters, gap rule, tie-break policy
 //! and seed, fault plans, and custom arrival hooks (including misbehaving
-//! ones, which both sides clamp identically). A second group pins the
-//! incremental re-timing invariant: a worst-case `Recording::retime`
-//! under any parameters (same seed) accepts, and its per-processor maxima
-//! equal those of a full re-simulation. A third group repeats the
-//! worst-case properties on cyclic patterns at P in 256..=1024.
+//! ones, which both sides clamp identically) — and, under faults and
+//! hooks, emit the same trace events. A second group pins the sinks and
+//! the incremental re-timing invariant: a `StepEnds` sink holds the
+//! maxima of the timeline the same run records, and a worst-case
+//! `Recording::retime` under any parameters (same seed) accepts, and its
+//! per-processor maxima equal those of a full re-simulation. A third
+//! group repeats the worst-case properties on cyclic patterns at P in
+//! 256..=1024.
 
 use commsim::faults::StepFaults;
 use commsim::{
-    patterns, reference, replay, standard, worstcase, CommPattern, Message, SimConfig, SimScratch,
-    StepEnds, TieBreak,
+    patterns, reference, replay, standard, worstcase, CommPattern, Message, SimConfig, SimResult,
+    SimScratch, StepEnds, StepTracer, TieBreak,
 };
-use loggp::{LogGpParams, Time};
+use loggp::{LogGpParams, OpKind, Time};
+use predsim_obs::{MemorySink, TraceEvent};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = LogGpParams> {
@@ -137,7 +141,7 @@ impl StepFaults for HashDrops {
     }
 }
 
-fn assert_same(label: &str, new: &commsim::SimResult, old: &commsim::SimResult) {
+fn assert_same(label: &str, new: &SimResult, old: &SimResult) {
     assert_eq!(
         new.timeline.events(),
         old.timeline.events(),
@@ -150,13 +154,42 @@ fn assert_same(label: &str, new: &commsim::SimResult, old: &commsim::SimResult) 
     );
 }
 
-/// `ends` must equal the per-processor maxima [`StepEnds::absorb`] takes
-/// from `full`, a full simulation started at `ready`.
-fn assert_ends(label: &str, ends: &StepEnds, full: &commsim::SimResult, ready: &[Time]) {
+/// The per-processor maxima of `full`, a run started at `ready`, read off
+/// its timeline: per processor the last end of its events and of its
+/// receives, each at least `ready[p]`, and the forced sends.
+fn timeline_ends(full: &SimResult, ready: &[Time]) -> StepEnds {
     let mut want = StepEnds::default();
     want.reset(ready);
-    want.absorb(full);
-    assert_eq!(ends, &want, "{label}: re-timed maxima diverged");
+    for ev in full.timeline.events() {
+        want.comm_done[ev.proc] = want.comm_done[ev.proc].max(ev.end);
+        if ev.kind == OpKind::Recv {
+            want.last_recv_done[ev.proc] = want.last_recv_done[ev.proc].max(ev.end);
+        }
+    }
+    want.forced_sends = full.forced_sends;
+    want
+}
+
+/// `ends` must equal the per-processor maxima of `full`, a full
+/// simulation started at `ready`.
+fn assert_ends(label: &str, ends: &StepEnds, full: &SimResult, ready: &[Time]) {
+    assert_eq!(
+        ends,
+        &timeline_ends(full, ready),
+        "{label}: maxima diverged"
+    );
+}
+
+/// Run `sim` into a `(SimResult, StepTracer)` pair over a fresh
+/// `MemorySink`: the recorded result and the trace events, in order.
+fn traced(
+    procs: usize,
+    sim: impl FnOnce(&mut (&mut SimResult, &mut StepTracer<'_>)),
+) -> (SimResult, Vec<TraceEvent>) {
+    let sink = MemorySink::new();
+    let mut result = SimResult::empty(procs);
+    sim(&mut (&mut result, &mut StepTracer::new(&sink, 0)));
+    (result, sink.events())
 }
 
 /// The optimized worst-case loop ≡ the reference loop.
@@ -176,7 +209,8 @@ fn check_worstcase_retime(
     scratch: &mut SimScratch,
 ) {
     let mut ends = StepEnds::default();
-    let (recorded, rec) = replay::record_worstcase(pattern, base_cfg, ready, scratch);
+    let mut recorded = SimResult::empty(pattern.procs());
+    let rec = replay::record_worstcase(pattern, base_cfg, ready, scratch, &mut recorded);
     let direct = worstcase::simulate_from(pattern, base_cfg, ready);
     assert_same("wc recording run", &recorded, &direct);
     assert!(
@@ -248,20 +282,22 @@ proptest! {
         };
 
         let mut h1 = hook;
-        let new_std = standard::simulate_with(
-            &pattern, &cfg, ready, &mut h1, None, Some(&faults), &mut SimScratch::new());
+        let (new_std, new_trace) = traced(procs, |sink| standard::simulate_with(
+            &pattern, &cfg, ready, &mut h1, sink, Some(&faults), &mut SimScratch::new()));
         let mut h2 = hook;
-        let old_std = reference::standard_simulate_faulted(
-            &pattern, &cfg, ready, &mut h2, None, Some(&faults));
+        let (old_std, old_trace) = traced(procs, |sink| reference::standard_simulate_faulted(
+            &pattern, &cfg, ready, &mut h2, sink, Some(&faults)));
         assert_same("standard+faults+hook", &new_std, &old_std);
+        assert_eq!(new_trace, old_trace, "standard+faults+hook: trace events diverged");
 
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_with(
-            &pattern, &cfg, ready, &mut h3, None, Some(&faults), &mut SimScratch::new());
+        let (new_wc, new_trace) = traced(procs, |sink| worstcase::simulate_with(
+            &pattern, &cfg, ready, &mut h3, sink, Some(&faults), &mut SimScratch::new()));
         let mut h4 = hook;
-        let old_wc = reference::worstcase_simulate_faulted(
-            &pattern, &cfg, ready, &mut h4, None, Some(&faults));
+        let (old_wc, old_trace) = traced(procs, |sink| reference::worstcase_simulate_faulted(
+            &pattern, &cfg, ready, &mut h4, sink, Some(&faults)));
         assert_same("worstcase+faults+hook", &new_wc, &old_wc);
+        assert_eq!(new_trace, old_trace, "worstcase+faults+hook: trace events diverged");
     }
 
     /// A *misbehaving* arrival hook (violating `arrival ≥ start + o`) is
@@ -286,17 +322,21 @@ proptest! {
             Time::from_ps(params.arrival_time(start, m.bytes).as_ps() / shrink_den)
         };
         let mut h1 = hook;
-        let new = standard::simulate_with(
-            &pattern, &cfg, ready, &mut h1, None, None, &mut SimScratch::new());
+        let (new, new_trace) = traced(procs, |sink| standard::simulate_with(
+            &pattern, &cfg, ready, &mut h1, sink, None, &mut SimScratch::new()));
         let mut h2 = hook;
-        let old = reference::standard_simulate_faulted(&pattern, &cfg, ready, &mut h2, None, None);
+        let (old, old_trace) = traced(procs, |sink| reference::standard_simulate_faulted(
+            &pattern, &cfg, ready, &mut h2, sink, None));
         assert_same("standard+clamped-hook", &new, &old);
+        assert_eq!(new_trace, old_trace, "standard+clamped-hook: trace events diverged");
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_with(
-            &pattern, &cfg, ready, &mut h3, None, None, &mut SimScratch::new());
+        let (new_wc, new_trace) = traced(procs, |sink| worstcase::simulate_with(
+            &pattern, &cfg, ready, &mut h3, sink, None, &mut SimScratch::new()));
         let mut h4 = hook;
-        let old_wc = reference::worstcase_simulate_faulted(&pattern, &cfg, ready, &mut h4, None, None);
+        let (old_wc, old_trace) = traced(procs, |sink| reference::worstcase_simulate_faulted(
+            &pattern, &cfg, ready, &mut h4, sink, None));
         assert_same("worstcase+clamped-hook", &new_wc, &old_wc);
+        assert_eq!(new_trace, old_trace, "worstcase+clamped-hook: trace events diverged");
     }
 
     /// A reused scratch never changes results: interleaving differently
@@ -318,12 +358,14 @@ proptest! {
             let cfg = make_cfg(params, procs, random_ties, classic, seed);
             let ready = &ready[..procs];
             let mut arrival = |m: &Message, start: Time| cfg.params.arrival_time(start, m.bytes);
-            let reused = standard::simulate_with(
-                pattern, &cfg, ready, &mut arrival, None, None, &mut scratch);
+            let mut reused = SimResult::empty(procs);
+            standard::simulate_with(
+                pattern, &cfg, ready, &mut arrival, &mut reused, None, &mut scratch);
             let fresh = standard::simulate_from(pattern, &cfg, ready);
             assert_same("std scratch reuse", &reused, &fresh);
-            let reused = worstcase::simulate_with(
-                pattern, &cfg, ready, &mut arrival, None, None, &mut scratch);
+            let mut reused = SimResult::empty(procs);
+            worstcase::simulate_with(
+                pattern, &cfg, ready, &mut arrival, &mut reused, None, &mut scratch);
             let fresh = worstcase::simulate_from(pattern, &cfg, ready);
             assert_same("wc scratch reuse", &reused, &fresh);
         }
@@ -345,6 +387,46 @@ proptest! {
         let alt_cfg = make_cfg(alt, procs, false, classic, seed);
         let ready = &ready[..procs];
         check_worstcase_retime(&pattern, &base_cfg, &alt_cfg, ready, &mut SimScratch::new());
+    }
+
+    /// A `StepEnds` sink holds exactly the per-processor maxima of the
+    /// timeline the same run records: both algorithms, both tie-breaks,
+    /// random ready fronts, with and without faults, under an arrival
+    /// hook.
+    #[test]
+    fn step_ends_sink_equals_timeline_maxima(
+        params in arb_params(),
+        pattern in arb_pattern(),
+        random_ties in proptest::bool::ANY,
+        classic in proptest::bool::ANY,
+        seed in any::<u64>(),
+        ready in arb_ready(),
+        faulted in proptest::bool::ANY,
+        fault_seed in any::<u64>(),
+        jitter_ns in 0u64..10_000,
+    ) {
+        let procs = pattern.procs();
+        let cfg = make_cfg(params, procs, random_ties, classic, seed);
+        let ready = &ready[..procs];
+        let drops = HashDrops { seed: fault_seed };
+        let faults = faulted.then_some(&drops as &dyn StepFaults);
+        let params = cfg.params;
+        let mut hook = move |m: &Message, start: Time| {
+            params.arrival_time(start, m.bytes) + Time::from_ns(jitter_ns * (m.id as u64 % 5))
+        };
+        for (label, worst) in [("standard", false), ("worstcase", true)] {
+            let mut result = SimResult::empty(procs);
+            let mut ends = StepEnds::default();
+            ends.reset(ready);
+            let sink = &mut (&mut result, &mut ends);
+            let scratch = &mut SimScratch::new();
+            if worst {
+                worstcase::simulate_with(&pattern, &cfg, ready, &mut hook, sink, faults, scratch);
+            } else {
+                standard::simulate_with(&pattern, &cfg, ready, &mut hook, sink, faults, scratch);
+            }
+            assert_ends(label, &ends, &result, ready);
+        }
     }
 }
 
@@ -401,8 +483,9 @@ proptest! {
             let alt_cfg = make_cfg(alt, procs, false, classic, seed);
             let ready = seeded_ready(procs, ready_seed);
             let mut arrival = |m: &Message, start: Time| cfg.params.arrival_time(start, m.bytes);
-            let reused = worstcase::simulate_with(
-                &pattern, &cfg, &ready, &mut arrival, None, None, &mut scratch);
+            let mut reused = SimResult::empty(procs);
+            worstcase::simulate_with(
+                &pattern, &cfg, &ready, &mut arrival, &mut reused, None, &mut scratch);
             let fresh = worstcase::simulate_from(&pattern, &cfg, &ready);
             assert_same("wc scratch reuse", &reused, &fresh);
             check_worstcase_retime(&pattern, &cfg, &alt_cfg, &ready, &mut scratch);

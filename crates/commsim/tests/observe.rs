@@ -4,7 +4,9 @@
 //! figures the `stats`/`gantt` render paths report.
 
 use commsim::observe::StepTracer;
-use commsim::{patterns, standard, stats, worstcase, CommPattern, SimConfig, SimScratch};
+use commsim::{
+    patterns, standard, stats, worstcase, CommPattern, SimConfig, SimResult, SimScratch,
+};
 use loggp::{presets, Time};
 use predsim_obs::{HorizonProfile, MemorySink, Registry, TraceEvent};
 
@@ -23,13 +25,14 @@ fn tracing_does_not_change_the_standard_timeline() {
     let ready = vec![Time::ZERO; pattern.procs()];
     let plain = standard::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
-    let tracer = StepTracer::new(&sink, 0);
-    let traced = standard::simulate_with(
+    let mut tracer = StepTracer::new(&sink, 0);
+    let mut traced = SimResult::empty(pattern.procs());
+    standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
-        Some(&tracer),
+        &mut (&mut traced, &mut tracer),
         None,
         &mut SimScratch::new(),
     );
@@ -45,13 +48,14 @@ fn tracing_does_not_change_the_worstcase_timeline() {
     let ready = vec![Time::ZERO; 6];
     let plain = worstcase::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
-    let tracer = StepTracer::new(&sink, 3);
-    let traced = worstcase::simulate_with(
+    let mut tracer = StepTracer::new(&sink, 3);
+    let mut traced = SimResult::empty(pattern.procs());
+    worstcase::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
-        Some(&tracer),
+        &mut (&mut traced, &mut tracer),
         None,
         &mut SimScratch::new(),
     );
@@ -72,13 +76,14 @@ fn trace_covers_every_network_message() {
     let cfg = meiko_cfg(pattern.procs());
     let ready = vec![Time::ZERO; pattern.procs()];
     let sink = MemorySink::new();
-    let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_with(
+    let mut tracer = StepTracer::new(&sink, 0);
+    let mut r = SimResult::empty(pattern.procs());
+    standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
-        Some(&tracer),
+        &mut (&mut r, &mut tracer),
         None,
         &mut SimScratch::new(),
     );
@@ -119,13 +124,14 @@ fn gap_stalls_match_stats_queueing() {
     let cfg = meiko_cfg(6);
     let ready = vec![Time::ZERO; 6];
     let sink = MemorySink::new();
-    let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_with(
+    let mut tracer = StepTracer::new(&sink, 0);
+    let mut r = SimResult::empty(pattern.procs());
+    standard::simulate_with(
         &pattern,
         &cfg,
         &ready,
         &mut loggp_arrival(&cfg),
-        Some(&tracer),
+        &mut (&mut r, &mut tracer),
         None,
         &mut SimScratch::new(),
     );

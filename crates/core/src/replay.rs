@@ -122,8 +122,8 @@ pub fn record_program(prog: &Program, opts: &SimOptions) -> Option<(Prediction, 
     ))
 }
 
-/// Backend of [`record_program`]: the worst-case algorithm with the
-/// recording hook enabled.
+/// Backend of [`record_program`]: the worst-case algorithm writing each
+/// step's maxima while its order is recorded.
 struct RecordingBackend {
     scratch: SimScratch,
     steps: Vec<Recording>,
@@ -139,10 +139,9 @@ impl StepSimulator for RecordingBackend {
         ready: &[Time],
         out: &mut StepEnds,
     ) {
-        let (result, rec) = record_worstcase(comm, &opts.cfg, ready, &mut self.scratch);
-        self.steps.push(rec);
         out.reset(ready);
-        out.absorb(&result);
+        let rec = record_worstcase(comm, &opts.cfg, ready, &mut self.scratch, out);
+        self.steps.push(rec);
     }
 }
 

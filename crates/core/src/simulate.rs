@@ -3,7 +3,7 @@
 
 use crate::program::Program;
 use commsim::{
-    standard, worstcase, CommPattern, Message, SimConfig, StepEnds, StepFaults, StepTracer,
+    standard, worstcase, CommPattern, Message, OpSink, SimConfig, StepEnds, StepFaults, StepTracer,
 };
 use loggp::Time;
 use predsim_faults::FaultPlan;
@@ -233,8 +233,9 @@ pub trait StepSimulator {
     /// Simulate the communication of program step `step_idx`, with
     /// processor `p` unable to start communicating before `ready[p]`, and
     /// write each processor's completion into `out`. A predicting backend
-    /// writes exactly what the direct algorithms in [`commsim`] would with
-    /// `hooks`' tracer and faults attached, and emits exactly their events.
+    /// writes exactly what the direct algorithms in [`commsim`] write into
+    /// a [`StepEnds`] sink under `hooks`' faults, and when `hooks.trace`
+    /// names a sink, emits exactly the events their [`StepTracer`] does.
     fn simulate_step(
         &mut self,
         step_idx: usize,
@@ -282,6 +283,26 @@ impl DirectStepSimulator {
     pub fn new() -> Self {
         DirectStepSimulator::default()
     }
+
+    /// Simulate `comm` with `opts`' algorithm and the LogGP arrival model
+    /// into `sink`.
+    fn simulate_into<S: OpSink>(
+        &mut self,
+        comm: &CommPattern,
+        opts: &SimOptions,
+        ready: &[Time],
+        faults: Option<&dyn StepFaults>,
+        sink: &mut S,
+    ) {
+        let params = opts.cfg.params;
+        let mut arrival = |m: &Message, start: Time| params.arrival_time(start, m.bytes);
+        let simulate = match opts.algo {
+            CommAlgo::Standard => standard::simulate_with::<S>,
+            CommAlgo::WorstCase => worstcase::simulate_with::<S>,
+        };
+        let scratch = &mut self.scratch;
+        simulate(comm, &opts.cfg, ready, &mut arrival, sink, faults, scratch);
+    }
 }
 
 impl StepSimulator for DirectStepSimulator {
@@ -295,26 +316,16 @@ impl StepSimulator for DirectStepSimulator {
         out: &mut StepEnds,
     ) {
         let step = step_idx as u64;
-        let tracer = hooks.trace.map(|sink| StepTracer::new(sink, step));
         let view = hooks.faults.map(|plan| StepFaultView::new(plan, step));
         let faults = view.as_ref().map(|v| v as &dyn StepFaults);
-        let params = opts.cfg.params;
-        let mut arrival = |m: &Message, start: Time| params.arrival_time(start, m.bytes);
-        let simulate = match opts.algo {
-            CommAlgo::Standard => standard::simulate_with,
-            CommAlgo::WorstCase => worstcase::simulate_with,
-        };
-        let result = simulate(
-            comm,
-            &opts.cfg,
-            ready,
-            &mut arrival,
-            tracer.as_ref(),
-            faults,
-            &mut self.scratch,
-        );
         out.reset(ready);
-        out.absorb(&result);
+        match hooks.trace {
+            None => self.simulate_into(comm, opts, ready, faults, out),
+            Some(sink) => {
+                let tracer = &mut StepTracer::new(sink, step);
+                self.simulate_into(comm, opts, ready, faults, &mut (out, tracer));
+            }
+        }
     }
 
     /// The [`commsim`] algorithms are translation-invariant: see

@@ -330,17 +330,16 @@ impl StepSimulator for EmulatedNetwork<'_> {
             }
             arrival
         };
-        let result = standard::simulate_with(
+        out.reset(ready);
+        standard::simulate_with(
             comm,
             &opts.cfg,
             ready,
             &mut arrival,
-            None,
+            out,
             view.as_ref().map(|v| v as &dyn StepFaults),
             &mut self.scratch,
         );
-        out.reset(ready);
-        out.absorb(&result);
     }
 
     /// A self-message is a local memory copy, charged to its sender after
