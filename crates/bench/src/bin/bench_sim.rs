@@ -2,7 +2,8 @@
 //! straightforward reference encoding it replaced, plus worst-case
 //! re-timing against worst-case simulation.
 //!
-//! Two families of measurements, all in release mode, best-of-rounds:
+//! Two families of measurements, all in release mode, each the median
+//! over many rounds that alternate the order of their two sides:
 //!
 //! * **hot loop** — whole-program prediction (std + worst-case pair)
 //!   through the optimized loops (`DirectStepSimulator`: flat SoA
@@ -14,6 +15,8 @@
 //!   APSP rows show the same loops on the other program generators.
 //!   Both sides produce bit-identical predictions (asserted here; the
 //!   proptest suite in `commsim/tests/equiv.rs` pins it exhaustively).
+//!   A row's speedup is the median of the rounds' own reference ÷ new
+//!   ratios.
 //! * **worst-case re-timing** — one recorded worst-case simulation of the
 //!   GE program on the first preset, then the other presets re-timed from
 //!   the recorded rounds (`predsim_core::replay`, the path `predsim
@@ -52,8 +55,7 @@ use predsim_engine::JobSource;
 use predsim_lint::json::{self, Value};
 use std::time::{Duration, Instant};
 
-const ROUNDS: u32 = 7;
-/// Alternating rounds of the re-timing measurement.
+/// Alternating rounds of every measurement.
 const RETIME_ROUNDS: usize = 41;
 const BASELINE: &str = "BENCH_SIM.json";
 /// `--check` fails when a ratio regresses by more than this fraction.
@@ -70,27 +72,6 @@ const WORKLOADS: [(&str, &str, u32); 4] = [
 /// Machine presets swept by the re-timing measurement; the first is the
 /// recording preset.
 const SWEEP_MACHINES: [&str; 5] = ["meiko", "paragon", "myrinet", "ethernet", "ideal"];
-
-/// Best-of-`ROUNDS` mean wall time of `iters` calls of each of two sides,
-/// alternating them within each round so host-load drift lands on both
-/// sides rather than whichever happened to be measured second.
-fn wall_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        for _ in 0..iters {
-            a();
-        }
-        best_a = best_a.min(t.elapsed() / iters);
-        let t = Instant::now();
-        for _ in 0..iters {
-            b();
-        }
-        best_b = best_b.min(t.elapsed() / iters);
-    }
-    (best_a, best_b)
-}
 
 /// Median over [`RETIME_ROUNDS`] rounds of the mean wall time of `iters`
 /// calls of each of two sides, and the median of the rounds' own `a / b`
@@ -242,15 +223,15 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
         assert_eq!(reused, old, "{source}: reusing repeated steps diverged");
     }
 
-    let (new_pair, reference_pair) = wall_pair(
+    let (reference_pair, new_pair, speedup) = median_pair(
         iters,
-        || {
-            std::hint::black_box(simulate_every_step(&program, &std_opts));
-            std::hint::black_box(simulate_every_step(&program, &wc_opts));
-        },
         || {
             std::hint::black_box(simulate_reference(&program, &std_opts));
             std::hint::black_box(simulate_reference(&program, &wc_opts));
+        },
+        || {
+            std::hint::black_box(simulate_every_step(&program, &std_opts));
+            std::hint::black_box(simulate_every_step(&program, &wc_opts));
         },
     );
     Row {
@@ -260,7 +241,7 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
         messages,
         new_pair,
         reference_pair,
-        speedup: reference_pair.as_nanos() as f64 / new_pair.as_nanos() as f64,
+        speedup,
     }
 }
 

@@ -14,7 +14,7 @@
 //! number. [`parse`] ∘ [`dump`] is the identity on values and [`dump`]
 //! is canonical, so files round-trip bit-exactly.
 
-use crate::model::TaskDag;
+use crate::model::{TaskDag, MAX_EDGES};
 
 /// A parse failure, located by 1-based line number (`0` = whole file).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +66,8 @@ fn int(s: &str, what: &str, line: usize) -> Result<u64, ParseError> {
 }
 
 /// Parse a DAG file. The result is validated (acyclic, non-empty,
-/// costs in range).
+/// costs in range); an `edge` line past the first [`MAX_EDGES`] is an
+/// error.
 pub fn parse(text: &str) -> Result<TaskDag, ParseError> {
     let mut dag: Option<TaskDag> = None;
     let mut seen_edge = false;
@@ -113,6 +114,12 @@ pub fn parse(text: &str) -> Result<TaskDag, ParseError> {
                     .as_mut()
                     .ok_or_else(|| err(line, "'edge' before the 'dag' header"))?;
                 seen_edge = true;
+                if d.edges().len() == MAX_EDGES {
+                    return Err(err(
+                        line,
+                        format!("more edges than the supported maximum of {MAX_EDGES}"),
+                    ));
+                }
                 if rest.len() != 3 {
                     return Err(err(line, "expected 'edge SRC DST BYTES'"));
                 }
@@ -234,6 +241,24 @@ edge mid sink 4096
         ] {
             assert_eq!(parse(text).unwrap_err().to_string(), want);
         }
+        // At most MAX_EDGES edge lines: 256 sources into 256 sinks fill
+        // the limit exactly, and one more edge is refused at its line.
+        let mut text = String::from("dag name=wide ps_per_flop=1\n");
+        for side in ["a", "b"] {
+            for i in 0..256 {
+                text.push_str(&format!("task {side}{i} 1\n"));
+            }
+        }
+        for i in 0..256 {
+            for j in 0..256 {
+                text.push_str(&format!("edge a{i} b{j} 1\n"));
+            }
+        }
+        assert_eq!(parse(&text).unwrap().edges().len(), MAX_EDGES);
+        text.push_str("edge b0 b1 1\n");
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.line, 1 + 512 + MAX_EDGES + 1);
+        assert_eq!(e.message, "more edges than the supported maximum of 65536");
         // Cycles are whole-file errors (detected at validation).
         let cyc = "dag name=c ps_per_flop=1\ntask a 1\ntask b 1\nedge a b 1\nedge b a 1\n";
         let e = parse(cyc).unwrap_err();

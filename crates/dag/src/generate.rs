@@ -9,7 +9,7 @@
 //! All generators charge [`PS_PER_FLOP`] picoseconds per flop — a 2
 //! GFLOP/s base processor, in the range of the paper's Meiko CS-2 nodes.
 
-use crate::model::{TaskDag, MAX_TASKS};
+use crate::model::{TaskDag, MAX_EDGES, MAX_TASKS};
 
 /// Picoseconds per flop used by every shipped generator (2 GFLOP/s).
 pub const PS_PER_FLOP: u64 = 500;
@@ -90,6 +90,19 @@ pub fn random_layered(
     max_flops: u64,
     max_bytes: usize,
 ) -> TaskDag {
+    layered_within(seed, layers, width, max_flops, max_bytes, usize::MAX).expect("no edge limit")
+}
+
+/// [`random_layered`], or `None` as soon as it would add edge
+/// `max_edges + 1`: the number of edges is only known by drawing them.
+fn layered_within(
+    seed: u64,
+    layers: usize,
+    width: usize,
+    max_flops: u64,
+    max_bytes: usize,
+    max_edges: usize,
+) -> Option<TaskDag> {
     let layers = layers.max(1);
     let width = width.max(1);
     let max_flops = max_flops.max(1);
@@ -107,6 +120,9 @@ pub fn random_layered(
                 let picks = 1 + (splitmix64(&mut rng) as usize) % prev.len();
                 let mut from = prev.clone();
                 for _ in 0..picks {
+                    if d.edges().len() == max_edges {
+                        return None;
+                    }
                     let j = (splitmix64(&mut rng) as usize) % from.len();
                     let p = from.swap_remove(j);
                     let bytes = 1 + (splitmix64(&mut rng) as usize) % max_bytes;
@@ -117,7 +133,7 @@ pub fn random_layered(
         }
         prev = layer;
     }
-    d
+    Some(d)
 }
 
 /// Build a DAG from a generator spec:
@@ -126,8 +142,10 @@ pub fn random_layered(
 /// * `mapreduce:MAPS,REDUCERS,MAP_FLOPS,REDUCE_FLOPS,BYTES`
 /// * `layered:SEED,LAYERS,WIDTH,MAX_FLOPS,MAX_BYTES`
 ///
-/// A spec whose DAG would have more than [`MAX_TASKS`] tasks is refused
-/// before anything is allocated.
+/// A spec whose DAG would have more than [`MAX_TASKS`] tasks or
+/// [`MAX_EDGES`] edges is refused: fork-join and map-reduce specs before
+/// anything is allocated, by their exact counts, and a layered spec (whose
+/// edges are drawn) at the first edge past the limit.
 pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
     let (kind, body) = spec
         .split_once(':')
@@ -152,6 +170,12 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
             "dag spec '{spec}': more tasks than the supported maximum of {MAX_TASKS}"
         )),
     };
+    let too_many_edges =
+        || format!("dag spec '{spec}': more edges than the supported maximum of {MAX_EDGES}");
+    let edge_cap = |edges: Option<u64>| match edges {
+        Some(n) if n <= MAX_EDGES as u64 => Ok(()),
+        _ => Err(too_many_edges()),
+    };
     let dag = match kind {
         "forkjoin" => {
             arity(4, "forkjoin:WIDTH,STAGES,FLOPS,BYTES")?;
@@ -159,6 +183,9 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
                 .checked_add(1)
                 .and_then(|w| w.checked_mul(nums[1]))
                 .and_then(|n| n.checked_add(1)))?;
+            // Two edges per worker and stage; with no stages WIDTH is
+            // unbounded and there are no edges.
+            edge_cap(nums[1].checked_mul(nums[0]).and_then(|e| e.checked_mul(2)))?;
             fork_join(
                 nums[0] as usize,
                 nums[1] as usize,
@@ -169,6 +196,9 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
         "mapreduce" => {
             arity(5, "mapreduce:MAPS,REDUCERS,MAP_FLOPS,REDUCE_FLOPS,BYTES")?;
             cap(nums[0].checked_add(nums[1]).and_then(|n| n.checked_add(2)))?;
+            // Within the task cap the shuffle's MAPS x REDUCERS cannot
+            // overflow.
+            edge_cap(Some(nums[0] + nums[0] * nums[1] + nums[1]))?;
             map_reduce(
                 nums[0] as usize,
                 nums[1] as usize,
@@ -180,13 +210,15 @@ pub fn from_spec(spec: &str) -> Result<TaskDag, String> {
         "layered" => {
             arity(5, "layered:SEED,LAYERS,WIDTH,MAX_FLOPS,MAX_BYTES")?;
             cap(nums[1].max(1).checked_mul(nums[2].max(1)))?;
-            random_layered(
+            layered_within(
                 nums[0],
                 nums[1] as usize,
                 nums[2] as usize,
                 nums[3],
                 nums[4] as usize,
+                MAX_EDGES,
             )
+            .ok_or_else(too_many_edges)?
         }
         other => return Err(format!("unknown dag generator '{other}'")),
     };
@@ -268,5 +300,43 @@ mod tests {
             let err = from_spec(big).unwrap_err();
             assert!(err.contains("maximum of 4096"), "{big}: {err}");
         }
+    }
+
+    #[test]
+    fn specs_past_the_edge_limit_are_refused() {
+        // Map-reduce edges are counted before generating: 255 + 255 x 255
+        // + 255 = 65,535 builds, 256 + 256 x 255 + 255 = 65,791 does not.
+        assert_eq!(
+            from_spec("mapreduce:255,255,1,1,1").unwrap().edges().len(),
+            65_535
+        );
+        // Layered edges are drawn: 65,468 for seed 29 at width 706, 65,569
+        // for seed 38 at width 720, and 1,216,596 for seed 1 at 2048.
+        assert_eq!(
+            from_spec("layered:29,2,706,1,1").unwrap().edges().len(),
+            65_468
+        );
+        for big in [
+            "mapreduce:256,255,1,1,1",
+            "mapreduce:2047,2047,1,1,1",
+            "layered:38,2,720,1,1",
+            "layered:1,2,2048,1,1",
+        ] {
+            let err = from_spec(big).unwrap_err();
+            assert_eq!(
+                err,
+                format!("dag spec '{big}': more edges than the supported maximum of 65536")
+            );
+        }
+        assert_eq!(
+            from_spec("forkjoin:18446744073709551614,0,1,1")
+                .unwrap()
+                .tasks()
+                .len(),
+            1
+        );
+        // The layered generator stops at the first edge past its limit.
+        assert!(layered_within(29, 2, 706, 1, 1, 65_468).is_some());
+        assert!(layered_within(29, 2, 706, 1, 1, 65_467).is_none());
     }
 }

@@ -40,6 +40,6 @@ pub mod sweep;
 
 pub use format::ParseError;
 pub use lower::{lower, Lowered};
-pub use model::{Edge, Task, TaskDag, MAX_TASKS};
+pub use model::{Edge, Task, TaskDag, MAX_EDGES, MAX_TASKS};
 pub use sched::{Placement, Scheduler, SchedulerKind};
 pub use sweep::{parse_procs, sweep, SweepPoint, SweepReport, MAX_SWEEP_PROCS};

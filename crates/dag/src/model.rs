@@ -15,6 +15,13 @@ use std::collections::HashMap;
 /// most 1024.
 pub const MAX_TASKS: usize = 4096;
 
+/// The most edges such a DAG may have, and the most a DAG file may
+/// list ([`crate::format::parse`]). Within [`MAX_TASKS`] a DAG could
+/// otherwise have millions, each generated, placed and lowered. The
+/// largest in the repository's tests and benchmarks, large-p's
+/// `layered:S,16,64,…`, has at most 15·64·64 = 61,440.
+pub const MAX_EDGES: usize = 65_536;
+
 /// One unit of work: a name (unique within the DAG) and a flop cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {

@@ -18,9 +18,22 @@
 //! * **heft** — HEFT-style: tasks ranked by *upward rank* (mean
 //!   computation plus the most expensive downstream chain), then placed
 //!   by the same earliest-finish-time rule.
+//!
+//! The earliest-finish-time rule never charges an input edge once per
+//! candidate processor. It groups a task's inputs by the processor that
+//! holds them: on that processor they are ready at their latest finish,
+//! anywhere else at their latest finish plus the base message cost, so a
+//! candidate's ready time is its own group's local time against the
+//! largest remote time among the other groups, and the two largest
+//! remote times answer every candidate. A group with a link override
+//! into the candidate is left out of that maximum and charged through
+//! its own inputs at the override's cost. Placing a DAG of `T` tasks and
+//! `E` edges on `P` processors costs O(E + T·P), plus, on a machine with
+//! link overrides, the inputs behind overridden links and a few
+//! comparisons per group and per overridden processor.
 
 use crate::model::TaskDag;
-use loggp::MachineSpec;
+use loggp::{LogGpParams, MachineSpec};
 
 /// A computed task-to-processor assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,34 +55,104 @@ pub trait Scheduler {
     fn assign(&self, dag: &TaskDag, machine: &MachineSpec) -> Vec<usize>;
 }
 
+/// Ends a chain of inputs.
+const NONE: usize = usize::MAX;
+
 /// The earliest-finish-time core shared by min-ready and HEFT: walk
 /// `order`, place each task where it would finish first under a simple
 /// list-schedule estimate (predecessor finish + cross-processor message
 /// cost, processor availability, speed-scaled computation).
+///
+/// An input edge from a task on processor `s` reaches candidate `q` at
+/// the producer's finish when `s == q`, and otherwise at its finish plus
+/// `link_params(s, q).message_cost(bytes)`, saturating; `q`'s ready time
+/// is the latest of these. One pass over the task's inputs groups them
+/// by `s`: `local[s]` is their latest finish, `far[s]` their latest
+/// finish plus the base message cost, and `last[s]` heads a chain of
+/// them through `chain`. The `keep` largest `far` values are kept in
+/// order. Candidate `q` then takes `local[q]`, the first kept `far` whose
+/// processor is neither `q` nor the source of an override into `q` (at
+/// most `keep - 1` are skipped, so the first one left is the largest of
+/// all such groups), and, for each override `s → q`, the inputs of `s`'s
+/// group each charged at the override's cost. `keep` is 2 on a uniform
+/// machine and 2 plus the most overrides into one processor otherwise.
+///
+/// Every ready time is thus the same integer maximum of the same
+/// saturating sums as charging each input on each candidate, and the
+/// start, finish and tie rule (lowest processor wins) are unchanged, so
+/// placements are bit-identical to that loop (pinned by
+/// `tests/placement.rs`, which keeps it as the oracle). Overrides are
+/// read as [`MachineSpec::link_params`] reads them: the first override
+/// of a pair wins, and self-loops and links off the machine are never
+/// consulted. A task costs O(inputs + P) on a machine without overrides.
+/// Overrides add O(keep) per group, O(keep) per override into each
+/// candidate, and the inputs behind overridden links.
 fn eft_assign(dag: &TaskDag, machine: &MachineSpec, order: &[usize]) -> Vec<usize> {
     let p = machine.procs();
     let n = dag.tasks().len();
+    let mut into: Vec<Vec<(usize, LogGpParams)>> = vec![Vec::new(); p];
+    for l in &machine.links {
+        if l.src < p && l.dst < p && l.src != l.dst && into[l.dst].iter().all(|o| o.0 != l.src) {
+            into[l.dst].push((l.src, l.params(&machine.base)));
+        }
+    }
+    let keep = 2 + into.iter().map(Vec::len).max().unwrap_or(0);
     let mut proc_free = vec![0u64; p];
     let mut finish = vec![0u64; n];
     let mut proc_of = vec![0usize; n];
+    // Per processor, over the current task's inputs there; `local` stays
+    // 0 where there are none, which no maximum notices.
+    let mut local = vec![0u64; p];
+    let mut far = vec![0u64; p];
+    let mut last = vec![NONE; p];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut chain: Vec<usize> = Vec::new();
+    let mut top: Vec<(u64, usize)> = Vec::with_capacity(keep + 1);
     for &t in order {
+        let preds = dag.preds(t);
+        for (i, &e) in preds.iter().enumerate() {
+            let edge = dag.edges()[e];
+            let s = proc_of[edge.src];
+            let fin = finish[edge.src];
+            let arrival = fin.saturating_add(machine.base.message_cost(edge.bytes).as_ps());
+            if last[s] == NONE {
+                touched.push(s);
+                far[s] = arrival;
+            } else {
+                far[s] = far[s].max(arrival);
+            }
+            local[s] = local[s].max(fin);
+            chain.push(last[s]);
+            last[s] = i;
+        }
+        top.clear();
+        for &s in &touched {
+            let at = top.partition_point(|&(v, _)| v >= far[s]);
+            if at < keep {
+                top.insert(at, (far[s], s));
+                top.truncate(keep);
+            }
+        }
+        let comp = dag.comp_ps(t);
         let mut best_fin = u64::MAX;
         let mut best_proc = 0usize;
         for (q, &free) in proc_free.iter().enumerate() {
-            let mut ready = 0u64;
-            for &e in dag.preds(t) {
-                let edge = dag.edges()[e];
-                let src_proc = proc_of[edge.src];
-                let arrival = if src_proc == q {
-                    finish[edge.src]
-                } else {
-                    let cost = machine.link_params(src_proc, q).message_cost(edge.bytes);
-                    finish[edge.src].saturating_add(cost.as_ps())
-                };
-                ready = ready.max(arrival);
+            let over = &into[q];
+            let kept = top
+                .iter()
+                .find(|&&(_, s)| s != q && over.iter().all(|o| o.0 != s));
+            let mut ready = kept.map_or(0, |&(v, _)| v).max(local[q]);
+            for &(s, params) in over {
+                let mut i = last[s];
+                while i != NONE {
+                    let edge = dag.edges()[preds[i]];
+                    let cost = params.message_cost(edge.bytes).as_ps();
+                    ready = ready.max(finish[edge.src].saturating_add(cost));
+                    i = chain[i];
+                }
             }
             let start = ready.max(free);
-            let fin = start.saturating_add(machine.scale_comp(q, dag.comp_ps(t)).as_ps());
+            let fin = start.saturating_add(machine.scale_comp(q, comp).as_ps());
             if fin < best_fin {
                 best_fin = fin;
                 best_proc = q;
@@ -78,6 +161,11 @@ fn eft_assign(dag: &TaskDag, machine: &MachineSpec, order: &[usize]) -> Vec<usiz
         finish[t] = best_fin;
         proc_of[t] = best_proc;
         proc_free[best_proc] = best_fin;
+        for s in touched.drain(..) {
+            local[s] = 0;
+            last[s] = NONE;
+        }
+        chain.clear();
     }
     proc_of
 }

@@ -326,6 +326,11 @@ fn oversized_processor_counts_are_rejected_without_killing_the_server() {
     let (status, body) = predict(addr, r#"{"source":"dag:forkjoin:4000000000,1,1000,8:4"}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("supported maximum of 4096"), "{body}");
+    // And by its edge count, which a layered spec only knows by drawing
+    // its edges: the generator stops at the first past the limit.
+    let (status, body) = predict(addr, r#"{"source":"dag:layered:1,2,2048,1,1:64"}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("supported maximum of 65536"), "{body}");
     let (status, _, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "the server survives every request");
     handle.drain();

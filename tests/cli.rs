@@ -461,6 +461,35 @@ fn check_rejects_processor_counts_beyond_the_limit() {
 }
 
 #[test]
+fn dag_sources_past_the_edge_limit_are_refused() {
+    // A DAG's edges are capped like its tasks: within 4,096 tasks the
+    // layered spec would draw 1,216,596 edges, the map-reduce one has
+    // 65,791.
+    for spec in [
+        "dag:layered:1,2,2048,1,1:64",
+        "dag:mapreduce:256,255,1,1,1:4",
+    ] {
+        let out = bin().args(["batch", spec]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {err}");
+        assert!(
+            err.contains("more edges than the supported maximum of 65536"),
+            "{spec}: {err}"
+        );
+    }
+    // 65,535 edges, one short of the limit, still run.
+    let out = bin()
+        .args(["batch", "dag:mapreduce:255,255,1,1,1:4", "--jobs", "1"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn batch_rejects_invalid_trace_jobs_with_diagnostics() {
     // A trace that parses but trips the analyzer is impossible to build
     // via the text format (arities are validated at parse time), so batch
