@@ -1,15 +1,16 @@
 //! Real multithreaded execution of the blocked Floyd–Warshall, mirroring
 //! `gauss::parallel`: one thread per virtual processor, blocks living with
 //! their layout owner, the closed diagonal and relaxed panels traveling
-//! over crossbeam channels along exactly the edges the trace generator
-//! emits. Validates that the *schedule* (not just the sequential
-//! algorithm) computes correct shortest paths.
+//! over `std::sync::mpsc` channels along exactly the edges the trace
+//! generator emits (each thread owns its channel's receiving end).
+//! Validates that the *schedule* (not just the sequential algorithm)
+//! computes correct shortest paths.
 
 use crate::minplus::{floyd_warshall_in_place, minplus_acc};
 use blockops::Matrix;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use predsim_core::Layout;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 #[derive(Clone, Debug)]
 enum BlockMsg {
@@ -181,14 +182,14 @@ pub fn solve(d: &Matrix, b: usize, layout: &dyn Layout) -> Matrix {
     }
 
     let (txs, rxs): (Vec<Sender<BlockMsg>>, Vec<Receiver<BlockMsg>>) =
-        (0..procs).map(|_| unbounded()).unzip();
+        (0..procs).map(|_| channel()).unzip();
 
     let mut results: Vec<HashMap<(usize, usize), Matrix>> = Vec::with_capacity(procs);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(procs);
         for (me, (blocks, rx)) in partitions.drain(..).zip(rxs).enumerate() {
             let txs = txs.clone();
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut w = Worker {
                     me,
                     nb,
@@ -205,8 +206,7 @@ pub fn solve(d: &Matrix, b: usize, layout: &dyn Layout) -> Matrix {
         for h in handles {
             results.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("scope panicked");
+    });
 
     let mut out = Matrix::zeros(n, n);
     for part in results {

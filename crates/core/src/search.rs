@@ -13,6 +13,10 @@
 //!   candidates. The predicted time curve is *sawtoothed* (paper Figure 7),
 //!   so the heuristic is only guaranteed to find a local optimum; the test
 //!   suite quantifies how close it lands on the paper's workload.
+//!
+//! Both call `eval` on the calling thread, one candidate after another. To
+//! predict many candidates at once, submit them as one batch to the
+//! `predsim-engine` worker pool, as `predsim ge-sweep` does.
 
 use loggp::Time;
 
@@ -43,61 +47,6 @@ impl<P: Copy> SearchResult<P> {
 pub fn sweep<P: Copy>(candidates: &[P], mut eval: impl FnMut(P) -> Time) -> SearchResult<P> {
     assert!(!candidates.is_empty(), "no candidates to search");
     let evaluated: Vec<(P, Time)> = candidates.iter().map(|&c| (c, eval(c))).collect();
-    let &(best, best_time) = evaluated.iter().min_by_key(|(_, t)| *t).expect("non-empty");
-    SearchResult {
-        best,
-        best_time,
-        evaluated,
-    }
-}
-
-/// [`sweep`] evaluated on `jobs` threads.
-///
-/// The result — best candidate, best time, and the `evaluated` list in
-/// candidate order — is identical to the sequential [`sweep`] for a pure
-/// `eval`; only wall-clock time changes. Candidates are dealt to workers
-/// round-robin and reassembled by index, so ties resolve exactly as in the
-/// sequential path (lowest candidate index wins).
-///
-/// # Panics
-/// Panics if `candidates` is empty or `jobs` is zero.
-pub fn sweep_parallel<P, F>(candidates: &[P], jobs: usize, eval: F) -> SearchResult<P>
-where
-    P: Copy + Send + Sync,
-    F: Fn(P) -> Time + Sync,
-{
-    assert!(!candidates.is_empty(), "no candidates to search");
-    assert!(jobs > 0, "need at least one worker");
-    let jobs = jobs.min(candidates.len());
-    if jobs == 1 {
-        return sweep(candidates, eval);
-    }
-
-    let mut evaluated: Vec<Option<(P, Time)>> = vec![None; candidates.len()];
-    let eval = &eval;
-    let chunks: Vec<Vec<(usize, (P, Time))>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..candidates.len())
-                        .step_by(jobs)
-                        .map(|i| (i, (candidates[i], eval(candidates[i]))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    for (i, pair) in chunks.into_iter().flatten() {
-        evaluated[i] = Some(pair);
-    }
-    let evaluated: Vec<(P, Time)> = evaluated
-        .into_iter()
-        .map(|e| e.expect("all evaluated"))
-        .collect();
     let &(best, best_time) = evaluated.iter().min_by_key(|(_, t)| *t).expect("non-empty");
     SearchResult {
         best,
@@ -165,106 +114,6 @@ pub fn hill_climb<P: Copy + PartialEq>(
         .flatten()
         {
             let t = get(next, &mut cache, &mut evaluated);
-            if t < best_time {
-                best_time = t;
-                best_idx = next;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    SearchResult {
-        best: candidates[best_idx],
-        best_time,
-        evaluated,
-    }
-}
-
-/// [`hill_climb`] with the coarse-probe phase evaluated on `jobs` threads.
-///
-/// Probes are simulated concurrently (they are fixed up front), then the
-/// downhill walk proceeds sequentially as in [`hill_climb`] — each walk
-/// step depends on the previous one, so there is nothing to parallelize
-/// there. For a pure `eval` the chosen candidate and its time are
-/// identical to the sequential variant; the `evaluated` list holds probes
-/// in probe order followed by walk evaluations in walk order, which is the
-/// sequential order too.
-///
-/// # Panics
-/// Panics if `candidates` is empty, `probes` is zero, or `jobs` is zero.
-pub fn hill_climb_parallel<P, F>(
-    candidates: &[P],
-    probes: usize,
-    jobs: usize,
-    eval: F,
-) -> SearchResult<P>
-where
-    P: Copy + PartialEq + Send + Sync,
-    F: Fn(P) -> Time + Sync,
-{
-    assert!(!candidates.is_empty(), "no candidates to search");
-    assert!(probes > 0, "need at least one probe");
-    assert!(jobs > 0, "need at least one worker");
-    let n = candidates.len();
-    let probes = probes.min(n);
-
-    // The probe indices, deduplicated exactly as the sequential memoized
-    // variant would effectively visit them.
-    let mut probe_idx: Vec<usize> = (0..probes)
-        .map(|k| {
-            if probes == 1 {
-                n / 2
-            } else {
-                k * (n - 1) / (probes - 1)
-            }
-        })
-        .collect();
-    probe_idx.dedup();
-
-    let probe_results = {
-        let probe_search = sweep_parallel(
-            &probe_idx.iter().map(|&i| candidates[i]).collect::<Vec<P>>(),
-            jobs,
-            &eval,
-        );
-        probe_search.evaluated
-    };
-
-    let mut cache: Vec<Option<Time>> = vec![None; n];
-    let mut evaluated: Vec<(P, Time)> = Vec::new();
-    let mut best_idx = 0;
-    let mut best_time = Time::MAX;
-    for (&idx, &(c, t)) in probe_idx.iter().zip(&probe_results) {
-        cache[idx] = Some(t);
-        evaluated.push((c, t));
-        if t < best_time {
-            best_time = t;
-            best_idx = idx;
-        }
-    }
-
-    // Sequential downhill walk, memoized against probe results.
-    loop {
-        let mut improved = false;
-        for next in [
-            best_idx.checked_sub(1),
-            (best_idx + 1 < n).then_some(best_idx + 1),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            let t = match cache[next] {
-                Some(t) => t,
-                None => {
-                    let t = eval(candidates[next]);
-                    cache[next] = Some(t);
-                    evaluated.push((candidates[next], t));
-                    t
-                }
-            };
             if t < best_time {
                 best_time = t;
                 best_idx = next;

@@ -19,9 +19,9 @@
 //!   (`dag`/`task`/`edge` lines) that round-trips bit-exactly;
 //! * [`generate`] — deterministic generators: fork-join, map-reduce,
 //!   and a seeded random layered DAG;
-//! * [`sched`] — the [`Scheduler`] trait and the shipped policies:
-//!   round-robin, min-ready (earliest-finish-time greedy), and a
-//!   HEFT-style rank-based scheduler;
+//! * [`sched`] — [`SchedulerKind`], the shipped policies: round-robin,
+//!   min-ready (earliest-finish-time greedy), and a HEFT-style
+//!   rank-based scheduler;
 //! * [`lower`](mod@lower) — placement → [`predsim_core::Program`], one step per
 //!   DAG level, computation scaled by per-processor speed factors;
 //! * [`sweep`](mod@sweep) — speedup estimation: simulate a DAG over a range of
@@ -41,5 +41,5 @@ pub mod sweep;
 pub use format::ParseError;
 pub use lower::{lower, Lowered};
 pub use model::{Edge, Task, TaskDag, MAX_EDGES, MAX_TASKS};
-pub use sched::{Placement, Scheduler, SchedulerKind};
+pub use sched::{Placement, SchedulerKind};
 pub use sweep::{parse_procs, sweep, SweepPoint, SweepReport, MAX_SWEEP_PROCS};

@@ -1,12 +1,12 @@
-//! Pluggable list-scheduling policies.
+//! List-scheduling policies.
 //!
-//! A [`Scheduler`] maps every task of a [`TaskDag`] to a processor of a
-//! [`MachineSpec`]. The placement is a *heuristic*: the authoritative
-//! running time always comes from simulating the lowered program, so a
-//! scheduler's internal cost model only steers placement quality, never
-//! the prediction's semantics.
+//! [`SchedulerKind::place`] maps every task of a [`TaskDag`] to a
+//! processor of a [`MachineSpec`]. The placement is a *heuristic*: the
+//! authoritative running time always comes from simulating the lowered
+//! program, so a scheduler's internal cost model only steers placement
+//! quality, never the prediction's semantics.
 //!
-//! Shipped policies:
+//! The policies are a closed set, one [`SchedulerKind`] variant each:
 //!
 //! * **round-robin** — task `i` (in topological order) on processor
 //!   `i mod P`; the baseline every informed policy should beat;
@@ -42,17 +42,6 @@ pub struct Placement {
     pub scheduler: &'static str,
     /// `proc_of[t]` = processor of task `t`.
     pub proc_of: Vec<usize>,
-}
-
-/// A list-scheduling policy.
-pub trait Scheduler {
-    /// The policy's registry name (CLI `--scheduler` value).
-    fn name(&self) -> &'static str;
-    /// Assign every task of `dag` to a processor of `machine`.
-    ///
-    /// `dag` must validate and `machine` must have at least one
-    /// processor; implementations may then not panic.
-    fn assign(&self, dag: &TaskDag, machine: &MachineSpec) -> Vec<usize>;
 }
 
 /// Ends a chain of inputs.
@@ -170,78 +159,51 @@ fn eft_assign(dag: &TaskDag, machine: &MachineSpec, order: &[usize]) -> Vec<usiz
     proc_of
 }
 
-struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
+/// Round-robin: task `i` in topological order on processor `i mod P`.
+fn round_robin(dag: &TaskDag, machine: &MachineSpec) -> Vec<usize> {
+    let order = dag.topo_order().expect("dag validated");
+    let p = machine.procs();
+    let mut proc_of = vec![0usize; dag.tasks().len()];
+    for (i, &t) in order.iter().enumerate() {
+        proc_of[t] = i % p;
     }
-
-    fn assign(&self, dag: &TaskDag, machine: &MachineSpec) -> Vec<usize> {
-        let order = dag.topo_order().expect("dag validated");
-        let p = machine.procs();
-        let mut proc_of = vec![0usize; dag.tasks().len()];
-        for (i, &t) in order.iter().enumerate() {
-            proc_of[t] = i % p;
-        }
-        proc_of
-    }
+    proc_of
 }
 
-struct MinReady;
-
-impl Scheduler for MinReady {
-    fn name(&self) -> &'static str {
-        "min-ready"
-    }
-
-    fn assign(&self, dag: &TaskDag, machine: &MachineSpec) -> Vec<usize> {
-        let order = dag.topo_order().expect("dag validated");
-        eft_assign(dag, machine, &order)
-    }
-}
-
-struct Heft;
-
-impl Scheduler for Heft {
-    fn name(&self) -> &'static str {
-        "heft"
-    }
-
-    fn assign(&self, dag: &TaskDag, machine: &MachineSpec) -> Vec<usize> {
-        let order = dag.topo_order().expect("dag validated");
-        let p = machine.procs() as u64;
-        let n = dag.tasks().len();
-        // Upward rank in reverse topological order: mean (speed-scaled)
-        // computation plus the costliest downstream chain, edges charged
-        // at the base network cost weighted by the chance of crossing
-        // processors ((P-1)/P).
-        let mut rank = vec![0u128; n];
-        for &t in order.iter().rev() {
-            let mean_comp: u128 = (0..machine.procs())
-                .map(|q| machine.scale_comp(q, dag.comp_ps(t)).as_ps() as u128)
-                .sum::<u128>()
-                / p as u128;
-            let mut down = 0u128;
-            for &e in dag.succs(t) {
-                let edge = dag.edges()[e];
-                let wire = machine.base.message_cost(edge.bytes).as_ps() as u128;
-                let est = wire * (p as u128 - 1) / p as u128;
-                down = down.max(est + rank[edge.dst]);
-            }
-            rank[t] = mean_comp + down;
+/// HEFT: earliest finish time over tasks in descending upward rank.
+fn heft(dag: &TaskDag, machine: &MachineSpec) -> Vec<usize> {
+    let order = dag.topo_order().expect("dag validated");
+    let p = machine.procs() as u64;
+    let n = dag.tasks().len();
+    // Upward rank in reverse topological order: mean (speed-scaled)
+    // computation plus the costliest downstream chain, edges charged
+    // at the base network cost weighted by the chance of crossing
+    // processors ((P-1)/P).
+    let mut rank = vec![0u128; n];
+    for &t in order.iter().rev() {
+        let mean_comp: u128 = (0..machine.procs())
+            .map(|q| machine.scale_comp(q, dag.comp_ps(t)).as_ps() as u128)
+            .sum::<u128>()
+            / p as u128;
+        let mut down = 0u128;
+        for &e in dag.succs(t) {
+            let edge = dag.edges()[e];
+            let wire = machine.base.message_cost(edge.bytes).as_ps() as u128;
+            let est = wire * (p as u128 - 1) / p as u128;
+            down = down.max(est + rank[edge.dst]);
         }
-        // Descending rank; ties broken by topological position, which
-        // keeps predecessors ahead of successors (rank[u] >= rank[v]
-        // for every edge u -> v, so only equal ranks need the tie).
-        let mut topo_pos = vec![0usize; n];
-        for (i, &t) in order.iter().enumerate() {
-            topo_pos[t] = i;
-        }
-        let mut by_rank: Vec<usize> = (0..n).collect();
-        by_rank.sort_by(|&a, &b| rank[b].cmp(&rank[a]).then(topo_pos[a].cmp(&topo_pos[b])));
-        eft_assign(dag, machine, &by_rank)
+        rank[t] = mean_comp + down;
     }
+    // Descending rank; ties broken by topological position, which
+    // keeps predecessors ahead of successors (rank[u] >= rank[v]
+    // for every edge u -> v, so only equal ranks need the tie).
+    let mut topo_pos = vec![0usize; n];
+    for (i, &t) in order.iter().enumerate() {
+        topo_pos[t] = i;
+    }
+    let mut by_rank: Vec<usize> = (0..n).collect();
+    by_rank.sort_by(|&a, &b| rank[b].cmp(&rank[a]).then(topo_pos[a].cmp(&topo_pos[b])));
+    eft_assign(dag, machine, &by_rank)
 }
 
 /// The shipped scheduling policies.
@@ -276,26 +238,30 @@ impl SchedulerKind {
         }
     }
 
-    /// The policy's registry name.
+    /// The policy's name (CLI `--scheduler` value).
     pub fn name(self) -> &'static str {
-        self.scheduler().name()
-    }
-
-    /// Instantiate the policy.
-    pub fn scheduler(self) -> Box<dyn Scheduler> {
         match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobin),
-            SchedulerKind::MinReady => Box::new(MinReady),
-            SchedulerKind::Heft => Box::new(Heft),
+            SchedulerKind::RoundRobin => "round-robin",
+            SchedulerKind::MinReady => "min-ready",
+            SchedulerKind::Heft => "heft",
         }
     }
 
-    /// Run the policy and wrap the assignment as a [`Placement`].
+    /// Assign every task of `dag` to a processor of `machine` and wrap
+    /// the assignment as a [`Placement`]. `dag` must validate and
+    /// `machine` must have at least one processor; the policy then does
+    /// not panic.
     pub fn place(self, dag: &TaskDag, machine: &MachineSpec) -> Placement {
-        let s = self.scheduler();
+        let proc_of = match self {
+            SchedulerKind::RoundRobin => round_robin(dag, machine),
+            SchedulerKind::MinReady => {
+                eft_assign(dag, machine, &dag.topo_order().expect("dag validated"))
+            }
+            SchedulerKind::Heft => heft(dag, machine),
+        };
         Placement {
-            scheduler: s.name(),
-            proc_of: s.assign(dag, machine),
+            scheduler: self.name(),
+            proc_of,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! (Figure 7), machine comparisons, scaling studies. Each prediction is an
 //! independent pure function of `(program, machine, options)`, so a batch
 //! parallelizes perfectly: a **worker pool** ([`Engine::run`]) deals
-//! [`JobSpec`]s to `--jobs` threads over crossbeam channels and
+//! [`JobSpec`]s to `--jobs` scoped threads from one shared queue and
 //! reassembles the [`JobResult`]s in submission order — results are
 //! bit-identical to running the jobs sequentially, whatever the worker
 //! count. A batch crosses the pool once, dealt in submission order: the
@@ -65,7 +65,6 @@ pub mod journal;
 pub use job::{Grid, JobOutcome, JobResult, JobSource, JobSpec, LayoutSpec};
 pub use journal::{Journal, JournalEntry};
 
-use crossbeam::channel;
 use predsim_core::{
     simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimBudget, SimHooks, SimRun,
 };
@@ -75,7 +74,8 @@ use predsim_obs::{
     TraceSink,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread;
 use std::time::Instant;
 
 /// The pre-run gate of [`Engine::run_checked`] and of the server: spec
@@ -601,7 +601,9 @@ impl Engine {
     /// the worker pool, dealt in submission order. A worker builds a job's
     /// program when it takes the job ([`Engine::prepare`]; retries reuse
     /// it) and drops it once the job is done, so it holds at most one
-    /// program at a time.
+    /// program at a time. Every pending job comes back with a result:
+    /// `prepare` and `execute` turn a job's panic into a `crashed` one,
+    /// and any other panic on a worker reaches the caller (`on_pool`).
     fn run_batch(
         &self,
         specs: &[JobSpec],
@@ -682,27 +684,9 @@ impl Engine {
             },
         );
 
-        Ok(slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    self.obs.metrics.jobs_crashed_total.inc();
-                    let result = JobResult {
-                        index: i,
-                        label: specs[i].label.clone(),
-                        outcome: JobOutcome::Crashed {
-                            message: "worker thread terminated without reporting a result".into(),
-                            attempts: 0,
-                        },
-                    };
-                    if let Some(journal) = journal {
-                        journal.record(&result);
-                    }
-                    result
-                })
-            })
-            .collect())
+        // `on_pool` returns only once every pending job has reported; a
+        // panic on a worker reaches the caller instead.
+        Ok(slots.into_iter().flatten().collect())
     }
 
     /// Like [`Engine::run`], but also snapshot the metrics registry and
@@ -831,6 +815,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Deal `items` to `workers` threads in order (run inline when
 /// `workers <= 1`), apply `work(worker, item)` to each, and hand every
 /// result to `done` on the calling thread as it arrives.
+///
+/// Workers take items from one shared queue and send each result over a
+/// channel the calling thread drains, so `done` sees it as soon as it is
+/// ready. A panic that escapes `work` is not contained: at every worker
+/// count it reaches the caller, inline or when the scope joins the
+/// worker that panicked. Job panics never get that far, because
+/// `prepare` and `execute` catch them.
 fn on_pool<T: Send, R: Send>(
     workers: usize,
     items: Vec<T>,
@@ -843,33 +834,24 @@ fn on_pool<T: Send, R: Send>(
         }
         return;
     }
-    let (work_tx, work_rx) = channel::unbounded::<T>();
-    let (done_tx, done_rx) = channel::unbounded::<R>();
-    for item in items {
-        work_tx.send(item).expect("work queue open");
-    }
-    drop(work_tx);
-    let work = &work;
-    // The drain terminates when the last worker exits and drops its
-    // `done_tx` clone. A worker dying outside the per-job isolation (it
-    // should not: `prepare` and `execute` catch job panics) is reported
-    // per job by `run_batch`, not propagated as a batch-killing panic.
-    let joined = crossbeam::thread::scope(|scope| {
-        for worker in 0..workers {
-            let work_rx = work_rx.clone();
+    let queue = Mutex::new(items.into_iter());
+    let (done_tx, done_rx) = mpsc::channel();
+    let (queue, work) = (&queue, &work);
+    thread::scope(|scope| {
+        for worker in 0..workers as u64 {
             let done_tx = done_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok(item) = work_rx.recv() {
-                    let _ = done_tx.send(work(worker as u64, item));
-                }
+            scope.spawn(move || loop {
+                // Its own statement, so the guard drops before `work` runs.
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(item) = next else { break };
+                let _ = done_tx.send(work(worker, item));
             });
         }
         drop(done_tx);
-        while let Ok(result) = done_rx.recv() {
+        for result in done_rx {
             done(result);
         }
     });
-    drop(joined);
 }
 
 /// Index of the best (smallest-total) result among those with trustworthy

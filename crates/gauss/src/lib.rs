@@ -14,9 +14,10 @@
 //! [`predsim_core::Program`] the predictor consumes.
 //!
 //! [`parallel::factorize`] executes the same schedule with real `f64`
-//! arithmetic on real threads (crossbeam channels carrying blocks), and is
-//! checked against the sequential reference — this is the repo's substitute
-//! for the paper's Split-C implementation on the Meiko CS-2.
+//! arithmetic on real threads (`std::sync::mpsc` channels carrying
+//! blocks), and is checked against the sequential reference — this is the
+//! repo's substitute for the paper's Split-C implementation on the Meiko
+//! CS-2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,8 @@
 //!
 //! One OS thread per (virtual) processor; blocks live with their owner as
 //! dictated by the layout; inverted factors and panel blocks travel through
-//! crossbeam channels exactly along the edges the trace generator emits.
+//! `std::sync::mpsc` channels exactly along the edges the trace generator
+//! emits (each thread owns its channel's receiving end).
 //! The point of this module is *numerical* fidelity — the parallel program
 //! must compute the same factorization as the sequential reference — and a
 //! sanity check that the generated schedule is deadlock-free when executed
@@ -11,9 +12,9 @@
 
 use blockops::ops::{op1_diagonal, op2_row_panel, op3_col_panel, op4_interior};
 use blockops::Matrix;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use predsim_core::Layout;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// What travels between processors.
@@ -232,15 +233,15 @@ pub fn factorize(a: &Matrix, b: usize, layout: &dyn Layout) -> ParallelRun {
     }
 
     let (txs, rxs): (Vec<Sender<BlockMsg>>, Vec<Receiver<BlockMsg>>) =
-        (0..procs).map(|_| unbounded()).unzip();
+        (0..procs).map(|_| channel()).unzip();
 
     let start = Instant::now();
     let mut results: Vec<HashMap<(usize, usize), Matrix>> = Vec::with_capacity(procs);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(procs);
         for (me, (blocks, rx)) in partitions.drain(..).zip(rxs).enumerate() {
             let txs = txs.clone();
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut w = Worker {
                     me,
                     nb,
@@ -257,8 +258,7 @@ pub fn factorize(a: &Matrix, b: usize, layout: &dyn Layout) -> ParallelRun {
         for h in handles {
             results.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("scope panicked");
+    });
     let elapsed = start.elapsed();
 
     // Reassemble.

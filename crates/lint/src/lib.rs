@@ -29,9 +29,10 @@
 //!   brackets — static load imbalance, gap-serialized contention
 //!   hotspots, bandwidth-dominated steps and uselessly wide brackets.
 //!
-//! Analyses are [`Pass`]es over a [`ProgramView`]; [`check_program`] runs
-//! the default registry and returns a sorted [`Report`] that renders
-//! rustc-style text or machine-readable JSON.
+//! Each analysis is a function in [`passes`] over a [`ProgramView`];
+//! [`check_program`] runs all of them in a fixed order and returns a
+//! sorted [`Report`] that renders rustc-style text or machine-readable
+//! JSON.
 //!
 //! ```
 //! use predsim_lint::{check_pattern, LintOptions, Code};
@@ -105,17 +106,11 @@ pub struct LintOptions {
     /// communication cycle is an error under [`CommAlgo::WorstCase`]
     /// (guaranteed deadlock-and-force behaviour) and a warning otherwise.
     pub algo: CommAlgo,
-    /// Minimum number of distinct senders into one processor in one step
-    /// before a fan-in hotspot (`PS0301`) is reported.
-    pub fanin_threshold: usize,
     /// Fail-stop fault windows to check receive satisfiability against
     /// (`PS0401`). Empty disables the fault analysis.
     pub fault_windows: Vec<FaultWindow>,
     /// Report `PS0401` starvation as an error instead of a warning.
     pub strict_faults: bool,
-    /// `hi / lo` ratio above which the whole-program static interval
-    /// counts as a divergence risk (`PS0604`).
-    pub divergence_ratio: f64,
 }
 
 impl Default for LintOptions {
@@ -123,10 +118,8 @@ impl Default for LintOptions {
         LintOptions {
             params: None,
             algo: CommAlgo::Standard,
-            fanin_threshold: 4,
             fault_windows: Vec::new(),
             strict_faults: false,
-            divergence_ratio: 8.0,
         }
     }
 }
@@ -144,12 +137,6 @@ impl LintOptions {
         self
     }
 
-    /// These options with a different fan-in threshold.
-    pub fn with_fanin_threshold(mut self, threshold: usize) -> Self {
-        self.fanin_threshold = threshold;
-        self
-    }
-
     /// These options checking receive satisfiability against fail-stop
     /// `windows` (`PS0401`).
     pub fn with_fault_windows(mut self, windows: Vec<FaultWindow>) -> Self {
@@ -162,51 +149,24 @@ impl LintOptions {
         self.strict_faults = true;
         self
     }
-
-    /// These options with a different divergence-risk ratio (`PS0604`).
-    pub fn with_divergence_ratio(mut self, ratio: f64) -> Self {
-        self.divergence_ratio = ratio;
-        self
-    }
 }
 
-/// One analysis. Implementations are stateless; a pass reads the view and
-/// appends diagnostics to the report.
-pub trait Pass {
-    /// Short stable name (used in docs and `--help`).
-    fn name(&self) -> &'static str;
-
-    /// The codes this pass can emit.
-    fn codes(&self) -> &'static [Code];
-
-    /// Run the analysis.
-    fn run(&self, view: &ProgramView<'_>, opts: &LintOptions, report: &mut Report);
-}
-
-/// The default pass registry, in execution order: well-formedness, then
-/// deadlock, then LogGP bounds.
-pub fn default_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(passes::wellformed::WellFormed),
-        Box::new(passes::deadlock::Deadlock),
-        Box::new(passes::bounds::LogGpBounds),
-        Box::new(passes::bounds::CostIntervals),
-        Box::new(passes::faults::FaultStarvation),
-    ]
-}
-
-/// Run the default passes over a raw step slice.
+/// Run every pass over a raw step slice, in a fixed order:
+/// well-formedness, deadlock, LogGP bounds, cost intervals, fault
+/// starvation.
 pub fn check_steps(procs: usize, steps: &[Step], opts: &LintOptions) -> Report {
     let view = ProgramView { procs, steps };
     let mut report = Report::new();
-    for pass in default_passes() {
-        pass.run(&view, opts, &mut report);
-    }
+    passes::well_formed(&view, &mut report);
+    passes::deadlock(&view, opts, &mut report);
+    passes::loggp_bounds(&view, opts, &mut report);
+    passes::cost_intervals(&view, opts, &mut report);
+    passes::fault_starvation(&view, opts, &mut report);
     report.sort();
     report
 }
 
-/// Run the default passes over a program.
+/// Run every pass over a program.
 pub fn check_program(program: &Program, opts: &LintOptions) -> Report {
     check_steps(program.procs(), program.steps(), opts)
 }

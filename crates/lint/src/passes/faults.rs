@@ -19,68 +19,56 @@
 //! [`FaultWindow`]: crate::FaultWindow
 
 use crate::passes::proc_list;
-use crate::{Code, Diagnostic, LintOptions, Pass, ProgramView, Report, Severity, Span};
+use crate::{Code, Diagnostic, LintOptions, ProgramView, Report, Severity, Span};
 
-/// The fail-stop starvation pass.
-pub struct FaultStarvation;
-
-impl Pass for FaultStarvation {
-    fn name(&self) -> &'static str {
-        "fault-starvation"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::FailStopStarvation]
-    }
-
-    fn run(&self, view: &ProgramView<'_>, opts: &LintOptions, report: &mut Report) {
-        let severity = if opts.strict_faults {
-            Severity::Error
-        } else {
-            Severity::Warning
+/// The fail-stop starvation pass (`PS0401`).
+pub fn fault_starvation(view: &ProgramView<'_>, opts: &LintOptions, report: &mut Report) {
+    let severity = if opts.strict_faults {
+        Severity::Error
+    } else {
+        Severity::Warning
+    };
+    for window in &opts.fault_windows {
+        let Some(step) = view.steps.get(window.step) else {
+            continue;
         };
-        for window in &opts.fault_windows {
-            let Some(step) = view.steps.get(window.step) else {
-                continue;
-            };
-            // Skip malformed patterns; the well-formedness pass owns those.
-            if step.comm.is_empty() || step.comm.procs() != view.procs {
-                continue;
-            }
-            let mut receivers: Vec<usize> = step
-                .comm
-                .network_messages()
-                .filter(|m| m.src == window.proc)
-                .map(|m| m.dst)
-                .collect();
-            if receivers.is_empty() {
-                continue;
-            }
-            let waits = receivers.len();
-            receivers.sort_unstable();
-            receivers.dedup();
-            let diag = Diagnostic::new(
-                Code::FailStopStarvation,
-                severity,
-                Span::step(window.step, &step.label).with_proc(window.proc),
-                format!(
-                    "P{} fail-stops during step {}; {} receive(s) at {} wait on it",
-                    window.proc,
-                    window.step,
-                    waits,
-                    proc_list(&receivers, 6),
-                ),
-            )
-            .with_note(
-                "those receive counts cannot be satisfied until the processor \
-                 restarts; the prediction is dominated by the outage",
-            )
-            .with_note(
-                "under the worst-case algorithm the stall also delays every \
-                 send of the starved receivers",
-            );
-            report.push(diag);
+        // Skip malformed patterns; the well-formedness pass owns those.
+        if step.comm.is_empty() || step.comm.procs() != view.procs {
+            continue;
         }
+        let mut receivers: Vec<usize> = step
+            .comm
+            .network_messages()
+            .filter(|m| m.src == window.proc)
+            .map(|m| m.dst)
+            .collect();
+        if receivers.is_empty() {
+            continue;
+        }
+        let waits = receivers.len();
+        receivers.sort_unstable();
+        receivers.dedup();
+        let diag = Diagnostic::new(
+            Code::FailStopStarvation,
+            severity,
+            Span::step(window.step, &step.label).with_proc(window.proc),
+            format!(
+                "P{} fail-stops during step {}; {} receive(s) at {} wait on it",
+                window.proc,
+                window.step,
+                waits,
+                proc_list(&receivers, 6),
+            ),
+        )
+        .with_note(
+            "those receive counts cannot be satisfied until the processor \
+             restarts; the prediction is dominated by the outage",
+        )
+        .with_note(
+            "under the worst-case algorithm the stall also delays every \
+             send of the starved receivers",
+        );
+        report.push(diag);
     }
 }
 
@@ -115,7 +103,7 @@ mod tests {
             opts = opts.with_strict_faults();
         }
         let mut report = Report::new();
-        FaultStarvation.run(&view, &opts, &mut report);
+        fault_starvation(&view, &opts, &mut report);
         report
     }
 

@@ -9,125 +9,105 @@
 //! skew/rotate phases self-send on the diagonal — so they are aggregated to
 //! one diagnostic per step instead of one per message.
 
-use crate::{Code, Diagnostic, LintOptions, Pass, ProgramView, Report, Severity, Span};
+use crate::{Code, Diagnostic, ProgramView, Report, Severity, Span};
 
-/// The well-formedness pass.
-pub struct WellFormed;
-
-impl Pass for WellFormed {
-    fn name(&self) -> &'static str {
-        "wellformed"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[
+/// The well-formedness pass (`PS0101`–`PS0107`).
+pub fn well_formed(view: &ProgramView<'_>, report: &mut Report) {
+    if view.procs == 0 {
+        report.push(Diagnostic::new(
             Code::ZeroProcessors,
-            Code::CompArityMismatch,
-            Code::PatternProcsMismatch,
-            Code::ProcOutOfRange,
-            Code::SelfMessages,
-            Code::ZeroByteMessages,
-            Code::EmptyStep,
-        ]
+            Severity::Error,
+            Span::program(),
+            "the program declares zero processors",
+        ));
+        return; // every per-step check below would be vacuous noise
     }
 
-    fn run(&self, view: &ProgramView<'_>, _opts: &LintOptions, report: &mut Report) {
-        if view.procs == 0 {
+    for (i, step) in view.steps.iter().enumerate() {
+        let span = || Span::step(i, &step.label);
+
+        if !step.comp.is_empty() && step.comp.len() != view.procs {
             report.push(Diagnostic::new(
-                Code::ZeroProcessors,
+                Code::CompArityMismatch,
                 Severity::Error,
-                Span::program(),
-                "the program declares zero processors",
+                span(),
+                format!(
+                    "computation vector has {} entries for {} processors",
+                    step.comp.len(),
+                    view.procs
+                ),
             ));
-            return; // every per-step check below would be vacuous noise
         }
 
-        for (i, step) in view.steps.iter().enumerate() {
-            let span = || Span::step(i, &step.label);
+        if !step.comm.is_empty() && step.comm.procs() != view.procs {
+            report.push(Diagnostic::new(
+                Code::PatternProcsMismatch,
+                Severity::Error,
+                span(),
+                format!(
+                    "communication pattern spans {} processors, program has {}",
+                    step.comm.procs(),
+                    view.procs
+                ),
+            ));
+        }
 
-            if !step.comp.is_empty() && step.comp.len() != view.procs {
-                report.push(Diagnostic::new(
-                    Code::CompArityMismatch,
-                    Severity::Error,
-                    span(),
-                    format!(
-                        "computation vector has {} entries for {} processors",
-                        step.comp.len(),
-                        view.procs
-                    ),
-                ));
-            }
-
-            if !step.comm.is_empty() && step.comm.procs() != view.procs {
-                report.push(Diagnostic::new(
-                    Code::PatternProcsMismatch,
-                    Severity::Error,
-                    span(),
-                    format!(
-                        "communication pattern spans {} processors, program has {}",
-                        step.comm.procs(),
-                        view.procs
-                    ),
-                ));
-            }
-
-            let mut selfs: Vec<usize> = Vec::new();
-            let mut zeros: Vec<usize> = Vec::new();
-            for (id, m) in step.comm.messages().iter().enumerate() {
-                for (what, p) in [("source", m.src), ("destination", m.dst)] {
-                    if p >= view.procs {
-                        report.push(Diagnostic::new(
-                            Code::ProcOutOfRange,
-                            Severity::Error,
-                            span().with_msg(id),
-                            format!(
-                                "message {what} P{p} is outside the program's {} processors",
-                                view.procs
-                            ),
-                        ));
-                    }
-                }
-                if m.is_self_message() {
-                    selfs.push(id);
-                } else if m.bytes == 0 {
-                    zeros.push(id);
+        let mut selfs: Vec<usize> = Vec::new();
+        let mut zeros: Vec<usize> = Vec::new();
+        for (id, m) in step.comm.messages().iter().enumerate() {
+            for (what, p) in [("source", m.src), ("destination", m.dst)] {
+                if p >= view.procs {
+                    report.push(Diagnostic::new(
+                        Code::ProcOutOfRange,
+                        Severity::Error,
+                        span().with_msg(id),
+                        format!(
+                            "message {what} P{p} is outside the program's {} processors",
+                            view.procs
+                        ),
+                    ));
                 }
             }
+            if m.is_self_message() {
+                selfs.push(id);
+            } else if m.bytes == 0 {
+                zeros.push(id);
+            }
+        }
 
-            if !selfs.is_empty() {
-                report.push(
-                    Diagnostic::new(
-                        Code::SelfMessages,
-                        Severity::Info,
-                        span(),
-                        format!("{} self-message(s) (src == dst)", selfs.len()),
-                    )
-                    .with_note("the LogGP predictor ignores them; the machine emulator charges a local copy")
-                    .with_note(format!("message ids: {}", id_list(&selfs, 8))),
-                );
-            }
-            if !zeros.is_empty() {
-                report.push(
-                    Diagnostic::new(
-                        Code::ZeroByteMessages,
-                        Severity::Info,
-                        span(),
-                        format!("{} zero-byte network message(s)", zeros.len()),
-                    )
-                    .with_note(
-                        "legal (pure control messages still cost 2o + L), but often an accident",
-                    )
-                    .with_note(format!("message ids: {}", id_list(&zeros, 8))),
-                );
-            }
-            if step.is_empty() {
-                report.push(Diagnostic::new(
-                    Code::EmptyStep,
+        if !selfs.is_empty() {
+            report.push(
+                Diagnostic::new(
+                    Code::SelfMessages,
                     Severity::Info,
                     span(),
-                    "step neither computes nor communicates",
-                ));
-            }
+                    format!("{} self-message(s) (src == dst)", selfs.len()),
+                )
+                .with_note(
+                    "the LogGP predictor ignores them; the machine emulator charges a local copy",
+                )
+                .with_note(format!("message ids: {}", id_list(&selfs, 8))),
+            );
+        }
+        if !zeros.is_empty() {
+            report.push(
+                Diagnostic::new(
+                    Code::ZeroByteMessages,
+                    Severity::Info,
+                    span(),
+                    format!("{} zero-byte network message(s)", zeros.len()),
+                )
+                .with_note("legal (pure control messages still cost 2o + L), but often an accident")
+                .with_note(format!("message ids: {}", id_list(&zeros, 8))),
+            );
+        }
+        if step.is_empty() {
+            report.push(Diagnostic::new(
+                Code::EmptyStep,
+                Severity::Info,
+                span(),
+                "step neither computes nor communicates",
+            ));
         }
     }
 }

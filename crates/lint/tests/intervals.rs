@@ -370,9 +370,7 @@ fn ps0604_divergence_risk_on_cyclic_fan_in() {
     program.push(Step::new("all2all").with_comm(pattern));
     let report = check_program(
         &program,
-        &LintOptions::default()
-            .with_params(presets::meiko_cs2(6))
-            .with_divergence_ratio(4.0),
+        &LintOptions::default().with_params(presets::meiko_cs2(6)),
     );
     let d = find(&report, Code::DivergenceRisk);
     assert_eq!(d.severity, Severity::Warning);
@@ -421,9 +419,7 @@ fn fan_in_sender_lists_are_sorted_regardless_of_message_order() {
     for src in (1..6).rev() {
         backward.add(src, 0, 64);
     }
-    let opts = LintOptions::default()
-        .with_params(presets::meiko_cs2(6))
-        .with_fanin_threshold(4);
+    let opts = LintOptions::default().with_params(presets::meiko_cs2(6));
     let render = |pattern: &commsim::CommPattern| {
         let mut program = Program::new(6);
         program.push(Step::new("gather").with_comm(pattern.clone()));
@@ -451,9 +447,7 @@ fn report_json_order_is_stable_across_renders_and_sorts() {
             ])
             .with_comm(patterns::gather(5, 1, 64)),
     );
-    let opts = LintOptions::default()
-        .with_params(presets::meiko_cs2(5))
-        .with_fanin_threshold(3);
+    let opts = LintOptions::default().with_params(presets::meiko_cs2(5));
     let mut report = check_program(&program, &opts);
     let first = report.to_json();
     // Rendering twice changes nothing.

@@ -18,10 +18,10 @@
 //! ```
 //!
 //! Every full prediction goes through the one shared [`Engine`], so the
-//! journal and the metrics registry see the server's whole lifetime. The handler validates each job's spec (the gate,
-//! [`predsim_engine::lint_job`]), then builds its program once
-//! ([`Engine::prepare`]); every later step — tiers, admission, the
-//! worker's run, the reported bounds — reuses it. `/v1/calibrate` and
+//! metrics registry sees the server's whole lifetime. The handler
+//! validates each job's spec (the gate, [`predsim_engine::lint_job`]),
+//! then builds its program once ([`Engine::prepare`]); every later step —
+//! tiers, admission, the worker's run, the reported bounds — reuses it. `/v1/calibrate` and
 //! `/v1/speedup` run no gate: parsing validates their sources, and every
 //! program built from a valid source passes it.
 //!
@@ -62,7 +62,7 @@ use crate::admission::CostModel;
 use crate::api;
 use crate::http::{HttpReader, Request, RequestError, Response};
 use crate::queue::{BoundedQueue, PushError};
-use predsim_engine::{Engine, EngineConfig, EngineObs, JobOutcome, JobResult, JobSpec, Journal};
+use predsim_engine::{Engine, EngineConfig, EngineObs, JobOutcome, JobResult, JobSpec};
 use predsim_faults::ChaosPlan;
 use predsim_obs::{default_ns_buckets, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::collections::HashMap;
@@ -71,7 +71,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Server configuration.
+/// Server configuration. Served jobs are not journaled: checkpointing
+/// ([`predsim_engine::Journal`]) belongs to batches, which can resume.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Address to bind (`127.0.0.1:0` picks a free port).
@@ -88,8 +89,6 @@ pub struct ServeConfig {
     /// Engine configuration (workers each run jobs inline, so its `jobs`
     /// is forced to 1).
     pub engine: EngineConfig,
-    /// Append every finished job to this checkpoint journal.
-    pub journal: Option<std::path::PathBuf>,
     /// Queue depth at which `/v1/predict` degrades to the replay tier:
     /// the job runs on its connection's thread instead of queueing.
     /// `None` derives `max(1, queue_cap / 2)`; an explicit value is
@@ -115,7 +114,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(30),
             max_body: 1 << 20,
             engine: EngineConfig::default(),
-            journal: None,
             replay_at: None,
             static_at: None,
             stall_timeout: Duration::from_secs(30),
@@ -356,7 +354,6 @@ struct Shared {
     queue: BoundedQueue<Job>,
     metrics: ServeMetrics,
     cost: CostModel,
-    journal: Option<Journal>,
     draining: AtomicBool,
     supervisor_stop: AtomicBool,
     /// Every lifecycle wait (for a drain request, a worker's exit or the
@@ -559,10 +556,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        let journal = match &config.journal {
-            Some(path) => Some(Journal::create(path)?),
-            None => None,
-        };
         let engine = Engine::with_obs(
             config.engine.with_jobs(1),
             EngineObs::with_registry(Arc::clone(&registry)),
@@ -579,7 +572,6 @@ impl Server {
             queue: BoundedQueue::new(queue_cap),
             metrics: ServeMetrics::new(Arc::clone(&registry)),
             cost: CostModel::new(),
-            journal,
             draining: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
             wake: Mutex::new(()),
@@ -684,9 +676,6 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
                 // so the reply slot is always filled.
                 let mut results = shared.engine.run(std::slice::from_ref(&**spec));
                 let result = results.pop().expect("engine returns one result per spec");
-                if let Some(journal) = &shared.journal {
-                    journal.record(&result);
-                }
                 let exec_ns = exec_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 Reply::Predict(result, exec_ns)
             }
@@ -1123,8 +1112,7 @@ fn admit_and_run(shared: &Shared, admits: Vec<Admit>) -> Result<Vec<Reply>, Resp
 /// the one shared [`Engine`] on this handler thread, skipping the queue.
 /// It is the call a worker makes, so the answer comes from the same
 /// engine under the same budget, retries and panic isolation, and the body
-/// equals the full tier's but for `tier`. Unlike a worker's, the result
-/// is not journaled.
+/// equals the full tier's but for `tier`.
 fn replay_tier(shared: &Shared, spec: &JobSpec) -> Response {
     let mut results = shared.engine.run(std::slice::from_ref(spec));
     let result = results.pop().expect("engine returns one result per spec");

@@ -91,10 +91,10 @@ fn main() {
         stats.hits
     );
 
-    // The paper's future-work search, automated — probes evaluated on the
-    // same worker count via the parallel hill-climb.
+    // The paper's future-work search, automated: a local descent that
+    // predicts only some of the block sizes.
     let diag = Diagonal::new(procs);
-    let result = search::hill_climb_parallel(&blocks, 4, engine.config().effective_jobs(), |b| {
+    let result = search::hill_climb(&blocks, 4, |b| {
         simulate_program(
             &gauss::generate(n, b, &diag, &cost).program,
             &SimOptions::new(cfg),

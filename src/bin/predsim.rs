@@ -173,9 +173,9 @@ USAGE:
 
   predsim serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
                 [--request-timeout SECS] [--job-budget STEPS]
-                [--retries K] [--checkpoint FILE] [--metrics-out FILE]
-                [--presets FILE] [--replay-at N] [--static-at N]
-                [--stall-timeout MS] [--chaos SPEC] [--chaos-seed N]
+                [--retries K] [--metrics-out FILE] [--presets FILE]
+                [--replay-at N] [--static-at N] [--stall-timeout MS]
+                [--chaos SPEC] [--chaos-seed N]
       Serve predictions over HTTP (std-only, no framework). POST
       /v1/predict takes a strict-JSON job, e.g.
         {\"source\":\"ge:960,32,diagonal,8\",\"machine\":\"paragon\"}
@@ -189,8 +189,8 @@ USAGE:
       in-flight count; GET /metrics exposes engine + serve counters in
       Prometheus text (/metrics.json: strict JSON). POST /admin/drain
       stops gracefully — admitted work finishes, then the process exits
-      0 (--metrics-out writes the final snapshot; --checkpoint journals
-      every finished job). --presets loads a preset file at startup so
+      0 (--metrics-out writes the final snapshot of every metric).
+      --presets loads a preset file of named machines at startup so
       its machine names resolve in requests. POST /v1/calibrate fits a
       LogGP preset to an emulated source (same fields as /v1/predict
       plus \"runs\", \"holdout\", \"max_rounds\", \"register\") and returns
@@ -1245,9 +1245,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else if args.value("chaos-seed").is_some() {
         return Err("--chaos-seed only makes sense together with --chaos".into());
     }
-    if let Some(path) = args.value("checkpoint") {
-        config.journal = Some(path.into());
-    }
     if let Some(path) = args.value("presets") {
         let names = preset_file::register_file(path)
             .map_err(|e| format!("loading presets from {path}: {e}"))?;
@@ -1615,7 +1612,6 @@ fn run() -> Result<ExitCode, String> {
             valued("request-timeout"),
             valued("job-budget"),
             valued("retries"),
-            valued("checkpoint"),
             valued("metrics-out"),
             valued("presets"),
             valued("replay-at"),

@@ -1176,6 +1176,10 @@ fn serve_rejects_bad_flags_before_binding() {
             vec!["serve", "--addr", "a", "--addr", "b"],
             "duplicate flag '--addr'",
         ),
+        (
+            vec!["serve", "--checkpoint", "journal.jsonl"],
+            "unknown flag",
+        ),
     ] {
         let out = bin().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
@@ -1975,6 +1979,103 @@ fn serve_presets_flag_round_trips_fitted_machines() {
             .replace(&label, "\"machine\":\"serve-het\""),
         "served sweep equals dag-sweep"
     );
+
+    // So does a built-in machine over 1..16, byte for byte, with a knee
+    // in range.
+    let dag = bin()
+        .args(["dag", "gen", "forkjoin:32,1,1000000,8192"])
+        .output()
+        .unwrap();
+    assert!(dag.status.success());
+    let dag = String::from_utf8(dag.stdout).unwrap();
+    let dag_file = dir.file("forkjoin32.dag", &dag);
+    let out = bin()
+        .args([
+            "dag-sweep",
+            dag_file.to_str().unwrap(),
+            "--procs",
+            "1..16",
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let swept = String::from_utf8(out.stdout).unwrap();
+    let body = format!(
+        r#"{{"dag":"{}","scheduler":"heft","machine":"meiko","procs":"1..16"}}"#,
+        dag.replace('\n', "\\n")
+    );
+    let (status, reply) = http_request(&addr, "POST", "/v1/speedup", &body);
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply.trim(), swept.trim(), "served sweep equals dag-sweep");
+    let knee = predsim::predsim_lint::json::parse(&reply)
+        .unwrap()
+        .get("knee_procs")
+        .and_then(predsim::predsim_lint::json::Value::as_int)
+        .unwrap();
+    assert!((1..=16).contains(&knee), "knee at P={knee}");
+
+    let (status, _) = http_request(&addr, "POST", "/admin/drain", "");
+    assert_eq!(status, 200);
+    assert!(child.wait_with_output().unwrap().status.success());
+}
+
+#[test]
+fn static_bounds_bracket_served_predictions_on_every_example() {
+    use predsim::predsim_lint::json::{parse, Value};
+    use std::io::BufRead as _;
+    let mut child = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner
+        .strip_prefix("predsim-serve listening on http://")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+
+    let ps = |doc: &Value, key: &str| doc.get(key).and_then(Value::as_int).unwrap();
+    for spec in [
+        "ge:240,24,diagonal,8",
+        "ge:240,24,row,8",
+        "cannon:64,4",
+        "stencil:64,8,4",
+        "apsp:120,24,row,6",
+    ] {
+        let out = bin()
+            .args(["check", "--bounds", "--json", spec])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{spec}");
+        let checked = parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        let bounds = checked.get("sources").and_then(Value::as_array).unwrap()[0]
+            .get("bounds")
+            .unwrap();
+        let (lo, hi) = (ps(bounds, "static_lo_ps"), ps(bounds, "static_hi_ps"));
+        for (name, extra) in [("std", ""), ("wc", r#","worst_case":true"#)] {
+            let body = format!(r#"{{"source":"{spec}"{extra}}}"#);
+            let (status, reply) = http_request(&addr, "POST", "/v1/predict", &body);
+            assert_eq!(status, 200, "{spec} {name}: {reply}");
+            let doc = parse(&reply).unwrap();
+            let result = doc.get("result").unwrap();
+            let total = ps(result, "total_ps");
+            assert!(
+                lo <= total && total <= hi,
+                "{spec} {name}: {total} outside [{lo}, {hi}]"
+            );
+            assert_eq!(
+                (ps(result, "static_lo_ps"), ps(result, "static_hi_ps")),
+                (lo, hi),
+                "{spec} {name}: served interval disagrees with check --bounds"
+            );
+        }
+    }
 
     let (status, _) = http_request(&addr, "POST", "/admin/drain", "");
     assert_eq!(status, 200);
