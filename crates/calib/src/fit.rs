@@ -392,7 +392,7 @@ pub fn calibrate(
     if steps == 0 {
         return Err("cannot calibrate against an empty program".into());
     }
-    if let Some(max) = engine.config().budget.max_steps {
+    if let Some(max) = engine.config().max_steps {
         if max < steps {
             return Err(format!(
                 "the engine's step budget ({max}) is below the program's {steps} steps; \

@@ -61,6 +61,6 @@ pub use program::{LoadSink, NoLoads, Program, ProgramError, Step, StepLoad, MAX_
 pub use replay::{record_program, ProgramRecording};
 pub use simulate::{
     fault_charge, simulate_program, simulate_program_with, CommAlgo, DirectStepSimulator, Overlap,
-    Prediction, SimBudget, SimHalt, SimHooks, SimOptions, SimRun, StepFaultView, StepRecord,
-    StepSimulator, Synchronization,
+    Prediction, SimHalt, SimHooks, SimOptions, SimRun, StepFaultView, StepRecord, StepSimulator,
+    Synchronization,
 };

@@ -408,51 +408,15 @@ pub fn fault_charge(
     charge
 }
 
-/// Per-run simulation budgets; the default is unlimited.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimBudget {
-    /// Maximum number of program steps to simulate.
-    pub max_steps: Option<usize>,
-    /// Halt once any processor's virtual-time front exceeds this.
-    pub max_virtual: Option<Time>,
-}
-
-impl SimBudget {
-    /// No limits.
-    pub fn unlimited() -> Self {
-        SimBudget::default()
-    }
-
-    /// A budget of at most `n` program steps.
-    pub fn steps(n: usize) -> Self {
-        SimBudget {
-            max_steps: Some(n),
-            ..SimBudget::default()
-        }
-    }
-
-    /// A budget on simulated virtual time.
-    pub fn virtual_time(t: Time) -> Self {
-        SimBudget {
-            max_virtual: Some(t),
-            ..SimBudget::default()
-        }
-    }
-}
-
-/// Why a budgeted simulation stopped.
+/// Whether a simulation ran to the end or stopped at its step cap
+/// ([`SimHooks::max_steps`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimHalt {
     /// The whole program was simulated.
     Completed,
-    /// The step budget ran out before step `at_step` could be simulated.
+    /// The step cap stopped the run before step `at_step` was simulated.
     StepBudget {
         /// Index of the first step *not* simulated.
-        at_step: usize,
-    },
-    /// A processor's front crossed the virtual-time budget after `at_step`.
-    VirtualBudget {
-        /// Index of the last step that *was* simulated.
         at_step: usize,
     },
 }
@@ -464,14 +428,14 @@ impl SimHalt {
     }
 }
 
-/// A (possibly budget-truncated) simulation outcome: the prediction covers
-/// the steps that were simulated, and [`SimHalt`] says whether that was all
-/// of them.
+/// A (possibly step-capped) simulation outcome: the prediction covers the
+/// steps that were simulated, and [`SimHalt`] says whether that was all of
+/// them.
 #[derive(Clone, Debug)]
 pub struct SimRun {
     /// Prediction over the simulated prefix of the program.
     pub prediction: Prediction,
-    /// Whether (and where) the budget cut the run short.
+    /// Whether (and where) the step cap cut the run short.
     pub halt: SimHalt,
     /// Communication steps the fold answered by shifting the previous
     /// communication step's ends, because they repeated it exactly.
@@ -498,8 +462,9 @@ pub struct SimHooks<'a> {
     /// outages in the computation charges (see [`fault_charge`]). A
     /// zero-rate plan reproduces the fault-free prediction exactly.
     pub faults: Option<&'a FaultPlan>,
-    /// Step and virtual-time limits.
-    pub budget: SimBudget,
+    /// Simulate at most this many program steps; a run that reaches the
+    /// cap stops with [`SimHalt::StepBudget`].
+    pub max_steps: Option<usize>,
 }
 
 /// Simulate a whole program; see [`Prediction`] for what comes back.
@@ -540,8 +505,8 @@ pub fn simulate_program(prog: &Program, opts: &SimOptions) -> Prediction {
 /// Only a backend that declares itself translation-invariant
 /// ([`StepSimulator::translation_invariant`]) is skipped this way, and
 /// never in a traced or faulted run: a trace must hold every step's
-/// events, and fault decisions are keyed by step index. A step budget or
-/// a virtual-time budget cuts a run at the same step either way.
+/// events, and fault decisions are keyed by step index. A step cap cuts a
+/// run at the same step either way.
 /// [`SimRun`] counts the reused and the simulated communication steps.
 pub fn simulate_program_with(
     prog: &Program,
@@ -573,7 +538,7 @@ pub fn simulate_program_with(
     let (mut steps_reused, mut steps_simulated) = (0, 0);
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
-        if let Some(max) = hooks.budget.max_steps {
+        if let Some(max) = hooks.max_steps {
             if step_idx >= max {
                 halt = SimHalt::StepBudget { at_step: step_idx };
                 break;
@@ -660,14 +625,6 @@ pub fn simulate_program_with(
                     proc,
                     ps: t.as_ps(),
                 });
-            }
-        }
-
-        if let Some(max) = hooks.budget.max_virtual {
-            let front = ready.iter().copied().max().unwrap_or(Time::ZERO);
-            if front > max {
-                halt = SimHalt::VirtualBudget { at_step: step_idx };
-                break;
             }
         }
     }
@@ -968,7 +925,7 @@ mod tests {
     fn a_step_budget_stops_a_reusing_run_at_the_same_step() {
         let prog = repeated_ring(4, 10, 500.0);
         let hooks = SimHooks {
-            budget: SimBudget::steps(7),
+            max_steps: Some(7),
             ..SimHooks::default()
         };
         let cut = run(&prog, &opts(4), hooks);
@@ -1029,30 +986,13 @@ mod tests {
             prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
         }
         let hooks = SimHooks {
-            budget: SimBudget::steps(2),
+            max_steps: Some(2),
             ..SimHooks::default()
         };
         let run = run(&prog, &opts(2), hooks);
         assert_eq!(run.halt, SimHalt::StepBudget { at_step: 2 });
         assert_eq!(run.prediction.steps.len(), 2);
         assert_eq!(run.prediction.total, Time::from_us(20.0));
-    }
-
-    #[test]
-    fn virtual_budget_halts_after_crossing_step() {
-        let mut prog = Program::new(2);
-        for i in 0..5 {
-            prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
-        }
-        let hooks = SimHooks {
-            budget: SimBudget::virtual_time(Time::from_us(25.0)),
-            ..SimHooks::default()
-        };
-        let run = run(&prog, &opts(2), hooks);
-        // Step 2 pushes the front to 30us > 25us; steps 3 and 4 never run.
-        assert_eq!(run.halt, SimHalt::VirtualBudget { at_step: 2 });
-        assert_eq!(run.prediction.steps.len(), 3);
-        assert_eq!(run.prediction.total, Time::from_us(30.0));
     }
 
     #[test]
@@ -1182,7 +1122,7 @@ mod tests {
         let drops = plan("drop:0.5", 1);
         let hooks = SimHooks {
             faults: Some(&drops),
-            budget: SimBudget::steps(2),
+            max_steps: Some(2),
             ..SimHooks::default()
         };
         let run = run(&prog, &o, hooks);

@@ -11,8 +11,8 @@
 use commsim::{CommPattern, SimConfig, StepEnds};
 use loggp::{presets, LogGpParams, Time};
 use predsim_core::{
-    simulate_program_with, DirectStepSimulator, Program, SimBudget, SimHooks, SimOptions, SimRun,
-    Step, StepSimulator,
+    simulate_program_with, DirectStepSimulator, Program, SimHooks, SimOptions, SimRun, Step,
+    StepSimulator,
 };
 use proptest::prelude::*;
 use proptest::test_runner::{run, ProptestConfig, TestOutcome};
@@ -169,20 +169,9 @@ fn options(procs: usize, machine_idx: u8, switches: u8, seed: u64) -> SimOptions
     opts
 }
 
-/// No budget, a step budget, or a virtual-time budget.
-fn budget(kind: u8, steps: usize, fraction_permille: u64, total: Time) -> SimBudget {
-    match kind % 3 {
-        0 => SimBudget::unlimited(),
-        1 => SimBudget::steps(steps),
-        _ => SimBudget::virtual_time(Time::from_ps(
-            (u128::from(total.as_ps()) * u128::from(fraction_permille) / 1000) as u64,
-        )),
-    }
-}
-
-fn fold(prog: &Program, opts: &SimOptions, budget: SimBudget, reuse: bool) -> SimRun {
+fn fold(prog: &Program, opts: &SimOptions, max_steps: Option<usize>, reuse: bool) -> SimRun {
     let hooks = SimHooks {
-        budget,
+        max_steps,
         ..SimHooks::default()
     };
     let mut direct = DirectStepSimulator::new();
@@ -210,19 +199,16 @@ fn reuse_is_exact() {
             let skew = prop::collection::vec(0u64..100_000, 1..7).sample(rng);
             let (machine_idx, switches, seed) =
                 (any::<u8>(), any::<u8>(), any::<u64>()).sample(rng);
-            let (budget_kind, budget_steps, permille) =
-                (any::<u8>(), 0usize..40, 0u64..1200).sample(rng);
+            // No cap, or a cap of 0 to 39 steps.
+            let (capped, cap) = (any::<bool>(), 0usize..40).sample(rng);
+            let max_steps = capped.then_some(cap);
 
             let prog = build(procs, &runs, &skew);
             let opts = options(procs, machine_idx, switches, seed);
-            let total = fold(&prog, &opts, SimBudget::unlimited(), false)
-                .prediction
-                .total;
-            let budget = budget(budget_kind, budget_steps, permille, total);
-
-            let reused = fold(&prog, &opts, budget, true);
-            let simulated = fold(&prog, &opts, budget, false);
-            let case = format!("procs {procs}, opts {opts:?}, budget {budget:?}, runs {runs:?}");
+            let reused = fold(&prog, &opts, max_steps, true);
+            let simulated = fold(&prog, &opts, max_steps, false);
+            let case =
+                format!("procs {procs}, opts {opts:?}, max_steps {max_steps:?}, runs {runs:?}");
             assert_eq!(reused.prediction, simulated.prediction, "{case}");
             assert_eq!(reused.halt, simulated.halt, "{case}");
             assert_eq!(simulated.steps_reused, 0, "{case}");
@@ -258,7 +244,7 @@ fn traced_and_faulted_runs_simulate_every_step() {
         );
     }
     let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(procs)));
-    let plain = fold(&prog, &opts, SimBudget::unlimited(), true);
+    let plain = fold(&prog, &opts, None, true);
     assert!(plain.steps_reused > 0, "{plain:?}");
     assert_eq!(plain.steps_reused + plain.steps_simulated, 12);
 

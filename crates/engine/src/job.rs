@@ -572,15 +572,14 @@ impl JobSpec {
     }
 }
 
-/// How one job ended.
+/// How one job ended. The engine runs each job once: its outcome is a
+/// pure function of its spec, so a second run would end the same way.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobOutcome {
     /// The prediction ran to completion.
     Done {
         /// The full prediction.
         prediction: Prediction,
-        /// Execution attempts it took (1 = first try).
-        attempts: u32,
     },
     /// The job was not re-executed: its headline numbers were restored from
     /// a checkpoint journal by [`crate::Engine::run_resumable`].
@@ -594,19 +593,20 @@ pub enum JobOutcome {
         /// Forced transmissions of the worst-case algorithm.
         forced_sends: usize,
     },
-    /// The per-job simulation budget ran out; `partial` covers the
+    /// The job reached the per-job step cap
+    /// ([`crate::EngineConfig::max_steps`]); `partial` covers the
     /// simulated prefix.
     TimedOut {
         /// Prediction over the steps that were simulated.
         partial: Prediction,
-        /// Execution attempts, all of which hit the budget.
-        attempts: u32,
     },
-    /// Every attempt panicked; the rest of the batch kept running.
+    /// The job panicked; the rest of the batch kept running.
     Crashed {
-        /// The panic message of the last attempt.
+        /// The panic message.
         message: String,
-        /// Execution attempts, all of which panicked.
+        /// Runs that panicked: 1 from the engine; 2 when the server's
+        /// supervisor answers a job whose worker died, was re-enqueued,
+        /// and died again.
         attempts: u32,
     },
 }
@@ -656,12 +656,13 @@ impl JobOutcome {
         }
     }
 
-    /// Execution attempts recorded on the outcome (0 for `Restored`).
+    /// Runs recorded on the outcome: 1 for `Done` and `TimedOut`, 0 for
+    /// `Restored`, and `Crashed`'s own count. Served bodies and journal
+    /// lines carry it as `attempts`.
     pub fn attempts(&self) -> u32 {
         match self {
-            JobOutcome::Done { attempts, .. }
-            | JobOutcome::TimedOut { attempts, .. }
-            | JobOutcome::Crashed { attempts, .. } => *attempts,
+            JobOutcome::Done { .. } | JobOutcome::TimedOut { .. } => 1,
+            JobOutcome::Crashed { attempts, .. } => *attempts,
             JobOutcome::Restored { .. } => 0,
         }
     }

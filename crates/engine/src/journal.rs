@@ -45,7 +45,7 @@ pub struct JournalEntry {
     pub comm_time: Time,
     /// Forced transmissions (zero unless `done`).
     pub forced_sends: usize,
-    /// Execution attempts the outcome took.
+    /// Runs the outcome records ([`JobOutcome::attempts`]).
     pub attempts: u32,
 }
 
@@ -218,7 +218,6 @@ mod tests {
                 steps: vec![],
                 forced_sends: 3,
             },
-            attempts: 2,
         }
     }
 
@@ -275,7 +274,6 @@ mod tests {
             "stuck",
             JobOutcome::TimedOut {
                 partial: done(1.0).prediction().unwrap().clone(),
-                attempts: 3,
             },
         ));
         journal.record(&result(
@@ -283,7 +281,7 @@ mod tests {
             "boom",
             JobOutcome::Crashed {
                 message: "worker exploded".into(),
-                attempts: 1,
+                attempts: 2,
             },
         ));
         drop(journal);
@@ -295,11 +293,12 @@ mod tests {
         assert!(entries[0].is_restorable());
         assert_eq!(entries[0].total, Time::from_us(10.0));
         assert_eq!(entries[0].forced_sends, 3);
-        assert_eq!(entries[0].attempts, 2);
+        assert_eq!(entries[0].attempts, 1);
         assert_eq!(entries[1].outcome, "timed_out");
         assert!(!entries[1].is_restorable());
         assert_eq!(entries[1].total, Time::ZERO, "degraded totals are zeroed");
         assert_eq!(entries[2].outcome, "crashed");
+        assert_eq!(entries[2].attempts, 2);
     }
 
     #[test]

@@ -18,21 +18,21 @@
 //!
 //! The engine is observable: attach an [`EngineObs`] (trace sink + metrics
 //! registry from `predsim-obs`) via [`Engine::with_obs`] and every job
-//! emits `job_start`/`worker_assign`/`job_finish` events, while
-//! [`Engine::run_report`] returns the batch results together with a
-//! metrics snapshot. Observation never changes results — predictions stay
-//! bit-identical with tracing on.
+//! emits `job_start`/`worker_assign`/`job_finish` events; after a batch,
+//! [`Engine::metrics_snapshot`] flushes the sink and snapshots the
+//! registry, and [`Engine::stats`] reads the step counters. Observation
+//! never changes results — predictions stay bit-identical with tracing
+//! on.
 //!
-//! The engine is also **resilient**: a batch never dies with a job.
+//! The engine is also **resilient**: a batch never dies with a job. Each
+//! job runs exactly once, because its outcome is a pure function of its
+//! spec: running it again would reproduce the same outcome.
 //!
 //! * every job executes under `catch_unwind`, so a panicking job comes
 //!   back as [`JobOutcome::Crashed`] while the rest of the batch runs on;
-//! * a per-job [`predsim_core::SimBudget`] (steps and/or virtual time,
-//!   [`EngineConfig::with_budget`]) turns runaway simulations into
+//! * a per-job cap on simulated program steps
+//!   ([`EngineConfig::with_step_budget`]) turns runaway simulations into
 //!   [`JobOutcome::TimedOut`] results carrying the partial prediction;
-//! * crashed and timed-out jobs can be retried
-//!   ([`EngineConfig::with_retries`]); a retry runs immediately, with no
-//!   backoff;
 //! * [`Engine::run_resumable`] journals every finished job to a JSONL
 //!   checkpoint ([`Journal`]) and, given the entries read back from one,
 //!   restores completed jobs instead of re-running them — bit-identical
@@ -66,7 +66,7 @@ pub use job::{Grid, JobOutcome, JobResult, JobSource, JobSpec, LayoutSpec};
 pub use journal::{Journal, JournalEntry};
 
 use predsim_core::{
-    simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimBudget, SimHooks, SimRun,
+    simulate_program_with, CommAlgo, DirectStepSimulator, Prediction, SimHooks, SimRun,
 };
 use predsim_lint::{check_program, Code, Diagnostic, LintOptions, Report, Severity, Span};
 use predsim_obs::{
@@ -222,29 +222,15 @@ impl std::fmt::Display for BatchRejection {
 
 impl std::error::Error for BatchRejection {}
 
-/// Engine tuning knobs: workers, the per-job budget and retries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Engine tuning knobs: workers and the per-job step cap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// Per-job simulation budget; exceeding it yields
-    /// [`JobOutcome::TimedOut`] instead of running forever.
-    pub budget: SimBudget,
-    /// Re-execution attempts after a crashed or timed-out job (0 = fail on
-    /// the first bad attempt). Predictions are deterministic, so retries
-    /// guard against *host*-side transience (memory pressure), not
-    /// simulation randomness. A retry runs immediately.
-    pub retries: u32,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            jobs: 0,
-            budget: SimBudget::unlimited(),
-            retries: 0,
-        }
-    }
+    /// Simulate at most this many program steps per job; a job that
+    /// reaches the cap ends [`JobOutcome::TimedOut`] instead of running
+    /// on. `None` runs every job to completion.
+    pub max_steps: Option<usize>,
 }
 
 impl EngineConfig {
@@ -265,22 +251,9 @@ impl EngineConfig {
         self
     }
 
-    /// Same config with a per-job simulation budget.
-    pub fn with_budget(mut self, budget: SimBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Same config with a per-job budget of at most `steps` program steps.
     pub fn with_step_budget(mut self, steps: usize) -> Self {
-        self.budget = SimBudget::steps(steps);
-        self
-    }
-
-    /// Same config with `retries` re-execution attempts for crashed or
-    /// timed-out jobs.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
+        self.max_steps = Some(steps);
         self
     }
 }
@@ -293,7 +266,6 @@ struct EngineMetrics {
     jobs_crashed_total: Arc<Counter>,
     jobs_timed_out_total: Arc<Counter>,
     jobs_restored_total: Arc<Counter>,
-    job_retries_total: Arc<Counter>,
     job_wall_ns: Arc<Histogram>,
     phase_build_ns: Arc<Counter>,
     phase_simulate_ns: Arc<Counter>,
@@ -306,21 +278,14 @@ impl EngineMetrics {
     fn new(registry: &Registry) -> Self {
         EngineMetrics {
             jobs_total: registry.counter("engine_jobs_total", "batch jobs executed"),
-            jobs_crashed_total: registry.counter(
-                "engine_jobs_crashed_total",
-                "jobs whose every attempt panicked",
-            ),
+            jobs_crashed_total: registry.counter("engine_jobs_crashed_total", "jobs that panicked"),
             jobs_timed_out_total: registry.counter(
                 "engine_jobs_timed_out_total",
-                "jobs whose every attempt exceeded the simulation budget",
+                "jobs that reached the step budget",
             ),
             jobs_restored_total: registry.counter(
                 "engine_jobs_restored_total",
                 "jobs restored from a checkpoint journal instead of re-run",
-            ),
-            job_retries_total: registry.counter(
-                "engine_job_retries_total",
-                "re-execution attempts after crashed or timed-out attempts",
             ),
             job_wall_ns: registry.histogram(
                 "engine_job_wall_ns",
@@ -403,21 +368,6 @@ impl EngineObs {
     }
 }
 
-/// A batch's results plus the observability snapshot taken right after it
-/// finished (from [`Engine::run_report`]).
-#[derive(Clone)]
-pub struct RunReport {
-    /// The job results, in submission order — exactly [`Engine::run`]'s
-    /// return value.
-    pub results: Vec<JobResult>,
-    /// Snapshot of the engine registry at the end of the run.
-    pub metrics: MetricsSnapshot,
-    /// Step counters as of the end of the run ([`Engine::stats`]).
-    pub steps: StepStats,
-    /// Host wall-clock of the whole batch, in nanoseconds.
-    pub wall_ns: u64,
-}
-
 /// The communication steps an engine's runs reached, as counted by
 /// [`Engine::stats`]. The field names are those of the step memo the fold's
 /// reuse replaced, so readers of the old counters keep working.
@@ -482,7 +432,7 @@ impl Engine {
     }
 
     /// Predict one job with this engine. The job runs under the
-    /// engine's budget; a truncated run returns the prediction over the
+    /// engine's step cap; a truncated run returns the prediction over the
     /// simulated prefix (use [`Engine::run`] for outcome-aware results).
     pub fn run_one(&self, spec: &JobSpec) -> Prediction {
         self.run_one_bounded(spec).prediction
@@ -537,7 +487,7 @@ impl Engine {
         let hooks = SimHooks {
             trace: faults.and(self.obs.sink.as_deref()),
             faults,
-            budget: self.config.budget,
+            max_steps: self.config.max_steps,
         };
         let backend = &mut DirectStepSimulator::new();
         let run = simulate_program_with(&program, &spec.opts, backend, hooks);
@@ -599,11 +549,12 @@ impl Engine {
     /// checked batch (restored ones included) on the calling thread, then
     /// restore journalled jobs and run the pending ones in one pass over
     /// the worker pool, dealt in submission order. A worker builds a job's
-    /// program when it takes the job ([`Engine::prepare`]; retries reuse
-    /// it) and drops it once the job is done, so it holds at most one
-    /// program at a time. Every pending job comes back with a result:
-    /// `prepare` and `execute` turn a job's panic into a `crashed` one,
-    /// and any other panic on a worker reaches the caller (`on_pool`).
+    /// program when it takes the job ([`Engine::prepare`]) and drops it
+    /// once the job is done, so it holds at most one program at a time.
+    /// Every pending job comes back with a result: `prepare` and
+    /// `execute` turn a job's panic into a `crashed` one, and any other
+    /// panic on a worker reaches the caller with its own payload
+    /// (`on_pool`).
     fn run_batch(
         &self,
         specs: &[JobSpec],
@@ -689,25 +640,10 @@ impl Engine {
         Ok(slots.into_iter().flatten().collect())
     }
 
-    /// Like [`Engine::run`], but also snapshot the metrics registry and
-    /// the step counters when the batch finishes.
-    pub fn run_report(&self, specs: &[JobSpec]) -> RunReport {
-        let start = Instant::now();
-        let results = self.run(specs);
-        let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        RunReport {
-            results,
-            metrics: self.metrics_snapshot(),
-            steps: self.stats(),
-            wall_ns,
-        }
-    }
-
     /// Flush the trace sink and snapshot the registry, whose
     /// `engine_steps_reused_total` and `engine_steps_simulated_total`
-    /// counters carry [`Engine::stats`]. Called by [`Engine::run_report`];
-    /// call it directly after [`Engine::run`]/[`Engine::run_checked`] to
-    /// export metrics.
+    /// counters carry [`Engine::stats`]. Call it after
+    /// [`Engine::run`]/[`Engine::run_checked`] to export metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         if let Some(sink) = &self.obs.sink {
             sink.flush();
@@ -724,9 +660,8 @@ impl Engine {
         }
     }
 
-    /// Run one job to an outcome: attempt it under `catch_unwind` and the
-    /// configured budget, retrying crashed/timed-out attempts up to the
-    /// configured cap. A panic is contained here — it becomes a
+    /// Run one job to an outcome, once, under `catch_unwind` and the
+    /// configured step cap. A panic is contained here — it becomes a
     /// [`JobOutcome::Crashed`] result, never a dead worker.
     fn execute(&self, index: usize, spec: &JobSpec) -> JobResult {
         let job = index as u64;
@@ -737,39 +672,18 @@ impl Engine {
             });
         }
         let start = Instant::now();
-        let max_attempts = self.config.retries.saturating_add(1);
-        let mut outcome = None;
-        for attempt in 1..=max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(spec))) {
-                Ok(run) if run.halt.is_complete() => {
-                    outcome = Some(JobOutcome::Done {
-                        prediction: run.prediction,
-                        attempts: attempt,
-                    });
-                    break;
-                }
-                Ok(run) => {
-                    if attempt == max_attempts {
-                        outcome = Some(JobOutcome::TimedOut {
-                            partial: run.prediction,
-                            attempts: attempt,
-                        });
-                    }
-                }
-                Err(payload) => {
-                    if attempt == max_attempts {
-                        outcome = Some(JobOutcome::Crashed {
-                            message: panic_message(payload),
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            if outcome.is_none() {
-                self.obs.metrics.job_retries_total.inc();
-            }
-        }
-        let outcome = outcome.expect("at least one attempt ran");
+        let outcome = match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(spec))) {
+            Ok(run) if run.halt.is_complete() => JobOutcome::Done {
+                prediction: run.prediction,
+            },
+            Ok(run) => JobOutcome::TimedOut {
+                partial: run.prediction,
+            },
+            Err(payload) => JobOutcome::Crashed {
+                message: panic_message(payload),
+                attempts: 1,
+            },
+        };
         let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.obs.metrics.jobs_total.inc();
         self.obs.metrics.job_wall_ns.observe(wall_ns);
@@ -819,9 +733,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Workers take items from one shared queue and send each result over a
 /// channel the calling thread drains, so `done` sees it as soon as it is
 /// ready. A panic that escapes `work` is not contained: at every worker
-/// count it reaches the caller, inline or when the scope joins the
-/// worker that panicked. Job panics never get that far, because
-/// `prepare` and `execute` catch them.
+/// count it reaches the caller with its own payload, inline or re-raised
+/// from the first worker (by worker number) that panicked. Job panics
+/// never get that far, because `prepare` and `execute` catch them.
 fn on_pool<T: Send, R: Send>(
     workers: usize,
     items: Vec<T>,
@@ -838,18 +752,27 @@ fn on_pool<T: Send, R: Send>(
     let (done_tx, done_rx) = mpsc::channel();
     let (queue, work) = (&queue, &work);
     thread::scope(|scope| {
-        for worker in 0..workers as u64 {
-            let done_tx = done_tx.clone();
-            scope.spawn(move || loop {
-                // Its own statement, so the guard drops before `work` runs.
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some(item) = next else { break };
-                let _ = done_tx.send(work(worker, item));
-            });
-        }
+        let handles: Vec<_> = (0..workers as u64)
+            .map(|worker| {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || loop {
+                    // Its own statement, so the guard drops before `work` runs.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some(item) = next else { break };
+                    let _ = done_tx.send(work(worker, item));
+                })
+            })
+            .collect();
         drop(done_tx);
         for result in done_rx {
             done(result);
+        }
+        // Joined here, so the scope does not replace a worker's payload
+        // with its own generic one.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 }
@@ -1102,17 +1025,17 @@ mod tests {
     }
 
     #[test]
-    fn run_report_traces_jobs_and_snapshots_metrics() {
+    fn runs_trace_jobs_and_snapshots_agree_with_the_step_counters() {
         let sink = Arc::new(predsim_obs::MemorySink::new());
         let obs = EngineObs::new().with_sink(sink.clone());
         let engine = Engine::with_obs(EngineConfig::default().with_jobs(2), obs);
         let jobs = stencil_grid();
-        let report = engine.run_report(&jobs);
-        assert_eq!(report.results.len(), jobs.len());
+        let results = engine.run(&jobs);
+        assert_eq!(results.len(), jobs.len());
 
         // Observation changed nothing about the predictions.
         let plain = Engine::new(EngineConfig::default().with_jobs(1)).run(&jobs);
-        assert_identical(&report.results, &plain);
+        assert_identical(&results, &plain);
 
         let events = sink.events();
         let count = |k: &str| events.iter().filter(|e| e.kind() == k).count();
@@ -1124,7 +1047,7 @@ mod tests {
             3 * jobs.len(),
             "a fault-free job traces only its start, assignment and finish"
         );
-        for r in &report.results {
+        for r in &results {
             assert!(
                 events.iter().any(|e| matches!(e,
                     TraceEvent::JobFinish { job, total_ps, outcome, .. }
@@ -1137,7 +1060,8 @@ mod tests {
         }
 
         // The snapshot agrees with the batch and the step counters.
-        let snap = &report.metrics;
+        let snap = engine.metrics_snapshot();
+        let steps = engine.stats();
         assert_eq!(
             snap.scalar("engine_jobs_total", &[]),
             Some(jobs.len() as u64)
@@ -1157,21 +1081,19 @@ mod tests {
             })
             .sum();
         assert_eq!(
-            report.steps.hits + report.steps.misses,
+            steps.hits + steps.misses,
             comm_steps as u64,
             "every communication step is reused or simulated"
         );
         assert_eq!(
             snap.scalar("engine_steps_reused_total", &[]),
-            Some(report.steps.hits)
+            Some(steps.hits)
         );
         assert_eq!(
             snap.scalar("engine_steps_simulated_total", &[]),
-            Some(report.steps.misses)
+            Some(steps.misses)
         );
         assert!(snap.scalar("engine_phase_simulate_ns", &[]).unwrap() > 0);
-        assert!(report.wall_ns > 0);
-        assert_eq!(report.steps, engine.stats());
     }
 
     /// A spec whose `build()` panics (block does not divide n), exercising
@@ -1244,12 +1166,14 @@ mod tests {
             opts,
         );
         let engine = Engine::sequential();
-        match &engine.run(&[huge])[0].outcome {
+        let results = engine.run(&[huge]);
+        match &results[0].outcome {
             JobOutcome::Crashed { message, .. } => {
                 assert!(message.contains("supported maximum of 4096"), "{message}")
             }
             other => panic!("expected Crashed, got {}", other.kind()),
         }
+        assert_eq!(best_by_total(&results), None, "a crash never wins");
         assert_eq!(builds(&engine), Some(0), "nothing was built");
     }
 
@@ -1329,31 +1253,25 @@ mod tests {
             )
             .machine("meiko", presets::meiko_cs2(4))
             .build();
-        let engine = Engine::new(
-            EngineConfig::default()
-                .with_jobs(1)
-                .with_step_budget(2)
-                .with_retries(1),
-        );
+        let engine = Engine::new(EngineConfig::default().with_jobs(1).with_step_budget(2));
         let results = engine.run(&jobs);
         match &results[0].outcome {
-            JobOutcome::TimedOut { partial, attempts } => {
+            JobOutcome::TimedOut { partial } => {
                 assert_eq!(partial.steps.len(), 2, "partial covers the budgeted prefix");
-                assert_eq!(*attempts, 2, "the retry also timed out");
             }
             other => panic!("expected TimedOut, got {}", other.kind()),
         }
+        assert_eq!(results[0].outcome.attempts(), 1);
         assert!(!results[0].outcome.is_ok());
         assert_eq!(results[0].outcome.totals(), None);
         let snap = engine.metrics_snapshot();
         assert_eq!(snap.scalar("engine_jobs_timed_out_total", &[]), Some(1));
-        assert_eq!(snap.scalar("engine_job_retries_total", &[]), Some(1));
     }
 
     #[test]
-    fn step_counts_cover_every_attempt() {
-        // Two attempts of a job cut after 3 of its 6 exchanges: the step
-        // counters add up the steps both attempts reached.
+    fn step_counts_cover_the_steps_a_capped_job_reached() {
+        // A job cut after 3 of its 6 exchanges: the step counters add up
+        // the steps it reached, and no more.
         let jobs = Grid::new()
             .source(
                 "st",
@@ -1366,15 +1284,10 @@ mod tests {
             )
             .machine("meiko", presets::meiko_cs2(4))
             .build();
-        let engine = Engine::new(
-            EngineConfig::default()
-                .with_jobs(1)
-                .with_step_budget(3)
-                .with_retries(1),
-        );
+        let engine = Engine::new(EngineConfig::default().with_jobs(1).with_step_budget(3));
         engine.run(&jobs);
         let stats = engine.stats();
-        assert_eq!(stats.hits + stats.misses, 6, "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, 3, "{stats:?}");
         let snap = engine.metrics_snapshot();
         assert_eq!(
             snap.scalar("engine_steps_reused_total", &[]),
@@ -1384,23 +1297,6 @@ mod tests {
             snap.scalar("engine_steps_simulated_total", &[]),
             Some(stats.misses)
         );
-    }
-
-    #[test]
-    fn retries_are_counted_on_crashing_jobs() {
-        let engine = Engine::new(EngineConfig::default().with_jobs(1).with_retries(2));
-        let results = engine.run(&[crashing_spec("boom")]);
-        match &results[0].outcome {
-            JobOutcome::Crashed { attempts, .. } => assert_eq!(*attempts, 3),
-            other => panic!("expected Crashed, got {}", other.kind()),
-        }
-        assert_eq!(
-            engine
-                .metrics_snapshot()
-                .scalar("engine_job_retries_total", &[]),
-            Some(2)
-        );
-        assert_eq!(best_by_total(&results), None, "a crash never wins");
     }
 
     #[test]

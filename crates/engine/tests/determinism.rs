@@ -176,10 +176,10 @@ proptest! {
         let sink = Arc::new(predsim_obs::MemorySink::new());
         let obs = EngineObs::new().with_sink(sink.clone());
         let engine = Engine::with_obs(EngineConfig::default().with_jobs(jobs), obs);
-        let report = engine.run_report(&specs);
+        let results = engine.run(&specs);
 
-        prop_assert_eq!(report.results.len(), baseline.len());
-        for (r, b) in report.results.iter().zip(&baseline) {
+        prop_assert_eq!(results.len(), baseline.len());
+        for (r, b) in results.iter().zip(&baseline) {
             prop_assert_eq!(r.index, b.index);
             assert_predictions_identical(
                 r.prediction(),
@@ -196,9 +196,10 @@ proptest! {
         // A fault-free job traces nothing between its start and finish,
         // and the step counters account for every communication step.
         prop_assert_eq!(events.len(), 3 * specs.len());
-        prop_assert_eq!(report.steps.hits + report.steps.misses, comm_steps(&specs));
+        let steps = engine.stats();
+        prop_assert_eq!(steps.hits + steps.misses, comm_steps(&specs));
         prop_assert_eq!(
-            report.metrics.scalar("engine_jobs_total", &[]),
+            engine.metrics_snapshot().scalar("engine_jobs_total", &[]),
             Some(specs.len() as u64)
         );
     }
@@ -350,5 +351,66 @@ fn dispatch_is_bit_identical_to_sequential() {
     for (s, r) in sequential.iter().zip(&ranked) {
         assert_eq!(s.index, r.index);
         assert_eq!(&s.outcome, &r.outcome, "{}", s.label);
+    }
+}
+
+/// A job's outcome is a pure function of its spec, which is why the engine
+/// runs each job once: an unchecked batch of done, step-capped and
+/// crashing jobs ends the same way when run again on the same engine and
+/// at every worker count — timed-out partial predictions and crash
+/// messages included.
+#[test]
+fn outcomes_are_a_pure_function_of_the_spec() {
+    let mut specs: Vec<JobSpec> = (0..8)
+        .map(|i| {
+            let source = source_for(i % 3, 3 * i + 1);
+            let opts = SimOptions::new(commsim::SimConfig::new(machine_for(i, source.procs())));
+            JobSpec::new(format!("job{i}"), source, opts)
+        })
+        .collect();
+    let meiko = |procs| SimOptions::new(commsim::SimConfig::new(presets::meiko_cs2(procs)));
+    specs.insert(
+        2,
+        JobSpec::new(
+            "infeasible",
+            JobSource::Gauss {
+                n: 10,
+                block: 3,
+                layout: LayoutSpec::RowCyclic(4),
+            },
+            meiko(4),
+        ),
+    );
+    specs.push(JobSpec::new(
+        "over-cap",
+        JobSource::Stencil {
+            n: 10_000,
+            procs: 5000,
+            iters: 1,
+            ps_per_flop: 500,
+        },
+        meiko(5000),
+    ));
+    let capped = |jobs| EngineConfig::default().with_jobs(jobs).with_step_budget(4);
+
+    let engine = Engine::new(capped(1));
+    let first = engine.run(&specs);
+    let kinds: Vec<&str> = first.iter().map(|r| r.outcome.kind()).collect();
+    for kind in ["done", "timed_out", "crashed"] {
+        assert!(kinds.contains(&kind), "no {kind} job in {kinds:?}");
+    }
+    let mut runs = vec![("again on the same engine".to_string(), engine.run(&specs))];
+    for jobs in [1, 2, 4] {
+        runs.push((
+            format!("--jobs {jobs}"),
+            Engine::new(capped(jobs)).run(&specs),
+        ));
+    }
+    for (run, results) in &runs {
+        assert_eq!(results.len(), first.len(), "{run}");
+        for (r, f) in results.iter().zip(&first) {
+            assert_eq!(r.index, f.index, "{run}");
+            assert_eq!(&r.outcome, &f.outcome, "{run}: {}", f.label);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The worker pool's contract, observed through the trace sink: workers
 //! run jobs at the same time, and a panic outside the per-job isolation
-//! is not swallowed at any worker count.
+//! reaches the caller with its own payload at any worker count.
 
 use loggp::presets;
 use predsim_core::SimOptions;
@@ -95,7 +95,17 @@ fn a_panic_outside_job_isolation_reaches_the_caller_at_every_worker_count() {
     let specs = specs(4);
     for jobs in [1, 2, 4] {
         let engine = engine(jobs, Arc::new(PanicOnAssign(1)));
-        let run = catch_unwind(AssertUnwindSafe(|| engine.run(&specs)));
-        assert!(run.is_err(), "--jobs {jobs}: the panic was swallowed");
+        let Err(payload) = catch_unwind(AssertUnwindSafe(|| engine.run(&specs))) else {
+            panic!("--jobs {jobs}: the panic was swallowed");
+        };
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string payload>");
+        assert!(
+            message.contains("sink refuses job 1"),
+            "--jobs {jobs}: payload {message:?}"
+        );
     }
 }

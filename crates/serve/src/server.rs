@@ -86,9 +86,10 @@ pub struct ServeConfig {
     pub request_timeout: Duration,
     /// Largest request body accepted (bytes); beyond it, `413`.
     pub max_body: usize,
-    /// Engine configuration (workers each run jobs inline, so its `jobs`
-    /// is forced to 1).
-    pub engine: EngineConfig,
+    /// Simulate at most this many program steps per served job; a job
+    /// that reaches the cap is answered `timed_out` (`--job-budget`).
+    /// `None` runs every job to completion.
+    pub job_budget: Option<usize>,
     /// Queue depth at which `/v1/predict` degrades to the replay tier:
     /// the job runs on its connection's thread instead of queueing.
     /// `None` derives `max(1, queue_cap / 2)`; an explicit value is
@@ -113,7 +114,7 @@ impl Default for ServeConfig {
             queue_cap: 32,
             request_timeout: Duration::from_secs(30),
             max_body: 1 << 20,
-            engine: EngineConfig::default(),
+            job_budget: None,
             replay_at: None,
             static_at: None,
             stall_timeout: Duration::from_secs(30),
@@ -556,8 +557,12 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
+        // Each worker runs its jobs inline, so the engine has one worker.
         let engine = Engine::with_obs(
-            config.engine.with_jobs(1),
+            EngineConfig {
+                jobs: 1,
+                max_steps: config.job_budget,
+            },
             EngineObs::with_registry(Arc::clone(&registry)),
         );
         let workers = config.workers.max(1);
@@ -1111,7 +1116,7 @@ fn admit_and_run(shared: &Shared, admits: Vec<Admit>) -> Result<Vec<Reply>, Resp
 /// Serve one predict at the replay tier: run the prepared job through
 /// the one shared [`Engine`] on this handler thread, skipping the queue.
 /// It is the call a worker makes, so the answer comes from the same
-/// engine under the same budget, retries and panic isolation, and the body
+/// engine under the same step cap and panic isolation, and the body
 /// equals the full tier's but for `tier`.
 fn replay_tier(shared: &Shared, spec: &JobSpec) -> Response {
     let mut results = shared.engine.run(std::slice::from_ref(spec));

@@ -2,7 +2,6 @@
 //! supervision, tiered degradation, and deadline-aware admission — all
 //! over a real TCP socket.
 
-use predsim_engine::EngineConfig;
 use predsim_lint::json::{self, Value};
 use predsim_serve::{ChaosPlan, ChaosSpec, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -368,7 +367,7 @@ fn the_replay_tier_answers_under_the_engine_budget_like_the_full_tier() {
     // too: its body is the full tier's, byte for byte, but for `tier`.
     let handle = Server::start(ServeConfig {
         replay_at: Some(1),
-        engine: EngineConfig::default().with_step_budget(3),
+        job_budget: Some(3),
         ..pinned(8)
     })
     .expect("server starts");

@@ -705,7 +705,7 @@ fn calibrate_under_a_step_budget_is_refused_not_panicked() {
     // the fit is refused up front with an error naming the budget; the
     // server keeps serving.
     let handle = Server::start(ServeConfig {
-        engine: EngineConfig::default().with_step_budget(3),
+        job_budget: Some(3),
         ..ServeConfig::default()
     })
     .expect("server starts");

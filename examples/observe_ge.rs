@@ -7,8 +7,8 @@
 //! The second half re-predicts the same program under a seeded 10 %
 //! message-loss plan (counting the fault events it emits) and then runs a
 //! small engine batch with a step budget, showing how per-job
-//! [`JobOutcome`]s report `done` vs `timed_out` rows with their attempt
-//! counts instead of losing the whole sweep.
+//! [`JobOutcome`]s report `done` vs `timed_out` rows instead of losing the
+//! whole sweep.
 //!
 //! Run with: `cargo run --example observe_ge`
 
@@ -111,27 +111,20 @@ fn main() {
         )
         .with_faults(plan.clone())
     });
-    let engine = Engine::new(EngineConfig::default().with_step_budget(40).with_retries(1));
-    println!("\nbatch under a 40-step budget (1 retry):");
+    let engine = Engine::new(EngineConfig::default().with_step_budget(40));
+    println!("\nbatch under a 40-step budget:");
     for r in engine.run(&jobs) {
         match &r.outcome {
-            JobOutcome::TimedOut { partial, attempts } => println!(
-                "  {:8} {:9} after {} attempt(s); partial covers {} step(s), {} so far",
+            JobOutcome::TimedOut { partial } => println!(
+                "  {:8} {:9} partial covers {} step(s), {} so far",
                 r.label,
                 r.outcome.kind(),
-                attempts,
                 partial.steps.len(),
                 partial.total
             ),
             outcome => {
                 let (total, _, _, _) = outcome.totals().expect("completed job has totals");
-                println!(
-                    "  {:8} {:9} in {} attempt(s): {}",
-                    r.label,
-                    outcome.kind(),
-                    outcome.attempts(),
-                    total
-                );
+                println!("  {:8} {:9} {}", r.label, outcome.kind(), total);
             }
         }
     }

@@ -83,8 +83,7 @@ USAGE:
 
   predsim ge-sweep [--n N] [--procs P] [--machine NAME] [--layout L] [--blocks A,B,...]
                    [--prefilter] [--jobs N] [--faults SPEC] [--seed N]
-                   [--job-budget STEPS] [--retries K]
-                   [--checkpoint FILE | --resume FILE]
+                   [--job-budget STEPS] [--checkpoint FILE | --resume FILE]
                    [--results-out FILE] [--metrics-out FILE]
       Sweep block sizes for blocked Gaussian elimination and report the
       predicted optimum (layouts: diagonal, row, col; default n=960 P=8).
@@ -143,7 +142,7 @@ USAGE:
 
   predsim batch SOURCE... [--machine NAME[,NAME...]] [--jobs N]
                 [--worst-case] [--barrier] [--overlap] [--classic-gap]
-                [--faults SPEC] [--seed N] [--job-budget STEPS] [--retries K]
+                [--faults SPEC] [--seed N] [--job-budget STEPS]
                 [--checkpoint FILE | --resume FILE]
                 [--results-out FILE] [--metrics-out FILE]
       Predict every source on every machine with the batch engine. A SOURCE
@@ -163,17 +162,17 @@ USAGE:
       before them exactly and were reused; --metrics-out writes the
       engine's metrics in Prometheus format. --faults injects the seeded
       fault plan into every job; --job-budget caps each job's simulated
-      steps (over budget: timed_out); --retries re-runs crashed or
-      over-budget jobs up to K extra times; --checkpoint appends every
-      finished job to a JSONL journal as it completes, and --resume reads
-      such a journal back, skips the jobs already done, and appends the
-      rest to the same file — the combined results are identical to an
+      steps (over budget: timed_out). Each job runs once: its outcome is
+      a pure function of its spec. --checkpoint appends every finished
+      job to a JSONL journal as it completes, and --resume reads such a
+      journal back, skips the jobs already done, and appends the rest to
+      the same file — the combined results are identical to an
       uninterrupted run. --results-out writes the results table to a
       file.
 
   predsim serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
                 [--request-timeout SECS] [--job-budget STEPS]
-                [--retries K] [--metrics-out FILE] [--presets FILE]
+                [--metrics-out FILE] [--presets FILE]
                 [--replay-at N] [--static-at N] [--stall-timeout MS]
                 [--chaos SPEC] [--chaos-seed N]
       Serve predictions over HTTP (std-only, no framework). POST
@@ -297,12 +296,11 @@ const SIM_FLAGS: [FlagSpec; 5] = [
 
 /// Flags shared by the batch-engine commands (`batch`, `ge-sweep`):
 /// parallelism, fault injection, and resilience.
-const BATCH_FLAGS: [FlagSpec; 9] = [
+const BATCH_FLAGS: [FlagSpec; 8] = [
     valued("jobs"),
     valued("faults"),
     valued("seed"),
     valued("job-budget"),
-    valued("retries"),
     valued("checkpoint"),
     valued("resume"),
     valued("results-out"),
@@ -374,22 +372,26 @@ fn count(args: &Args, name: &str) -> Result<Option<usize>, String> {
     }
 }
 
+/// The per-job step cap `--job-budget STEPS` sets (`batch`, `ge-sweep`,
+/// `serve`), at least 1.
+fn job_budget(args: &Args) -> Result<Option<usize>, String> {
+    let Some(v) = args.value("job-budget") else {
+        return Ok(None);
+    };
+    match v.parse::<usize>() {
+        Ok(0) => Err("--job-budget must be at least 1".into()),
+        Ok(steps) => Ok(Some(steps)),
+        Err(e) => Err(format!("bad --job-budget: {e}")),
+    }
+}
+
 /// Build the engine configuration from the shared batch flags
-/// (`--jobs`, `--job-budget`, `--retries`).
+/// (`--jobs`, `--job-budget`).
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
-    let mut cfg = EngineConfig::default().with_jobs(args.jobs()?);
-    if let Some(v) = args.value("job-budget") {
-        let steps: usize = v.parse().map_err(|e| format!("bad --job-budget: {e}"))?;
-        if steps == 0 {
-            return Err("--job-budget must be at least 1".into());
-        }
-        cfg = cfg.with_step_budget(steps);
-    }
-    if let Some(v) = args.value("retries") {
-        let retries: u32 = v.parse().map_err(|e| format!("bad --retries: {e}"))?;
-        cfg = cfg.with_retries(retries);
-    }
-    Ok(cfg)
+    Ok(EngineConfig {
+        jobs: args.jobs()?,
+        max_steps: job_budget(args)?,
+    })
 }
 
 /// Open the checkpoint journal requested by `--checkpoint` (fresh) or
@@ -1192,7 +1194,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut config = ServeConfig {
         addr: args.value("addr").unwrap_or("127.0.0.1:9100").to_string(),
-        engine: engine_config(args)?,
+        job_budget: job_budget(args)?,
         ..ServeConfig::default()
     };
     if let Some(v) = args.value("workers") {
@@ -1611,7 +1613,6 @@ fn run() -> Result<ExitCode, String> {
             valued("queue-cap"),
             valued("request-timeout"),
             valued("job-budget"),
-            valued("retries"),
             valued("metrics-out"),
             valued("presets"),
             valued("replay-at"),

@@ -20,7 +20,7 @@
 //! | [`stencil`] | Jacobi stencil: trace generator + real execution |
 //! | [`apsp`] | blocked Floyd–Warshall all-pairs shortest paths (the class's graph member) |
 //! | [`predsim_dag`] | task-DAG workloads: schedulers, lowering to step programs, speedup sweeps |
-//! | [`predsim_engine`] | parallel batch-prediction engine: worker pool, budgets, retries, checkpoints |
+//! | [`predsim_engine`] | parallel batch-prediction engine: worker pool, step caps, checkpoints |
 //! | [`predsim_faults`] | deterministic fault injection: message drop/retransmission, slowdown, fail-stop |
 //! | [`predsim_lint`] | static program analyzer: deadlock, well-formedness and LogGP-bound lints |
 //! | [`predsim_obs`] | observability: structured trace events/sinks, metrics registry, profiling |

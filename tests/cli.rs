@@ -1141,8 +1141,6 @@ fn ge_sweep_supports_faults_and_budgets() {
             "3",
             "--job-budget",
             "10000",
-            "--retries",
-            "1",
         ])
         .output()
         .unwrap();
@@ -1154,6 +1152,51 @@ fn ge_sweep_supports_faults_and_budgets() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("predicted optimum: B="), "{text}");
     assert!(text.contains("fault plan: slow:0.2:2"), "{text}");
+}
+
+/// `--job-budget` is the one per-job limit: a cap on simulated program
+/// steps. `stencil:64,4,6` has 6 steps and `cannon:64,4` has 5.
+#[test]
+fn job_budget_caps_simulated_steps_end_to_end() {
+    let batch = |extra: &[&str]| {
+        bin()
+            .args(["batch", "stencil:64,4,6", "cannon:64,4", "--jobs", "1"])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+
+    let cut = batch(&["--job-budget", "3"]);
+    assert_eq!(cut.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&cut.stdout);
+    assert_eq!(text.matches("timed_out").count(), 2, "{text}");
+    let err = String::from_utf8_lossy(&cut.stderr);
+    assert!(err.contains("did not complete"), "{err}");
+
+    // A cap at or above a program's step count changes nothing.
+    let free = batch(&[]);
+    assert!(free.status.success());
+    for steps in ["6", "1000"] {
+        let capped = batch(&["--job-budget", steps]);
+        assert!(capped.status.success(), "--job-budget {steps}");
+        assert_eq!(capped.stdout, free.stdout, "--job-budget {steps}");
+    }
+
+    let zero = batch(&["--job-budget", "0"]);
+    assert!(!zero.status.success());
+    let err = String::from_utf8_lossy(&zero.stderr);
+    assert!(err.contains("--job-budget must be at least 1"), "{err}");
+
+    // Each job runs once; no command takes a retry count.
+    for args in [
+        vec!["batch", "stencil:64,4,6", "--retries", "1"],
+        vec!["ge-sweep", "--retries", "1"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag '--retries'"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -1180,6 +1223,7 @@ fn serve_rejects_bad_flags_before_binding() {
             vec!["serve", "--checkpoint", "journal.jsonl"],
             "unknown flag",
         ),
+        (vec!["serve", "--retries", "1"], "unknown flag"),
     ] {
         let out = bin().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
