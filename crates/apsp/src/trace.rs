@@ -8,15 +8,21 @@
 //! cubic loop structure of their `(+, ×)` counterparts, so the calibrated
 //! curves carry over.
 //!
-//! Each destination set is an [`OwnerSet`], sent to in ascending
-//! processor order. [`generate_with`] is the one generator body; it hands
-//! each step's block visits and touches to a [`LoadSink`], which
-//! [`generate`] collects and a prediction drops ([`predsim_core::NoLoads`]).
+//! The owners of every row and column are counted once, as an
+//! [`OwnerCounts`] each; a panel block goes to its column's (or row's)
+//! owners in ascending processor order, the sender included only if it
+//! owns another block there. An interior step charges each processor
+//! `op4 ×` its blocks off row and column `k`. So a build costs
+//! O(nb² + messages). [`generate_with`] is the one generator body; it
+//! hands each step's block visits and touches to a [`LoadSink`], which
+//! [`generate`] collects and a prediction drops
+//! ([`predsim_core::NoLoads`]); the O(nb³) walk over the interior blocks
+//! runs only for a sink that records them.
 
 use blockops::{CostModel, OpClass};
 use commsim::CommPattern;
 use loggp::Time;
-use predsim_core::{Layout, LoadSink, OwnerSet, Program, Step, StepLoad};
+use predsim_core::{Layout, LoadSink, OwnerCounts, Program, Step, StepLoad};
 
 /// A generated blocked-APSP program plus emulator metadata.
 #[derive(Clone, Debug)]
@@ -89,9 +95,21 @@ pub fn generate_with<S: LoadSink>(
     let [op1, op2, op3, op4] =
         [OpClass::Op1, OpClass::Op2, OpClass::Op3, OpClass::Op4].map(|op| cost.op_cost(op, b));
 
-    let mut program = Program::new(procs);
-    let mut dsts = OwnerSet::new(procs);
+    // Every row's and column's owners, and each processor's blocks.
+    let rows: Vec<OwnerCounts> = (0..nb)
+        .map(|i| OwnerCounts::new((0..nb).map(|j| owner(i, j))))
+        .collect();
+    let cols: Vec<OwnerCounts> = (0..nb)
+        .map(|j| OwnerCounts::new((0..nb).map(|i| owner(i, j))))
+        .collect();
+    let mut grid = vec![0usize; procs];
+    for row in &rows {
+        for &(p, count) in row.counts() {
+            grid[p] += count;
+        }
+    }
 
+    let mut program = Program::new(procs);
     for k in 0..nb {
         // --- closure step -------------------------------------------------
         let s = program.len();
@@ -103,10 +121,13 @@ pub fn generate_with<S: LoadSink>(
         loads.touch(s, p_diag, base(k, k), block_bytes as u32);
         let mut pat = CommPattern::new(procs);
         // The closed diagonal goes to every panel owner of row/col k.
-        let panel_owners = (0..nb)
-            .filter(|&t| t != k)
-            .flat_map(|t| [owner(k, t), owner(t, k)]);
-        for &dst in dsts.collect(panel_owners) {
+        let mut dsts: Vec<usize> = rows[k]
+            .owners_without(p_diag)
+            .chain(cols[k].owners_without(p_diag))
+            .collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        for dst in dsts {
             pat.add(p_diag, dst, block_bytes);
         }
         program.push(
@@ -129,7 +150,7 @@ pub fn generate_with<S: LoadSink>(
             loads.add_visits(s, pr, 1);
             loads.touch(s, pr, base(k, t), block_bytes as u32);
             loads.touch(s, pr, base(k, k), block_bytes as u32);
-            for &dst in dsts.collect((0..nb).filter(|&i| i != k).map(|i| owner(i, t))) {
+            for dst in cols[t].owners_without(pr) {
                 pat.add(pr, dst, block_bytes);
             }
 
@@ -138,7 +159,7 @@ pub fn generate_with<S: LoadSink>(
             loads.add_visits(s, pc, 1);
             loads.touch(s, pc, base(t, k), block_bytes as u32);
             loads.touch(s, pc, base(k, k), block_bytes as u32);
-            for &dst in dsts.collect((0..nb).filter(|&j| j != k).map(|j| owner(t, j))) {
+            for dst in rows[t].owners_without(pc) {
                 pat.add(pc, dst, block_bytes);
             }
         }
@@ -151,21 +172,23 @@ pub fn generate_with<S: LoadSink>(
         // --- interior step ---------------------------------------------------
         let s = program.len();
         loads.grow(s + 1, procs);
-        let mut comp = vec![Time::ZERO; procs];
-        for i in 0..nb {
-            if i == k {
-                continue;
-            }
-            for j in 0..nb {
-                if j == k {
-                    continue;
+        // Every block off row and column k: the grid, plus (k, k) once
+        // (added first, so no count goes below zero), minus row and column.
+        let mut interior = grid.clone();
+        interior[p_diag] += 1;
+        for &(p, count) in rows[k].counts().iter().chain(cols[k].counts()) {
+            interior[p] -= count;
+        }
+        let comp = interior.iter().map(|&count| op4 * count as u64).collect();
+        if S::RECORDS {
+            for i in (0..nb).filter(|&i| i != k) {
+                for j in (0..nb).filter(|&j| j != k) {
+                    let p = owner(i, j);
+                    loads.add_visits(s, p, 1);
+                    loads.touch(s, p, base(i, j), block_bytes as u32);
+                    loads.touch(s, p, base(i, k), block_bytes as u32);
+                    loads.touch(s, p, base(k, j), block_bytes as u32);
                 }
-                let p = owner(i, j);
-                comp[p] += op4;
-                loads.add_visits(s, p, 1);
-                loads.touch(s, p, base(i, j), block_bytes as u32);
-                loads.touch(s, p, base(i, k), block_bytes as u32);
-                loads.touch(s, p, base(k, j), block_bytes as u32);
             }
         }
         program.push(Step::new(format!("interior {k}")).with_comp(comp));

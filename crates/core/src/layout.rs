@@ -169,68 +169,83 @@ pub fn max_diagonal_share(layout: &dyn Layout, nb: usize) -> usize {
     worst
 }
 
-/// The distinct processors among a run of block owners, in ascending
-/// order: what collecting the run into a `BTreeSet<usize>` yields, from
-/// one mark per processor that every set reuses instead of a tree per set.
-/// Generators use it for destination sets, so a message's id (its place
-/// in the pattern) follows from its destination.
-#[derive(Clone, Debug)]
-pub struct OwnerSet {
-    marked: Vec<bool>,
-    owners: Vec<usize>,
+/// The owners of a run of blocks (a block row or column, or part of
+/// one): each distinct processor in ascending order, with how many of the
+/// run's blocks it owns. Generators keep one per row and column and send a
+/// produced block once to each owner, in this order, so a message's id
+/// (its place in the pattern) follows from its destination. Dropping a
+/// block as a wavefront passes it costs no scan of the run.
+#[derive(Clone, Debug, Default)]
+pub struct OwnerCounts {
+    counts: Vec<(usize, usize)>,
 }
 
-impl OwnerSet {
-    /// An empty set over `procs` processors.
-    pub fn new(procs: usize) -> Self {
-        OwnerSet {
-            marked: vec![false; procs],
-            owners: Vec::with_capacity(procs),
-        }
-    }
-
-    /// Replace the set with the distinct values of `owners` and return
-    /// them in ascending order. Once every processor is in, the rest of
-    /// `owners` is not drawn.
-    ///
-    /// # Panics
-    /// Panics if an owner is not below the processor count.
-    pub fn collect(&mut self, owners: impl IntoIterator<Item = usize>) -> &[usize] {
-        for &p in &self.owners {
-            self.marked[p] = false;
-        }
-        self.owners.clear();
+impl OwnerCounts {
+    /// The owners of a run, given one owner per block.
+    pub fn new(owners: impl IntoIterator<Item = usize>) -> Self {
+        let mut run = OwnerCounts::default();
         for p in owners {
-            if !std::mem::replace(&mut self.marked[p], true) {
-                self.owners.push(p);
-                if self.owners.len() == self.marked.len() {
-                    break;
-                }
+            match run.find(p) {
+                Ok(at) => run.counts[at].1 += 1,
+                Err(at) => run.counts.insert(at, (p, 1)),
             }
         }
-        self.owners.sort_unstable();
-        &self.owners
+        run
+    }
+
+    fn find(&self, p: usize) -> Result<usize, usize> {
+        self.counts.binary_search_by_key(&p, |&(q, _)| q)
+    }
+
+    /// The distinct owners, ascending.
+    pub fn owners(&self) -> impl Iterator<Item = usize> + '_ {
+        self.counts.iter().map(|&(p, _)| p)
+    }
+
+    /// The distinct owners, ascending, of the run without one of `p`'s
+    /// blocks: `p` stays only if it owns another.
+    pub fn owners_without(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.counts
+            .iter()
+            .filter(move |&&(q, count)| q != p || count > 1)
+            .map(|&(q, _)| q)
+    }
+
+    /// Each distinct owner with its number of blocks, ascending by owner.
+    pub fn counts(&self) -> &[(usize, usize)] {
+        &self.counts
+    }
+
+    /// Drop one block owned by `p` from the run.
+    ///
+    /// # Panics
+    /// Panics if `p` owns no block of the run.
+    pub fn remove(&mut self, p: usize) {
+        let at = self
+            .find(p)
+            .unwrap_or_else(|_| panic!("processor {p} owns no block of the run"));
+        self.counts[at].1 -= 1;
+        if self.counts[at].1 == 0 {
+            self.counts.remove(at);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
-    fn owner_sets_iterate_like_btree_sets() {
-        let mut set = OwnerSet::new(6);
-        let runs: [&[usize]; 5] = [&[3, 1, 3, 0], &[], &[5, 5, 2], &[0, 1, 2, 3, 4, 5, 1], &[4]];
-        for run in runs {
-            let want: Vec<usize> = run
-                .iter()
-                .copied()
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            assert_eq!(set.collect(run.iter().copied()), want.as_slice());
-        }
+    fn owner_counts_list_distinct_owners_with_their_blocks() {
+        let mut run = OwnerCounts::new([3, 1, 3, 0, 3]);
+        assert_eq!(run.counts(), &[(0, 1), (1, 1), (3, 3)]);
+        assert_eq!(run.owners().collect::<Vec<_>>(), [0, 1, 3]);
+        assert_eq!(run.owners_without(3).collect::<Vec<_>>(), [0, 1, 3]);
+        assert_eq!(run.owners_without(1).collect::<Vec<_>>(), [0, 3]);
+        run.remove(1);
+        run.remove(3);
+        assert_eq!(run.counts(), &[(0, 1), (3, 2)]);
+        assert!(OwnerCounts::new([]).counts().is_empty());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod search;
 pub mod simulate;
 pub mod textfmt;
 
-pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, OwnerSet, RowCyclic};
+pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, OwnerCounts, RowCyclic};
 pub use program::{LoadSink, NoLoads, Program, ProgramError, Step, StepLoad, MAX_PROCS};
 pub use replay::{record_program, ProgramRecording};
 pub use simulate::{

@@ -154,11 +154,17 @@ impl StepLoad {
 /// profiles, so it passes [`NoLoads`], whose calls compile away together
 /// with the addresses computed for them; the emulator passes a
 /// `Vec<StepLoad>`, which collects exactly one [`StepLoad`] per step.
-/// Steps are addressed by index, so a generator that finishes its steps
-/// out of order (the elimination's wavefront levels) records each touch
-/// where it belongs; the touches of one (step, processor) keep the order
-/// they were recorded in.
+/// Steps are addressed by index; the touches of one (step, processor)
+/// keep the order they were recorded in.
+///
+/// A generator charges a step's computation from per-processor block
+/// counts, so the only reason to walk a step block by block is to record
+/// it: generators run such a walk only when [`LoadSink::RECORDS`] is set.
 pub trait LoadSink {
+    /// Whether the sink keeps what it is sent. `false` lets a generator
+    /// skip the loops that exist only to feed it.
+    const RECORDS: bool = true;
+
     /// Make the profile at least `steps` steps long; new steps start
     /// empty, over `procs` processors.
     fn grow(&mut self, steps: usize, procs: usize);
@@ -175,6 +181,8 @@ pub trait LoadSink {
 pub struct NoLoads;
 
 impl LoadSink for NoLoads {
+    const RECORDS: bool = false;
+
     #[inline(always)]
     fn grow(&mut self, _steps: usize, _procs: usize) {}
 

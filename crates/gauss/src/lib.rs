@@ -6,12 +6,13 @@
 //! that each iteration of the sequential algorithm can be regarded as a
 //! diagonal wave traversing the matrix from the upper left corner to the
 //! lower right corner." [`trace::generate`] derives that wave exactly: it
-//! builds the dependency DAG of the blocked elimination's basic operations
-//! (Op1–Op4 on a grid of B×B blocks), groups tasks by dependency level
-//! (the wavefronts), charges each processor the cost-model time of the
-//! operations it owns per wave, and emits one communication pattern per
-//! wave for the block transfers that cross processors — the oblivious
-//! [`predsim_core::Program`] the predictor consumes.
+//! groups the blocked elimination's basic operations (Op1–Op4 on a grid
+//! of B×B blocks) by their level in the dependency DAG (the wavefronts,
+//! three per iteration in closed form), charges each processor the
+//! cost-model time of the operations it owns per wave, and emits one
+//! communication pattern per wave for the block transfers that cross
+//! processors — the oblivious [`predsim_core::Program`] the predictor
+//! consumes.
 //!
 //! [`parallel::factorize`] executes the same schedule with real `f64`
 //! arithmetic on real threads (`std::sync::mpsc` channels carrying
@@ -34,8 +35,9 @@ pub use trace::{generate, GeProgram};
 /// value in that range divisible by every recovered block size.
 pub const MATRIX_N: usize = 960;
 
-/// The paper's block-size candidate set (divisors of [`MATRIX_N`] from 10
-/// to 160; fourteen values, matching the count in the scan).
+/// The paper's block-size candidate set: fourteen divisors of
+/// [`MATRIX_N`] from 10 to 160 (not 32 or 64), matching the count in the
+/// scan.
 pub const PAPER_BLOCK_SIZES: [usize; 14] =
     [10, 12, 15, 16, 20, 24, 30, 40, 48, 60, 80, 96, 120, 160];
 

@@ -2,8 +2,8 @@
 //! the oblivious [`Program`] the predictor simulates.
 //!
 //! The generator follows the control flow of the blocked elimination
-//! exactly, as the paper prescribes, by building the dependency DAG of the
-//! basic operations and grouping them into *wavefront levels*:
+//! exactly, as the paper prescribes, by grouping the basic operations of
+//! its dependency DAG into *wavefront levels*:
 //!
 //! * `Op1(k)` depends on `Op4(k−1, k, k)`;
 //! * `Op2(k, j)` depends on `Op1(k)` and `Op4(k−1, k, j)`;
@@ -12,24 +12,35 @@
 //!   `Op4(k−1, i, j)`.
 //!
 //! `level(t) = 1 + max(level(deps))` is the diagonal wave of the paper's
-//! §5. Every level becomes one [`Step`]: its computation phase charges each
-//! processor the cost-model time of the tasks it owns; its communication
-//! phase carries one message per (produced block, consuming processor)
-//! pair — inverted factors travel to the pivot row and column, panel
-//! blocks travel into the trailing submatrix. Messages whose source and
-//! destination processor coincide are kept as *self-messages*: the LogGP
-//! predictor ignores them (as in the paper), while the machine emulator
-//! charges them as local memory copies.
+//! §5, and its solution is closed-form for every layout: `Op1(k)` is wave
+//! `3k+1`, every `Op2(k, ·)` and `Op3(k, ·)` wave `3k+2` and every
+//! `Op4(k, ·, ·)` wave `3k+3`, so an `nb × nb` grid has `3·nb − 2` waves.
+//! (Induction on `k`: entering iteration `k` every trailing Op4 level is
+//! `3k`, so Op1, the panels and the new Op4 levels are `3k+1`, `3k+2` and
+//! `3k+3`; the recurrence never reads an owner.) Every level becomes one
+//! [`Step`]: its computation phase charges each processor the cost-model
+//! time of the tasks it owns, Op4 as `op4 ×` the processor's blocks in the
+//! trailing submatrix; its communication phase carries one message per
+//! (produced block, consuming processor) pair — inverted factors travel to
+//! the pivot row and column, panel blocks travel into the trailing
+//! submatrix. Messages whose source and destination processor coincide
+//! are kept as *self-messages*: the LogGP predictor ignores them (as in
+//! the paper), while the machine emulator charges them as local memory
+//! copies.
 //!
-//! Each destination set is an [`OwnerSet`], sent to in ascending
-//! processor order. [`generate_with`] is the one generator body; it hands
-//! each task's block visit and touches to a [`LoadSink`], which
-//! [`generate`] collects and a prediction drops ([`predsim_core::NoLoads`]).
+//! Each row and column keeps the owners of its blocks the elimination has
+//! not passed yet as an [`OwnerCounts`]; a task drops its own block and
+//! sends to the owners left, in ascending processor order. So a build
+//! costs O(nb² + messages). [`generate_with`] is the one generator body;
+//! it hands each task's block visit and touches to a [`LoadSink`], which
+//! [`generate`] collects and a prediction drops
+//! ([`predsim_core::NoLoads`]); the O(nb³) walk over the Op4 blocks runs
+//! only for a sink that records them.
 
 use blockops::{CostModel, OpClass};
 use commsim::CommPattern;
 use loggp::Time;
-use predsim_core::{Layout, LoadSink, OwnerSet, Program, Step, StepLoad};
+use predsim_core::{Layout, LoadSink, OwnerCounts, Program, Step, StepLoad};
 
 /// A generated blocked-elimination program plus the metadata the machine
 /// emulator needs.
@@ -124,111 +135,104 @@ pub fn generate_with<S: LoadSink>(
     let [op1, op2, op3, op4] =
         [OpClass::Op1, OpClass::Op2, OpClass::Op3, OpClass::Op4].map(|op| cost.op_cost(op, b));
     let (fb, bb) = (factor_bytes(b), full_block_bytes(b));
-
-    // Dependency levels of the previous elimination step's Op4 per block,
-    // and of this step's Op2 per column and Op3 per row.
-    let mut lvl4_prev = vec![vec![0u32; nb]; nb];
-    let mut l2 = vec![0u32; nb];
-    let mut l3 = vec![0u32; nb];
-    let mut waves = Waves {
-        procs,
-        block_bytes: bb,
-        comp: Vec::new(),
-        comm: Vec::new(),
-        loads,
+    // One task at step `s` on `proc`: a block visit and a touch of each
+    // of `blocks`.
+    let record = |loads: &mut S, s: usize, proc: usize, blocks: &[u64]| {
+        loads.add_visits(s, proc, 1);
+        for &block in blocks {
+            loads.touch(s, proc, block * bb as u64, bb as u32);
+        }
     };
-    let mut dsts = OwnerSet::new(procs);
+    let wave = |s: usize, comp: Vec<Time>, comm: CommPattern| {
+        Step::new(format!("wave {}", s + 1))
+            .with_comp(comp)
+            .with_comm(comm)
+    };
 
+    // The owners of the blocks not yet passed: entering iteration k, row
+    // i ≥ k holds (i, k..nb) and column j ≥ k holds (k..nb, j). A task
+    // drops its own block, which leaves exactly the blocks it feeds.
+    let mut rows: Vec<OwnerCounts> = (0..nb)
+        .map(|i| OwnerCounts::new((0..nb).map(|j| owner(i, j))))
+        .collect();
+    let mut cols: Vec<OwnerCounts> = (0..nb)
+        .map(|j| OwnerCounts::new((0..nb).map(|i| owner(i, j))))
+        .collect();
+    // Each processor's blocks in the trailing submatrix (k..nb)².
+    let mut trailing = vec![0usize; procs];
+    for row in &rows {
+        for &(p, count) in row.counts() {
+            trailing[p] += count;
+        }
+    }
+
+    let mut program = Program::new(procs);
     for k in 0..nb {
-        // ---- Op1 on the diagonal block --------------------------------
-        let l1 = 1 + lvl4_prev[k][k];
+        // ---- wave 3k+1: Op1 on the diagonal block ---------------------
+        let s = program.len();
+        loads.grow(s + 1, procs);
         let p_diag = owner(k, k);
-        let idx = waves.charge(l1, p_diag, op1, &[block_id(k, k)]);
-
+        let mut comp = vec![Time::ZERO; procs];
+        comp[p_diag] = op1;
+        record(loads, s, p_diag, &[block_id(k, k)]);
+        rows[k].remove(p_diag);
+        cols[k].remove(p_diag);
         // Factor messages: L⁻¹ to the pivot row, U⁻¹ to the pivot column,
         // one per destination processor.
-        for &dst in dsts.collect((k + 1..nb).map(|j| owner(k, j))) {
-            waves.comm[idx].add(p_diag, dst, fb);
+        let mut comm = CommPattern::new(procs);
+        for dst in rows[k].owners().chain(cols[k].owners()) {
+            comm.add(p_diag, dst, fb);
         }
-        for &dst in dsts.collect((k + 1..nb).map(|j| owner(j, k))) {
-            waves.comm[idx].add(p_diag, dst, fb);
+        program.push(wave(s, comp, comm));
+        if k + 1 == nb {
+            break;
         }
 
-        // ---- Op2 along the pivot row, Op3 down the pivot column --------
-        for j in k + 1..nb {
-            l2[j] = 1 + l1.max(lvl4_prev[k][j]);
+        // ---- wave 3k+2: Op2 along the pivot row, Op3 down the column ---
+        let s = program.len();
+        loads.grow(s + 1, procs);
+        let mut comp = vec![Time::ZERO; procs];
+        let mut comm = CommPattern::new(procs);
+        for (j, col) in cols.iter_mut().enumerate().skip(k + 1) {
             let p = owner(k, j);
-            let idx = waves.charge(l2[j], p, op2, &[block_id(k, j), block_id(k, k)]);
+            comp[p] += op2;
+            record(loads, s, p, &[block_id(k, j), block_id(k, k)]);
             // Result U[k][j] goes to every owner of column-j trailing blocks.
-            for &dst in dsts.collect((k + 1..nb).map(|i| owner(i, j))) {
-                waves.comm[idx].add(p, dst, bb);
+            col.remove(p);
+            for dst in col.owners() {
+                comm.add(p, dst, bb);
             }
         }
-        for i in k + 1..nb {
-            l3[i] = 1 + l1.max(lvl4_prev[i][k]);
+        for (i, row) in rows.iter_mut().enumerate().skip(k + 1) {
             let p = owner(i, k);
-            let idx = waves.charge(l3[i], p, op3, &[block_id(i, k), block_id(k, k)]);
-            for &dst in dsts.collect((k + 1..nb).map(|j| owner(i, j))) {
-                waves.comm[idx].add(p, dst, bb);
+            comp[p] += op3;
+            record(loads, s, p, &[block_id(i, k), block_id(k, k)]);
+            row.remove(p);
+            for dst in row.owners() {
+                comm.add(p, dst, bb);
             }
         }
+        program.push(wave(s, comp, comm));
 
-        // ---- Op4 over the trailing submatrix ---------------------------
-        for i in k + 1..nb {
-            for j in k + 1..nb {
-                let lvl = 1 + l2[j].max(l3[i]).max(lvl4_prev[i][j]);
-                lvl4_prev[i][j] = lvl;
-                waves.charge(
-                    lvl,
-                    owner(i, j),
-                    op4,
-                    &[block_id(i, j), block_id(i, k), block_id(k, j)],
-                );
+        // ---- wave 3k+3: Op4 over the trailing submatrix ----------------
+        let s = program.len();
+        loads.grow(s + 1, procs);
+        trailing[p_diag] -= 1;
+        for &(p, count) in rows[k].counts().iter().chain(cols[k].counts()) {
+            trailing[p] -= count;
+        }
+        let comp = trailing.iter().map(|&count| op4 * count as u64).collect();
+        if S::RECORDS {
+            for i in k + 1..nb {
+                for j in k + 1..nb {
+                    let blocks = [block_id(i, j), block_id(i, k), block_id(k, j)];
+                    record(loads, s, owner(i, j), &blocks);
+                }
             }
         }
-    }
-
-    // Assemble the program.
-    let mut program = Program::new(procs);
-    for (idx, (comp, comm)) in waves.comp.into_iter().zip(waves.comm).enumerate() {
-        program.push(
-            Step::new(format!("wave {}", idx + 1))
-                .with_comp(comp)
-                .with_comm(comm),
-        );
+        program.push(wave(s, comp, CommPattern::new(procs)));
     }
     program
-}
-
-/// The wavefront levels built so far, grown on demand: levels fill out of
-/// order, since a task's level is only known when its dependencies are.
-struct Waves<'a, S> {
-    procs: usize,
-    block_bytes: usize,
-    comp: Vec<Vec<Time>>,
-    comm: Vec<CommPattern>,
-    loads: &'a mut S,
-}
-
-impl<S: LoadSink> Waves<'_, S> {
-    /// Charge one task at (1-based) level `lvl` to `proc`: its cost, one
-    /// block visit and a touch of each block in `blocks`. Returns the
-    /// level's step index.
-    fn charge(&mut self, lvl: u32, proc: usize, cost: Time, blocks: &[u64]) -> usize {
-        let idx = lvl as usize - 1;
-        while self.comp.len() <= idx {
-            self.comp.push(vec![Time::ZERO; self.procs]);
-            self.comm.push(CommPattern::new(self.procs));
-        }
-        self.comp[idx][proc] += cost;
-        self.loads.grow(idx + 1, self.procs);
-        self.loads.add_visits(idx, proc, 1);
-        for &block in blocks {
-            let base = block * self.block_bytes as u64;
-            self.loads.touch(idx, proc, base, self.block_bytes as u32);
-        }
-        idx
-    }
 }
 
 #[cfg(test)]

@@ -439,7 +439,9 @@ fn results_table(results: &[JobResult]) -> Table {
 
 /// Post-run reporting shared by `batch` and `ge-sweep`: print the table
 /// (and write it to `--results-out`), tally restored/failed jobs, and
-/// name the fault plan in effect. Errors if any job crashed or timed out.
+/// name the fault plan in effect. Errors if any job crashed or timed out;
+/// callers write `--metrics-out` before returning that error, so the
+/// file exists for exactly the runs whose failure counters are non-zero.
 fn report_results(
     args: &Args,
     results: &[JobResult],
@@ -722,9 +724,9 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
             secs(results[best].outcome.totals().expect("best is ok").0)
         );
     }
-    report_results(args, &results, plan.as_ref())?;
+    let reported = report_results(args, &results, plan.as_ref());
     write_engine_metrics(args, &engine)?;
-    Ok(())
+    reported
 }
 
 /// The `ge-sweep --prefilter` path: rank the candidate block sizes by
@@ -787,9 +789,9 @@ fn ge_sweep_prefiltered(
         outln!("predicted optimum: B={} at {} s", blocks[i], secs(total));
     }
     let results: Vec<JobResult> = executed.into_iter().map(|(_, r)| r).collect();
-    report_results(args, &results, None)?;
+    let reported = report_results(args, &results, None);
     write_engine_metrics(args, engine)?;
-    Ok(())
+    reported
 }
 
 /// The `machine-sweep` command: one program, many machine presets. Under
@@ -1186,9 +1188,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         stats.misses,
         stats.hits
     );
-    report_results(args, &results, plan.as_ref())?;
+    let reported = report_results(args, &results, plan.as_ref());
     write_engine_metrics(args, &engine)?;
-    Ok(())
+    reported
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {

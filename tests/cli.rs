@@ -1199,6 +1199,46 @@ fn job_budget_caps_simulated_steps_end_to_end() {
     }
 }
 
+/// A run whose jobs time out still writes `--metrics-out`: those are the
+/// runs whose failure counters read non-zero.
+#[test]
+fn runs_with_failed_jobs_still_write_their_metrics() {
+    let dir = TempDir::new();
+    let sweep = [
+        "ge-sweep", "--n", "120", "--procs", "4", "--blocks", "10,20",
+    ];
+    let commands: [&[&str]; 3] = [
+        &[
+            "batch",
+            "ge:240,24,diagonal,8",
+            "cannon:64,4",
+            "stencil:64,4,6",
+            "--jobs",
+            "2",
+        ],
+        &sweep,
+        &[&sweep[..], &["--prefilter"]].concat(),
+    ];
+    for (i, command) in commands.into_iter().enumerate() {
+        let prom = dir.path().join(format!("failed-{i}.prom"));
+        let out = bin()
+            .args(command)
+            .args(["--job-budget", "5", "--metrics-out", prom.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("did not complete"), "{command:?}: {err}");
+        let prom = std::fs::read_to_string(&prom).unwrap_or_else(|e| panic!("{command:?}: {e}"));
+        let timed_out: u64 = prom
+            .lines()
+            .find_map(|line| line.strip_prefix("engine_jobs_timed_out_total "))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{command:?}: {prom}"));
+        assert!(timed_out >= 1, "{command:?}: {prom}");
+    }
+}
+
 #[test]
 fn serve_rejects_bad_flags_before_binding() {
     for (args, want) in [
